@@ -395,9 +395,10 @@ class _Estimator:
     # -- decision evaluation ------------------------------------------------
 
     def decision_values(self, j: int):
+        """Node -> conditional value with seed bit j = 0, and with j = 1;
+        nodes whose value is 0 may be left out."""
         if not self.ctx.edges:
-            zero = {v: Fraction(0) for v in range(self.n)}
-            return zero, dict(zero)
+            return {}, {}
         if not self.vectorized:
             return self._decide_scalar(j)
         if j < self.ctx.fam.m:
@@ -485,8 +486,10 @@ class _Estimator:
         acc = np.zeros(self.n, dtype=np.int64)
         np.add.at(acc, self.eu, like1 * self.w1n[self.eu] + like0 * self.w0n[self.eu])
         np.add.at(acc, self.ev, like1 * self.w1n[self.ev] + like0 * self.w0n[self.ev])
+        nonzero = np.flatnonzero(acc).tolist()
         return {
-            v: Fraction(int(acc[v]), self.den[v] << shift) for v in range(self.n)
+            v: Fraction(s, self.den[v] << shift)
+            for v, s in zip(nonzero, acc[nonzero].tolist())
         }
 
     # -- committing a decided bit -------------------------------------------
@@ -640,9 +643,12 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
         est = _Estimator(ctx, comp_of)
         chains = {r: [] for r in roots}
         expect_start, last = {}, {}
+        zero = Fraction(0)
         for j in range(m + b):
             x0, x1 = est.decision_values(j)
-            totals = comm.aggregate({v: (x0[v], x1[v]) for v in range(n)})
+            totals = comm.aggregate(
+                {v: (x0.get(v, zero), x1.get(v, zero)) for v in x0.keys() | x1.keys()}
+            )
             bits = {}
             for r in roots:
                 s0, s1 = totals[r]

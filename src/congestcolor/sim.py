@@ -21,12 +21,22 @@ Sequential composition is the intended usage: helpers like
 build_bfs_forest or aggregate_pairs each run one protocol and return
 stats, and a caller adds the stats up.  That matches synchronous
 composition where every node knows a common round bound for each stage.
+
+The tree collectives aggregate_pairs and broadcast_values are single
+passes over each tree, not engine runs, charged exactly as the engine
+would charge them: same results, RunStats, trace records and errors.
+That is exact because in both every node sends once, over tree edges, as
+soon as its input is complete, so every message's round and length
+follow from the forest and the values.  The tests keep the engine-driven
+versions as the reference.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 ALGORITHM = "algorithm"
 AGGREGATION = "aggregation"
@@ -96,46 +106,6 @@ def unpack_fields(msg: Message, widths) -> tuple:
         out.append(rest & ((1 << width) - 1))
         rest >>= width
     return tuple(reversed(out))
-
-
-def _append_int(payload: int, bits: int, z: int) -> tuple:
-    mag = abs(z)
-    length = mag.bit_length()
-    if length >= (1 << _LEN_FIELD):
-        raise ValueError("integer too large for the rational wire format")
-    payload = (payload << 1) | (1 if z < 0 else 0)
-    payload = (payload << _LEN_FIELD) | length
-    payload = (payload << length) | mag
-    return payload, bits + 1 + _LEN_FIELD + length
-
-
-def _read_int(payload: int, cursor: int) -> tuple:
-    sign = (payload >> (cursor - 1)) & 1
-    cursor -= 1
-    length = (payload >> (cursor - _LEN_FIELD)) & ((1 << _LEN_FIELD) - 1)
-    cursor -= _LEN_FIELD
-    mag = (payload >> (cursor - length)) & ((1 << length) - 1) if length else 0
-    cursor -= length
-    return (-mag if sign else mag), cursor
-
-
-def pack_fraction_pair(a: Fraction, b: Fraction) -> Message:
-    """Encode two exact rationals; used by aggregation convergecasts."""
-    payload, bits = 0, 0
-    for z in (a.numerator, a.denominator, b.numerator, b.denominator):
-        payload, bits = _append_int(payload, bits, z)
-    return Message(payload, bits, AGGREGATION)
-
-
-def unpack_fraction_pair(msg: Message) -> tuple:
-    cursor = msg.bit_len
-    parts = []
-    for _ in range(4):
-        z, cursor = _read_int(msg.payload, cursor)
-        parts.append(z)
-    if cursor != 0:
-        raise ValueError("trailing bits in rational message")
-    return Fraction(parts[0], parts[1]), Fraction(parts[2], parts[3])
 
 
 @dataclass(frozen=True)
@@ -324,6 +294,17 @@ class BFSTree:
     children: dict
     depth: dict
     height: int
+    # schedule of the tree collectives, derived once per tree
+    order: tuple = field(init=False, repr=False, compare=False)  # BFS, root first
+    subheight: dict = field(init=False, repr=False, compare=False)
+    level_sizes: Counter = field(init=False, repr=False, compare=False)  # per depth
+
+    def __post_init__(self):
+        self.order = tuple(sorted(self.nodes, key=lambda v: (self.depth[v], v)))
+        self.subheight = sub = dict.fromkeys(self.order, 0)
+        for v in reversed(self.order[1:]):
+            sub[self.parent[v]] = max(sub[self.parent[v]], sub[v] + 1)
+        self.level_sizes = Counter(self.depth.values())
 
 
 class _BFSBuild(NodeProgram):
@@ -412,96 +393,107 @@ def build_bfs_forest(graph, *, roots=None, policy=None, round_cap=None, trace=No
 
 
 # ---------------------------------------------------------------------------
-# Tree convergecast / broadcast
+# Tree convergecast / broadcast, evaluated as passes (see module docstring)
+
+# An aggregation message carries a reduced pair a, b of rationals as four
+# integers, each a sign bit, a _LEN_FIELD-bit length, then the magnitude.
+_PAIR_OVERHEAD = 4 * (1 + _LEN_FIELD)
 
 
-class _SumPairs(NodeProgram):
-    def __init__(self, parent, children, value):
-        self.parent = parent
-        self.children = set(children)
-        self.acc = value
-        self.total = None
+def _charge(category, sent, round_cap, trace, failure=None):
+    """RunStats of a tree pass that delivers messages of the lengths in
+    sent[r] in round r, for r = 1..height, with the engine's trace.
 
-    def _flush(self, ctx):
-        if self.parent is None:
-            self.total = self.acc
-        else:
-            ctx.send(self.parent, pack_fraction_pair(*self.acc))
-        ctx.halt()
-
-    def setup(self, ctx):
-        if not self.children:
-            self._flush(ctx)
-
-    def absorb(self, ctx):
-        for u, msg in ctx.inbox.items():
-            a, b = unpack_fraction_pair(msg)
-            self.acc = (self.acc[0] + a, self.acc[1] + b)
-            self.children.discard(u)
-        if not self.children:
-            self._flush(ctx)
+    `failure` is (r, exc) for an error the engine raises while it runs
+    round r (0 is setup); it comes first unless the cap stops it sooner.
+    """
+    height = len(sent) - 1
+    done, error = height, None
+    if round_cap is not None and round_cap < height:
+        done = max(round_cap, 0)
+        error = RoundCapError(f"round cap {round_cap} exceeded with work pending")
+    if failure is not None and failure[0] <= done:
+        done, error = failure[0] - 1, failure[1]
+    if trace is not None:
+        for r in range(1, done + 1):
+            bits = _per_category()
+            bits[category] = sum(sent[r])
+            trace({"round": r, "messages": len(sent[r]), "category_bits": bits})
+    if error is not None:
+        raise error
+    stats = RunStats(rounds=height, messages=sum(map(len, sent)))
+    stats.messages_by_category[category] = stats.messages
+    stats.bits_by_category[category] = sum(map(sum, sent))
+    stats.max_bits_by_category[category] = max(map(max, filter(None, sent)), default=0)
+    return stats
 
 
 def aggregate_pairs(graph, forest, values, *, policy=None, round_cap=None, trace=None):
     """Sum (Fraction, Fraction) node values toward each tree root.
 
-    Nodes missing from `values` contribute zero; finishes within the
-    tree height because a node reports as soon as all children did.
+    Nodes missing from `values` contribute zero.  One pass per tree,
+    children before parents: a non-root v ships its subtree sum in round
+    subheight(v) + 1, once all its children have, as an "aggregation"
+    message.  Aggregation is exempt from `policy`; rounds equal the
+    forest height.
     """
+    sent = [[] for _ in range(max((t.height for t in forest), default=0) + 1)]
+    too_long = len(sent)  # first round in which a sum too long to encode is sent
     zero = (Fraction(0), Fraction(0))
-    progs = {}
+    totals = {}
     for tree in forest:
+        # reduced [num_a, den_a, num_b, den_b] per node: plain ints add
+        # faster than Fraction objects and give the same reduced parts
+        acc, parent, sub = {}, tree.parent, tree.subheight
         for v in tree.nodes:
-            val = values.get(v, zero)
-            progs[v] = _SumPairs(tree.parent[v], tree.children[v], tuple(val))
-    stats = run_protocol(
-        graph,
-        [progs[v] for v in sorted(progs)],
-        policy=policy,
-        round_cap=round_cap,
-        trace=trace,
-    )
-    return {t.root: progs[t.root].total for t in forest}, stats
-
-
-class _Relay(NodeProgram):
-    def __init__(self, children, width, value=None):
-        self.children = children
-        self.width = width
-        self.value = value
-
-    def _forward(self, ctx):
-        for u in self.children:
-            ctx.send(u, Message(self.value, self.width))
-        ctx.halt()
-
-    def setup(self, ctx):
-        if self.value is not None:
-            self._forward(ctx)
-
-    def absorb(self, ctx):
-        (msg,) = ctx.inbox.values()
-        self.value = msg.payload
-        self._forward(ctx)
+            a, b = values.get(v, zero)
+            acc[v] = [a.numerator, a.denominator, b.numerator, b.denominator]
+        for v in reversed(tree.order[1:]):  # every child before its parent
+            na, da, nb, db = acc[v]
+            lengths = na.bit_length(), da.bit_length(), nb.bit_length(), db.bit_length()
+            r = sub[v] + 1
+            size = _PAIR_OVERHEAD + sum(lengths)
+            sent[r].append(size)
+            if size >> _LEN_FIELD and max(lengths) >> _LEN_FIELD:  # too long to send
+                too_long = min(too_long, r - 1)
+            q = acc[parent[v]]
+            num, den = q[0] * da + na * q[1], q[1] * da
+            g = gcd(num, den)
+            q[0], q[1] = num // g, den // g
+            num, den = q[2] * db + nb * q[3], q[3] * db
+            g = gcd(num, den)
+            q[2], q[3] = num // g, den // g
+        na, da, nb, db = acc[tree.root]
+        totals[tree.root] = (Fraction(na, da), Fraction(nb, db))
+    failure = None
+    if too_long < len(sent):
+        error = ValueError("integer too large for the rational wire format")
+        failure = (too_long, error)
+    return totals, _charge(AGGREGATION, sent, round_cap, trace, failure)
 
 
 def broadcast_values(graph, forest, values, *, policy=None, round_cap=None, trace=None):
-    """Push one (value, width) per root down its tree; rounds <= height."""
-    progs = {}
+    """Push one (value, width) per root down its tree; rounds <= height.
+
+    Every node of a tree gets its root's value, which a non-root v hears
+    in round depth(v) as a `width`-bit "algorithm" message.  Roots with
+    children check, in root order as the engine's setup round does, that
+    the payload fits and then that the policy's cap allows the width.
+    """
+    sent = [[] for _ in range(max((t.height for t in forest), default=0) + 1)]
+    limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
+    got = {}
     for tree in forest:
         value, width = values[tree.root]
-        for v in tree.nodes:
-            progs[v] = _Relay(
-                tree.children[v], width, value if v == tree.root else None
-            )
-    stats = run_protocol(
-        graph,
-        [progs[v] for v in sorted(progs)],
-        policy=policy,
-        round_cap=round_cap,
-        trace=trace,
-    )
-    return {v: p.value for v, p in progs.items()}, stats
+        if tree.height:
+            Message(value, width)  # raises ValueError unless the payload fits
+            if limit is not None and width > limit:
+                edge = (tree.root, tree.children[tree.root][0])
+                raise BandwidthError(1, edge, width, limit)
+            for d in range(1, tree.height + 1):
+                sent[d] += [width] * tree.level_sizes[d]
+        got.update(dict.fromkeys(tree.nodes, value))
+    return got, _charge(ALGORITHM, sent, round_cap, trace)
 
 
 class CommPlan:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congestcolor.graphs import Graph, generate_graph
@@ -16,15 +16,14 @@ from congestcolor.sim import (
     ProtocolError,
     RoundCapError,
     StallError,
+    _LEN_FIELD,
     aggregate_pairs,
     broadcast_values,
     build_bfs_forest,
     exchange,
     pack_fields,
-    pack_fraction_pair,
     run_protocol,
     unpack_fields,
-    unpack_fraction_pair,
 )
 
 
@@ -53,6 +52,49 @@ def test_pack_fields_round_trip(values):
     msg = pack_fields(*fields)
     assert msg.bit_len == sum(w for _, w in fields)
     assert unpack_fields(msg, [w for _, w in fields]) == tuple(values)
+
+
+# The rational wire format of aggregation messages, which the engine-driven
+# reference below ships and decodes.
+
+
+def _append_int(payload: int, bits: int, z: int) -> tuple:
+    mag = abs(z)
+    length = mag.bit_length()
+    if length >= (1 << _LEN_FIELD):
+        raise ValueError("integer too large for the rational wire format")
+    payload = (payload << 1) | (1 if z < 0 else 0)
+    payload = (payload << _LEN_FIELD) | length
+    payload = (payload << length) | mag
+    return payload, bits + 1 + _LEN_FIELD + length
+
+
+def pack_fraction_pair(a: Fraction, b: Fraction) -> Message:
+    payload, bits = 0, 0
+    for z in (a.numerator, a.denominator, b.numerator, b.denominator):
+        payload, bits = _append_int(payload, bits, z)
+    return Message(payload, bits, AGGREGATION)
+
+
+def _read_int(payload: int, cursor: int) -> tuple:
+    sign = (payload >> (cursor - 1)) & 1
+    cursor -= 1
+    length = (payload >> (cursor - _LEN_FIELD)) & ((1 << _LEN_FIELD) - 1)
+    cursor -= _LEN_FIELD
+    mag = (payload >> (cursor - length)) & ((1 << length) - 1) if length else 0
+    cursor -= length
+    return (-mag if sign else mag), cursor
+
+
+def unpack_fraction_pair(msg: Message) -> tuple:
+    cursor = msg.bit_len
+    parts = []
+    for _ in range(4):
+        z, cursor = _read_int(msg.payload, cursor)
+        parts.append(z)
+    if cursor != 0:
+        raise ValueError("trailing bits in rational message")
+    return Fraction(parts[0], parts[1]), Fraction(parts[2], parts[3])
 
 
 @given(
@@ -336,3 +378,179 @@ def test_stats_add():
     assert s1.rounds == 2
     assert s1.messages == 4
     assert s1.bits_by_category[ALGORITHM] == 32
+
+
+# ---------------------------------------------------------------------------
+# Engine-driven reference for the tree collectives: the same convergecast
+# and broadcast run as node programs, message by message.
+
+
+class _SumPairs(NodeProgram):
+    def __init__(self, parent, children, value):
+        self.parent = parent
+        self.children = set(children)
+        self.acc = value
+        self.total = None
+
+    def _flush(self, ctx):
+        if self.parent is None:
+            self.total = self.acc
+        else:
+            ctx.send(self.parent, pack_fraction_pair(*self.acc))
+        ctx.halt()
+
+    def setup(self, ctx):
+        if not self.children:
+            self._flush(ctx)
+
+    def absorb(self, ctx):
+        for u, msg in ctx.inbox.items():
+            a, b = unpack_fraction_pair(msg)
+            self.acc = (self.acc[0] + a, self.acc[1] + b)
+            self.children.discard(u)
+        if not self.children:
+            self._flush(ctx)
+
+
+def engine_aggregate(graph, forest, values, *, policy=None, round_cap=None, trace=None):
+    zero = (Fraction(0), Fraction(0))
+    progs = {}
+    for tree in forest:
+        for v in tree.nodes:
+            val = values.get(v, zero)
+            progs[v] = _SumPairs(tree.parent[v], tree.children[v], tuple(val))
+    stats = run_protocol(
+        graph,
+        [progs[v] for v in sorted(progs)],
+        policy=policy,
+        round_cap=round_cap,
+        trace=trace,
+    )
+    return {t.root: progs[t.root].total for t in forest}, stats
+
+
+class _Relay(NodeProgram):
+    def __init__(self, children, width, value=None):
+        self.children = children
+        self.width = width
+        self.value = value
+
+    def _forward(self, ctx):
+        for u in self.children:
+            ctx.send(u, Message(self.value, self.width))
+        ctx.halt()
+
+    def setup(self, ctx):
+        if self.value is not None:
+            self._forward(ctx)
+
+    def absorb(self, ctx):
+        (msg,) = ctx.inbox.values()
+        self.value = msg.payload
+        self._forward(ctx)
+
+
+def engine_broadcast(graph, forest, values, *, policy=None, round_cap=None, trace=None):
+    progs = {}
+    for tree in forest:
+        value, width = values[tree.root]
+        for v in tree.nodes:
+            progs[v] = _Relay(
+                tree.children[v], width, value if v == tree.root else None
+            )
+    stats = run_protocol(
+        graph,
+        [progs[v] for v in sorted(progs)],
+        policy=policy,
+        round_cap=round_cap,
+        trace=trace,
+    )
+    return {v: p.value for v, p in progs.items()}, stats
+
+
+def _outcome(collective, graph, forest, values, traced, **kwargs):
+    """What a collective returns or raises, with the trace it emitted."""
+    records = []
+    trace = records.append if traced else None
+    try:
+        result = collective(graph, forest, values, trace=trace, **kwargs)
+    except (ValueError, RoundCapError, BandwidthError) as exc:
+        return ("raised", type(exc), str(exc)), records
+    return ("returned", result), records
+
+
+HUGE = Fraction(1 << (1 << _LEN_FIELD))  # numerator too long to encode
+_fractions = st.fractions(
+    min_value=-(10**6), max_value=10**6, max_denominator=10**6
+)
+
+
+@st.composite
+def forests(draw):
+    kind = draw(st.sampled_from(["gnp", "star", "path"]))
+    n = draw(st.integers(min_value=1, max_value=40))
+    if kind == "gnp":
+        p = draw(st.sampled_from([0.02, 0.08, 0.2]))
+        g = generate_graph("gnp", {"n": n, "p": p}, rng_seed=draw(st.integers(0, 999)))
+    else:
+        g = generate_graph(kind, {"n": n})
+    roots = [draw(st.sampled_from(comp)) for comp in g.components]
+    forest, _ = build_bfs_forest(g, roots=roots)
+    return g, forest
+
+
+_run_options = {
+    "traced": st.booleans(),
+    "round_cap": st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+    "beta": st.sampled_from([None, 1, 2]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gf=forests(),
+    data=st.data(),
+    huge=st.sets(st.integers(min_value=0, max_value=39), max_size=2),
+    **_run_options,
+)
+def test_aggregate_pairs_matches_engine(gf, data, huge, traced, round_cap, beta):
+    g, forest = gf
+    nodes = st.integers(min_value=0, max_value=g.n - 1)
+    values = data.draw(st.dictionaries(nodes, st.tuples(_fractions, _fractions)))
+    for v in huge & set(range(g.n)):
+        values[v] = (HUGE, Fraction(0)) if v % 2 else (Fraction(1), 1 / HUGE)
+    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    got = _outcome(aggregate_pairs, g, forest, values, traced, **kwargs)
+    want = _outcome(engine_aggregate, g, forest, values, traced, **kwargs)
+    assert got == want
+
+
+@pytest.mark.parametrize("round_cap", [None, 0, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("v", range(6))
+def test_aggregate_overflow_against_round_cap_matches_engine(v, round_cap):
+    # node v + 1 is the first to send a sum too long to encode, while round
+    # 5 - v runs; that error comes first unless the cap stops the run sooner
+    g = generate_graph("path", {"n": 7})
+    forest, _ = build_bfs_forest(g, roots=[0])
+    values = {v + 1: (HUGE, Fraction(1)), 3: (Fraction(-2, 3), Fraction(5))}
+    got = _outcome(aggregate_pairs, g, forest, values, True, round_cap=round_cap)
+    want = _outcome(engine_aggregate, g, forest, values, True, round_cap=round_cap)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gf=forests(),
+    data=st.data(),
+    **_run_options,
+)
+def test_broadcast_values_matches_engine(gf, data, traced, round_cap, beta):
+    g, forest = gf
+    values = {}
+    for t in forest:
+        width = data.draw(st.integers(min_value=1, max_value=9))
+        values[t.root] = (data.draw(st.integers(0, 1 << width)), width)
+    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    got = _outcome(broadcast_values, g, forest, values, traced, **kwargs)
+    want = _outcome(engine_broadcast, g, forest, values, traced, **kwargs)
+    assert got == want
