@@ -56,6 +56,15 @@ class SeedCapError(RuntimeError):
     """Exhaustive search over more seeds than the cap allows."""
 
 
+class InvariantError(AssertionError):
+    """A guarantee of the level fixer failed; raised under python -O too."""
+
+
+def _check(cond: bool, msg: str):
+    if not cond:
+        raise InvariantError(msg)
+
+
 @dataclass(frozen=True)
 class SeedPrefix:
     """The first len(bits) seed bits, lowest index first."""
@@ -153,20 +162,25 @@ def xor_box_count(t_u: int, t_v: int, delta: int, b: int) -> int:
 def xor_branch_pairs(t_u: int, t_v: int, b: int) -> tuple:
     """The box count as sum of w * [(delta ^ val) >> p == 0] over pairs.
 
-    Each block pair pins delta's bits from position min(i, i2) upward to
-    one pattern, which is what lets an average over an affine family of
-    deltas reduce to rank arithmetic instead of enumeration.
+    Each block pair (i of t_u, i2 of t_v) pins delta's bits from
+    p = max(i, i2) upward to one pattern, which is what lets an average
+    over an affine family of deltas reduce to rank arithmetic instead of
+    enumeration.  A block i of one threshold meets every smaller block of
+    the other in the same pattern, so those merge into one pair weighted
+    by the other threshold's bits below i; with the equal-index pairs that
+    leaves at most two patterns per p and 2(b+1) pairs in all.
     """
-    pairs = []
+    merged = {}
+    for t, other in ((t_u, t_v), (t_v, t_u)):
+        for i, top in _blocks(t, b):
+            if low := other & ((1 << i) - 1):
+                key = (i, ((other >> i) ^ top) << i)
+                merged[key] = merged.get(key, 0) + low
     for i, top_u in _blocks(t_u, b):
-        for i2, top_v in _blocks(t_v, b):
-            p = max(i, i2)
-            if i >= i2:
-                c = (top_v >> (i - i2)) ^ top_u
-            else:
-                c = (top_u >> (i2 - i)) ^ top_v
-            pairs.append((p, c << p, 1 << min(i, i2)))
-    return tuple(pairs)
+        if (t_v >> i) & 1:
+            key = (i, (((t_v >> i) - 1) ^ top_u) << i)
+            merged[key] = merged.get(key, 0) + (1 << i)
+    return tuple((p, val, w) for (p, val), w in merged.items())
 
 
 def _echelon(rows):
@@ -333,16 +347,50 @@ def choose_seed_bit(s0: Fraction, s1: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batched candidate sums (exact, int64 with a certified bit budget)
+# batched candidate sums (one exact path: int64 counts, Python-int weights)
+
+def _span_tables(gens, b: int):
+    """Echelon of span{g_k : k > j} for every j < m, per offset dx.
+
+    gens lists g_0, ..., g_{m-1} per dx.  Inserting g_{m-1}, ..., g_1 in
+    turn only ever adds rows, so one pass records each row's birth k and
+    the echelon for j is the rows born at k > j.  Returns table (b, #dx),
+    table[p] being the row with MSB p or 0, and birth (b, #dx).
+    """
+    m = len(gens[0])
+    table = np.zeros((b, len(gens)), dtype=np.int64)
+    birth = np.zeros((b, len(gens)), dtype=np.int64)
+    for col, g in enumerate(gens):
+        found = {}
+        for k in range(m - 1, 0, -1):
+            r = g[k]
+            while r:
+                p = r.bit_length() - 1
+                if p not in found:
+                    found[p] = table[p, col] = r
+                    birth[p, col] = k
+                    break
+                r ^= found[p]
+    return table, birth
+
 
 class _Estimator:
-    """Candidate sums for every node, one decision at a time.
+    """Candidate sums for every node, one decision at a time, exact.
 
-    Vectorizes over alive edges in integer units: s1-phase counts are
-    multiples of 2^-(free+b), s2-phase counts of 2^-free, and per-node
-    weights den/k0, den/k1 fold the candidate counts in.  Falls back to
-    the scalar closed forms when the unit bound cannot be certified to
-    fit in 63 bits.
+    Once seed bit j is decided, an alive edge's like-1 and like-0 counts
+    are integers in units of 2^-(free+b) while s1 is open and 2^-free
+    after (free = undecided bits that still matter), so each is below
+    2^(m+b).  Each node sums the low and the high 31 bits of its incident
+    counts in int64, joins the halves and folds in its weights 1/k1 and
+    1/k0 with Python ints when its Fraction is built.  The one limit of
+    this path is m+b <= 62, so that a count fits int64; __init__ raises
+    ValueError past it.
+
+    While s1 is open, an edge's reachable offsets are the coset
+    delta + span{g_k : k > j}.  _span_tables gives every span's echelon
+    once per level.  Reducing to the coset representative that is zero at
+    the pivots is linear, so the bit-1 side of a pair is its bit-0 side
+    XOR the reduced g_j of its edge.
     """
 
     def __init__(self, ctx: LevelContext, comp_of: dict):
@@ -353,43 +401,44 @@ class _Estimator:
         self.den = [max(a, 1) * max(b, 1) for a, b in zip(ctx.k0, ctx.k1)]
         self.w0 = [d // k if k else 0 for d, k in zip(self.den, ctx.k0)]
         self.w1 = [d // k if k else 0 for d, k in zip(self.den, ctx.k1)]
-        fam = ctx.fam
-        deg = max((len(ix) for ix in ctx.incident), default=0)
-        budget = (
-            fam.m
-            + fam.b
-            + max(self.w0 + self.w1 + [1]).bit_length()
-            + (deg + 1).bit_length()
-            + 3
-        )
-        self.vectorized = bool(ctx.edges) and budget < 63
-        if not self.vectorized:
-            return
         edges = ctx.edges
-        E = len(edges)
-        self.E = E
+        self.E = E = len(edges)
+        if not E:
+            return
+        m, b = ctx.fam.m, ctx.fam.b
+        if m + b > 62:
+            raise ValueError(
+                f"edge counts need m+b = {m + b} > 62 bits; "
+                "the exact estimator holds them in int64"
+            )
         self.eu = np.fromiter((e[0] for e in edges), np.int64, E)
         self.ev = np.fromiter((e[1] for e in edges), np.int64, E)
         self.edge_root = [comp_of[e[0]] for e in edges]
-        self.dx = [ctx.x[u] ^ ctx.x[v] for u, v in edges]
-        self.w0n = np.array(self.w0, dtype=np.int64)
-        self.w1n = np.array(self.w1, dtype=np.int64)
-        self.gmat = np.array([_gens(ctx, dx) for dx in self.dx], dtype=np.int64)
+        dx_col = {}  # the spans depend on an edge only through dx = x_u ^ x_v
+        dx = [dx_col.setdefault(ctx.x[u] ^ ctx.x[v], len(dx_col)) for u, v in edges]
+        self.edge_dx = np.array(dx, dtype=np.int64)
+        gens = [_gens(ctx, d) for d in dx_col]
+        self.gmat = np.array(gens, dtype=np.int64)
+        self.table, self.birth = _span_tables(gens, b)
         self.delta = np.zeros(E, dtype=np.int64)
-        pe, pp, pv, pw = [], [], [], []
+        # edges sharing (t_u, t_v) share their branch pairs; each edge's
+        # pairs stay contiguous, so reduceat sums them per edge
+        by_t = {}
         for i, (u, v) in enumerate(edges):
-            for p, val, w in _pairs_for(ctx, ctx.t[u], ctx.t[v]):
-                pe.append(i)
-                pp.append(p)
-                pv.append(val)
-                pw.append(w)
-        self.pair_edge = np.array(pe, dtype=np.int64)
-        self.pair_p = np.array(pp, dtype=np.int64)
-        self.pair_val = np.array(pv, dtype=np.int64)
-        self.pair_w = np.array(pw, dtype=np.int64)
+            by_t.setdefault((ctx.t[u], ctx.t[v]), []).append(i)
+        parts = [np.zeros((4, 0), dtype=np.int64)]
+        for (t_u, t_v), ids in by_t.items():
+            pairs = xor_branch_pairs(t_u, t_v, b)
+            if pairs:
+                cols = np.tile(np.array(pairs, dtype=np.int64).T, len(ids))
+                parts.append(np.vstack([np.repeat(ids, len(pairs)), cols]))
+        self.pair_edge, self.pair_p, self.pair_val, self.pair_w = np.hstack(parts)
+        self.pair_start = np.flatnonzero(np.diff(self.pair_edge, prepend=-1))
+        self.pair_dx = self.edge_dx[self.pair_edge]
         tn = np.array(ctx.t, dtype=np.int64)
-        self.margin = (1 << fam.b) - tn[self.eu] - tn[self.ev]
-        self._ba_cache = {}
+        self.margin = (1 << b) - tn[self.eu] - tn[self.ev]
+        self.w0n = np.array(self.w0, dtype=object)
+        self.w1n = np.array(self.w1, dtype=object)
         self.s2cur = None
 
     # -- decision evaluation ------------------------------------------------
@@ -397,61 +446,40 @@ class _Estimator:
     def decision_values(self, j: int):
         """Node -> conditional value with seed bit j = 0, and with j = 1;
         nodes whose value is 0 may be left out."""
-        if not self.ctx.edges:
+        if not self.E:
             return {}, {}
-        if not self.vectorized:
-            return self._decide_scalar(j)
         if j < self.ctx.fam.m:
             return self._decide_s1(j)
         return self._decide_s2(j)
 
-    def _decide_scalar(self, j):
-        out = ({}, {})
-        for v in range(self.n):
-            pref = tuple(self.prefix[self.comp_of[v]])
-            for r in (0, 1):
-                out[r][v] = node_conditional(self.ctx, v, SeedPrefix(pref + (r,)))
-        return out
-
-    def _bases_arrays(self, lo):
-        got = self._ba_cache.get(lo)
-        if got is not None:
-            return got
-        per_dx = {dx: _basis_from(self.ctx, dx, lo) for dx in set(self.dx)}
-        width = max((len(v) for v in per_dx.values()), default=0)
-        rows = np.zeros((self.E, width), dtype=np.int64)
-        piv = np.zeros((self.E, width), dtype=np.int64)
-        pval = np.full((self.E, width), -1, dtype=np.int64)
-        for i, dx in enumerate(self.dx):
-            for s, (pv_, row) in enumerate(per_dx[dx]):
-                rows[i, s] = row
-                piv[i, s] = pv_
-                pval[i, s] = pv_
-        got = (rows, piv, pval)
-        self._ba_cache = {lo: got}
-        return got
+    @staticmethod
+    def _reduce(x, rows, pivots, at=None):
+        """x's coset representative modulo the span of rows, zero at every
+        pivot; entry i reduces against offset at[i], or i when at is None."""
+        for p in pivots:
+            x ^= (rows[p] if at is None else rows[p][at]) * ((x >> p) & 1)
+        return x
 
     def _decide_s1(self, j):
-        fam = self.ctx.fam
-        free = fam.m - j - 1
-        rows, piv, pval = self._bases_arrays(j + 1)
-        prow = rows[self.pair_edge]
-        ppiv = piv[self.pair_edge]
-        rank = (pval[self.pair_edge] >= self.pair_p[:, None]).sum(axis=1)
-        shift = self.pair_w << (free - rank)
-        gj = self.gmat[:, j]
-        out = []
-        for r in (0, 1):
-            delta = self.delta ^ gj if r else self.delta
-            tau = delta[self.pair_edge] ^ self.pair_val
-            for s in range(prow.shape[1]):
-                tau ^= prow[:, s] * ((tau >> ppiv[:, s]) & 1)
-            num11p = np.where((tau >> self.pair_p) == 0, shift, 0)
+        b = self.ctx.fam.b
+        free = self.ctx.fam.m - j - 1
+        pe, pp, pd = self.pair_edge, self.pair_p, self.pair_dx
+        # echelon of span{g_k : k > j}, and per p the number of pivots >= p
+        live = self.birth > j
+        rows = np.where(live, self.table, 0)
+        pivots = np.flatnonzero(live.any(axis=1))[::-1].tolist()
+        rank = np.zeros((b + 1, len(rows[0])), dtype=np.int64)
+        rank[:b] = np.cumsum(live[::-1], axis=0)[::-1]
+        tau0 = self._reduce(self.delta[pe] ^ self.pair_val, rows, pivots, pd)
+        gj = self._reduce(self.gmat[:, j].copy(), rows, pivots)
+        weight = self.pair_w << (free - rank[pp, pd])
+        likes = []
+        for tau in (tau0, tau0 ^ gj[pd]):
+            hits = np.where(tau >> pp == 0, weight, 0)
             num11 = np.zeros(self.E, dtype=np.int64)
-            np.add.at(num11, self.pair_edge, num11p)
-            num00 = (self.margin << free) + num11
-            out.append(self._node_sums(num11, num00, free + fam.b))
-        return out[0], out[1]
+            num11[pe[self.pair_start]] = np.add.reduceat(hits, self.pair_start)
+            likes += [num11, (self.margin << free) + num11]
+        return self._node_sums(likes, free + b)
 
     def _decide_s2(self, j):
         fam = self.ctx.fam
@@ -468,7 +496,7 @@ class _Estimator:
         ewidth = (
             b - np.bitwise_count(self.ecube_mask | lockmask).astype(np.int64)
         )
-        out = []
+        likes = []
         for r in (0, 1):
             lv = base | (r << i)
             ok = ((self.ncube_val ^ lv[self.ncube_node]) & self.ncube_mask & lockmask) == 0
@@ -479,32 +507,42 @@ class _Estimator:
             c11 = np.zeros(self.E, dtype=np.int64)
             np.add.at(c11, self.ecube_edge, np.where(okc, np.int64(1) << ewidth, 0))
             c00 = (np.int64(1) << free) - c1[self.eu] - c1[self.ev] + c11
-            out.append(self._node_sums(c11, c00, free))
-        return out[0], out[1]
+            likes += [c11, c00]
+        return self._node_sums(likes, free)
 
-    def _node_sums(self, like1, like0, shift):
-        acc = np.zeros(self.n, dtype=np.int64)
-        np.add.at(acc, self.eu, like1 * self.w1n[self.eu] + like0 * self.w0n[self.eu])
-        np.add.at(acc, self.ev, like1 * self.w1n[self.ev] + like0 * self.w0n[self.ev])
-        nonzero = np.flatnonzero(acc).tolist()
-        return {
-            v: Fraction(s, self.den[v] << shift)
-            for v, s in zip(nonzero, acc[nonzero].tolist())
-        }
+    def _node_sums(self, likes, shift):
+        """likes = (like1, like0) per edge for bit 0, then for bit 1; per
+        bit, node -> sum over its alive edges of like1/k1 + like0/k0,
+        over 2^shift."""
+        like = np.array(likes)
+        # a count may take 62 bits, so a high-degree sum could wrap int64;
+        # 31-bit halves cannot below degree 2^32
+        halves = np.concatenate((like & ((1 << 31) - 1), like >> 31)).T
+        acc = np.zeros((self.n, 8), dtype=np.int64)
+        np.add.at(acc, self.eu, halves)
+        np.add.at(acc, self.ev, halves)
+        sums = (acc[:, 4:].astype(object) << 31) + acc[:, :4]
+        out = ({}, {})
+        for r in (0, 1):
+            tot = sums[:, 2 * r] * self.w1n + sums[:, 2 * r + 1] * self.w0n
+            for v, s in enumerate(tot.tolist()):
+                if s:
+                    out[r][v] = Fraction(s, self.den[v] << shift)
+        return out
 
     # -- committing a decided bit -------------------------------------------
 
     def lock(self, j: int, bits_by_root: dict):
         for root, bit in bits_by_root.items():
             self.prefix[root].append(bit)
-        if not self.vectorized:
+        if not self.E:
             return
         m = self.ctx.fam.m
         if j < m:
             eb = np.fromiter(
                 (bits_by_root[r] for r in self.edge_root), np.int64, self.E
             )
-            self.delta ^= self.gmat[:, j] * eb
+            self.delta ^= self.gmat[self.edge_dx, j] * eb
             if j == m - 1:
                 self._enter_s2()
         else:
@@ -654,11 +692,10 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
                 s0, s1 = totals[r]
                 if j == 0:
                     expect_start[r] = (s0 + s1) / 2
-                    assert expect_start[r] <= comp_phi[r] + slack[r], (
-                        "threshold rounding drifted past its slack"
-                    )
+                    _check(expect_start[r] <= comp_phi[r] + slack[r],
+                           "threshold rounding drifted past its slack")
                 else:
-                    assert (s0 + s1) / 2 == last[r], "conditional chain broke"
+                    _check((s0 + s1) / 2 == last[r], "conditional chain broke")
                 bits[r] = choose_seed_bit(s0, s1)
                 last[r] = min(s0, s1)
                 chains[r].append((s0, s1, bits[r]))
@@ -681,9 +718,8 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     records = {}
     for r in roots:
         realized = sum((phi(new_state, v) for v in comp_nodes[r]), Fraction(0))
-        assert realized == last[r], (
-            "realized potential must equal the fully conditioned expectation"
-        )
+        _check(realized == last[r],
+               "realized potential must equal the fully conditioned expectation")
         records[r] = RootRecord(
             root=r,
             nodes=comp_nodes[r],
@@ -705,7 +741,7 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
                 }
             )
     bound = phi_before + sum(slack.values(), Fraction(0))
-    assert phi_after <= bound, "level potential exceeded the rounding slack"
+    _check(phi_after <= bound, "level potential exceeded the rounding slack")
     report = LevelReport(
         level=new_state.level,
         phi_before=phi_before,
@@ -726,7 +762,11 @@ def exhaustive_seed(ctx: LevelContext, state: PrefixState, *, nodes=None,
 
     Enumerates the 2^(m+b) seeds that can differ on the low hash window;
     s2 coefficients at b and above never reach it and stay zero.  The
-    cap is checked against the nominal 2^(2m) space.
+    cap is checked against the nominal 2^(2m) space.  For each s1, the
+    edge endpoints that match over every s2 are counted per candidate
+    count k in int64 and weighted by lcm/k; the weighted sums stay int64
+    while 2E * lcm fits and turn to Python ints past it, so mixed list
+    sizes stay exact however large their lcm grows.
     """
     fam = ctx.fam
     if (1 << fam.seed_bits) > cap:
@@ -740,23 +780,22 @@ def exhaustive_seed(ctx: LevelContext, state: PrefixState, *, nodes=None,
     m, b = fam.m, fam.b
     if not edges:
         return seed_from_int(fam, 0), Fraction(0)
-    den = 1
-    for v in nodeset:
-        for k in (ctx.k0[v], ctx.k1[v]):
-            if k:
-                den = lcm(den, k)
-    if den.bit_length() + (2 * len(edges)).bit_length() + 2 >= 63:
-        return _exhaustive_scalar(ctx, edges)
+    used = sorted({v for e in edges for v in e})
+    sizes = sorted({k for v in used for k in (ctx.k0[v], ctx.k1[v]) if k})
+    col = {k: i for i, k in enumerate(sizes)}
+    # ends[side, i, e]: endpoints of edge e whose side-1 (side 0: side-0)
+    # candidate count is sizes[i]
+    ends = np.zeros((2, len(sizes), len(edges)), dtype=np.int64)
+    for e, pair in enumerate(edges):
+        for v in pair:
+            for side, k in ((1, ctx.k1[v]), (0, ctx.k0[v])):
+                if k:
+                    ends[side, col[k], e] += 1
+    den = lcm(*sizes)
+    acc_type = np.int64 if 2 * len(edges) * den < 1 << 63 else object
+    scale = np.array([den // k for k in sizes], dtype=acc_type)
 
-    w11 = np.zeros(len(edges), dtype=np.int64)
-    w00 = np.zeros(len(edges), dtype=np.int64)
-    for i, (u, v) in enumerate(edges):
-        if ctx.k1[u] and ctx.k1[v]:
-            w11[i] = den // ctx.k1[u] + den // ctx.k1[v]
-        if ctx.k0[u] and ctx.k0[v]:
-            w00[i] = den // ctx.k0[u] + den // ctx.k0[v]
     maskb = (1 << b) - 1
-    used = sorted({w for e in edges for w in e})
     amap = {
         x: np.fromiter(
             (gf2.mul(fam.fld, s1, x) & maskb for s1 in range(1 << m)),
@@ -765,36 +804,21 @@ def exhaustive_seed(ctx: LevelContext, state: PrefixState, *, nodes=None,
         )
         for x in {ctx.x[v] for v in used}
     }
+    amat = np.stack([amap[ctx.x[v]] for v in used])
+    tcol = np.array([ctx.t[v] for v in used], dtype=np.int64)[:, None]
+    pos_of = {v: i for i, v in enumerate(used)}
+    eu = [pos_of[u] for u, _ in edges]
+    ev = [pos_of[v] for _, v in edges]
     s2v = np.arange(1 << b, dtype=np.int64)
     best_val = best_word = None
     for s1 in range(1 << m):
-        coin = {v: (amap[ctx.x[v]][s1] ^ s2v) < ctx.t[v] for v in used}
-        acc = np.zeros(1 << b, dtype=np.int64)
-        for i, (u, v) in enumerate(edges):
-            bu, bv = coin[u], coin[v]
-            acc += np.where(bu & bv, w11[i], 0)
-            acc += np.where(~bu & ~bv, w00[i], 0)
+        coin = (amat[:, s1, None] ^ s2v) < tcol
+        cu, cv = coin[eu], coin[ev]
+        counts = ends[1] @ (cu & cv) + ends[0] @ (~cu & ~cv)
+        acc = scale @ counts.astype(acc_type)  # potential * den, per s2
         pos = int(np.argmin(acc))  # first hit = smallest s2
         val = int(acc[pos])
         word = (pos << m) | s1
         if best_val is None or (val, word) < (best_val, best_word):
             best_val, best_word = val, word
     return seed_from_int(fam, best_word), Fraction(best_val, den)
-
-
-def _exhaustive_scalar(ctx, edges):
-    fam = ctx.fam
-    best = None
-    for word in range(1 << (fam.m + fam.b)):
-        seed = seed_from_int(fam, word)
-        val = Fraction(0)
-        for u, v in edges:
-            cu = hash_eval(fam, seed, ctx.x[u]) < ctx.t[u]
-            cv = hash_eval(fam, seed, ctx.x[v]) < ctx.t[v]
-            if cu and cv:
-                val += Fraction(1, ctx.k1[u]) + Fraction(1, ctx.k1[v])
-            elif not cu and not cv:
-                val += Fraction(1, ctx.k0[u]) + Fraction(1, ctx.k0[v])
-        if best is None or (val, word) < best:
-            best = (val, word)
-    return seed_from_int(fam, best[1]), best[0]

@@ -1,11 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import pytest
 
+import congestcolor
 from congestcolor import coins
 from congestcolor.coins import make_family, seed_from_int
 from congestcolor.derand import (
+    InvariantError,
     LevelContext,
     SeedCapError,
     SeedPrefix,
@@ -17,6 +25,7 @@ from congestcolor.derand import (
     node_conditional,
     xor_box_count,
     xor_branch_pairs,
+    _Estimator,
 )
 from congestcolor.graphs import (
     Graph,
@@ -24,6 +33,7 @@ from congestcolor.graphs import (
     attach_default_lists,
     generate_graph,
 )
+from congestcolor.pipeline import _accuracy_bits, trim_lists
 from congestcolor.prefixes import apply_bits, init_state, phi_sum, split_counts
 from congestcolor.sim import CommPlan, build_bfs_forest
 
@@ -55,6 +65,43 @@ def oracle_joint(ctx, edge, prefix_bits):
         n11 += cu and cv
         n00 += (not cu) and (not cv)
     return Fraction(n11, 1 << free), Fraction(n00, 1 << free)
+
+
+def oracle_exhaustive(ctx, edges):
+    """Scalar scan of every seed word, potential in exact Fractions."""
+    fam = ctx.fam
+    best = None
+    for word in range(1 << (fam.m + fam.b)):
+        seed = seed_from_int(fam, word)
+        val = Fraction(0)
+        for u, v in edges:
+            cu = coins.hash_eval(fam, seed, ctx.x[u]) < ctx.t[u]
+            cv = coins.hash_eval(fam, seed, ctx.x[v]) < ctx.t[v]
+            if cu and cv:
+                val += Fraction(1, ctx.k1[u]) + Fraction(1, ctx.k1[v])
+            elif not cu and not cv:
+                val += Fraction(1, ctx.k0[u]) + Fraction(1, ctx.k0[v])
+        if best is None or (val, word) < best:
+            best = (val, word)
+    return seed_from_int(fam, best[1]), best[0]
+
+
+def estimator_vs_node_conditional(ctx, comp_of, rng, nodes=None):
+    """Run _Estimator over every seed bit of the level, checking each
+    node's (or each listed node's) two candidate values against the
+    scalar closed form."""
+    est = _Estimator(ctx, comp_of)
+    prefix = {r: () for r in set(comp_of.values())}
+    for j in range(ctx.fam.m + ctx.fam.b):
+        x0, x1 = est.decision_values(j)
+        for v in range(len(ctx.x)) if nodes is None else nodes:
+            pre = prefix[comp_of[v]]
+            for r, got in ((0, x0), (1, x1)):
+                want = node_conditional(ctx, v, SeedPrefix(pre + (r,)))
+                assert got.get(v, 0) == want, (j, v, r)
+        bits = {root: rng.randrange(2) for root in prefix}
+        est.lock(j, bits)
+        prefix = {root: pre + (bits[root],) for root, pre in prefix.items()}
 
 
 def random_context(rng, *, n_max=7, b_max=6):
@@ -416,3 +463,160 @@ def test_uniform_average_drops_for_power_of_two_lists():
         ]
         total += phi_sum(apply_bits(state, bits))
     assert total / count <= phi_sum(state)
+
+
+# ---------------------------------------------------------------------------
+# the batched estimator, node by node against the scalar closed forms
+
+def forest_context(rng):
+    """Several random components at a random level, psi drawn from a
+    color space up to 5x the node count (so m can exceed b)."""
+    edges, n = [], 0
+    for _ in range(rng.randrange(2, 5)):
+        size = rng.randrange(2, 6)
+        g = generate_graph("gnp", {"n": size, "p": 0.7}, rng_seed=rng.randrange(10**6))
+        edges += [(u + n, v + n) for u, v in g.edge_list]
+        n += size
+    inst = attach_default_lists(Graph.from_edges(n, edges))
+    state = init_state(inst)
+    for _ in range(rng.randrange(0, state.W)):
+        bits = []
+        for v in range(n):
+            k0, k1 = split_counts(state, v)
+            bits.append(rng.choice([b for b, k in ((0, k0), (1, k1)) if k]))
+        state = apply_bits(state, bits)
+    K = rng.randrange(n, 5 * n + 1)
+    fam = make_family(K, rng.randrange(1, 6))
+    ctx = build_level_context(fam, state, tuple(rng.sample(range(K), n)))
+    forest, _ = build_bfs_forest(inst.graph)
+    comp_of = {v: t.root for t in forest for v in t.nodes}
+    return ctx, comp_of
+
+
+def test_estimator_per_node_on_forests():
+    rng = random.Random(53)
+    regimes = set()
+    for _ in range(25):
+        ctx, comp_of = forest_context(rng)
+        estimator_vs_node_conditional(ctx, comp_of, rng)
+        regimes.add((len(set(comp_of.values())) > 1, ctx.fam.m > ctx.fam.b))
+    assert (True, True) in regimes and (True, False) in regimes
+
+
+def test_estimator_per_node_on_avoid_mis_star():
+    # the star of the hub-avoid benchmark, at its first avoid-mis level
+    g = generate_graph("star", {"n": 300})
+    state = init_state(trim_lists(attach_default_lists(g)))
+    fam = make_family(g.n, _accuracy_bits(g.max_degree, state.W, "avoid-mis"))
+    ctx = build_level_context(fam, state, tuple(range(g.n)))
+    # counts times weights do not fit int64 here: the weights must be folded
+    # in per node, after the int64 sums
+    w = [
+        max(k0, 1) * max(k1, 1) // k
+        for k0, k1 in zip(ctx.k0, ctx.k1)
+        for k in (k0, k1)
+        if k
+    ]
+    budget = fam.m + fam.b + max(w).bit_length() + g.n.bit_length() + 3
+    assert budget >= 63
+    estimator_vs_node_conditional(ctx, {v: 0 for v in range(g.n)}, random.Random(59))
+
+
+def test_estimator_per_node_on_wide_avoid_mis_star():
+    # degree 2047 at m = b = 29: one edge count takes up to 57 bits and the
+    # hub's sum of 2047 of them can pass int64, so the hub sums halves
+    g = generate_graph("star", {"n": 2048})
+    inst = trim_lists(attach_default_lists(g))
+    state = init_state(inst)
+    fam = make_family(g.n, _accuracy_bits(g.max_degree, state.W, "avoid-mis"))
+    ctx = build_level_context(fam, state, tuple(range(g.n)))
+    assert g.max_degree << (fam.m + fam.b - 1) >= 1 << 63
+    rng = random.Random(67)
+    nodes = [0] + rng.sample(range(1, g.n), 16)
+    estimator_vs_node_conditional(ctx, {v: 0 for v in range(g.n)}, rng, nodes)
+    forest, _ = build_bfs_forest(g)
+    _, report = fix_level(ctx, state, CommPlan(g, forest))
+    assert report.phi_after <= report.bound
+
+
+def test_estimator_count_limit_is_m_plus_b_62():
+    inst = ListColoringInstance(
+        graph=generate_graph("path", {"n": 2}), C=4, lists=((0, 1, 2), (0, 1))
+    )
+    for b, ok in ((30, True), (31, False)):
+        fam = make_family(1 << 32, b)  # m = 32
+        ctx = build_level_context(fam, init_state(inst), (0, 1))
+        if ok:
+            estimator_vs_node_conditional(ctx, {0: 0, 1: 0}, random.Random(b))
+        else:
+            with pytest.raises(ValueError, match="int64"):
+                _Estimator(ctx, {0: 0, 1: 0})
+
+
+# ---------------------------------------------------------------------------
+# exhaustive_seed against the scalar scan
+
+def test_exhaustive_seed_matches_scalar_scan():
+    rng = random.Random(61)
+    done = 0
+    while done < 10:
+        made = random_context(rng, n_max=6, b_max=4)
+        if made is None:
+            continue
+        ctx, state = made
+        assert exhaustive_seed(ctx, state) == oracle_exhaustive(ctx, ctx.edges)
+        done += 1
+
+
+def test_exhaustive_seed_mixed_list_sizes_past_int64():
+    # level 0 splits each list at color 64: k0 colors below it, k1 above
+    splits = ((2, 3), (5, 7), (11, 13), (17, 19), (23, 29), (31, 37), (41, 43), (47, 53))
+    lists = tuple(
+        tuple(range(k0)) + tuple(range(64, 64 + k1)) for k0, k1 in splits
+    )
+    inst = ListColoringInstance(
+        graph=generate_graph("cycle", {"n": 8}), C=128, lists=lists
+    )
+    state = init_state(inst)
+    ctx = build_level_context(make_family(8, 3), state, tuple(range(8)))
+    assert tuple(zip(ctx.k0, ctx.k1)) == splits
+    assert lcm(*(k for s in splits for k in s)) > 1 << 63
+    assert exhaustive_seed(ctx, state) == oracle_exhaustive(ctx, ctx.edges)
+
+
+# ---------------------------------------------------------------------------
+# level guarantees are checks, not asserts
+
+def test_level_checks_survive_python_O():
+    script = textwrap.dedent(
+        """
+        import sys
+        from congestcolor import derand
+        from congestcolor.coins import make_family
+        from congestcolor.graphs import ListColoringInstance, generate_graph
+        from congestcolor.prefixes import init_state
+        from congestcolor.sim import CommPlan, build_bfs_forest
+
+        derand.choose_seed_bit = lambda s0, s1: 1 if s0 <= s1 else 0  # worse bit
+        inst = ListColoringInstance(
+            graph=generate_graph("clique", {"n": 3}), C=4, lists=((0, 1, 2),) * 3
+        )
+        state = init_state(inst)
+        ctx = derand.build_level_context(make_family(3, 6), state, (0, 1, 2))
+        forest, _ = build_bfs_forest(inst.graph)
+        try:
+            derand.fix_level(ctx, state, CommPlan(inst.graph, forest))
+        except derand.InvariantError as exc:
+            print(sys.flags.optimize, exc)
+        """
+    )
+    env = dict(os.environ)
+    src = str(Path(congestcolor.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "1 conditional chain broke\n"
+    assert issubclass(InvariantError, AssertionError)  # CLI and bench handlers
