@@ -8,6 +8,10 @@ D * ceil(log2 C) * (ceil(log2 K) + ceil(log2 Delta) + ceil(log2 W)).
 
 Generator specs are comma-separated, `kind,key=value,...`, for example
 `gnp,n=200,p=0.05`.  Values parse as int first, then float.
+
+Exit codes: 0 success, 1 bad input or a failed run (including a
+`verify` violation), 2 usage error, 3 a broken guarantee
+(`InvariantError`).
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ from .decomposition import (
     load_decomposition,
 )
 from .graphs import (
+    InvariantError,
     ValidationError,
     attach_default_lists,
+    check,
     generate_graph,
     load_coloring,
     load_instance,
@@ -104,12 +110,13 @@ def cmd_run(args) -> int:
     finally:
         if fh is not None:
             fh.close()
-    assert verify_coloring(inst, coloring).ok, "run produced an invalid coloring"
+    check(verify_coloring(inst, coloring).ok, "run produced an invalid coloring")
     if args.colors_mode == "delta1":
         delta = inst.graph.max_degree
-        assert all(
-            c <= delta for c in coloring.colors
-        ), "delta1 run used a color above the max degree"
+        check(
+            all(c <= delta for c in coloring.colors),
+            "delta1 run used a color above the max degree",
+        )
     if args.out:
         save_coloring(args.out, coloring)
     stats = {
@@ -263,7 +270,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, LookupError, RuntimeError, AssertionError, OSError) as exc:
+    except InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, LookupError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,13 +24,15 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .graphs import (
-    Graph,
     ListColoringInstance,
     PartialColoring,
     ValidationError,
+    check,
+    restrict,
     verify_coloring,
 )
-from .pipeline import _pin, list_color_full
+from .pipeline import list_color_full
+from .sim import BandwidthPolicy
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,23 @@ def _is_tree(nodes: set, edges) -> bool:
     return len(dist) == len(nodes)
 
 
+def _tree_load(clusters) -> Counter:
+    """Number of trees per (cluster color, normalized tree edge)."""
+    return Counter(
+        (cl.color, (min(u, v), max(u, v)))
+        for cl in clusters
+        for u, v in cl.tree_edges
+    )
+
+
+def _beta(clusters) -> int:
+    """Largest tree diameter over the clusters."""
+    return max(
+        (_tree_diameter(_tree_nodes(cl), cl.tree_edges) for cl in clusters),
+        default=0,
+    )
+
+
 def validate_decomposition(graph, decomp: NetworkDecomposition) -> list:
     """All deviations from the decomposition contract, as readable strings."""
     errs = []
@@ -160,11 +179,7 @@ def validate_decomposition(graph, decomp: NetworkDecomposition) -> list:
                 f"and share color {color_of[cu]}"
             )
 
-    load = Counter()
-    for cl in decomp.clusters:
-        for u, v in cl.tree_edges:
-            load[(cl.color, min(u, v), max(u, v))] += 1
-    for (c, u, v), k in sorted(load.items()):
+    for (c, (u, v)), k in sorted(_tree_load(decomp.clusters).items()):
         if k > decomp.kappa:
             errs.append(
                 f"congestion: edge ({u}, {v}) lies in {k} color-{c} trees "
@@ -184,7 +199,7 @@ def _bfs_tree(graph, root: int, members: set) -> tuple:
                 seen.add(u)
                 edges.append((v, u))
                 q.append(u)
-    assert seen == members, "carved ball must be connected"
+    check(seen == members, "carved ball must be connected")
     return tuple(edges)
 
 
@@ -224,12 +239,8 @@ def generate_decomposition(graph) -> NetworkDecomposition:
             working -= layer  # boundary waits for the next color
             deferred |= layer
         remaining = deferred
-    beta = max(
-        (_tree_diameter(_tree_nodes(cl), cl.tree_edges) for cl in clusters),
-        default=0,
-    )
     return NetworkDecomposition(
-        clusters=tuple(clusters), alpha=max(color, 1), beta=beta, kappa=1
+        clusters=tuple(clusters), alpha=max(color, 1), beta=_beta(clusters), kappa=1
     )
 
 
@@ -264,19 +275,11 @@ def load_decomposition(path) -> NetworkDecomposition:
         )
         for c in payload["clusters"]
     )
-    beta = max(
-        (_tree_diameter(_tree_nodes(cl), cl.tree_edges) for cl in clusters),
-        default=0,
-    )
-    load = Counter()
-    for cl in clusters:
-        for u, v in cl.tree_edges:
-            load[(cl.color, min(u, v), max(u, v))] += 1
     return NetworkDecomposition(
         clusters=clusters,
         alpha=int(payload["alpha"]),
-        beta=beta,
-        kappa=max(load.values(), default=1),
+        beta=_beta(clusters),
+        kappa=max(_tree_load(clusters).values(), default=1),
     )
 
 
@@ -312,17 +315,16 @@ def color_with_decomposition(
     """Color class by class; same-color clusters run as parallel phases.
 
     Each cluster restricts the instance to its own nodes, minus colors
-    already taken by neighbors in earlier classes.  Slack survives the
-    restriction: a node loses one list color per colored neighbor and
-    the incident edge with it, so deg+1 lists stay deg+1.
+    already taken by neighbors in earlier classes (same-color clusters
+    never touch, so they cannot see each other's colors).  Slack
+    survives the restriction: a node loses one list color per colored
+    neighbor and the incident edge with it, so deg+1 lists stay deg+1.
     """
     errs = validate_decomposition(instance.graph, decomp)
     if errs:
         raise ValidationError(f"invalid decomposition: {errs[0]}")
-    g = instance.graph
-    colors = [None] * g.n
-    owner = {v: cl.id for cl in decomp.clusters for v in cl.nodes}
-    pinned = _pin(policy, g.n)
+    colors = [None] * instance.graph.n
+    policy = (policy or BandwidthPolicy()).pin(instance.graph.n)
     records = []
     used = 0
     for color in range(1, decomp.alpha + 1):
@@ -330,58 +332,25 @@ def color_with_decomposition(
             (cl for cl in decomp.clusters if cl.color == color),
             key=lambda cl: cl.id,
         )
-        act_ids = {cl.id for cl in active}
-        assert not any(
-            owner.get(u) != owner.get(v)
-            and owner.get(u) in act_ids
-            and owner.get(v) in act_ids
-            for u, v in g.edge_list
-        ), "same-color clusters must not touch"
-        snapshot = list(colors)  # concurrent clusters see earlier classes only
         slowest = 0
         cluster_reports = []
         for cl in active:
-            kept = sorted(cl.nodes)
-            idx = {v: i for i, v in enumerate(kept)}
-            sub_edges = [
-                (idx[u], idx[v])
-                for u, v in g.edge_list
-                if u in idx and v in idx
-            ]
-            sub = Graph.from_edges(len(kept), sub_edges)
-            lists = []
-            for v in kept:
-                banned = {
-                    snapshot[u] for u in g.adj[v] if snapshot[u] is not None
-                }
-                lst = tuple(c for c in instance.lists[v] if c not in banned)
-                assert len(lst) >= sub.deg(idx[v]) + 1, (
-                    f"cluster {cl.id}: node {v} list too small after hand-off"
-                )
-                lists.append(lst)
-            sub_inst = ListColoringInstance(
-                graph=sub, C=instance.C, lists=tuple(lists)
-            )
             rem = None if round_cap is None else round_cap - used
             out, reps = list_color_full(
-                sub_inst,
+                restrict(instance, cl.nodes, colors),
                 mode,
                 kmode,
                 strategy=strategy,
-                policy=pinned,
+                policy=policy,
                 round_cap=rem,
                 trace=trace,
                 seed_cap=seed_cap,
             )
-            for i, v in enumerate(kept):
-                colors[v] = out.colors[i]
+            for v, c in zip(sorted(cl.nodes), out.colors):
+                colors[v] = c
             cluster_reports.append(tuple(reps))
             slowest = max(slowest, sum(r.rounds for r in reps))
-        kmeas = Counter()
-        for cl in active:
-            for u, v in cl.tree_edges:
-                kmeas[(min(u, v), max(u, v))] += 1
-        kappa = max(kmeas.values(), default=1)
+        kappa = max(_tree_load(active).values(), default=1)
         charged = kappa * slowest
         used += charged
         records.append(
@@ -404,7 +373,7 @@ def color_with_decomposition(
                 }
             )
     out = PartialColoring(colors)
-    assert verify_coloring(instance, out).ok, "composed coloring failed checks"
+    check(verify_coloring(instance, out).ok, "composed coloring failed checks")
     return out, CompositionReport(
         classes=tuple(records),
         rounds=used,

@@ -48,21 +48,13 @@ from .coins import (
     seed_to_int,
     threshold,
 )
+from .graphs import InvariantError, check  # InvariantError: re-exported
 from .prefixes import PrefixState, apply_bits, phi, phi_sum, split_counts
 from .sim import pack_fields
 
 
 class SeedCapError(RuntimeError):
     """Exhaustive search over more seeds than the cap allows."""
-
-
-class InvariantError(AssertionError):
-    """A guarantee of the level fixer failed; raised under python -O too."""
-
-
-def _check(cond: bool, msg: str):
-    if not cond:
-        raise InvariantError(msg)
 
 
 @dataclass(frozen=True)
@@ -613,7 +605,7 @@ class LevelReport:
     roots: dict
 
 
-def _frac_str(f: Fraction) -> str:
+def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -692,10 +684,10 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
                 s0, s1 = totals[r]
                 if j == 0:
                     expect_start[r] = (s0 + s1) / 2
-                    _check(expect_start[r] <= comp_phi[r] + slack[r],
-                           "threshold rounding drifted past its slack")
+                    check(expect_start[r] <= comp_phi[r] + slack[r],
+                          "threshold rounding drifted past its slack")
                 else:
-                    _check((s0 + s1) / 2 == last[r], "conditional chain broke")
+                    check((s0 + s1) / 2 == last[r], "conditional chain broke")
                 bits[r] = choose_seed_bit(s0, s1)
                 last[r] = min(s0, s1)
                 chains[r].append((s0, s1, bits[r]))
@@ -718,8 +710,8 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     records = {}
     for r in roots:
         realized = sum((phi(new_state, v) for v in comp_nodes[r]), Fraction(0))
-        _check(realized == last[r],
-               "realized potential must equal the fully conditioned expectation")
+        check(realized == last[r],
+              "realized potential must equal the fully conditioned expectation")
         records[r] = RootRecord(
             root=r,
             nodes=comp_nodes[r],
@@ -735,13 +727,13 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
                     "level": new_state.level,
                     "root": r,
                     "seed": seed_bit_string(fam, seeds[r]),
-                    "phi_before": _frac_str(comp_phi[r]),
-                    "phi_after": _frac_str(realized),
-                    "bound": _frac_str(comp_phi[r] + slack[r]),
+                    "phi_before": frac_str(comp_phi[r]),
+                    "phi_after": frac_str(realized),
+                    "bound": frac_str(comp_phi[r] + slack[r]),
                 }
             )
     bound = phi_before + sum(slack.values(), Fraction(0))
-    _check(phi_after <= bound, "level potential exceeded the rounding slack")
+    check(phi_after <= bound, "level potential exceeded the rounding slack")
     report = LevelReport(
         level=new_state.level,
         phi_before=phi_before,

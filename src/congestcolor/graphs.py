@@ -17,7 +17,16 @@ from functools import cached_property
 
 
 class ValidationError(ValueError):
-    pass
+    """Bad input: a malformed graph, instance, coloring or decomposition."""
+
+
+class InvariantError(AssertionError):
+    """A guarantee of the algorithm failed; raised under python -O too."""
+
+
+def check(cond: bool, msg: str) -> None:
+    if not cond:
+        raise InvariantError(msg)
 
 
 class Graph:
@@ -307,34 +316,43 @@ def verify_coloring(
     return ColoringReport(monochromatic=mono, out_of_list=out, uncolored=uncolored)
 
 
-def residual_instance(
-    instance: ListColoringInstance, partial: PartialColoring
+def restrict(
+    instance: ListColoringInstance, nodes, colors
 ) -> ListColoringInstance:
-    """Restrict to uncolored nodes, deleting colors used by colored neighbors.
+    """The instance induced on `nodes`, minus colors of colored neighbors.
 
-    Surviving nodes are renumbered densely in ascending id order, so the
-    caller can merge results back via the sorted uncolored-node list.
-    Slack is preserved: every deleted list entry is matched by a deleted
-    incident edge.
+    Kept nodes are renumbered densely in ascending id order, so the
+    caller can merge results back via the sorted node list.  Slack is
+    preserved when no kept node is colored: every deleted list entry is
+    matched by a deleted incident edge.
     """
-    report = verify_coloring(instance, partial, require_total=False)
-    if not report.ok:
-        raise ValidationError("partial coloring is not valid on its colored part")
     g = instance.graph
-    colors = partial.colors
-    kept = [v for v in range(g.n) if colors[v] is None]
+    kept = sorted(nodes)
     index = {v: i for i, v in enumerate(kept)}
     edges = [
-        (index[u], index[v])
-        for u, v in g.edge_list
-        if colors[u] is None and colors[v] is None
+        (i, index[u])
+        for i, v in enumerate(kept)
+        for u in g.adj[v]
+        if u > v and u in index
     ]
+    sub = Graph.from_edges(len(kept), edges)
     lists = []
     for v in kept:
         banned = {colors[u] for u in g.adj[v] if colors[u] is not None}
         lists.append(tuple(c for c in instance.lists[v] if c not in banned))
-    return ListColoringInstance(
-        graph=Graph.from_edges(len(kept), edges),
-        C=instance.C,
-        lists=tuple(lists),
+    check(
+        all(len(lst) >= sub.deg(i) + 1 for i, lst in enumerate(lists)),
+        "restriction lost the deg+1 slack",
     )
+    return ListColoringInstance(graph=sub, C=instance.C, lists=tuple(lists))
+
+
+def residual_instance(
+    instance: ListColoringInstance, partial: PartialColoring
+) -> ListColoringInstance:
+    """Restrict to the uncolored nodes of a valid partial coloring."""
+    report = verify_coloring(instance, partial, require_total=False)
+    if not report.ok:
+        raise ValidationError("partial coloring is not valid on its colored part")
+    kept = [v for v, c in enumerate(partial.colors) if c is None]
+    return restrict(instance, kept, partial.colors)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .graphs import InvariantError, check
 from .sim import Message, NodeProgram, run_protocol
 
 
@@ -109,7 +110,7 @@ def _recolor(c: int, others, p: PolyParams) -> int:
         mine = _poly_eval(c, a, p.q, p.d)
         if all(_poly_eval(o, a, p.q, p.d) != mine for o in others):
             return a * p.q + mine
-    raise AssertionError("no separating point; q > d*delta should prevent this")
+    raise InvariantError("no separating point; q > d*delta should prevent this")
 
 
 def _check_proper(graph, colors, what: str) -> None:
@@ -195,7 +196,7 @@ def linial_reduce(graph, colors=None, *, policy=None, round_cap=None, trace=None
             break
         schedule.append((p, max(1, (K - 1).bit_length())))
         K = p.q * p.q
-    assert len(schedule) <= log_star(graph.n) + 4, "reduction chain too long"
+    check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
     return _run_schedule(graph, list(colors), schedule, policy, round_cap, trace)
 
 

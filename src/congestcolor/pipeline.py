@@ -22,18 +22,20 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .coins import make_family
-from .derand import build_level_context, fix_level
+from .derand import build_level_context, fix_level, frac_str
 from .graphs import (
     Graph,
     ListColoringInstance,
     PartialColoring,
     ValidationError,
+    check,
     residual_instance,
     verify_coloring,
 )
 from .linial import linial_reduce, mis_by_colors
 from .prefixes import chosen_colors, init_state, phi_sum
 from .sim import (
+    BandwidthPolicy,
     CommPlan,
     Message,
     NodeProgram,
@@ -47,31 +49,12 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _fr(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _accuracy_bits(delta: int, levels: int, mode: str) -> int:
     """Coin resolution: per-level drift 10*delta*n/2^b must fit n/levels."""
     target = 10 * delta * levels
     if mode == "avoid-mis":
         target *= delta + 1
     return max(1, (max(target, 1) - 1).bit_length())
-
-
-class _FixedSizePolicy:
-    """Sub-protocols on an induced subgraph keep the host network's cap."""
-
-    def __init__(self, inner, n: int):
-        self.inner = inner
-        self.n = n
-
-    def limit_bits(self, _n: int):
-        return self.inner.limit_bits(self.n)
-
-
-def _pin(policy, n: int):
-    return None if policy is None else _FixedSizePolicy(policy, n)
 
 
 @dataclass(frozen=True)
@@ -92,9 +75,10 @@ class PhaseReport:
 
     def __post_init__(self):
         need = _ceil_div(self.nodes_at_start, 8 if self.mode == "mis" else 4)
-        assert self.nodes_colored >= need, (
+        check(
+            self.nodes_colored >= need,
             f"phase colored {self.nodes_colored} < {need} of "
-            f"{self.nodes_at_start} nodes"
+            f"{self.nodes_at_start} nodes",
         )
 
     @property
@@ -169,6 +153,7 @@ def color_fraction(
         raise ValidationError("phase needs a proper start coloring psi")
     g = inst.graph
     n = g.n
+    policy = (policy or BandwidthPolicy()).pin(n)  # sub-protocols keep n's cap
     total = RunStats()
     if carry_stats is not None:
         total.add(carry_stats)
@@ -201,29 +186,29 @@ def color_fraction(
         )
         levels.append(rep)
         phi_trace.append(rep.phi_after)
-        assert rep.phi_after <= phi_trace[-2] + Fraction(n, W), (
-            f"level {rep.level}: potential drifted past n/levels"
+        check(
+            rep.phi_after <= phi_trace[-2] + Fraction(n, W),
+            f"level {rep.level}: potential drifted past n/levels",
         )
     total.add(comm.stats)
     candidates = tuple(chosen_colors(state))
     conflict = state.alive_edges  # same final candidate on both ends
 
     if mode == "mis":
-        assert phi_trace[-1] <= 2 * n
+        check(phi_trace[-1] <= 2 * n, "final potential above 2n")
         low = tuple(v for v in range(n) if state.deg[v] < 4)
     else:
         # true drift is under 6*delta*n/2^b per level, so the +1 budget
         # of _accuracy_bits lands strictly below n even on regular graphs
-        assert phi_trace[-1] < n
+        check(phi_trace[-1] < n, "final potential not below n")
         low = tuple(v for v in range(n) if state.deg[v] <= 1)
-    assert len(low) >= _ceil_div(n, 2)
+    check(len(low) >= _ceil_div(n, 2), "low set covers under half the nodes")
     lowset = set(low)
     progs, ann = _flag_low(
         g, lowset, conflict, policy=policy, round_cap=remaining(), trace=trace
     )
     total.add(ann)
 
-    sub_policy = _pin(policy, n)
     if mode == "mis":
         idx = {v: i for i, v in enumerate(low)}
         pairs = {
@@ -232,14 +217,14 @@ def color_fraction(
         sub = Graph.from_edges(
             len(low), sorted((idx[u], idx[v]) for u, v in pairs)
         )
-        assert sub.max_degree <= 3
+        check(sub.max_degree <= 3, "low set induces degree above 3")
         start = [inst.psi[v] for v in low]
         reduced, st = linial_reduce(
-            sub, start, policy=sub_policy, round_cap=remaining(), trace=trace
+            sub, start, policy=policy, round_cap=remaining(), trace=trace
         )
         total.add(st)
         mis, st = mis_by_colors(
-            sub, reduced, policy=sub_policy, round_cap=remaining(), trace=trace
+            sub, reduced, policy=policy, round_cap=remaining(), trace=trace
         )
         total.add(st)
         winners = [low[i] for i in mis]
@@ -248,7 +233,7 @@ def color_fraction(
         winners = []
         for v in low:
             mates = progs[v].low_nbrs
-            assert len(mates) <= 1, "low set must induce a matching"
+            check(len(mates) <= 1, "low set must induce a matching")
             if not mates or v > mates[0]:
                 winners.append(v)
         mis_size = None
@@ -257,7 +242,10 @@ def color_fraction(
     for v in winners:
         colors[v] = candidates[v]
     partial = PartialColoring(colors)
-    assert verify_coloring(inst, partial, require_total=False).ok
+    check(
+        verify_coloring(inst, partial, require_total=False).ok,
+        "phase coloring is not proper",
+    )
     report = PhaseReport(
         mode=mode,
         nodes_at_start=n,
@@ -320,7 +308,8 @@ def list_color_full(
     if mode not in ("mis", "avoid-mis"):
         raise ValueError(f"unknown mode {mode!r}")
     n0 = instance.graph.n
-    pinned = _pin(policy, n0)
+    policy = (policy or BandwidthPolicy()).pin(n0)
+    cap = _phase_cap(n0, mode)
     colors = [None] * n0
     ids = list(range(n0))  # residual node -> original id
     reports = []
@@ -329,13 +318,13 @@ def list_color_full(
     while cur.graph.n:
         rem = None if round_cap is None else round_cap - used
         psi, pre = _phase_psi(
-            cur, kmode, not reports, policy=pinned, round_cap=rem, trace=trace
+            cur, kmode, not reports, policy=policy, round_cap=rem, trace=trace
         )
         partial, rep = color_fraction(
             replace(cur, psi=tuple(psi)),
             mode,
             strategy=strategy,
-            policy=pinned,
+            policy=policy,
             round_cap=rem,
             trace=trace,
             seed_cap=seed_cap,
@@ -350,15 +339,15 @@ def list_color_full(
                     "phase": len(reports),
                     "colored": rep.nodes_colored,
                     "remaining": cur.graph.n - rep.nodes_colored,
-                    "phi_final": _fr(rep.phi_final),
+                    "phi_final": frac_str(rep.phi_final),
                     "rounds": rep.rounds,
                 }
             )
         reports.append(rep)
+        check(len(reports) <= cap, "phase count exceeded")
         used += rep.stats.rounds
         ids = [ids[v] for v in range(cur.graph.n) if partial.colors[v] is None]
         cur = residual_instance(cur, partial)
-    assert len(reports) <= _phase_cap(n0, mode), "phase count exceeded"
     out = PartialColoring(colors)
-    assert verify_coloring(instance, out).ok, "final coloring failed checks"
+    check(verify_coloring(instance, out).ok, "final coloring failed checks")
     return out, reports

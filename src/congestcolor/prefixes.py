@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import ListColoringInstance
+from .graphs import ListColoringInstance, check
 
 
 class EmptyCandidateError(RuntimeError):
@@ -129,5 +129,8 @@ def chosen_colors(state: PrefixState) -> list:
     """
     if state.level != state.W:
         raise ValueError(f"{state.W - state.level} levels still open")
-    assert all(state.k(v) == 1 for v in range(state.inst.graph.n))
+    check(
+        all(state.k(v) == 1 for v in range(state.inst.graph.n)),
+        "a node kept more than one candidate after the last level",
+    )
     return [state.inst.lists[v][state.lo[v]] for v in range(state.inst.graph.n)]

@@ -34,9 +34,11 @@ versions as the reference.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
+
+from .graphs import check
 
 ALGORITHM = "algorithm"
 AGGREGATION = "aggregation"
@@ -110,14 +112,24 @@ def unpack_fields(msg: Message, widths) -> tuple:
 
 @dataclass(frozen=True)
 class BandwidthPolicy:
-    """beta=None just measures; beta=k enforces k * ceil(log2 n) bits."""
+    """beta=None just measures; beta=k enforces k * ceil(log2 n) bits.
+
+    A set host_n replaces n, so protocols on a subgraph keep the host's cap.
+    """
 
     beta: int | None = None
+    host_n: int | None = None
 
     def limit_bits(self, n: int) -> int | None:
         if self.beta is None:
             return None
+        if self.host_n is not None:
+            n = self.host_n
         return self.beta * max(1, (n - 1).bit_length())
+
+    def pin(self, n: int) -> "BandwidthPolicy":
+        """This policy with host_n = n, unless an earlier pin set it."""
+        return self if self.host_n is not None else replace(self, host_n=n)
 
     @classmethod
     def parse(cls, text: str) -> "BandwidthPolicy":
@@ -337,7 +349,10 @@ class _BFSBuild(NodeProgram):
             senders = {}
             for u, msg in ctx.inbox.items():
                 senders[u] = unpack_fields(msg, (self.width, self.width))
-            assert all(d == ctx.round - 1 for d, _ in senders.values())
+            check(
+                all(d == ctx.round - 1 for d, _ in senders.values()),
+                "BFS offers must come from the previous layer",
+            )
             self.dist = ctx.round
             self.parent = min(senders)
             self._announce(ctx)

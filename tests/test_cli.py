@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from congestcolor import derand
 from congestcolor.cli import main
 from congestcolor.decomposition import generate_decomposition, save_decomposition
 from congestcolor.graphs import (
@@ -112,6 +113,18 @@ def test_run_round_cap_aborts(capsys):
 
 
 def test_run_rejects_bad_generator_spec(capsys):
+    code, _, stderr = run_cli(["run", "--gen", "path,n"], capsys)
+    assert code == 1
+    assert stderr.startswith("error:")
+
+
+def test_run_broken_guarantee_exits_3(monkeypatch, capsys):
+    # the worse seed bit breaks the conditional chain: a guarantee, not input
+    monkeypatch.setattr(derand, "choose_seed_bit", lambda s0, s1: int(s0 <= s1))
+    code, stdout, stderr = run_cli(["run", "--gen", "gnp,n=24,p=0.15"], capsys)
+    assert code == 3
+    assert stdout == ""
+    assert stderr.startswith("invariant violated: ")
     code, _, stderr = run_cli(["run", "--gen", "path,n"], capsys)
     assert code == 1
     assert stderr.startswith("error:")

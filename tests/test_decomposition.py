@@ -242,3 +242,34 @@ def test_compose_rejects_invalid():
     inst = attach_default_lists(g)
     with pytest.raises(ValidationError, match="adjacency"):
         color_with_decomposition(inst, bad, "mis")
+
+
+def test_compose_weak_clusters_charge_kappa(tmp_path):
+    # path 0-..-6: clusters {0,1} and {5,6} share color 1 and route their
+    # trees through the middle, so edges (2,3) and (3,4) serve two trees
+    g = path(7)
+    inst = attach_default_lists(g)
+    d = NetworkDecomposition(
+        clusters=(
+            Cluster(0, 1, (0, 1), ((0, 1), (1, 2), (2, 3), (3, 4))),
+            Cluster(1, 1, (5, 6), ((2, 3), (3, 4), (4, 5), (5, 6))),
+            Cluster(2, 2, (2, 3, 4), ((2, 3), (3, 4))),
+        ),
+        alpha=2, beta=4, kappa=2,
+    )
+    assert validate_decomposition(g, d) == []
+    out, rep = color_with_decomposition(inst, d, "mis")
+    assert verify_coloring(inst, out).ok
+    weak, strong = rep.classes
+    assert (weak.clusters, weak.kappa) == ((0, 1), 2)
+    assert (strong.clusters, strong.kappa) == ((2,), 1)
+    for rec in rep.classes:
+        assert rec.slowest > 0
+        assert rec.rounds == rec.kappa * rec.slowest
+    assert rep.kappa == 2
+    assert rep.rounds == weak.rounds + strong.rounds
+    p = tmp_path / "weak.json"
+    save_decomposition(p, d)
+    back = load_decomposition(p)
+    assert (back.beta, back.kappa) == (4, 2)
+    assert back == d

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congestcolor import graphs
 from congestcolor.graphs import (
@@ -12,6 +14,7 @@ from congestcolor.graphs import (
     generate_graph,
     load_instance,
     residual_instance,
+    restrict,
     verify_coloring,
 )
 
@@ -197,3 +200,44 @@ def test_residual_rejects_invalid_partial():
     inst = load_like_p3()
     with pytest.raises(ValidationError):
         residual_instance(inst, PartialColoring([0, 0, None]))
+
+
+# restrict: induced sub-instance ---------------------------------------------
+
+@st.composite
+def restricted_cases(draw):
+    """A gnp instance, a valid partial coloring, and uncolored nodes to keep."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    p = draw(st.floats(min_value=0.0, max_value=1.0))
+    g = generate_graph("gnp", {"n": n, "p": p}, draw(st.integers(0, 10**6)))
+    inst = attach_default_lists(g)
+    colors = [None] * n
+    for v in draw(st.permutations(range(n))):
+        taken = {colors[u] for u in g.adj[v]}
+        avail = [c for c in inst.lists[v] if c not in taken]
+        if draw(st.booleans()):
+            colors[v] = draw(st.sampled_from(avail))
+    free = [v for v in range(n) if colors[v] is None]
+    nodes = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+    return inst, colors, nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(restricted_cases())
+def test_restrict_matches_edge_scan_and_residual(case):
+    inst, colors, nodes = case
+    g = inst.graph
+    sub = restrict(inst, nodes, colors)
+    kept = sorted(nodes)
+    idx = {v: i for i, v in enumerate(kept)}
+    # the composer's former per-cluster scan of the whole edge list
+    oracle = [(idx[u], idx[v]) for u, v in g.edge_list if u in idx and v in idx]
+    assert sub.graph.n == len(kept)
+    assert sub.graph.edge_list == tuple(sorted(oracle))
+    for i, v in enumerate(kept):
+        banned = {colors[u] for u in g.adj[v]}
+        assert sub.lists[i] == tuple(c for c in inst.lists[v] if c not in banned)
+        assert len(sub.lists[i]) >= sub.graph.deg(i) + 1
+    free = [v for v in range(g.n) if colors[v] is None]
+    partial = PartialColoring(colors)
+    assert residual_instance(inst, partial) == restrict(inst, free, colors)

@@ -1,12 +1,17 @@
 """Phase orchestration: color a fraction per phase, finish, repeat."""
 
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import congestcolor
 from congestcolor.graphs import (
     Graph,
     ListColoringInstance,
@@ -311,3 +316,37 @@ def test_full_single_node_and_two_cliques():
     inst = attach_default_lists(g)
     out, _ = list_color_full(inst, "avoid-mis")
     assert verify_coloring(inst, out).ok
+
+
+# ---------------------------------------------------------------------------
+# phase guarantees are checks, not asserts
+
+def test_phase_checks_survive_python_O():
+    # with no MIS winners a phase colors nothing; without the phase-fraction
+    # check the loop would retry the same residual instance forever
+    script = textwrap.dedent(
+        """
+        import sys
+        from congestcolor import pipeline
+        from congestcolor.graphs import (
+            InvariantError, attach_default_lists, generate_graph,
+        )
+        from congestcolor.sim import RunStats
+
+        pipeline.mis_by_colors = lambda sub, colors, **kw: ([], RunStats())
+        inst = attach_default_lists(generate_graph("cycle", {"n": 8}))
+        try:
+            pipeline.list_color_full(inst, "mis")
+        except InvariantError as exc:
+            print(sys.flags.optimize, exc)
+        """
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(congestcolor.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "1 phase colored 0 < 1 of 8 nodes\n"
