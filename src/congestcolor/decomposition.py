@@ -319,6 +319,8 @@ def color_with_decomposition(
     never touch, so they cannot see each other's colors).  Slack
     survives the restriction: a node loses one list color per colored
     neighbor and the incident edge with it, so deg+1 lists stay deg+1.
+    A class is charged kappa times its slowest cluster, so under a round
+    cap each of its clusters gets (cap - rounds used) // kappa rounds.
     """
     errs = validate_decomposition(instance.graph, decomp)
     if errs:
@@ -332,10 +334,11 @@ def color_with_decomposition(
             (cl for cl in decomp.clusters if cl.color == color),
             key=lambda cl: cl.id,
         )
+        kappa = max(_tree_load(active).values(), default=1)
+        rem = None if round_cap is None else (round_cap - used) // kappa
         slowest = 0
         cluster_reports = []
         for cl in active:
-            rem = None if round_cap is None else round_cap - used
             out, reps = list_color_full(
                 restrict(instance, cl.nodes, colors),
                 mode,
@@ -350,7 +353,6 @@ def color_with_decomposition(
                 colors[v] = c
             cluster_reports.append(tuple(reps))
             slowest = max(slowest, sum(r.rounds for r in reps))
-        kappa = max(_tree_load(active).values(), default=1)
         charged = kappa * slowest
         used += charged
         records.append(

@@ -14,15 +14,18 @@ expectation, and fixing seed bits one at a time by comparing the two
 conditional expectations finds one.  Everything here is exact rational
 arithmetic; nothing is sampled.
 
-The conditionals have two regimes.  While s1 is partially fixed, the
-free low bits of s2 keep each hash output uniform and only the XOR
-offset delta = low_b(s1 * (x_u ^ x_v)) between two endpoints matters;
-averaging the box count |{y < t_u : y ^ delta < t_v}| over the affine
-set of reachable deltas collapses to rank computations against an
-echelon basis (xor_branch_pairs turns the count into membership tests).
-Once s1 is fixed, a coin condition (a_v ^ s2) < t_v is a disjoint union
-of subcubes of the s2 hypercube and joint probabilities are cube
-intersections.
+Both regimes of the conditionals count one box |{z < t_u : z ^ delta < t_v}|.
+While s1 is partially fixed, the free low bits of s2 keep each hash
+output uniform and only the XOR offset delta = low_b(s1 * (x_u ^ x_v))
+between two endpoints matters; branch_pairs turns the count into
+membership tests, so averaging it over the affine set of reachable
+deltas collapses to rank computations against an echelon basis.  Once
+s1 is fixed, so is a_v = low_b(s1 * x_v), and fixing the low bits of s2
+leaves the same box over the free high bits, with thresholds rescaled by
+the fixed low bits and one delta per edge (box_count).  The scalar
+oracle behind node_conditional treats that regime apart: a coin
+condition (a_v ^ s2) < t_v is a disjoint union of subcubes of the s2
+hypercube and joint probabilities are cube intersections.
 
 fix_level runs the selection as a protocol: one exchange of
 (k0, k1, psi) along alive edges, then per seed bit one aggregation of
@@ -152,27 +155,57 @@ def xor_box_count(t_u: int, t_v: int, delta: int, b: int) -> int:
 
 
 def xor_branch_pairs(t_u: int, t_v: int, b: int) -> tuple:
-    """The box count as sum of w * [(delta ^ val) >> p == 0] over pairs.
+    """branch_pairs of one threshold pair in Python ints, as (p, val, w)."""
+    _, *pairs = branch_pairs(np.array([t_u], object), np.array([t_v], object), b)
+    return tuple(zip(*pairs))
+
+
+def branch_pairs(t_u, t_v, b: int):
+    """The box count as sum of w * [(delta ^ val) >> p == 0] over pairs,
+    for every entry of two threshold arrays.
 
     Each block pair (i of t_u, i2 of t_v) pins delta's bits from
     p = max(i, i2) upward to one pattern, which is what lets an average
     over an affine family of deltas reduce to rank arithmetic instead of
-    enumeration.  A block i of one threshold meets every smaller block of
-    the other in the same pattern, so those merge into one pair weighted
-    by the other threshold's bits below i; with the equal-index pairs that
-    leaves at most two patterns per p and 2(b+1) pairs in all.
+    enumeration.  A block p of one threshold meets every smaller block of
+    the other in one pattern, and two blocks p in another, so each p has
+    two pairs in closed form:
+
+        cross: val = (((t_u ^ t_v) >> p) ^ 1) << p,
+               w = bit_p(t_u) (t_v mod 2^p) + bit_p(t_v) (t_u mod 2^p)
+        same:  val = ((t_u ^ t_v) >> p) << p,  w = bit_p(t_u & t_v) 2^p
+
+    Returns arrays (entry, p, val, w) over the pairs with w > 0, entry
+    by entry (so each entry's pairs are contiguous), in the thresholds'
+    dtype: int64, or object for Python ints.
     """
-    merged = {}
-    for t, other in ((t_u, t_v), (t_v, t_u)):
-        for i, top in _blocks(t, b):
-            if low := other & ((1 << i) - 1):
-                key = (i, ((other >> i) ^ top) << i)
-                merged[key] = merged.get(key, 0) + low
-    for i, top_u in _blocks(t_u, b):
-        if (t_v >> i) & 1:
-            key = (i, (((t_v >> i) - 1) ^ top_u) << i)
-            merged[key] = merged.get(key, 0) + (1 << i)
-    return tuple((p, val, w) for (p, val), w in merged.items())
+    p = np.arange(b + 1).astype(t_u.dtype)
+    low = (np.ones(b + 1, dtype=t_u.dtype) << p) - 1
+    bit_u, bit_v = (t_u[:, None] >> p) & 1, (t_v[:, None] >> p) & 1
+    cross = bit_u * (t_v[:, None] & low) + bit_v * (t_u[:, None] & low)
+    w = np.concatenate((cross, (bit_u & bit_v) << p), axis=1)
+    entry, col = np.nonzero(w)
+    p = np.concatenate((p, p))[col]
+    flip = (col <= b).astype(t_u.dtype)  # 1 on cross pairs
+    return entry, p, (((t_u[entry] ^ t_v[entry]) >> p) ^ flip) << p, w[entry, col]
+
+
+def box_count(t_u, t_v, delta):
+    """|{z : z < t_u and z ^ delta < t_v}| entrywise, for int64 arrays
+    with entries below 2^53.
+
+    With one delta the branch pair sum collapses: q being the bit length
+    of delta ^ t_u ^ t_v, the same pairs hit for every p >= q and of the
+    cross pairs only p = q - 1 does.
+    """
+    q = np.frexp(delta ^ t_u ^ t_v)[1]  # bit length, exact below 2^53
+    mask = (np.int64(1) << q) - 1
+    top, low = mask ^ (mask >> 1), mask >> 1  # 2^(q-1) (0 at q = 0), below it
+    return (
+        (t_u & t_v & ~mask)
+        + ((t_u & top) > 0) * (t_v & low)
+        + ((t_v & top) > 0) * (t_u & low)
+    )
 
 
 def _echelon(rows):
@@ -378,21 +411,30 @@ class _Estimator:
     this path is m+b <= 62, so that a count fits int64; __init__ raises
     ValueError past it.
 
-    While s1 is open, an edge's reachable offsets are the coset
-    delta + span{g_k : k > j}.  _span_tables gives every span's echelon
-    once per level.  Reducing to the coset representative that is zero at
-    the pivots is linear, so the bit-1 side of a pair is its bit-0 side
-    XOR the reduced g_j of its edge.
+    Both regimes count the same box.  While s1 is open, an edge's
+    reachable offsets are the coset delta + span{g_k : k > j}, and its
+    branch pairs turn the average over them into rank arithmetic.
+    _span_tables gives every span's echelon once per level.  Reducing to
+    the coset representative that is zero at the pivots is linear, so the
+    bit-1 side of a pair is its bit-0 side XOR the reduced g_j of its edge.
+
+    Once s1 is fixed, a_v = low_b(s1 * x_v) is known and delta = a_u ^ a_v.
+    With the low `lock` bits of s2 fixed to y, coin v fires when the free
+    high bits z satisfy ((a_v >> lock) ^ z) < T_v, the rescaled threshold
+    T_v = ceil((t_v - ((a_v ^ y) mod 2^lock)) / 2^lock); so like-1 is the
+    box count of T_u, T_v and delta >> lock over b - lock bits, one closed
+    form per edge (box_count).  The oracle _joint_s2 counts the same
+    probabilities as subcube intersections instead.
     """
 
     def __init__(self, ctx: LevelContext, comp_of: dict):
         self.ctx = ctx
         self.n = len(ctx.x)
-        self.comp_of = comp_of
-        self.prefix = {r: [] for r in set(comp_of.values())}
         self.den = [max(a, 1) * max(b, 1) for a, b in zip(ctx.k0, ctx.k1)]
-        self.w0 = [d // k if k else 0 for d, k in zip(self.den, ctx.k0)]
-        self.w1 = [d // k if k else 0 for d, k in zip(self.den, ctx.k1)]
+        self.w0n, self.w1n = (
+            np.array([d // k if k else 0 for d, k in zip(self.den, ks)], dtype=object)
+            for ks in (ctx.k0, ctx.k1)
+        )
         edges = ctx.edges
         self.E = E = len(edges)
         if not E:
@@ -405,7 +447,11 @@ class _Estimator:
             )
         self.eu = np.fromiter((e[0] for e in edges), np.int64, E)
         self.ev = np.fromiter((e[1] for e in edges), np.int64, E)
-        self.edge_root = [comp_of[e[0]] for e in edges]
+        self.roots = sorted(set(comp_of.values()))
+        root_col = {r: i for i, r in enumerate(self.roots)}
+        self.node_root = np.array([root_col[comp_of[v]] for v in range(self.n)])
+        self.edge_root = self.node_root[self.eu]
+        self.s1 = np.zeros(len(self.roots), dtype=np.int64)
         dx_col = {}  # the spans depend on an edge only through dx = x_u ^ x_v
         dx = [dx_col.setdefault(ctx.x[u] ^ ctx.x[v], len(dx_col)) for u, v in edges]
         self.edge_dx = np.array(dx, dtype=np.int64)
@@ -413,25 +459,13 @@ class _Estimator:
         self.gmat = np.array(gens, dtype=np.int64)
         self.table, self.birth = _span_tables(gens, b)
         self.delta = np.zeros(E, dtype=np.int64)
-        # edges sharing (t_u, t_v) share their branch pairs; each edge's
-        # pairs stay contiguous, so reduceat sums them per edge
-        by_t = {}
-        for i, (u, v) in enumerate(edges):
-            by_t.setdefault((ctx.t[u], ctx.t[v]), []).append(i)
-        parts = [np.zeros((4, 0), dtype=np.int64)]
-        for (t_u, t_v), ids in by_t.items():
-            pairs = xor_branch_pairs(t_u, t_v, b)
-            if pairs:
-                cols = np.tile(np.array(pairs, dtype=np.int64).T, len(ids))
-                parts.append(np.vstack([np.repeat(ids, len(pairs)), cols]))
-        self.pair_edge, self.pair_p, self.pair_val, self.pair_w = np.hstack(parts)
+        tn = np.array(ctx.t, dtype=np.int64)
+        self.tu, self.tv = tn[self.eu], tn[self.ev]
+        pairs = branch_pairs(self.tu, self.tv, b)
+        self.pair_edge, self.pair_p, self.pair_val, self.pair_w = pairs
         self.pair_start = np.flatnonzero(np.diff(self.pair_edge, prepend=-1))
         self.pair_dx = self.edge_dx[self.pair_edge]
-        tn = np.array(ctx.t, dtype=np.int64)
-        self.margin = (1 << b) - tn[self.eu] - tn[self.ev]
-        self.w0n = np.array(self.w0, dtype=object)
-        self.w1n = np.array(self.w1, dtype=object)
-        self.s2cur = None
+        self.margin = (1 << b) - self.tu - self.tv
 
     # -- decision evaluation ------------------------------------------------
 
@@ -465,48 +499,29 @@ class _Estimator:
         tau0 = self._reduce(self.delta[pe] ^ self.pair_val, rows, pivots, pd)
         gj = self._reduce(self.gmat[:, j].copy(), rows, pivots)
         weight = self.pair_w << (free - rank[pp, pd])
-        likes = []
-        for tau in (tau0, tau0 ^ gj[pd]):
+        like1 = np.zeros((2, self.E), dtype=np.int64)
+        for r, tau in enumerate((tau0, tau0 ^ gj[pd])):
             hits = np.where(tau >> pp == 0, weight, 0)
-            num11 = np.zeros(self.E, dtype=np.int64)
-            num11[pe[self.pair_start]] = np.add.reduceat(hits, self.pair_start)
-            likes += [num11, (self.margin << free) + num11]
-        return self._node_sums(likes, free + b)
+            like1[r, pe[self.pair_start]] = np.add.reduceat(hits, self.pair_start)
+        return self._node_sums(like1, (self.margin << free) + like1, free + b)
 
     def _decide_s2(self, j):
-        fam = self.ctx.fam
-        b = fam.b
-        i = j - fam.m
-        free = b - i - 1
-        lockmask = (1 << (i + 1)) - 1
-        base = np.fromiter(
-            (self.s2cur[self.comp_of[v]] for v in range(self.n)), np.int64, self.n
-        )
-        nwidth = (
-            b - np.bitwise_count(self.ncube_mask | lockmask).astype(np.int64)
-        )
-        ewidth = (
-            b - np.bitwise_count(self.ecube_mask | lockmask).astype(np.int64)
-        )
-        likes = []
-        for r in (0, 1):
-            lv = base | (r << i)
-            ok = ((self.ncube_val ^ lv[self.ncube_node]) & self.ncube_mask & lockmask) == 0
-            c1 = np.zeros(self.n, dtype=np.int64)
-            np.add.at(c1, self.ncube_node, np.where(ok, np.int64(1) << nwidth, 0))
-            le = lv[self.eu]
-            okc = ((self.ecube_val ^ le[self.ecube_edge]) & self.ecube_mask & lockmask) == 0
-            c11 = np.zeros(self.E, dtype=np.int64)
-            np.add.at(c11, self.ecube_edge, np.where(okc, np.int64(1) << ewidth, 0))
-            c00 = (np.int64(1) << free) - c1[self.eu] - c1[self.ev] + c11
-            likes += [c11, c00]
-        return self._node_sums(likes, free)
+        i = j - self.ctx.fam.m
+        lock = i + 1
+        free = self.ctx.fam.b - lock
+        fixed = (1 << lock) - 1
+        bit = np.array([[0], [1 << i]], dtype=np.int64)  # seed bit j = 0, 1
+        # rescaled thresholds ceil((t - ((a ^ y) mod 2^lock)) / 2^lock)
+        t_u = (self.tu + fixed - (((self.au ^ self.low) & fixed) ^ bit)) >> lock
+        t_v = (self.tv + fixed - (((self.av ^ self.low) & fixed) ^ bit)) >> lock
+        like1 = box_count(t_u, t_v, self.delta >> lock)
+        return self._node_sums(like1, (1 << free) - t_u - t_v + like1, free)
 
-    def _node_sums(self, likes, shift):
-        """likes = (like1, like0) per edge for bit 0, then for bit 1; per
+    def _node_sums(self, like1, like0, shift):
+        """like1 and like0 are (2, E), per seed bit value and edge; per
         bit, node -> sum over its alive edges of like1/k1 + like0/k0,
         over 2^shift."""
-        like = np.array(likes)
+        like = np.concatenate((like1, like0))
         # a count may take 62 bits, so a high-degree sum could wrap int64;
         # 31-bit halves cannot below degree 2^32
         halves = np.concatenate((like & ((1 << 31) - 1), like >> 31)).T
@@ -516,7 +531,7 @@ class _Estimator:
         sums = (acc[:, 4:].astype(object) << 31) + acc[:, :4]
         out = ({}, {})
         for r in (0, 1):
-            tot = sums[:, 2 * r] * self.w1n + sums[:, 2 * r + 1] * self.w0n
+            tot = sums[:, r] * self.w1n + sums[:, 2 + r] * self.w0n
             for v, s in enumerate(tot.tolist()):
                 if s:
                     out[r][v] = Fraction(s, self.den[v] << shift)
@@ -525,60 +540,21 @@ class _Estimator:
     # -- committing a decided bit -------------------------------------------
 
     def lock(self, j: int, bits_by_root: dict):
-        for root, bit in bits_by_root.items():
-            self.prefix[root].append(bit)
         if not self.E:
             return
-        m = self.ctx.fam.m
-        if j < m:
-            eb = np.fromiter(
-                (bits_by_root[r] for r in self.edge_root), np.int64, self.E
-            )
-            self.delta ^= self.gmat[self.edge_dx, j] * eb
-            if j == m - 1:
-                self._enter_s2()
-        else:
-            for root, bit in bits_by_root.items():
-                self.s2cur[root] |= bit << (j - m)
-
-    def _enter_s2(self):
-        ctx = self.ctx
-        fam = ctx.fam
-        maskb = (1 << fam.b) - 1
-        s1 = {}
-        for root, bits in self.prefix.items():
-            word = 0
-            for k in range(fam.m):
-                word |= bits[k] << k
-            s1[root] = word
-        cubes = {}
-        for v in range(self.n):
-            if not ctx.incident[v]:
-                continue
-            a_v = gf2.mul(fam.fld, s1[self.comp_of[v]], ctx.x[v]) & maskb
-            cubes[v] = _coin_cubes(a_v, ctx.t[v], fam.b)
-        nn, nm, nv = [], [], []
-        for v, cs in cubes.items():
-            for mask, val in cs:
-                nn.append(v)
-                nm.append(mask)
-                nv.append(val)
-        self.ncube_node = np.array(nn, dtype=np.int64)
-        self.ncube_mask = np.array(nm, dtype=np.int64)
-        self.ncube_val = np.array(nv, dtype=np.int64)
-        ee, em, evv = [], [], []
-        for i, (u, v) in enumerate(ctx.edges):
-            for m1, v1 in cubes[u]:
-                for m2, v2 in cubes[v]:
-                    if (v1 ^ v2) & m1 & m2:
-                        continue
-                    ee.append(i)
-                    em.append(m1 | m2)
-                    evv.append(v1 | (v2 & ~m1))
-        self.ecube_edge = np.array(ee, dtype=np.int64)
-        self.ecube_mask = np.array(em, dtype=np.int64)
-        self.ecube_val = np.array(evv, dtype=np.int64)
-        self.s2cur = {root: 0 for root in self.prefix}
+        fam = self.ctx.fam
+        bits = np.array([bits_by_root[r] for r in self.roots], dtype=np.int64)
+        if j >= fam.m:
+            self.low |= bits[self.edge_root] << (j - fam.m)
+            return
+        self.s1 |= bits << j
+        self.delta ^= self.gmat[self.edge_dx, j] * bits[self.edge_root]
+        if j == fam.m - 1:  # s1 is fixed: a_v = low_b(s1 * x_v), no s2 bit yet
+            s1 = self.s1[self.node_root].tolist()
+            a = [gf2.mul(fam.fld, s, x) for s, x in zip(s1, self.ctx.x)]
+            a = np.array(a, dtype=np.int64) & ((1 << fam.b) - 1)
+            self.au, self.av = a[self.eu], a[self.ev]
+            self.low = np.zeros(self.E, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

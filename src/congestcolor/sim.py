@@ -133,10 +133,12 @@ class BandwidthPolicy:
 
     @classmethod
     def parse(cls, text: str) -> "BandwidthPolicy":
+        """Parse "measure", or "strict:K" for an integer K >= 1."""
         if text == "measure":
             return cls()
-        if text.startswith("strict:"):
-            return cls(beta=int(text.split(":", 1)[1]))
+        beta = text.removeprefix("strict:")
+        if beta != text and beta.isdecimal() and int(beta) >= 1:
+            return cls(beta=int(beta))
         raise ValueError(f"bad bandwidth policy {text!r}")
 
 

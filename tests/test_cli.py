@@ -112,6 +112,16 @@ def test_run_round_cap_aborts(capsys):
     assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("beta", ["0", "-1"])
+def test_run_rejects_strict_cap_below_one(beta, capsys):
+    code, stdout, stderr = run_cli(
+        ["run", "--gen", "path,n=1", "--bandwidth", f"strict:{beta}"], capsys
+    )
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: bad bandwidth policy")
+
+
 def test_run_rejects_bad_generator_spec(capsys):
     code, _, stderr = run_cli(["run", "--gen", "path,n"], capsys)
     assert code == 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import congestcolor
@@ -17,6 +18,8 @@ from congestcolor.derand import (
     LevelContext,
     SeedCapError,
     SeedPrefix,
+    box_count,
+    branch_pairs,
     build_level_context,
     choose_seed_bit,
     exhaustive_seed,
@@ -164,6 +167,39 @@ def test_branch_pairs_reconstruct_the_count():
                 w for p, val, w in pairs if ((delta ^ val) >> p) == 0
             )
             assert total == xor_box_count(t_u, t_v, delta, b)
+
+
+def every_threshold_pair(b):
+    grid = np.arange((1 << b) + 1, dtype=np.int64)  # 0 through 2^b
+    return np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+
+
+def test_vectorised_branch_pairs_match_enumeration():
+    for b in range(0, 5):
+        t_u, t_v = every_threshold_pair(b)
+        entry, p, val, w = branch_pairs(t_u, t_v, b)
+        assert (np.diff(entry) >= 0).all() and (w > 0).all()
+        assert np.bincount(entry, minlength=len(t_u)).max() <= 2 * (b + 1)
+        for delta in range(1 << b):
+            hits = np.where((delta ^ val) >> p == 0, w, 0)
+            got = np.bincount(entry, weights=hits, minlength=len(t_u))
+            want = [brute_xor_box(x, y, delta, b) for x, y in zip(t_u, t_v)]
+            assert got.tolist() == want, (b, delta)
+
+
+def test_single_delta_box_count_matches_enumeration():
+    for b in range(0, 6):
+        t_u, t_v = every_threshold_pair(b)
+        for delta in range(1 << b):
+            got = box_count(t_u, t_v, np.full(len(t_u), delta, dtype=np.int64))
+            want = [brute_xor_box(x, y, delta, b) for x, y in zip(t_u, t_v)]
+            assert got.tolist() == want, (b, delta)
+    # two bit values stacked, as the estimator calls it
+    t = np.array([[0, 5, 8], [8, 3, 1]], dtype=np.int64)
+    got = box_count(t, t[::-1], np.array([7, 2, 0], dtype=np.int64))
+    want = [[brute_xor_box(x, y, d, 3) for x, y, d in zip(r, r2, (7, 2, 0))]
+            for r, r2 in zip(t, t[::-1])]
+    assert got.tolist() == want
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +573,21 @@ def test_estimator_per_node_on_wide_avoid_mis_star():
     forest, _ = build_bfs_forest(g)
     _, report = fix_level(ctx, state, CommPlan(g, forest))
     assert report.phi_after <= report.bound
+
+
+def test_estimator_per_node_with_sure_coins():
+    # level 0 splits at color 2: node 0 has no color above it (t = 0) and
+    # node 2 none below (t = 2^b), so their coins are constant
+    inst = ListColoringInstance(
+        graph=generate_graph("path", {"n": 3}), C=4, lists=((0, 1), (0, 1, 2), (2, 3))
+    )
+    for K, b in ((3, 3), (64, 2), (16, 5)):
+        fam = make_family(K, b)
+        ctx = build_level_context(fam, init_state(inst), (0, 1, 2))
+        assert (ctx.k1[0], ctx.k0[2]) == (0, 0)
+        assert (ctx.t[0], ctx.t[2]) == (0, 1 << b)
+        for seed in range(4):
+            estimator_vs_node_conditional(ctx, {0: 0, 1: 0, 2: 0}, random.Random(seed))
 
 
 def test_estimator_count_limit_is_m_plus_b_62():

@@ -286,6 +286,15 @@ def test_strict_policy_flags_fat_algorithm_messages():
         run_protocol(g, [Swap(0), Swap(1)], policy=policy)
 
 
+def test_bandwidth_policy_parse():
+    assert BandwidthPolicy.parse("measure") == BandwidthPolicy()
+    assert BandwidthPolicy.parse("strict:1") == BandwidthPolicy(beta=1)
+    assert BandwidthPolicy.parse("strict:8") == BandwidthPolicy(beta=8)
+    for text in ("strict:0", "strict:-1", "strict:", "strict:x", "loose:8"):
+        with pytest.raises(ValueError, match="bad bandwidth policy"):
+            BandwidthPolicy.parse(text)
+
+
 def test_strict_policy_ignores_aggregation():
     g = generate_graph("path", {"n": 2})
 
