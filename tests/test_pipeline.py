@@ -279,6 +279,30 @@ def test_full_round_cap():
         list_color_full(inst, round_cap=3)
 
 
+@pytest.mark.parametrize(
+    "kind, params, mode, total",
+    [("cycle", {"n": 12}, "mis", 303), ("star", {"n": 9}, "avoid-mis", 196)],
+)
+def test_full_round_cap_sweep(kind, params, mode, total):
+    # every cap below the total stops the run after exactly that many
+    # rounds, whichever step the cap lands in; the total itself suffices
+    inst = attach_default_lists(generate_graph(kind, params, 1))
+    _, reps = list_color_full(inst, mode, "linial")
+    assert sum(r.rounds for r in reps) == total
+    for cap in range(total + 1):
+        records = []
+        try:
+            _, capped = list_color_full(
+                inst, mode, "linial", round_cap=cap, trace=records.append
+            )
+        except RoundCapError:
+            assert cap < total
+            assert sum("round" in r for r in records) == cap
+        else:
+            assert cap == total
+            assert capped == reps
+
+
 def test_full_exhaustive_strategy_and_cap():
     inst = attach_default_lists(generate_graph("cycle", {"n": 6}, 0))
     out, _ = list_color_full(inst, strategy="exhaustive")
