@@ -40,7 +40,7 @@ from .graphs import (
     verify_coloring,
 )
 from .pipeline import list_color_full
-from .sim import AGGREGATION, ALGORITHM, BandwidthPolicy
+from .sim import ALGORITHM, BandwidthPolicy, RunStats
 
 
 def _parse_gen(text: str):
@@ -69,6 +69,13 @@ def _build_instance(args):
         raise ValidationError("--colors-mode lists needs an instance file (--graph)")
     kind, params = _parse_gen(args.gen)
     return attach_default_lists(generate_graph(kind, params, args.rng_seed))
+
+
+def _total(reports) -> RunStats:
+    total = RunStats()
+    for rep in reports:
+        total.add(rep.stats)
+    return total
 
 
 def _trace_writer(fh):
@@ -119,19 +126,14 @@ def cmd_run(args) -> int:
         )
     if args.out:
         save_coloring(args.out, coloring)
+    total = _total(reports)
     stats = {
         "n": inst.graph.n,
         "colored": len(coloring.colored()),
         "phases": len(reports),
         "rounds": rounds,
-        "messages": sum(rep.stats.messages for rep in reports),
-        "max_bits": {
-            category: max(
-                (rep.stats.max_bits_by_category.get(category, 0) for rep in reports),
-                default=0,
-            )
-            for category in (ALGORITHM, AGGREGATION)
-        },
+        "messages": total.messages,
+        "max_bits": total.max_bits_by_category,
     }
     print(json.dumps(stats, sort_keys=True))
     return 0
@@ -188,19 +190,15 @@ def cmd_bench(args) -> int:
         start = time.perf_counter()
         _, reports = list_color_full(inst, mode, kmode)
         wall_ms = round(1000 * (time.perf_counter() - start))
-        rounds = sum(rep.rounds for rep in reports)
-        max_bits = max(
-            (rep.stats.max_bits_by_category.get(ALGORITHM, 0) for rep in reports),
-            default=0,
-        )
+        total = _total(reports)
         row = [
             inst.graph.n,
             inst.graph.max_degree,
             inst.C,
             len(reports),
-            rounds,
-            max_bits,
-            _bench_ratio(inst, reports, rounds),
+            total.rounds,
+            total.max_bits_by_category[ALGORITHM],
+            _bench_ratio(inst, reports, total.rounds),
         ]
         if not args.no_time:
             row.append(wall_ms)

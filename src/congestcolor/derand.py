@@ -36,6 +36,7 @@ down.  Components cannot share a seed, so each root fixes its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -52,7 +53,7 @@ from .coins import (
     threshold,
 )
 from .graphs import InvariantError, check  # InvariantError: re-exported
-from .prefixes import PrefixState, apply_bits, phi, phi_sum, split_counts
+from .prefixes import PrefixState, apply_bits, phi, split_counts
 from .sim import pack_fields
 
 
@@ -87,10 +88,22 @@ class LevelContext:
     k1: tuple
     t: tuple
     edges: tuple
-    incident: tuple
-    _eset: frozenset = field(repr=False, default_factory=frozenset)
     _pairs: dict = field(repr=False, default_factory=dict)
     _bases: dict = field(repr=False, default_factory=dict)
+
+    # only the scalar oracle reads these two, so levels build them on demand
+    @cached_property
+    def incident(self) -> tuple:
+        """Indices into `edges` of each node's alive edges."""
+        incident = [[] for _ in self.x]
+        for i, (u, v) in enumerate(self.edges):
+            incident[u].append(i)
+            incident[v].append(i)
+        return tuple(map(tuple, incident))
+
+    @cached_property
+    def _eset(self) -> frozenset:
+        return frozenset(self.edges)
 
 
 def build_level_context(fam: FamilySpec, state: PrefixState, psi) -> LevelContext:
@@ -111,10 +124,6 @@ def build_level_context(fam: FamilySpec, state: PrefixState, psi) -> LevelContex
         k0.append(a0)
         k1.append(a1)
         t.append(threshold(Fraction(a1, a0 + a1), fam.b))
-    incident = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(state.alive_edges):
-        incident[u].append(i)
-        incident[v].append(i)
     return LevelContext(
         fam=fam,
         x=tuple(psi),
@@ -122,8 +131,6 @@ def build_level_context(fam: FamilySpec, state: PrefixState, psi) -> LevelContex
         k1=tuple(k1),
         t=tuple(t),
         edges=tuple(state.alive_edges),
-        incident=tuple(tuple(ix) for ix in incident),
-        _eset=frozenset(state.alive_edges),
     )
 
 
@@ -600,7 +607,6 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     fam = ctx.fam
     n = state.inst.graph.n
     m, b = fam.m, fam.b
-    phi_before = phi_sum(state)
     start_rounds = comm.stats.rounds
 
     comp_nodes = {t.root: t.nodes for t in comm.forest}
@@ -608,8 +614,8 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     for root, nodes in comp_nodes.items():
         for v in nodes:
             comp_of[v] = root
-    if len(comp_of) != n:
-        raise ValueError("forest must span every node")
+    if len(comp_of) != n or sum(map(len, comp_nodes.values())) != n:
+        raise ValueError("forest must partition the nodes")
     roots = sorted(comp_nodes)
     comp_phi = {
         r: sum((phi(state, v) for v in nodes), Fraction(0))
@@ -681,7 +687,6 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
         for v in range(n)
     ]
     new_state = apply_bits(state, coin_bits)
-    phi_after = phi_sum(new_state)
 
     records = {}
     for r in roots:
@@ -708,6 +713,9 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
                     "bound": frac_str(comp_phi[r] + slack[r]),
                 }
             )
+    # the trees partition the nodes, so their sums are the level's totals
+    phi_before = sum(comp_phi.values(), Fraction(0))
+    phi_after = sum((rec.phi_after for rec in records.values()), Fraction(0))
     bound = phi_before + sum(slack.values(), Fraction(0))
     check(phi_after <= bound, "level potential exceeded the rounding slack")
     report = LevelReport(

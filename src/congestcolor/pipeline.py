@@ -139,7 +139,6 @@ def color_fraction(
     round_cap=None,
     trace=None,
     seed_cap=None,
-    carry_stats: RunStats | None = None,
 ):
     """Run one phase; returns (PartialColoring, PhaseReport).
 
@@ -154,13 +153,11 @@ def color_fraction(
     g = inst.graph
     n = g.n
     policy = (policy or BandwidthPolicy()).pin(n)  # sub-protocols keep n's cap
-    total = RunStats()
-    if carry_stats is not None:
-        total.add(carry_stats)
+    comm = CommPlan(g, policy=policy, round_cap=round_cap, trace=trace)
     if n == 0:
         return PartialColoring([]), PhaseReport(
             mode, 0, 0, (Fraction(0),), (), 0 if mode == "mis" else None,
-            0, 0, 0, (), (), (), total,
+            0, 0, 0, (), (), (), comm.stats,
         )
     if mode == "avoid-mis":
         inst = trim_lists(inst)
@@ -168,15 +165,7 @@ def color_fraction(
     W = state.W
     delta = g.max_degree
     fam = make_family(inst.psi_range, _accuracy_bits(delta, max(W, 1), mode))
-
-    def remaining():
-        return None if round_cap is None else round_cap - total.rounds
-
-    forest, bfs_stats = build_bfs_forest(
-        g, policy=policy, round_cap=remaining(), trace=trace
-    )
-    total.add(bfs_stats)
-    comm = CommPlan(g, forest, policy=policy, round_cap=remaining(), trace=trace)
+    comm.forest = comm.run(build_bfs_forest, g)
     levels = []
     phi_trace = [phi_sum(state)]
     for _ in range(W):
@@ -190,7 +179,6 @@ def color_fraction(
             rep.phi_after <= phi_trace[-2] + Fraction(n, W),
             f"level {rep.level}: potential drifted past n/levels",
         )
-    total.add(comm.stats)
     candidates = tuple(chosen_colors(state))
     conflict = state.alive_edges  # same final candidate on both ends
 
@@ -203,11 +191,7 @@ def color_fraction(
         check(phi_trace[-1] < n, "final potential not below n")
         low = tuple(v for v in range(n) if state.deg[v] <= 1)
     check(len(low) >= _ceil_div(n, 2), "low set covers under half the nodes")
-    lowset = set(low)
-    progs, ann = _flag_low(
-        g, lowset, conflict, policy=policy, round_cap=remaining(), trace=trace
-    )
-    total.add(ann)
+    progs = comm.run(_flag_low, g, set(low), conflict)
 
     if mode == "mis":
         idx = {v: i for i, v in enumerate(low)}
@@ -219,14 +203,8 @@ def color_fraction(
         )
         check(sub.max_degree <= 3, "low set induces degree above 3")
         start = [inst.psi[v] for v in low]
-        reduced, st = linial_reduce(
-            sub, start, policy=policy, round_cap=remaining(), trace=trace
-        )
-        total.add(st)
-        mis, st = mis_by_colors(
-            sub, reduced, policy=policy, round_cap=remaining(), trace=trace
-        )
-        total.add(st)
+        reduced = comm.run(linial_reduce, sub, start)
+        mis = comm.run(mis_by_colors, sub, reduced)
         winners = [low[i] for i in mis]
         mis_size = len(winners)
     else:
@@ -259,7 +237,7 @@ def color_fraction(
         levels=tuple(levels),
         candidates=candidates,
         conflict_edges=conflict,
-        stats=total,
+        stats=comm.stats,
     )
     return partial, report
 
@@ -325,11 +303,11 @@ def list_color_full(
             mode,
             strategy=strategy,
             policy=policy,
-            round_cap=rem,
+            round_cap=None if rem is None else rem - pre.rounds,
             trace=trace,
             seed_cap=seed_cap,
-            carry_stats=pre,
         )
+        rep.stats.add(pre)
         for v, c in enumerate(partial.colors):
             if c is not None:
                 colors[ids[v]] = c

@@ -19,8 +19,11 @@ node that already halted are counted but dropped.
 
 Sequential composition is the intended usage: helpers like
 build_bfs_forest or aggregate_pairs each run one protocol and return
-stats, and a caller adds the stats up.  That matches synchronous
-composition where every node knows a common round bound for each stage.
+(result, RunStats), and a CommPlan runs them one after another as one
+round ledger: each step gets the round cap minus the rounds already
+charged, and its stats join the ledger's total.  That matches
+synchronous composition where every node knows a common round bound for
+each stage.
 
 The tree collectives aggregate_pairs and broadcast_values are single
 passes over each tree, not engine runs, charged exactly as the engine
@@ -376,13 +379,14 @@ def build_bfs_forest(graph, *, roots=None, policy=None, round_cap=None, trace=No
     comps = graph.components
     if roots is None:
         roots = [c[0] for c in comps]
+    comp_of = {v: i for i, c in enumerate(comps) for v in c}
     by_comp = {}
     for r in roots:
-        for i, c in enumerate(comps):
-            if r in c:
-                if i in by_comp:
-                    raise ValueError("two roots in one component")
-                by_comp[i] = r
+        if not 0 <= r < graph.n:
+            raise ValueError(f"root {r} is not a node of the graph")
+        if comp_of[r] in by_comp:
+            raise ValueError("two roots in one component")
+        by_comp[comp_of[r]] = r
     if len(by_comp) != len(comps):
         raise ValueError("every component needs a root")
     width = max(1, (graph.n - 1).bit_length())
@@ -514,13 +518,15 @@ def broadcast_values(graph, forest, values, *, policy=None, round_cap=None, trac
 
 
 class CommPlan:
-    """Graph + spanning forest + policy bundle for a protocol sequence.
+    """The round ledger of one phase: graph, forest, policy and one RunStats.
 
-    Wraps the one-shot helpers so consecutive runs accumulate into one
-    RunStats and share a cumulative round cap.
+    Every step runs through `run`, which hands it the policy, the trace
+    and the round cap minus every round charged so far, and charges the
+    step's RunStats, so consecutive steps share one cumulative cap and
+    add up to one total.  The forest may be set once it has been built.
     """
 
-    def __init__(self, graph, forest, *, policy=None, round_cap=None, trace=None):
+    def __init__(self, graph, forest=(), *, policy=None, round_cap=None, trace=None):
         self.graph = graph
         self.forest = forest
         self.policy = policy
@@ -532,26 +538,24 @@ class CommPlan:
     def depth(self) -> int:
         return max((t.height for t in self.forest), default=0)
 
-    def _kwargs(self):
-        remaining = None
-        if self.round_cap is not None:
-            remaining = self.round_cap - self.stats.rounds
-        return {"policy": self.policy, "round_cap": remaining, "trace": self.trace}
+    def run(self, step, *args):
+        """Result of step(*args, policy, round_cap, trace) after charging
+        the RunStats it returns beside the result."""
+        cap = self.round_cap
+        if cap is not None:
+            cap -= self.stats.rounds
+        result, stats = step(*args, policy=self.policy, round_cap=cap, trace=self.trace)
+        self.stats.add(stats)
+        return result
 
     def exchange(self, outgoing):
-        inbox, stats = exchange(self.graph, outgoing, **self._kwargs())
-        self.stats.add(stats)
-        return inbox
+        return self.run(exchange, self.graph, outgoing)
 
     def aggregate(self, values):
-        totals, stats = aggregate_pairs(self.graph, self.forest, values, **self._kwargs())
-        self.stats.add(stats)
-        return totals
+        return self.run(aggregate_pairs, self.graph, self.forest, values)
 
     def broadcast(self, values):
-        got, stats = broadcast_values(self.graph, self.forest, values, **self._kwargs())
-        self.stats.add(stats)
-        return got
+        return self.run(broadcast_values, self.graph, self.forest, values)
 
 
 class _OneShot(NodeProgram):

@@ -38,7 +38,7 @@ from congestcolor.graphs import (
 )
 from congestcolor.pipeline import _accuracy_bits, trim_lists
 from congestcolor.prefixes import apply_bits, init_state, phi_sum, split_counts
-from congestcolor.sim import CommPlan, build_bfs_forest
+from congestcolor.sim import BFSTree, CommPlan, build_bfs_forest
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +311,21 @@ def run_one_level(inst, psi, b, strategy="conditional"):
     comm = CommPlan(inst.graph, forest)
     new_state, report = fix_level(ctx, state, comm, strategy=strategy)
     return state, new_state, report, comm
+
+
+def test_fix_level_needs_a_partition_of_the_nodes():
+    # level totals are the trees' sums, so every node must sit in one tree
+    inst = attach_default_lists(generate_graph("path", {"n": 3}))
+    state = init_state(inst)
+    ctx = build_level_context(make_family(3, 4), state, (0, 1, 2))
+    (tree,), _ = build_bfs_forest(inst.graph)
+    lone = BFSTree(root=2, nodes=(2,), parent={2: None}, children={2: ()},
+                   depth={2: 0}, height=0)
+    partial = BFSTree(root=0, nodes=(0, 1), parent={0: None, 1: 0},
+                      children={0: (1,), 1: ()}, depth={0: 0, 1: 1}, height=1)
+    for forest in ((partial,), (tree, lone)):
+        with pytest.raises(ValueError, match="partition the nodes"):
+            fix_level(ctx, state, CommPlan(inst.graph, forest))
 
 
 def test_fix_level_triangle_bound():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from congestcolor.sim import (
     ALGORITHM,
     BandwidthError,
     BandwidthPolicy,
+    CommPlan,
     Message,
     NodeProgram,
     ProtocolError,
@@ -206,6 +208,46 @@ def test_bfs_forest_roots_and_components():
     assert forest[1].nodes == (3,)
     assert forest[1].height == 0
     assert forest[2].depth[5] == 1
+
+
+@pytest.mark.parametrize(
+    "roots, message",
+    [
+        ([0, 2], "two roots in one component"),
+        ([0, 0], "two roots in one component"),
+        ([0], "every component needs a root"),
+        ([0, 99], "root 99 is not a node"),
+        ([-1, 3], "root -1 is not a node"),
+    ],
+)
+def test_bfs_rejects_bad_roots(roots, message):
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(ValueError, match=message):
+        build_bfs_forest(g, roots=roots)
+
+
+def test_bfs_many_components_is_fast():
+    # a perfect matching: one tree per edge, found without a scan per root
+    k = 10_000
+    g = Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+    start = time.perf_counter()
+    forest, stats = build_bfs_forest(g, roots=[2 * i + 1 for i in range(k)])
+    assert time.perf_counter() - start < 2
+    assert len(forest) == k and stats.rounds == 3
+    assert all(t.root == 2 * i + 1 and t.height == 1 for i, t in enumerate(forest))
+
+
+def test_comm_plan_charges_every_step_against_one_cap():
+    g = generate_graph("path", {"n": 5})
+    records = []
+    comm = CommPlan(g, round_cap=9, trace=records.append)
+    comm.forest = comm.run(build_bfs_forest, g)  # 4 layers + 2 rounds
+    assert comm.stats.rounds == 6 and comm.depth == 4
+    assert comm.exchange({0: {1: Message(1, 1)}})[1] == {0: Message(1, 1)}
+    assert comm.stats.rounds == 7 and len(records) == 7
+    with pytest.raises(RoundCapError, match="round cap 2 exceeded"):
+        comm.aggregate({0: (Fraction(1), Fraction(2))})  # needs 4 rounds
+    assert len(records) == 9
 
 
 def test_bfs_matches_offline_distances():
