@@ -30,7 +30,9 @@ hypercube and joint probabilities are cube intersections.
 fix_level runs the selection as a protocol: one exchange of
 (k0, k1, psi) along alive edges, then per seed bit one aggregation of
 the two candidate sums up a spanning tree and a one-bit broadcast back
-down.  Components cannot share a seed, so each root fixes its own.
+down.  Each node enters its two values as integer numerators over one
+denominator, and only the roots' totals become Fractions.  Components
+cannot share a seed, so each root fixes its own.
 """
 
 from __future__ import annotations
@@ -184,17 +186,21 @@ def branch_pairs(t_u, t_v, b: int):
 
     Returns arrays (entry, p, val, w) over the pairs with w > 0, entry
     by entry (so each entry's pairs are contiguous), in the thresholds'
-    dtype: int64, or object for Python ints.
+    dtype: int64, or object for Python ints.  Which pairs are nonzero
+    follows from bit tests alone, so weights are computed only there.
     """
     p = np.arange(b + 1).astype(t_u.dtype)
-    low = (np.ones(b + 1, dtype=t_u.dtype) << p) - 1
-    bit_u, bit_v = (t_u[:, None] >> p) & 1, (t_v[:, None] >> p) & 1
-    cross = bit_u * (t_v[:, None] & low) + bit_v * (t_u[:, None] & low)
-    w = np.concatenate((cross, (bit_u & bit_v) << p), axis=1)
-    entry, col = np.nonzero(w)
-    p = np.concatenate((p, p))[col]
-    flip = (col <= b).astype(t_u.dtype)  # 1 on cross pairs
-    return entry, p, (((t_u[entry] ^ t_v[entry]) >> p) ^ flip) << p, w[entry, col]
+    bit = np.ones(b + 1, dtype=t_u.dtype) << p
+    u, v = t_u[:, None], t_v[:, None]
+    on_u, on_v = (u & bit) != 0, (v & bit) != 0
+    cross = on_u & ((v & (bit - 1)) != 0) | on_v & ((u & (bit - 1)) != 0)
+    entry, col = np.nonzero(np.concatenate((cross, on_u & on_v), axis=1))
+    p, bit = np.concatenate((p, p))[col], np.concatenate((bit, bit))[col]
+    u, v = t_u[entry], t_v[entry]
+    flip = col <= b  # the cross pairs
+    w = np.where(flip, ((u & bit) != 0) * (v & (bit - 1))
+                 + ((v & bit) != 0) * (u & (bit - 1)), bit)
+    return entry, p, (((u ^ v) >> p) ^ flip.astype(t_u.dtype)) << p, w
 
 
 def box_count(t_u, t_v, delta):
@@ -414,9 +420,10 @@ class _Estimator:
     after (free = undecided bits that still matter), so each is below
     2^(m+b).  Each node sums the low and the high 31 bits of its incident
     counts in int64, joins the halves and folds in its weights 1/k1 and
-    1/k0 with Python ints when its Fraction is built.  The one limit of
-    this path is m+b <= 62, so that a count fits int64; __init__ raises
-    ValueError past it.
+    1/k0 as Python-int numerators over max(k0, 1) max(k1, 1) 2^shift, left
+    unreduced: no Fraction is built per node.  The one limit of this path
+    is m+b <= 62, so that a count fits int64; __init__ raises ValueError
+    past it.
 
     Both regimes count the same box.  While s1 is open, an edge's
     reachable offsets are the coset delta + span{g_k : k > j}, and its
@@ -477,10 +484,10 @@ class _Estimator:
     # -- decision evaluation ------------------------------------------------
 
     def decision_values(self, j: int):
-        """Node -> conditional value with seed bit j = 0, and with j = 1;
-        nodes whose value is 0 may be left out."""
+        """Node-indexed integer lists (num0, num1, den): num_r[v] / den[v]
+        is node v's conditional value with seed bit j = r, unreduced."""
         if not self.E:
-            return {}, {}
+            return [0] * self.n, [0] * self.n, [1] * self.n
         if j < self.ctx.fam.m:
             return self._decide_s1(j)
         return self._decide_s2(j)
@@ -525,9 +532,9 @@ class _Estimator:
         return self._node_sums(like1, (1 << free) - t_u - t_v + like1, free)
 
     def _node_sums(self, like1, like0, shift):
-        """like1 and like0 are (2, E), per seed bit value and edge; per
-        bit, node -> sum over its alive edges of like1/k1 + like0/k0,
-        over 2^shift."""
+        """like1 and like0 are (2, E), per seed bit value and edge.  Node
+        v's sum over its alive edges of like1/k1 + like0/k0, over 2^shift,
+        is num_r[v] / den[v] for seed bit value r; returns (num0, num1, den)."""
         like = np.concatenate((like1, like0))
         # a count may take 62 bits, so a high-degree sum could wrap int64;
         # 31-bit halves cannot below degree 2^32
@@ -536,13 +543,8 @@ class _Estimator:
         np.add.at(acc, self.eu, halves)
         np.add.at(acc, self.ev, halves)
         sums = (acc[:, 4:].astype(object) << 31) + acc[:, :4]
-        out = ({}, {})
-        for r in (0, 1):
-            tot = sums[:, r] * self.w1n + sums[:, 2 + r] * self.w0n
-            for v, s in enumerate(tot.tolist()):
-                if s:
-                    out[r][v] = Fraction(s, self.den[v] << shift)
-        return out
+        num = sums[:, :2] * self.w1n[:, None] + sums[:, 2:] * self.w0n[:, None]
+        return *num.T.tolist(), [d << shift for d in self.den]
 
     # -- committing a decided bit -------------------------------------------
 
@@ -642,7 +644,7 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
             r: exhaustive_seed(ctx, state, nodes=comp_nodes[r], **capkw)
             for r in roots
         }
-        comm.aggregate({})  # stands in for shipping component facts rootward
+        comm.aggregate(([0] * n, [0] * n, [1] * n))  # stands in for facts sent rootward
         for i in range(m + b):
             comm.broadcast(
                 {r: ((seed_to_int(fam, picked[r][0]) >> i) & 1, 1) for r in roots}
@@ -655,12 +657,8 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
         est = _Estimator(ctx, comp_of)
         chains = {r: [] for r in roots}
         expect_start, last = {}, {}
-        zero = Fraction(0)
         for j in range(m + b):
-            x0, x1 = est.decision_values(j)
-            totals = comm.aggregate(
-                {v: (x0.get(v, zero), x1.get(v, zero)) for v in x0.keys() | x1.keys()}
-            )
+            totals = comm.aggregate(est.decision_values(j))
             bits = {}
             for r in roots:
                 s0, s1 = totals[r]

@@ -30,8 +30,9 @@ passes over each tree, not engine runs, charged exactly as the engine
 would charge them: same results, RunStats, trace records and errors.
 That is exact because in both every node sends once, over tree edges, as
 soon as its input is complete, so every message's round and length
-follow from the forest and the values.  The tests keep the engine-driven
-versions as the reference.
+follow from the forest and the values.  aggregate_pairs takes integer
+numerators over node denominators and builds Fractions only at roots.
+The tests keep the engine-driven versions as the reference.
 """
 
 from __future__ import annotations
@@ -450,40 +451,41 @@ def _charge(category, sent, round_cap, trace, failure=None):
 
 
 def aggregate_pairs(graph, forest, values, *, policy=None, round_cap=None, trace=None):
-    """Sum (Fraction, Fraction) node values toward each tree root.
+    """Sum node values a_v = num_a[v] / den[v], b_v = num_b[v] / den[v]
+    (den > 0, any terms) toward each tree root, as a pair of Fractions.
 
-    Nodes missing from `values` contribute zero.  One pass per tree,
-    children before parents: a non-root v ships its subtree sum in round
-    subheight(v) + 1, once all its children have, as an "aggregation"
-    message.  Aggregation is exempt from `policy`; rounds equal the
-    forest height.
+    `values` is (num_a, num_b, den), node-indexed integer sequences.  One
+    pass per tree, children before parents: a non-root v ships its reduced
+    subtree sum in round subheight(v) + 1, once all its children have, as
+    an "aggregation" message.  Aggregation is exempt from `policy`; rounds
+    equal the forest height.
     """
     sent = [[] for _ in range(max((t.height for t in forest), default=0) + 1)]
     too_long = len(sent)  # first round in which a sum too long to encode is sent
-    zero = (Fraction(0), Fraction(0))
+    # reduced [num_a, den_a, num_b, den_b] per node: plain ints add faster
+    # than Fraction objects and give the same reduced parts
+    acc = [[na // (ga := gcd(na, d)), d // ga, nb // (gb := gcd(nb, d)), d // gb]
+           for na, nb, d in zip(*values)]
     totals = {}
     for tree in forest:
-        # reduced [num_a, den_a, num_b, den_b] per node: plain ints add
-        # faster than Fraction objects and give the same reduced parts
-        acc, parent, sub = {}, tree.parent, tree.subheight
-        for v in tree.nodes:
-            a, b = values.get(v, zero)
-            acc[v] = [a.numerator, a.denominator, b.numerator, b.denominator]
+        parent, sub = tree.parent, tree.subheight
         for v in reversed(tree.order[1:]):  # every child before its parent
-            na, da, nb, db = acc[v]
-            lengths = na.bit_length(), da.bit_length(), nb.bit_length(), db.bit_length()
+            na, da, nb, db = x = acc[v]
             r = sub[v] + 1
-            size = _PAIR_OVERHEAD + sum(lengths)
+            size = (_PAIR_OVERHEAD + na.bit_length() + da.bit_length()
+                    + nb.bit_length() + db.bit_length())
             sent[r].append(size)
-            if size >> _LEN_FIELD and max(lengths) >> _LEN_FIELD:  # too long to send
-                too_long = min(too_long, r - 1)
+            if size >> _LEN_FIELD and max(map(int.bit_length, x)) >> _LEN_FIELD:
+                too_long = min(too_long, r - 1)  # too long to send
             q = acc[parent[v]]
-            num, den = q[0] * da + na * q[1], q[1] * da
-            g = gcd(num, den)
-            q[0], q[1] = num // g, den // g
-            num, den = q[2] * db + nb * q[3], q[3] * db
-            g = gcd(num, den)
-            q[2], q[3] = num // g, den // g
+            if na:  # a zero side adds nothing
+                num, den = q[0] * da + na * q[1], q[1] * da
+                g = gcd(num, den)
+                q[0], q[1] = num // g, den // g
+            if nb:
+                num, den = q[2] * db + nb * q[3], q[3] * db
+                g = gcd(num, den)
+                q[2], q[3] = num // g, den // g
         na, da, nb, db = acc[tree.root]
         totals[tree.root] = (Fraction(na, da), Fraction(nb, db))
     failure = None

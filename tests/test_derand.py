@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import congestcolor
-from congestcolor import coins
+from congestcolor import coins, sim
 from congestcolor.coins import make_family, seed_from_int
 from congestcolor.derand import (
     InvariantError,
@@ -96,12 +96,12 @@ def estimator_vs_node_conditional(ctx, comp_of, rng, nodes=None):
     est = _Estimator(ctx, comp_of)
     prefix = {r: () for r in set(comp_of.values())}
     for j in range(ctx.fam.m + ctx.fam.b):
-        x0, x1 = est.decision_values(j)
+        num0, num1, den = est.decision_values(j)
         for v in range(len(ctx.x)) if nodes is None else nodes:
             pre = prefix[comp_of[v]]
-            for r, got in ((0, x0), (1, x1)):
+            for r, num in ((0, num0), (1, num1)):
                 want = node_conditional(ctx, v, SeedPrefix(pre + (r,)))
-                assert got.get(v, 0) == want, (j, v, r)
+                assert Fraction(num[v], den[v]) == want, (j, v, r)
         bits = {root: rng.randrange(2) for root in prefix}
         est.lock(j, bits)
         prefix = {root: pre + (bits[root],) for root, pre in prefix.items()}
@@ -383,6 +383,39 @@ def test_fix_level_chain_is_monotone_and_exact():
                 assert want == (s1 if r else s0)
             bits.append(bit)
         done += 1
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_seed_bits_build_fractions_only_at_roots(monkeypatch, n):
+    # node values travel as integers, so decision_values and aggregate_pairs
+    # build at most two Fractions per root and seed bit, whatever n is
+    graph = generate_graph("gnp", {"n": n, "p": 0.05}, rng_seed=0)
+    state = init_state(attach_default_lists(graph))
+    ctx = build_level_context(make_family(n, 8), state, tuple(range(n)))
+    forest, _ = build_bfs_forest(graph)
+    built, inside = 0, False
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += inside
+        return new(cls, *args, **kwargs)
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            nonlocal inside
+            inside = True
+            try:
+                return f(*args, **kwargs)
+            finally:
+                inside = False
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(_Estimator, "decision_values", counted(_Estimator.decision_values))
+    monkeypatch.setattr(sim, "aggregate_pairs", counted(sim.aggregate_pairs))
+    fix_level(ctx, state, CommPlan(graph, forest))
+    assert 0 < built <= 2 * len(forest) * (ctx.fam.m + ctx.fam.b)
 
 
 def test_fix_level_single_node_and_edgeless():

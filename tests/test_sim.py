@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,18 @@ def test_pack_fields_round_trip(values):
     msg = pack_fields(*fields)
     assert msg.bit_len == sum(w for _, w in fields)
     assert unpack_fields(msg, [w for _, w in fields]) == tuple(values)
+
+
+def pair_nums(a: Fraction, b: Fraction) -> tuple:
+    return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
+
+
+def node_nums(values: dict, n: int) -> tuple:
+    """aggregate_pairs input (num_a, num_b, den) of {v: (Fraction, Fraction)},
+    zero at the nodes left out."""
+    zero = (Fraction(0), Fraction(0))
+    rows = [pair_nums(*values.get(v, zero)) for v in range(n)]
+    return tuple(map(list, zip(*rows)))
 
 
 # The rational wire format of aggregation messages, which the engine-driven
@@ -246,7 +259,7 @@ def test_comm_plan_charges_every_step_against_one_cap():
     assert comm.exchange({0: {1: Message(1, 1)}})[1] == {0: Message(1, 1)}
     assert comm.stats.rounds == 7 and len(records) == 7
     with pytest.raises(RoundCapError, match="round cap 2 exceeded"):
-        comm.aggregate({0: (Fraction(1), Fraction(2))})  # needs 4 rounds
+        comm.aggregate(node_nums({0: (Fraction(1), Fraction(2))}, g.n))  # 4 rounds
     assert len(records) == 9
 
 
@@ -270,7 +283,7 @@ def test_aggregate_pairs_path():
     g = generate_graph("path", {"n": 3})
     forest, _ = build_bfs_forest(g, roots=[0])
     values = {v: (Fraction(v + 1), Fraction(1, v + 1)) for v in range(3)}
-    totals, stats = aggregate_pairs(g, forest, values)
+    totals, stats = aggregate_pairs(g, forest, node_nums(values, g.n))
     assert totals[0] == (Fraction(6), Fraction(11, 6))
     assert stats.rounds == 2  # tree height
     assert stats.bits_by_category[ALGORITHM] == 0
@@ -280,7 +293,7 @@ def test_aggregate_pairs_path():
 def test_aggregate_single_node_is_free():
     g = Graph.from_edges(1, [])
     forest, _ = build_bfs_forest(g)
-    totals, stats = aggregate_pairs(g, forest, {0: (Fraction(5), Fraction(0))})
+    totals, stats = aggregate_pairs(g, forest, node_nums({0: (Fraction(5), Fraction(0))}, 1))
     assert totals[0] == (Fraction(5), Fraction(0))
     assert stats.rounds == 0
 
@@ -288,7 +301,8 @@ def test_aggregate_single_node_is_free():
 def test_aggregate_defaults_missing_values_to_zero():
     g = generate_graph("star", {"n": 5})
     forest, _ = build_bfs_forest(g)
-    totals, stats = aggregate_pairs(g, forest, {3: (Fraction(1, 7), Fraction(2))})
+    values = node_nums({3: (Fraction(1, 7), Fraction(2))}, g.n)
+    totals, stats = aggregate_pairs(g, forest, values)
     assert totals[0] == (Fraction(1, 7), Fraction(2))
     assert stats.rounds == 1
 
@@ -311,7 +325,7 @@ def test_aggregate_random_trees():
             v: (Fraction(rng.randrange(-50, 50), rng.randrange(1, 9)), Fraction(rng.randrange(9)))
             for v in range(18)
         }
-        totals, stats = aggregate_pairs(g, forest, values)
+        totals, stats = aggregate_pairs(g, forest, node_nums(values, g.n))
         for tree in forest:
             want0 = sum(values[v][0] for v in tree.nodes)
             want1 = sum(values[v][1] for v in tree.nodes)
@@ -550,6 +564,16 @@ def forests(draw):
     return g, forest
 
 
+def _draw_values(data, n, huge):
+    """{v: (Fraction, Fraction)} on some of n nodes; the nodes in `huge`
+    get a part too long for the wire format."""
+    nodes = st.integers(min_value=0, max_value=n - 1)
+    values = data.draw(st.dictionaries(nodes, st.tuples(_fractions, _fractions)))
+    for v in huge & set(range(n)):
+        values[v] = (HUGE, Fraction(0)) if v % 2 else (Fraction(1), 1 / HUGE)
+    return values
+
+
 _run_options = {
     "traced": st.booleans(),
     "round_cap": st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
@@ -566,12 +590,9 @@ _run_options = {
 )
 def test_aggregate_pairs_matches_engine(gf, data, huge, traced, round_cap, beta):
     g, forest = gf
-    nodes = st.integers(min_value=0, max_value=g.n - 1)
-    values = data.draw(st.dictionaries(nodes, st.tuples(_fractions, _fractions)))
-    for v in huge & set(range(g.n)):
-        values[v] = (HUGE, Fraction(0)) if v % 2 else (Fraction(1), 1 / HUGE)
+    values = _draw_values(data, g.n, huge)
     kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
-    got = _outcome(aggregate_pairs, g, forest, values, traced, **kwargs)
+    got = _outcome(aggregate_pairs, g, forest, node_nums(values, g.n), traced, **kwargs)
     want = _outcome(engine_aggregate, g, forest, values, traced, **kwargs)
     assert got == want
 
@@ -584,9 +605,39 @@ def test_aggregate_overflow_against_round_cap_matches_engine(v, round_cap):
     g = generate_graph("path", {"n": 7})
     forest, _ = build_bfs_forest(g, roots=[0])
     values = {v + 1: (HUGE, Fraction(1)), 3: (Fraction(-2, 3), Fraction(5))}
-    got = _outcome(aggregate_pairs, g, forest, values, True, round_cap=round_cap)
+    nums = node_nums(values, g.n)
+    got = _outcome(aggregate_pairs, g, forest, nums, True, round_cap=round_cap)
     want = _outcome(engine_aggregate, g, forest, values, True, round_cap=round_cap)
     assert got == want
+
+
+_factors = st.one_of(
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=0, max_value=80).map(lambda s: 1 << s),  # as a shift adds
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gf=forests(),
+    data=st.data(),
+    huge=st.sets(st.integers(min_value=0, max_value=39), max_size=2),
+    **_run_options,
+)
+def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, round_cap, beta):
+    # messages carry reduced sums, so scaling a node's (num_a, num_b, den)
+    # changes no total, RunStats, trace record or error
+    g, forest = gf
+    values = _draw_values(data, g.n, huge)
+    nums = node_nums(values, g.n)
+    gcds = [gcd(*row) for row in zip(*nums)]
+    reduced = tuple([x // c for x, c in zip(col, gcds)] for col in nums)
+    ks = data.draw(st.lists(_factors, min_size=g.n, max_size=g.n))
+    scaled = tuple([x * k for x, k in zip(col, ks)] for col in nums)
+    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    want = _outcome(engine_aggregate, g, forest, values, traced, **kwargs)
+    for triple in (reduced, scaled):
+        assert _outcome(aggregate_pairs, g, forest, triple, traced, **kwargs) == want
 
 
 @settings(max_examples=150, deadline=None)
