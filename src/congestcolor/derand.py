@@ -236,6 +236,7 @@ def _echelon(rows):
 
 def _gens(ctx: LevelContext, dx: int) -> tuple:
     """Per-bit delta generators g_k = low_b(2^k * dx)."""
+    # only the scalar oracle reads these; the estimator builds _gen_table
     got = ctx._bases.get(("g", dx))
     if got is None:
         maskb = (1 << ctx.fam.b) - 1
@@ -385,7 +386,21 @@ def choose_seed_bit(s0: Fraction, s1: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batched candidate sums (one exact path: int64 counts, Python-int weights)
+# batched candidate sums (one exact path: int64 counts, node sums in int64
+# or, past a per-level bound, in Python ints)
+
+def _gen_table(fam: FamilySpec, dx):
+    """(#dx, m) int64 table of g_k = low_b(x^k * dx), for an int64 array
+    of field elements dx, by m doublings in GF(2^m)."""
+    m = fam.m
+    table = np.empty((m, len(dx)), dtype=np.int64)
+    g = np.array(dx, dtype=np.int64)
+    for k in range(m):
+        table[k] = g
+        g <<= 1
+        g ^= (g >> m) * fam.fld.modulus  # reduce where x^m appeared
+    return table.T & ((1 << fam.b) - 1)
+
 
 def _span_tables(gens, b: int):
     """Echelon of span{g_k : k > j} for every j < m, per offset dx.
@@ -417,13 +432,15 @@ class _Estimator:
 
     Once seed bit j is decided, an alive edge's like-1 and like-0 counts
     are integers in units of 2^-(free+b) while s1 is open and 2^-free
-    after (free = undecided bits that still matter), so each is below
-    2^(m+b).  Each node sums the low and the high 31 bits of its incident
-    counts in int64, joins the halves and folds in its weights 1/k1 and
-    1/k0 as Python-int numerators over max(k0, 1) max(k1, 1) 2^shift, left
-    unreduced: no Fraction is built per node.  The one limit of this path
-    is m+b <= 62, so that a count fits int64; __init__ raises ValueError
-    past it.
+    after (free = undecided bits that still matter), so each is at most
+    2^(m+b-1).  Each node sums its incident counts, one reduceat over the
+    edge ends sorted by node, and folds in its weights 1/k1 and 1/k0 as
+    integer numerators over max(k0, 1) max(k1, 1) 2^shift, left unreduced:
+    no Fraction is built per node.  The sums run in int64 when the level's
+    bound deg(v) (max(k0, 1) + max(k1, 1)) 2^(m+b-1) on every numerator
+    is below 2^63, and in Python ints (object arrays) past it.  The one
+    limit of this path is m+b <= 62, so that a count fits int64; __init__
+    raises ValueError past it.
 
     Both regimes count the same box.  While s1 is open, an edge's
     reachable offsets are the coset delta + span{g_k : k > j}, and its
@@ -445,10 +462,6 @@ class _Estimator:
         self.ctx = ctx
         self.n = len(ctx.x)
         self.den = [max(a, 1) * max(b, 1) for a, b in zip(ctx.k0, ctx.k1)]
-        self.w0n, self.w1n = (
-            np.array([d // k if k else 0 for d, k in zip(self.den, ks)], dtype=object)
-            for ks in (ctx.k0, ctx.k1)
-        )
         edges = ctx.edges
         self.E = E = len(edges)
         if not E:
@@ -461,6 +474,24 @@ class _Estimator:
             )
         self.eu = np.fromiter((e[0] for e in edges), np.int64, E)
         self.ev = np.fromiter((e[1] for e in edges), np.int64, E)
+        # incidence order: the 2E edge ends sorted by node, so that each
+        # node with alive edges (inc_node) owns one run of them
+        ends = np.concatenate((self.eu, self.ev))
+        order = np.argsort(ends, kind="stable")
+        self.inc_edge, ends = order % E, ends[order]
+        self.inc_start = np.flatnonzero(np.diff(ends, prepend=-1))
+        self.inc_node = ends[self.inc_start]
+        deg = np.diff(self.inc_start, append=2 * E)
+        k0, k1 = (np.array(ks, dtype=np.int64)[self.inc_node]
+                  for ks in (ctx.k0, ctx.k1))
+        c0, c1 = np.maximum(k0, 1), np.maximum(k1, 1)
+        # each count is at most 2^(m+b-1) and the weights den/k1 = c0 and
+        # den/k0 = c1 (0 on a side without candidates), so this bounds
+        # every node's numerator
+        bound = int((deg * (c0 + c1)).max()) << (m + b - 1)
+        self.acc_type = np.int64 if bound < 1 << 63 else object
+        self.w1 = (c0 * (k1 > 0)).astype(self.acc_type)
+        self.w0 = (c1 * (k0 > 0)).astype(self.acc_type)
         self.roots = sorted(set(comp_of.values()))
         root_col = {r: i for i, r in enumerate(self.roots)}
         self.node_root = np.array([root_col[comp_of[v]] for v in range(self.n)])
@@ -469,9 +500,8 @@ class _Estimator:
         dx_col = {}  # the spans depend on an edge only through dx = x_u ^ x_v
         dx = [dx_col.setdefault(ctx.x[u] ^ ctx.x[v], len(dx_col)) for u, v in edges]
         self.edge_dx = np.array(dx, dtype=np.int64)
-        gens = [_gens(ctx, d) for d in dx_col]
-        self.gmat = np.array(gens, dtype=np.int64)
-        self.table, self.birth = _span_tables(gens, b)
+        self.gmat = _gen_table(ctx.fam, np.fromiter(dx_col, np.int64, len(dx_col)))
+        self.table, self.birth = _span_tables(self.gmat.tolist(), b)
         self.delta = np.zeros(E, dtype=np.int64)
         tn = np.array(ctx.t, dtype=np.int64)
         self.tu, self.tv = tn[self.eu], tn[self.ev]
@@ -534,17 +564,14 @@ class _Estimator:
     def _node_sums(self, like1, like0, shift):
         """like1 and like0 are (2, E), per seed bit value and edge.  Node
         v's sum over its alive edges of like1/k1 + like0/k0, over 2^shift,
-        is num_r[v] / den[v] for seed bit value r; returns (num0, num1, den)."""
-        like = np.concatenate((like1, like0))
-        # a count may take 62 bits, so a high-degree sum could wrap int64;
-        # 31-bit halves cannot below degree 2^32
-        halves = np.concatenate((like & ((1 << 31) - 1), like >> 31)).T
-        acc = np.zeros((self.n, 8), dtype=np.int64)
-        np.add.at(acc, self.eu, halves)
-        np.add.at(acc, self.ev, halves)
-        sums = (acc[:, 4:].astype(object) << 31) + acc[:, :4]
-        num = sums[:, :2] * self.w1n[:, None] + sums[:, 2:] * self.w0n[:, None]
-        return *num.T.tolist(), [d << shift for d in self.den]
+        is num_r[v] / den[v] for seed bit value r; returns (num0, num1, den).
+        Sums run in the level's acc_type: int64 when its bound allows."""
+        like = np.concatenate((like1, like0))[:, self.inc_edge]
+        like = like.astype(self.acc_type, copy=False)
+        sums = np.add.reduceat(like, self.inc_start, axis=1)
+        num = np.zeros((2, self.n), dtype=self.acc_type)
+        num[:, self.inc_node] = sums[:2] * self.w1 + sums[2:] * self.w0
+        return *num.tolist(), [d << shift for d in self.den]
 
     # -- committing a decided bit -------------------------------------------
 
@@ -630,13 +657,19 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     }
 
     # round 1: alive neighbors swap split counts and psi colors, after which
-    # every node can price its neighbors' coins locally
+    # every node can price its neighbors' coins locally; each node packs its
+    # one message once and sends it to every alive neighbor
     cw = max(1, state.inst.C.bit_length())
-    outgoing = {v: {} for v in range(n)}
+    nbrs = {}
     for u, v in ctx.edges:
-        outgoing[u][v] = pack_fields((ctx.k0[u], cw), (ctx.k1[u], cw), (ctx.x[u], fam.a))
-        outgoing[v][u] = pack_fields((ctx.k0[v], cw), (ctx.k1[v], cw), (ctx.x[v], fam.a))
-    comm.exchange(outgoing)
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    comm.exchange({
+        v: dict.fromkeys(
+            us, pack_fields((ctx.k0[v], cw), (ctx.k1[v], cw), (ctx.x[v], fam.a))
+        )
+        for v, us in nbrs.items()
+    })
 
     if strategy == "exhaustive":
         capkw = {} if seed_cap is None else {"cap": seed_cap}

@@ -25,14 +25,15 @@ charged, and its stats join the ledger's total.  That matches
 synchronous composition where every node knows a common round bound for
 each stage.
 
-The tree collectives aggregate_pairs and broadcast_values are single
-passes over each tree, not engine runs, charged exactly as the engine
-would charge them: same results, RunStats, trace records and errors.
-That is exact because in both every node sends once, over tree edges, as
-soon as its input is complete, so every message's round and length
-follow from the forest and the values.  aggregate_pairs takes integer
-numerators over node denominators and builds Fractions only at roots.
-The tests keep the engine-driven versions as the reference.
+The one-round exchange and the tree collectives aggregate_pairs and
+broadcast_values are single passes, not engine runs, charged exactly as
+the engine would charge them: same results, RunStats, trace records and
+errors.  That is exact because in each every node sends once per edge,
+as soon as its input is complete, so every message's round and length
+follow from the sends (exchange: all in round 1) or from the forest and
+the values.  aggregate_pairs takes integer numerators over node
+denominators and builds Fractions only at roots.  The tests keep the
+engine-driven versions as the reference.
 """
 
 from __future__ import annotations
@@ -560,27 +561,43 @@ class CommPlan:
         return self.run(broadcast_values, self.graph, self.forest, values)
 
 
-class _OneShot(NodeProgram):
-    def __init__(self, outgoing):
-        self.outgoing = outgoing
-        self.heard = {}
-
-    def setup(self, ctx):
-        for u, msg in self.outgoing.items():
-            ctx.send(u, msg)
-        ctx.wake_at(1)
-
-    def absorb(self, ctx):
-        self.heard = dict(ctx.inbox)
-        ctx.halt()
-
-
 def exchange(graph, outgoing, *, policy=None, round_cap=None, trace=None):
-    """One round in which node v sends outgoing[v][u] to each u."""
-    if not any(outgoing.get(v) for v in range(graph.n)):
-        return {v: {} for v in range(graph.n)}, RunStats()
-    progs = [_OneShot(outgoing.get(v, {})) for v in range(graph.n)]
-    stats = run_protocol(
-        graph, progs, policy=policy, round_cap=round_cap, trace=trace
-    )
-    return {v: progs[v].heard for v in range(graph.n)}, stats
+    """One round in which node v sends outgoing[v][u] to each neighbor u;
+    returns ({u: {v: message}}, RunStats), charged as the engine would.
+
+    Sends are checked in node order, then dict order: a non-Message or a
+    target that is no neighbor raises ProtocolError, and an "algorithm"
+    message past the policy's cap BandwidthError, all before the round
+    cap is.  No message costs no round.
+    """
+    limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
+    heard = {v: {} for v in range(graph.n)}
+    sizes = {c: [] for c in _CATEGORIES}
+    for v in range(graph.n):
+        out = outgoing.get(v)
+        if not out:
+            continue
+        nbrs = set(graph.adj[v])
+        for u, msg in out.items():
+            if not isinstance(msg, Message):
+                raise ProtocolError(f"node {v} sent a non-Message object")
+            if u not in nbrs:
+                raise ProtocolError(f"node {v} has no edge to {u}")
+            if limit is not None and msg.category == ALGORITHM and msg.bit_len > limit:
+                raise BandwidthError(1, (v, u), msg.bit_len, limit)
+            heard[u][v] = msg
+            sizes[msg.category].append(msg.bit_len)
+    stats = RunStats(messages=sum(map(len, sizes.values())))
+    if not stats.messages:
+        return heard, stats
+    if round_cap is not None and round_cap < 1:
+        raise RoundCapError(f"round cap {round_cap} exceeded with work pending")
+    stats.rounds = 1
+    for c, lens in sizes.items():
+        stats.messages_by_category[c] = len(lens)
+        stats.bits_by_category[c] = sum(lens)
+        stats.max_bits_by_category[c] = max(lens, default=0)
+    if trace is not None:
+        trace({"round": 1, "messages": stats.messages,
+               "category_bits": dict(stats.bits_by_category)})
+    return heard, stats

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import congestcolor
-from congestcolor import coins, sim
+from congestcolor import coins, gf2, sim
 from congestcolor.coins import make_family, seed_from_int
 from congestcolor.derand import (
     InvariantError,
@@ -29,6 +29,7 @@ from congestcolor.derand import (
     xor_box_count,
     xor_branch_pairs,
     _Estimator,
+    _gen_table,
 )
 from congestcolor.graphs import (
     Graph,
@@ -92,7 +93,7 @@ def oracle_exhaustive(ctx, edges):
 def estimator_vs_node_conditional(ctx, comp_of, rng, nodes=None):
     """Run _Estimator over every seed bit of the level, checking each
     node's (or each listed node's) two candidate values against the
-    scalar closed form."""
+    scalar closed form.  Returns the estimator."""
     est = _Estimator(ctx, comp_of)
     prefix = {r: () for r in set(comp_of.values())}
     for j in range(ctx.fam.m + ctx.fam.b):
@@ -105,6 +106,7 @@ def estimator_vs_node_conditional(ctx, comp_of, rng, nodes=None):
         bits = {root: rng.randrange(2) for root in prefix}
         est.lock(j, bits)
         prefix = {root: pre + (bits[root],) for root, pre in prefix.items()}
+    return est
 
 
 def random_context(rng, *, n_max=7, b_max=6):
@@ -593,8 +595,9 @@ def test_estimator_per_node_on_avoid_mis_star():
     state = init_state(trim_lists(attach_default_lists(g)))
     fam = make_family(g.n, _accuracy_bits(g.max_degree, state.W, "avoid-mis"))
     ctx = build_level_context(fam, state, tuple(range(g.n)))
-    # counts times weights do not fit int64 here: the weights must be folded
-    # in per node, after the int64 sums
+    # a budget of count, weight and node-count bits passes 63 bits here, but
+    # the per-node bound deg(v) (max(k0, 1) + max(k1, 1)) 2^(m+b-1) stays
+    # below 2^63, so the level sums in int64
     w = [
         max(k0, 1) * max(k1, 1) // k
         for k0, k1 in zip(ctx.k0, ctx.k1)
@@ -603,12 +606,13 @@ def test_estimator_per_node_on_avoid_mis_star():
     ]
     budget = fam.m + fam.b + max(w).bit_length() + g.n.bit_length() + 3
     assert budget >= 63
-    estimator_vs_node_conditional(ctx, {v: 0 for v in range(g.n)}, random.Random(59))
+    est = estimator_vs_node_conditional(ctx, {v: 0 for v in range(g.n)}, random.Random(59))
+    assert est.acc_type is np.int64
 
 
 def test_estimator_per_node_on_wide_avoid_mis_star():
     # degree 2047 at m = b = 29: one edge count takes up to 57 bits and the
-    # hub's sum of 2047 of them can pass int64, so the hub sums halves
+    # hub's sum of 2047 of them can pass int64, so the level sums in objects
     g = generate_graph("star", {"n": 2048})
     inst = trim_lists(attach_default_lists(g))
     state = init_state(inst)
@@ -617,7 +621,8 @@ def test_estimator_per_node_on_wide_avoid_mis_star():
     assert g.max_degree << (fam.m + fam.b - 1) >= 1 << 63
     rng = random.Random(67)
     nodes = [0] + rng.sample(range(1, g.n), 16)
-    estimator_vs_node_conditional(ctx, {v: 0 for v in range(g.n)}, rng, nodes)
+    est = estimator_vs_node_conditional(ctx, {v: 0 for v in range(g.n)}, rng, nodes)
+    assert est.acc_type is object
     forest, _ = build_bfs_forest(g)
     _, report = fix_level(ctx, state, CommPlan(g, forest))
     assert report.phi_after <= report.bound
@@ -636,6 +641,41 @@ def test_estimator_per_node_with_sure_coins():
         assert (ctx.t[0], ctx.t[2]) == (0, 1 << b)
         for seed in range(4):
             estimator_vs_node_conditional(ctx, {0: 0, 1: 0, 2: 0}, random.Random(seed))
+
+
+@pytest.mark.parametrize(
+    "kind, lists, b, acc_type",
+    [
+        # the hub: degree 3, max(k0, 1) + max(k1, 1) = 4, so the bound is
+        # 12 * 2^(m+b-1) with m = 32: 1.5 * 2^62 at b = 28, 1.5 * 2^63 at 29
+        ("star", ((0, 1, 2, 3), (0, 2), (1, 3), (0, 3)), 28, np.int64),
+        ("star", ((0, 1, 2, 3), (0, 2), (1, 3), (0, 3)), 29, object),
+        # one edge at m + b - 1 = 61: 3 * 2^61 passes, 4 * 2^61 = 2^63 not
+        ("path", ((0, 1, 2), (0, 1)), 30, np.int64),
+        ("path", ((0, 1, 2, 3), (0, 1)), 30, object),
+    ],
+)
+def test_estimator_sums_in_int64_only_below_the_bound(kind, lists, b, acc_type):
+    g = generate_graph(kind, {"n": len(lists)})
+    inst = ListColoringInstance(graph=g, C=4, lists=lists)
+    fam = make_family(1 << 32, b)  # m = 32
+    ctx = build_level_context(fam, init_state(inst), tuple(range(g.n)))
+    comp_of = dict.fromkeys(range(g.n), 0)
+    est = estimator_vs_node_conditional(ctx, comp_of, random.Random(b))
+    assert est.acc_type is acc_type
+
+
+def test_gen_table_matches_field_products():
+    rng = random.Random(71)
+    for m in range(1, 41):
+        b = rng.randrange(1, m + 1)
+        fam = make_family(1 << m, b)
+        assert fam.m == m
+        dx = [0, (1 << m) - 1] + [rng.randrange(1 << m) for _ in range(6)]
+        got = _gen_table(fam, np.array(dx, dtype=np.int64))
+        assert got.shape == (len(dx), m) and got.dtype == np.int64
+        want = [[gf2.mul(fam.fld, 1 << k, d) & ((1 << b) - 1) for k in range(m)] for d in dx]
+        assert got.tolist() == want
 
 
 def test_estimator_count_limit_is_m_plus_b_62():

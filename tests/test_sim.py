@@ -18,6 +18,7 @@ from congestcolor.sim import (
     NodeProgram,
     ProtocolError,
     RoundCapError,
+    RunStats,
     StallError,
     _LEN_FIELD,
     aggregate_pairs,
@@ -655,4 +656,88 @@ def test_broadcast_values_matches_engine(gf, data, traced, round_cap, beta):
     kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
     got = _outcome(broadcast_values, g, forest, values, traced, **kwargs)
     want = _outcome(engine_broadcast, g, forest, values, traced, **kwargs)
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Engine-driven reference for the one-round exchange.
+
+
+class _OneShot(NodeProgram):
+    def __init__(self, outgoing):
+        self.outgoing = outgoing
+        self.heard = {}
+
+    def setup(self, ctx):
+        for u, msg in self.outgoing.items():
+            ctx.send(u, msg)
+        ctx.wake_at(1)
+
+    def absorb(self, ctx):
+        self.heard = dict(ctx.inbox)
+        ctx.halt()
+
+
+def engine_exchange(graph, outgoing, *, policy=None, round_cap=None, trace=None):
+    if not any(outgoing.get(v) for v in range(graph.n)):
+        return {v: {} for v in range(graph.n)}, RunStats()
+    progs = [_OneShot(outgoing.get(v, {})) for v in range(graph.n)]
+    stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
+    return {v: progs[v].heard for v in range(graph.n)}, stats
+
+
+def _exchange_outcome(fn, graph, outgoing, traced, **kwargs):
+    """What an exchange returns or raises, with the trace it emitted; the
+    inboxes as item lists, so their order counts too."""
+    records = []
+    trace = records.append if traced else None
+    try:
+        heard, stats = fn(graph, outgoing, trace=trace, **kwargs)
+    except (ProtocolError, RoundCapError, BandwidthError) as exc:
+        return ("raised", type(exc), str(exc)), records
+    return ("returned", [(u, list(heard[u].items())) for u in heard], stats), records
+
+
+@st.composite
+def sends(draw):
+    """A graph and an outgoing map over it: some nodes send nothing or are
+    left out, and a send may go to a non-neighbour or not be a Message."""
+    kind = draw(st.sampled_from(["gnp", "star", "path"]))
+    n = draw(st.integers(min_value=1, max_value=16))
+    if kind == "gnp":
+        g = generate_graph("gnp", {"n": n, "p": 0.3}, rng_seed=draw(st.integers(0, 999)))
+    else:
+        g = generate_graph(kind, {"n": n})
+    messages = st.builds(
+        Message,
+        payload=st.just(0),
+        bit_len=st.integers(min_value=1, max_value=12),
+        category=st.sampled_from([ALGORITHM, AGGREGATION]),
+    )
+    bad = draw(st.booleans())
+    payloads = st.one_of(messages, st.just(7)) if bad else messages
+    outgoing = {}
+    for v in draw(st.permutations(range(n))):  # node order is not dict order
+        if draw(st.integers(0, 3)) == 0:
+            continue  # left out
+        targets = list(g.adj[v])
+        if bad:
+            targets += [v, n]
+        chosen = draw(st.lists(st.sampled_from(targets), unique=True)) if targets else []
+        outgoing[v] = {u: draw(payloads) for u in chosen}
+    return g, outgoing
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gs=sends(),
+    traced=st.booleans(),
+    round_cap=st.sampled_from([None, 0, 1]),
+    beta=st.sampled_from([None, 1, 2]),
+)
+def test_exchange_matches_engine(gs, traced, round_cap, beta):
+    g, outgoing = gs
+    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    got = _exchange_outcome(exchange, g, outgoing, traced, **kwargs)
+    want = _exchange_outcome(engine_exchange, g, outgoing, traced, **kwargs)
     assert got == want
