@@ -48,15 +48,6 @@ class Seed:
     s2: int
 
 
-@dataclass(frozen=True)
-class CoinSpec:
-    """One node's coin: color input, exact target bias, derived threshold."""
-
-    x: int
-    p: Fraction
-    t: int
-
-
 def make_family(K: int, b: int) -> FamilySpec:
     if K < 1:
         raise ValueError(f"color space must be nonempty, got K={K}")
@@ -80,14 +71,6 @@ def threshold(p: Fraction, b: int) -> int:
         raise ValueError(f"bias must lie in [0, 1], got {p}")
     num, den = p.numerator << b, p.denominator
     return -(-num // den)
-
-
-def make_coin(fam: FamilySpec, x: int, p: Fraction) -> CoinSpec:
-    return CoinSpec(x=x, p=p, t=threshold(p, fam.b))
-
-
-def coin_eval(fam: FamilySpec, seed: Seed, coin: CoinSpec) -> int:
-    return 1 if hash_eval(fam, seed, coin.x) < coin.t else 0
 
 
 def seed_from_int(fam: FamilySpec, v: int) -> Seed:

@@ -37,8 +37,8 @@ cannot share a seed, so each root fixes its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import lcm
 
@@ -73,14 +73,8 @@ class SeedPrefix:
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("seed bits must be 0 or 1")
 
-    def __len__(self):
-        return len(self.bits)
 
-    def extend(self, bit: int) -> "SeedPrefix":
-        return SeedPrefix(self.bits + (bit,))
-
-
-@dataclass
+@dataclass(frozen=True)
 class LevelContext:
     """Per-level facts every endpoint of an alive edge has exchanged."""
 
@@ -90,10 +84,9 @@ class LevelContext:
     k1: tuple
     t: tuple
     edges: tuple
-    _pairs: dict = field(repr=False, default_factory=dict)
-    _bases: dict = field(repr=False, default_factory=dict)
 
-    # only the scalar oracle reads these two, so levels build them on demand
+    # built on first use: the exhaustive search reads `incident`, the
+    # scalar oracle both, and the estimator neither
     @cached_property
     def incident(self) -> tuple:
         """Indices into `edges` of each node's alive edges."""
@@ -144,25 +137,7 @@ def _blocks(t: int, b: int):
     return [(i, (t >> i) - 1) for i in range(b + 1) if (t >> i) & 1]
 
 
-def xor_box_count(t_u: int, t_v: int, delta: int, b: int) -> int:
-    """|{y in [0, 2^b): y < t_u and y ^ delta < t_v}|."""
-    if not 0 <= delta < (1 << b):
-        raise ValueError(f"delta needs at most {b} bits, got {delta}")
-    for t in (t_u, t_v):
-        if not 0 <= t <= (1 << b):
-            raise ValueError(f"threshold {t} outside [0, 2^{b}]")
-    total = 0
-    for i, top_u in _blocks(t_u, b):
-        for i2, top_v in _blocks(t_v, b):
-            top_v ^= delta >> i2
-            if i >= i2:
-                if top_v >> (i - i2) == top_u:
-                    total += 1 << i2
-            elif top_u >> (i2 - i) == top_v:
-                total += 1 << i
-    return total
-
-
+@lru_cache(maxsize=None)
 def xor_branch_pairs(t_u: int, t_v: int, b: int) -> tuple:
     """branch_pairs of one threshold pair in Python ints, as (p, val, w)."""
     _, *pairs = branch_pairs(np.array([t_u], object), np.array([t_v], object), b)
@@ -234,34 +209,13 @@ def _echelon(rows):
     return tuple(sorted(basis.items(), reverse=True))
 
 
-def _gens(ctx: LevelContext, dx: int) -> tuple:
-    """Per-bit delta generators g_k = low_b(2^k * dx)."""
-    # only the scalar oracle reads these; the estimator builds _gen_table
-    got = ctx._bases.get(("g", dx))
-    if got is None:
-        maskb = (1 << ctx.fam.b) - 1
-        got = tuple(
-            gf2.mul(ctx.fam.fld, 1 << k, dx) & maskb for k in range(ctx.fam.m)
-        )
-        ctx._bases[("g", dx)] = got
-    return got
-
-
-def _basis_from(ctx: LevelContext, dx: int, lo: int) -> tuple:
-    """Echelon basis of span{g_k : k >= lo}."""
-    got = ctx._bases.get((dx, lo))
-    if got is None:
-        got = _echelon(_gens(ctx, dx)[lo:])
-        ctx._bases[(dx, lo)] = got
-    return got
-
-
-def _pairs_for(ctx: LevelContext, t_u: int, t_v: int) -> tuple:
-    got = ctx._pairs.get((t_u, t_v))
-    if got is None:
-        got = xor_branch_pairs(t_u, t_v, ctx.fam.b)
-        ctx._pairs[(t_u, t_v)] = got
-    return got
+@lru_cache(maxsize=None)
+def _basis_from(fam: FamilySpec, dx: int, lo: int) -> tuple:
+    """Echelon basis of span{g_k : k >= lo}, g_k = low_b(x^k * dx)."""
+    # scalar gf2 products, kept apart from the estimator's _gen_table so
+    # that the oracle stays an independent reference
+    maskb = (1 << fam.b) - 1
+    return _echelon(gf2.mul(fam.fld, 1 << k, dx) & maskb for k in range(lo, fam.m))
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +232,10 @@ def _joint_s1(ctx, u, v, bits):
         s1 |= bit << k
     dx = ctx.x[u] ^ ctx.x[v]
     delta0 = gf2.mul(fam.fld, s1, dx) & ((1 << b) - 1)
-    basis = _basis_from(ctx, dx, j)
+    basis = _basis_from(fam, dx, j)
     free = m - j
     num11 = 0
-    for p, val, w in _pairs_for(ctx, ctx.t[u], ctx.t[v]):
+    for p, val, w in xor_branch_pairs(ctx.t[u], ctx.t[v], b):
         tau = delta0 ^ val
         for piv, row in basis:
             if (tau >> piv) & 1:
@@ -780,10 +734,12 @@ def exhaustive_seed(ctx: LevelContext, state: PrefixState, *, nodes=None,
         raise SeedCapError(
             f"2^{fam.seed_bits} seeds exceed the cap of {cap}"
         )
-    if nodes is None:
-        nodes = tuple(range(state.inst.graph.n))
-    nodeset = set(nodes)
-    edges = [e for e in ctx.edges if e[0] in nodeset and e[1] in nodeset]
+    nodeset = set(range(state.inst.graph.n) if nodes is None else nodes)
+    # the nodes' alive edges in index order, found through the incidence
+    # lists rather than by one scan of every alive edge per component
+    idx = sorted({i for v in nodeset for i in ctx.incident[v]})
+    edges = [ctx.edges[i] for i in idx]
+    edges = [e for e in edges if e[0] in nodeset and e[1] in nodeset]
     m, b = fam.m, fam.b
     if not edges:
         return seed_from_int(fam, 0), Fraction(0)

@@ -15,8 +15,6 @@ from functools import lru_cache
 
 MAX_DEGREE = 63
 
-_TRIAL_DIVISION_CUTOFF = 16
-
 
 class FieldSizeError(ValueError):
     """Degree outside the supported 1..63 range."""
@@ -78,8 +76,8 @@ def _prime_factors(n: int) -> list[int]:
 def is_irreducible(mask: int) -> bool:
     """Irreducibility of a monic polynomial given as a bit mask.
 
-    Small degrees use trial division by every monic polynomial of degree up
-    to half the candidate's; larger ones use the x^(2^k) = x criterion.
+    Rabin's criterion: f of degree m is irreducible iff x^(2^m) = x mod f
+    and gcd(x^(2^(m/p)) - x, f) = 1 for every prime p dividing m.
     """
     m = mask.bit_length() - 1
     if m <= 0:
@@ -88,13 +86,6 @@ def is_irreducible(mask: int) -> bool:
         return True
     if not mask & 1:
         return False
-    if m <= _TRIAL_DIVISION_CUTOFF:
-        for d in range(1, m // 2 + 1):
-            for low in range(1 << d):
-                g = (1 << d) | low
-                if _pmod(mask, g) == 0:
-                    return False
-        return True
     if _x_pow_2k_mod(m, mask) != 0b10:
         return False
     for p in _prime_factors(m):

@@ -77,14 +77,22 @@ def linial_params(K: int, delta: int) -> PolyParams:
             return best
 
 
-def linial_fixpoint(K: int, delta: int) -> int:
-    """Class count where iterated reduction from K colors stalls."""
+def _schedule(K: int, delta: int):
+    """Reduction steps from K classes until q^2 stops shrinking K:
+    ([(params, input color width), ...], final class count)."""
+    steps = []
     while K >= 2:
         p = linial_params(K, delta)
         if p.q * p.q >= K:
             break
+        steps.append((p, max(1, (K - 1).bit_length())))
         K = p.q * p.q
-    return K
+    return steps, K
+
+
+def linial_fixpoint(K: int, delta: int) -> int:
+    """Class count where iterated reduction from K colors stalls."""
+    return _schedule(K, delta)[1]
 
 
 def log_star(n: int) -> int:
@@ -187,15 +195,7 @@ def linial_reduce(graph, colors=None, *, policy=None, round_cap=None, trace=None
     if colors is None:
         colors = list(range(graph.n))
     _check_proper(graph, colors, "initial coloring")
-    K = max(colors, default=0) + 1
-    delta = graph.max_degree
-    schedule = []
-    while K >= 2:
-        p = linial_params(K, delta)
-        if p.q * p.q >= K:
-            break
-        schedule.append((p, max(1, (K - 1).bit_length())))
-        K = p.q * p.q
+    schedule, _ = _schedule(max(colors, default=0) + 1, graph.max_degree)
     check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
     return _run_schedule(graph, list(colors), schedule, policy, round_cap, trace)
 

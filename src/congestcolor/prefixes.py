@@ -28,10 +28,6 @@ class EmptyCandidateError(RuntimeError):
     pass
 
 
-def color_bit(color: int, level: int, width: int) -> int:
-    return (color >> (width - 1 - level)) & 1
-
-
 @dataclass(frozen=True)
 class PrefixState:
     inst: ListColoringInstance

@@ -1,0 +1,55 @@
+"""Scalar reference implementations that only tests use.
+
+Nothing in the library calls these; they stay here as independent
+oracles for the vectorised paths.  They check their inputs with raise,
+never assert, so they keep checking under python -O, where pytest does
+not rewrite asserts outside test modules.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from congestcolor.coins import FamilySpec, Seed, hash_eval, threshold
+
+
+@dataclass(frozen=True)
+class CoinSpec:
+    """One node's coin: color input, exact target bias, derived threshold."""
+
+    x: int
+    p: Fraction
+    t: int
+
+
+def make_coin(fam: FamilySpec, x: int, p: Fraction) -> CoinSpec:
+    return CoinSpec(x=x, p=p, t=threshold(p, fam.b))
+
+
+def coin_eval(fam: FamilySpec, seed: Seed, coin: CoinSpec) -> int:
+    return 1 if hash_eval(fam, seed, coin.x) < coin.t else 0
+
+
+def _blocks(t: int, b: int):
+    """Disjoint dyadic blocks covering [0, t): pairs (i, required y >> i)."""
+    return [(i, (t >> i) - 1) for i in range(b + 1) if (t >> i) & 1]
+
+
+def xor_box_count(t_u: int, t_v: int, delta: int, b: int) -> int:
+    """|{y in [0, 2^b): y < t_u and y ^ delta < t_v}|."""
+    if not 0 <= delta < (1 << b):
+        raise ValueError(f"delta needs at most {b} bits, got {delta}")
+    for t in (t_u, t_v):
+        if not 0 <= t <= (1 << b):
+            raise ValueError(f"threshold {t} outside [0, 2^{b}]")
+    total = 0
+    for i, top_u in _blocks(t_u, b):
+        for i2, top_v in _blocks(t_v, b):
+            top_v ^= delta >> i2
+            if i >= i2:
+                if top_v >> (i - i2) == top_u:
+                    total += 1 << i2
+            elif top_u >> (i2 - i) == top_v:
+                total += 1 << i
+    return total

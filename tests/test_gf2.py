@@ -42,13 +42,13 @@ def test_smallest_irreducible_frozen_values():
     assert gf2.find_irreducible(8) == 0b100011011
 
 
-@pytest.mark.parametrize("m", range(1, 11))
+@pytest.mark.parametrize("m", range(1, 17))
 def test_smallest_irreducible_matches_oracle(m):
     assert gf2.find_irreducible(m) == oracle_smallest_irreducible(m)
 
 
 def test_large_degree_uses_rabin_criterion():
-    # degrees past the trial-division cutoff still agree with the oracle
+    # degrees past the parametrised range still agree with the oracle
     for m in (17, 20):
         assert gf2.find_irreducible(m) == oracle_smallest_irreducible(m)
 

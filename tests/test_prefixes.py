@@ -13,7 +13,6 @@ from congestcolor.prefixes import (
     EmptyCandidateError,
     apply_bits,
     chosen_colors,
-    color_bit,
     init_state,
     phi,
     phi_sum,
@@ -24,11 +23,6 @@ from congestcolor.prefixes import (
 def p3_instance():
     g = generate_graph("path", {"n": 3})
     return ListColoringInstance(graph=g, C=3, lists=((0, 1), (0, 1, 2), (1, 2)))
-
-
-def test_color_bit_msb_first():
-    # color 5 = 101 with W=3
-    assert [color_bit(5, level, 3) for level in range(3)] == [1, 0, 1]
 
 
 def test_initial_potential_p3():
