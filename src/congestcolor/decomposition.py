@@ -27,6 +27,7 @@ from .graphs import (
     ListColoringInstance,
     PartialColoring,
     ValidationError,
+    bfs_depths,
     check,
     restrict,
     verify_coloring,
@@ -58,45 +59,22 @@ def _tree_nodes(cluster: Cluster) -> set:
     return set(cluster.nodes) if len(cluster.nodes) == 1 else set()
 
 
-def _adjacency(edges) -> dict:
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return adj
+def _tree_walk(nodes: set, edges) -> tuple:
+    """(whether `edges` form a tree on `nodes`, the double-sweep distance
+    from min(nodes)), the latter the tree's diameter when they do.
 
-
-def _farthest(adj, start):
-    dist = {start: 0}
-    q = deque([start])
-    far = start
-    while q:
-        v = q.popleft()
-        for u in adj.get(v, ()):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                if dist[u] > dist[far]:
-                    far = u
-                q.append(u)
-    return far, dist
-
-
-def _tree_diameter(nodes: set, edges) -> int:
-    if not edges:
-        return 0
-    adj = _adjacency(edges)
-    a, _ = _farthest(adj, min(nodes))
-    b, dist = _farthest(adj, a)
-    return dist[b]
-
-
-def _is_tree(nodes: set, edges) -> bool:
-    if len(edges) != len(nodes) - 1:
-        return False
+    Every edge end must lie in `nodes`, as it does for `_tree_nodes`.
+    """
     if not nodes:
-        return True
-    _, dist = _farthest(_adjacency(edges), min(nodes))
-    return len(dist) == len(nodes)
+        return False, 0
+    adj = {v: [] for v in nodes}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    dist = bfs_depths(adj, min(nodes))
+    sweep = bfs_depths(adj, max(dist, key=dist.get))  # first farthest node
+    is_tree = len(edges) == len(nodes) - 1 and len(dist) == len(nodes)
+    return is_tree, max(sweep.values())
 
 
 def _tree_load(clusters) -> Counter:
@@ -111,7 +89,7 @@ def _tree_load(clusters) -> Counter:
 def _beta(clusters) -> int:
     """Largest tree diameter over the clusters."""
     return max(
-        (_tree_diameter(_tree_nodes(cl), cl.tree_edges) for cl in clusters),
+        (_tree_walk(_tree_nodes(cl), cl.tree_edges)[1] for cl in clusters),
         default=0,
     )
 
@@ -149,7 +127,8 @@ def validate_decomposition(graph, decomp: NetworkDecomposition) -> list:
                 )
                 shape_ok = False
         tn = _tree_nodes(cl)
-        if tn and not _is_tree(tn, cl.tree_edges):
+        is_tree, d = _tree_walk(tn, cl.tree_edges)
+        if tn and not is_tree:
             errs.append(f"tree: cluster {cl.id} edges do not form a tree")
             shape_ok = False
         missing = [v for v in cl.nodes if v not in tn]
@@ -157,13 +136,10 @@ def validate_decomposition(graph, decomp: NetworkDecomposition) -> list:
             errs.append(
                 f"coverage: cluster {cl.id} tree misses node {missing[0]}"
             )
-        if shape_ok and tn:
-            d = _tree_diameter(tn, cl.tree_edges)
-            if d > decomp.beta:
-                errs.append(
-                    f"diameter: cluster {cl.id} tree diameter {d} "
-                    f"> beta {decomp.beta}"
-                )
+        if shape_ok and tn and d > decomp.beta:
+            errs.append(
+                f"diameter: cluster {cl.id} tree diameter {d} > beta {decomp.beta}"
+            )
 
     color_of = {cl.id: cl.color for cl in decomp.clusters}
     flagged = set()
@@ -212,8 +188,9 @@ def generate_decomposition(graph) -> NetworkDecomposition:
         color += 1
         working = set(remaining)
         deferred = set()
-        while working:
-            center = min(working)
+        for center in sorted(remaining):  # the least node not yet carved
+            if center not in working:
+                continue
             ball = {center}
             frontier = {center}
             while True:

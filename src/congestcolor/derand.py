@@ -85,8 +85,8 @@ class LevelContext:
     t: tuple
     edges: tuple
 
-    # built on first use: the exhaustive search reads `incident`, the
-    # scalar oracle both, and the estimator neither
+    # built on first use: fix_level's round-1 exchange and the exhaustive
+    # search read `incident`, the scalar oracle both
     @cached_property
     def incident(self) -> tuple:
         """Indices into `edges` of each node's alive edges."""
@@ -614,15 +614,13 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     # every node can price its neighbors' coins locally; each node packs its
     # one message once and sends it to every alive neighbor
     cw = max(1, state.inst.C.bit_length())
-    nbrs = {}
-    for u, v in ctx.edges:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
     comm.exchange({
         v: dict.fromkeys(
-            us, pack_fields((ctx.k0[v], cw), (ctx.k1[v], cw), (ctx.x[v], fam.a))
+            (u for i in inc for u in ctx.edges[i] if u != v),
+            pack_fields((ctx.k0[v], cw), (ctx.k1[v], cw), (ctx.x[v], fam.a)),
         )
-        for v, us in nbrs.items()
+        for v, inc in enumerate(ctx.incident)
+        if inc
     })
 
     if strategy == "exhaustive":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +27,20 @@ class InvariantError(AssertionError):
 def check(cond: bool, msg: str) -> None:
     if not cond:
         raise InvariantError(msg)
+
+
+def bfs_depths(adj, src: int) -> dict:
+    """Hop distance from src of every node it reaches, in BFS order;
+    adj maps each node to its neighbors (a Graph's adj, or a dict)."""
+    dist = {src: 0}
+    q = deque([src])
+    while q:
+        u = q.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                q.append(w)
+    return dist
 
 
 class Graph:
@@ -65,22 +79,11 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def _bfs_depths(self, src: int) -> dict:
-        dist = {src: 0}
-        q = deque([src])
-        while q:
-            u = q.popleft()
-            for w in self.adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return dist
-
     @cached_property
     def diameter(self) -> int:
         """Largest eccentricity within any connected component."""
         return max(
-            (max(self._bfs_depths(v).values()) for v in range(self.n)), default=0
+            (max(bfs_depths(self.adj, v).values()) for v in range(self.n)), default=0
         )
 
     @cached_property
@@ -91,7 +94,7 @@ class Graph:
         for v in range(self.n):
             if v in seen:
                 continue
-            comp = sorted(self._bfs_depths(v))
+            comp = sorted(bfs_depths(self.adj, v))
             seen.update(comp)
             out.append(tuple(comp))
         return tuple(out)
@@ -264,32 +267,44 @@ def _random_regular(n: int, d: int, rng: random.Random) -> Graph:
 
 
 def _repair_matching(edges: list, rng: random.Random) -> bool:
-    def bad_indices():
-        count = {}
-        for e in edges:
-            count[e] = count.get(e, 0) + 1
-        return [
-            i for i, (u, v) in enumerate(edges) if u == v or count[(u, v)] > 1
-        ]
+    # multiplicity and positions of every edge value, and the values that
+    # are loops or repeated, kept current across swaps instead of rescanned
+    count = Counter(edges)
+    where = defaultdict(set)
+    for i, e in enumerate(edges):
+        where[e].add(i)
+    bad = {e for e, k in count.items() if e[0] == e[1] or k > 1}
+
+    def place(i, e, step):  # step +1 puts value e at index i, -1 takes it out
+        count[e] += step
+        (where[e].add if step > 0 else where[e].discard)(i)
+        if count[e] > 1 or (count[e] and e[0] == e[1]):
+            bad.add(e)
+        else:
+            bad.discard(e)
 
     for _ in range(40 * len(edges) + 40):
-        bad = bad_indices()
         if not bad:
             return True
-        i = bad[rng.randrange(len(bad))]
+        bad_indices = sorted(i for e in bad for i in where[e])
+        i = bad_indices[rng.randrange(len(bad_indices))]
         j = rng.randrange(len(edges))
         if i == j:
             continue
-        (a, b), (c, e) = edges[i], edges[j]
+        (a, b), (c, e) = old = edges[i], edges[j]
         # cross the two edges; keep the swap only if both halves are clean
         new1, new2 = tuple(sorted((a, c))), tuple(sorted((b, e)))
         if a == c or b == e:
             continue
-        current = set(edges) - {edges[i], edges[j]}
-        if new1 in current or new2 in current or new1 == new2:
+        # an edge still present once edges[i] and edges[j] are gone
+        if any(count[x] and x not in old for x in (new1, new2)) or new1 == new2:
             continue
+        place(i, edges[i], -1)
+        place(j, edges[j], -1)
         edges[i], edges[j] = new1, new2
-    return not bad_indices()
+        place(i, new1, 1)
+        place(j, new2, 1)
+    return not bad
 
 
 def verify_coloring(

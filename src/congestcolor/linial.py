@@ -168,23 +168,6 @@ class _Reduce(NodeProgram):
             self._emit(ctx)
 
 
-def _run_schedule(graph, colors, schedule, policy, round_cap, trace):
-    progs = [_Reduce(colors[v], schedule) for v in range(graph.n)]
-    stats = run_protocol(
-        graph, progs, policy=policy, round_cap=round_cap, trace=trace
-    )
-    return [p.color for p in progs], stats
-
-
-def linial_step(graph, colors, *, policy=None, round_cap=None, trace=None):
-    """One recoloring exchange: K classes become at most q^2 classes."""
-    _check_proper(graph, colors, "input coloring")
-    K = max(colors) + 1
-    p = linial_params(max(K, 2), graph.max_degree)
-    width = max(1, (K - 1).bit_length())
-    return _run_schedule(graph, colors, [(p, width)], policy, round_cap, trace)
-
-
 def linial_reduce(graph, colors=None, *, policy=None, round_cap=None, trace=None):
     """Iterate the reduction until the class bound stops shrinking.
 
@@ -197,7 +180,9 @@ def linial_reduce(graph, colors=None, *, policy=None, round_cap=None, trace=None
     _check_proper(graph, colors, "initial coloring")
     schedule, _ = _schedule(max(colors, default=0) + 1, graph.max_degree)
     check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
-    return _run_schedule(graph, list(colors), schedule, policy, round_cap, trace)
+    progs = [_Reduce(colors[v], schedule) for v in range(graph.n)]
+    stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
+    return [p.color for p in progs], stats
 
 
 class _ClassSweep(NodeProgram):

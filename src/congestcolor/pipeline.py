@@ -253,16 +253,6 @@ def _phase_cap(n: int, mode: str) -> int:
     return t + 1
 
 
-def _phase_psi(inst, kmode, first, *, policy, round_cap, trace):
-    g = inst.graph
-    if kmode == "ids":
-        return list(range(g.n)), RunStats()
-    start = list(inst.psi) if first and inst.psi is not None else None
-    return linial_reduce(
-        g, start, policy=policy, round_cap=round_cap, trace=trace
-    )
-
-
 def list_color_full(
     instance: ListColoringInstance,
     mode: str = "mis",
@@ -295,9 +285,13 @@ def list_color_full(
     used = 0
     while cur.graph.n:
         rem = None if round_cap is None else round_cap - used
-        psi, pre = _phase_psi(
-            cur, kmode, not reports, policy=policy, round_cap=rem, trace=trace
-        )
+        if kmode == "ids":
+            psi, pre = list(range(cur.graph.n)), RunStats()
+        else:  # from the instance's psi in the first phase, else from ids
+            psi, pre = linial_reduce(
+                cur.graph, None if reports else cur.psi,
+                policy=policy, round_cap=rem, trace=trace,
+            )
         partial, rep = color_fraction(
             replace(cur, psi=tuple(psi)),
             mode,

@@ -31,7 +31,9 @@ the engine would charge them: same results, RunStats, trace records and
 errors.  That is exact because in each every node sends once per edge,
 as soon as its input is complete, so every message's round and length
 follow from the sends (exchange: all in round 1) or from the forest and
-the values.  aggregate_pairs takes integer numerators over node
+the values.  One charging rule, _charge, turns those per-round lengths
+into the pass's RunStats, trace records and round-cap error, for all
+three passes.  aggregate_pairs takes integer numerators over node
 denominators and builds Fractions only at roots.  The tests keep the
 engine-driven versions as the reference.
 """
@@ -423,14 +425,17 @@ def build_bfs_forest(graph, *, roots=None, policy=None, round_cap=None, trace=No
 _PAIR_OVERHEAD = 4 * (1 + _LEN_FIELD)
 
 
-def _charge(category, sent, round_cap, trace, failure=None):
-    """RunStats of a tree pass that delivers messages of the lengths in
-    sent[r] in round r, for r = 1..height, with the engine's trace.
+def _charge(sent, round_cap, trace, failure=None):
+    """RunStats of a pass that delivers, per category c, messages of the
+    lengths in sent[c][r] in round r, for r = 1..height, with the engine's
+    trace.  A pass with no rounds charges nothing, whatever the cap.
 
     `failure` is (r, exc) for an error the engine raises while it runs
     round r (0 is setup); it comes first unless the cap stops it sooner.
     """
-    height = len(sent) - 1
+    height = max(map(len, sent.values()), default=1) - 1
+    if not height:
+        return RunStats()
     done, error = height, None
     if round_cap is not None and round_cap < height:
         done = max(round_cap, 0)
@@ -439,15 +444,18 @@ def _charge(category, sent, round_cap, trace, failure=None):
         done, error = failure[0] - 1, failure[1]
     if trace is not None:
         for r in range(1, done + 1):
-            bits = _per_category()
-            bits[category] = sum(sent[r])
-            trace({"round": r, "messages": len(sent[r]), "category_bits": bits})
+            bits = _per_category() | {c: sum(lens[r]) for c, lens in sent.items()}
+            messages = sum(len(lens[r]) for lens in sent.values())
+            trace({"round": r, "messages": messages, "category_bits": bits})
     if error is not None:
         raise error
-    stats = RunStats(rounds=height, messages=sum(map(len, sent)))
-    stats.messages_by_category[category] = stats.messages
-    stats.bits_by_category[category] = sum(map(sum, sent))
-    stats.max_bits_by_category[category] = max(map(max, filter(None, sent)), default=0)
+    stats = RunStats(rounds=height)
+    for c, lens in sent.items():
+        count = sum(map(len, lens))
+        stats.messages += count
+        stats.messages_by_category[c] = count
+        stats.bits_by_category[c] = sum(map(sum, lens))
+        stats.max_bits_by_category[c] = max(map(max, filter(None, lens)), default=0)
     return stats
 
 
@@ -493,7 +501,7 @@ def aggregate_pairs(graph, forest, values, *, policy=None, round_cap=None, trace
     if too_long < len(sent):
         error = ValueError("integer too large for the rational wire format")
         failure = (too_long, error)
-    return totals, _charge(AGGREGATION, sent, round_cap, trace, failure)
+    return totals, _charge({AGGREGATION: sent}, round_cap, trace, failure)
 
 
 def broadcast_values(graph, forest, values, *, policy=None, round_cap=None, trace=None):
@@ -517,7 +525,7 @@ def broadcast_values(graph, forest, values, *, policy=None, round_cap=None, trac
             for d in range(1, tree.height + 1):
                 sent[d] += [width] * tree.level_sizes[d]
         got.update(dict.fromkeys(tree.nodes, value))
-    return got, _charge(ALGORITHM, sent, round_cap, trace)
+    return got, _charge({ALGORITHM: sent}, round_cap, trace)
 
 
 class CommPlan:
@@ -587,17 +595,5 @@ def exchange(graph, outgoing, *, policy=None, round_cap=None, trace=None):
                 raise BandwidthError(1, (v, u), msg.bit_len, limit)
             heard[u][v] = msg
             sizes[msg.category].append(msg.bit_len)
-    stats = RunStats(messages=sum(map(len, sizes.values())))
-    if not stats.messages:
-        return heard, stats
-    if round_cap is not None and round_cap < 1:
-        raise RoundCapError(f"round cap {round_cap} exceeded with work pending")
-    stats.rounds = 1
-    for c, lens in sizes.items():
-        stats.messages_by_category[c] = len(lens)
-        stats.bits_by_category[c] = sum(lens)
-        stats.max_bits_by_category[c] = max(lens, default=0)
-    if trace is not None:
-        trace({"round": 1, "messages": stats.messages,
-               "category_bits": dict(stats.bits_by_category)})
-    return heard, stats
+    sent = {c: [[], lens] for c, lens in sizes.items() if lens}
+    return heard, _charge(sent, round_cap, trace)

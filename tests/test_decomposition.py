@@ -1,8 +1,10 @@
 """Cluster decompositions: validator, offline generator, composed coloring."""
 
+import hashlib
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -130,6 +132,23 @@ def test_validator_tree_structure():
         alpha=1, beta=4, kappa=1,
     )
     assert any(e.startswith("tree:") for e in validate_decomposition(g, phantom))
+    # right node set but not a tree: too many edges, or the right count of
+    # edges that do not connect; one tree error each, and no diameter check
+    cyclic = NetworkDecomposition(
+        clusters=(Cluster(0, 1, (0, 1, 2, 3), ((0, 1), (1, 2), (2, 3), (0, 3))),),
+        alpha=1, beta=1, kappa=1,
+    )
+    split = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    apart = NetworkDecomposition(
+        clusters=(Cluster(0, 1, (0, 1, 2, 3, 4), ((0, 1), (1, 2), (0, 2), (3, 4))),),
+        alpha=1, beta=0, kappa=1,
+    )
+    for graph, decomp in ((g, cyclic), (split, apart)):
+        errs = validate_decomposition(graph, decomp)
+        assert [e for e in errs if e.startswith("tree:")] == [
+            "tree: cluster 0 edges do not form a tree"
+        ]
+        assert not any(e.startswith("diameter:") for e in errs)
 
 
 def test_validator_color_range():
@@ -175,6 +194,36 @@ def test_generate_single_node_and_clique():
 def test_generate_deterministic():
     g = generate_graph("gnp", {"n": 30, "p": 0.1}, 3)
     assert generate_decomposition(g) == generate_decomposition(g)
+
+
+# repr of the decompositions of seeds 0-3, recorded from the carving that
+# searched the whole working set for the least centre of every ball
+CARVED_DIGESTS = [
+    ("path", {"n": 2}, "7deb78d803f407db"),
+    ("path", {"n": 64}, "91f781f2d3062b5d"),
+    ("cycle", {"n": 33}, "77389e58322aa148"),
+    ("clique", {"n": 8}, "c16534b08a1e1924"),
+    ("star", {"n": 9}, "68924d6152b3444c"),
+    ("regular", {"n": 20, "d": 3}, "df225c2e69fa894b"),
+    ("gnp", {"n": 40, "p": 0.15}, "d0d657f3bbc22723"),
+    ("regular", {"n": 4000, "d": 2}, "f2680bf0d9d28c87"),
+]
+
+
+def test_generate_output_is_pinned():
+    for kind, params, want in CARVED_DIGESTS:
+        decomps = [generate_decomposition(generate_graph(kind, params, s)) for s in range(4)]
+        got = hashlib.sha256(repr(decomps).encode()).hexdigest()[:16]
+        assert got == want, (kind, params)
+
+
+def test_generate_large_cycle_is_fast():
+    # 16,000 balls; a scan of the working set per ball took seconds
+    g = generate_graph("cycle", {"n": 32_000}, 0)
+    start = time.perf_counter()
+    d = generate_decomposition(g)
+    assert time.perf_counter() - start < 2
+    assert sorted(v for cl in d.clusters for v in cl.nodes) == list(range(g.n))
 
 
 def test_roundtrip(tmp_path):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,41 @@ def test_regular_generator():
     assert all(g.deg(v) == 8 for v in range(256))
     with pytest.raises(ValidationError):
         generate_graph("regular", {"n": 5, "d": 3})
+
+
+def _digest(edge_lists):
+    return hashlib.sha256(repr(list(edge_lists)).encode()).hexdigest()[:16]
+
+
+# edge lists of seeds 0-3, recorded from the generator that rescanned every
+# edge on each repair step; the bookkeeping that replaced the rescans must
+# make the same rng draws and so the same graphs
+REGULAR_DIGESTS = {
+    (11, 2): "c310ea6cefe618e3",
+    (12, 5): "0546191d698f2d51",
+    (40, 3): "4db2a45c7456267f",
+    (101, 8): "336b0e25c3cecceb",
+    (400, 13): "6403c1ddfa9861b8",
+    (1000, 20): "b0781ef8fcd1c1e3",
+}
+
+
+def test_regular_generator_output_is_pinned():
+    for (n, d), want in REGULAR_DIGESTS.items():
+        edge_lists = [
+            generate_graph("regular", {"n": n, "d": d}, s).edge_list for s in range(4)
+        ]
+        assert _digest(edge_lists) == want, (n, d)
+
+
+def test_regular_generator_large_degree_is_fast():
+    # the first matching has 765 loop or repeated edges among 200,000; a
+    # rescan of every edge per repair step made this take over a minute
+    start = time.perf_counter()
+    g = generate_graph("regular", {"n": 10_000, "d": 40}, 0)
+    assert time.perf_counter() - start < 5
+    assert all(g.deg(v) == 40 for v in range(g.n))
+    assert _digest([g.edge_list]) == "052f6f292ea8ca59"
 
 
 def test_verify_coloring_reports():

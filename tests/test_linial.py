@@ -8,7 +8,6 @@ from congestcolor.linial import (
     linial_fixpoint,
     linial_params,
     linial_reduce,
-    linial_step,
     log_star,
     mis_by_colors,
 )
@@ -118,39 +117,6 @@ def test_log_star():
 
 
 # ---------------------------------------------------------------------------
-# one reduction step
-
-def test_step_two_nodes():
-    g = generate_graph("path", {"n": 2})
-    colors, stats = linial_step(g, [0, 1])
-    check_proper(g, colors)
-    assert max(colors) < 4  # params(2, 1) give q = 2
-    assert stats.rounds == 1
-
-
-def test_step_rejects_improper_input():
-    g = generate_graph("path", {"n": 2})
-    with pytest.raises(ValueError, match="proper"):
-        linial_step(g, [1, 1])
-
-
-def test_step_keeps_properness():
-    rng = random.Random(13)
-    for _ in range(60):
-        n = rng.randrange(2, 13)
-        g = generate_graph("gnp", {"n": n, "p": 0.4}, rng_seed=rng.randrange(10**6))
-        colors = min_free_coloring(g, rng)
-        K = max(colors) + 1
-        if K < 2:
-            continue
-        p = linial_params(K, g.max_degree)
-        out, stats = linial_step(g, colors)
-        check_proper(g, out)
-        assert max(out) < p.q * p.q
-        assert stats.rounds == (1 if g.edge_list else 0)
-
-
-# ---------------------------------------------------------------------------
 # full reduction
 
 def test_reduce_clique_needs_all_colors():
@@ -173,6 +139,25 @@ def test_reduce_fixpoint_input_unchanged():
     colors, stats = linial_reduce(g, [0, 1, 2])
     assert colors == [0, 1, 2]
     assert stats.rounds == 0
+
+
+def test_reduce_rejects_improper_input():
+    g = generate_graph("path", {"n": 2})
+    with pytest.raises(ValueError, match="proper"):
+        linial_reduce(g, [1, 1])
+
+
+def test_reduce_keeps_properness_from_a_given_coloring():
+    # distinct colors from a wide range, so the schedule has steps to run
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randrange(2, 13)
+        g = generate_graph("gnp", {"n": n, "p": 0.4}, rng_seed=rng.randrange(10**6))
+        colors = rng.sample(range(10**4), n)
+        out, stats = linial_reduce(g, colors)
+        check_proper(g, out)
+        assert max(out) < linial_fixpoint(max(colors) + 1, g.max_degree)
+        assert (stats.rounds > 0) == bool(g.edge_list)
 
 
 def test_reduce_random_graphs():

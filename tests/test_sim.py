@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congestcolor.graphs import Graph, generate_graph
+from congestcolor.graphs import Graph, bfs_depths, generate_graph
 from congestcolor.sim import (
     AGGREGATION,
     ALGORITHM,
@@ -270,7 +270,7 @@ def test_bfs_matches_offline_distances():
         forest, stats = build_bfs_forest(g)
         ecc = 0
         for tree in forest:
-            dist = g._bfs_depths(tree.root)
+            dist = bfs_depths(g.adj, tree.root)
             assert tree.depth == dist
             ecc = max(ecc, tree.height)
             for v in tree.nodes:
@@ -553,11 +553,13 @@ _fractions = st.fractions(
 
 @st.composite
 def forests(draw):
-    kind = draw(st.sampled_from(["gnp", "star", "path"]))
+    kind = draw(st.sampled_from(["gnp", "star", "path", "edgeless"]))
     n = draw(st.integers(min_value=1, max_value=40))
     if kind == "gnp":
         p = draw(st.sampled_from([0.02, 0.08, 0.2]))
         g = generate_graph("gnp", {"n": n, "p": p}, rng_seed=draw(st.integers(0, 999)))
+    elif kind == "edgeless":  # a forest of height 0: no pass has a round
+        g = Graph.from_edges(n, [])
     else:
         g = generate_graph(kind, {"n": n})
     roots = [draw(st.sampled_from(comp)) for comp in g.components]
@@ -577,7 +579,7 @@ def _draw_values(data, n, huge):
 
 _run_options = {
     "traced": st.booleans(),
-    "round_cap": st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+    "round_cap": st.sampled_from([None, -2, -1, 0, 1, 2, 3, 4, 5]),
     "beta": st.sampled_from([None, 1, 2]),
 }
 
@@ -610,6 +612,21 @@ def test_aggregate_overflow_against_round_cap_matches_engine(v, round_cap):
     got = _outcome(aggregate_pairs, g, forest, nums, True, round_cap=round_cap)
     want = _outcome(engine_aggregate, g, forest, values, True, round_cap=round_cap)
     assert got == want
+
+
+def test_passes_without_rounds_charge_nothing_under_a_negative_cap():
+    # an all-singleton forest has height 0: the engine runs no round, so
+    # no cap is exceeded, and the passes charge the same zero RunStats
+    g = Graph.from_edges(3, [])
+    forest, _ = build_bfs_forest(g)
+    values = {v: (Fraction(v), Fraction(1, v + 1)) for v in range(3)}
+    got = aggregate_pairs(g, forest, node_nums(values, g.n), round_cap=-1)
+    assert got == engine_aggregate(g, forest, values, round_cap=-1)
+    assert got[1] == RunStats()
+    roots = {v: (v, 2) for v in range(3)}
+    got = broadcast_values(g, forest, roots, round_cap=-1)
+    assert got == engine_broadcast(g, forest, roots, round_cap=-1)
+    assert got[1] == RunStats()
 
 
 _factors = st.one_of(
@@ -732,7 +749,7 @@ def sends(draw):
 @given(
     gs=sends(),
     traced=st.booleans(),
-    round_cap=st.sampled_from([None, 0, 1]),
+    round_cap=st.sampled_from([None, -2, -1, 0, 1]),
     beta=st.sampled_from([None, 1, 2]),
 )
 def test_exchange_matches_engine(gs, traced, round_cap, beta):
