@@ -180,27 +180,51 @@ def attach_default_lists(graph: Graph) -> ListColoringInstance:
     )
 
 
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
+def _typed(x, kind: type, what: str):
+    """x, if json.load gave it type `kind`; a bool is not an integer."""
+    if type(x) is not kind:
+        raise ValidationError(
+            f"{what} must be {_JSON_TYPES[kind]}, not {_JSON_TYPES[type(x)]}"
+        )
+    return x
+
+
 def load_instance(path) -> ListColoringInstance:
     with open(path) as fh:
-        payload = json.load(fh)
-    graph = Graph.from_edges(int(payload["n"]), [tuple(e) for e in payload["edges"]])
+        payload = _typed(json.load(fh), dict, "an instance file")
+    edges = []
+    for i, e in enumerate(_typed(payload["edges"], list, "edges")):
+        if len(_typed(e, list, f"edge {i}")) != 2:
+            raise ValidationError(f"edge {i} must have two endpoints")
+        edges.append(tuple(_typed(x, int, f"edge {i} endpoint") for x in e))
+    graph = Graph.from_edges(_typed(payload["n"], int, "n"), edges)
     psi = None
     if "psi" in payload:
-        raw = payload["psi"]
-        psi = tuple(int(raw[str(v)]) for v in range(graph.n))
+        raw = _typed(payload["psi"], dict, "psi")
+        psi = tuple(
+            _typed(raw[str(v)], int, f"psi of node {v}") for v in range(graph.n)
+        )
     if "lists" not in payload:
         base = attach_default_lists(graph)
-        C = int(payload.get("C", base.C))
+        C = _typed(payload.get("C", base.C), int, "C")
         if C < base.C:
             raise ValidationError(f"C={C} too small for default lists (need {base.C})")
         return ListColoringInstance(graph=graph, C=C, lists=base.lists, psi=psi)
-    raw = payload["lists"]
+    raw = _typed(payload["lists"], dict, "lists")
     lists = []
     for v in range(graph.n):
         if str(v) not in raw:
             raise ValidationError(f"node {v}: missing color list")
-        lists.append(tuple(sorted(set(int(c) for c in raw[str(v)]))))
-    C = int(payload.get("C", max((l[-1] for l in lists if l), default=-1) + 1))
+        colors = _typed(raw[str(v)], list, f"node {v}: color list")
+        lists.append(tuple(sorted({_typed(c, int, f"node {v}: color") for c in colors})))
+    C = payload.get("C", max((l[-1] for l in lists if l), default=-1) + 1)
+    C = _typed(C, int, "C")
     return ListColoringInstance(graph=graph, C=C, lists=tuple(lists), psi=psi)
 
 
@@ -222,8 +246,24 @@ def load_coloring(path) -> PartialColoring:
     return PartialColoring([None if c is None else int(c) for c in colors])
 
 
+def _param(kind: str, params: dict, key: str):
+    """params[key] of a `kind` generator: p a probability, else an integer."""
+    if key not in params:
+        raise ValidationError(f"{kind} graph needs parameter {key!r}")
+    x = params[key]
+    if key == "p":
+        if type(x) in (int, float) and 0 <= x <= 1:
+            return x
+        raise ValidationError(f"{kind} graph: p={x!r} is not a probability in [0, 1]")
+    if type(x) is float and x.is_integer():
+        x = int(x)
+    if type(x) is not int:
+        raise ValidationError(f"{kind} graph: {key}={x!r} is not an integer")
+    return x
+
+
 def generate_graph(kind: str, params: dict, rng_seed: int | None = None) -> Graph:
-    n = int(params["n"])
+    n = _param(kind, params, "n")
     if kind == "path":
         return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "cycle":
@@ -237,7 +277,7 @@ def generate_graph(kind: str, params: dict, rng_seed: int | None = None) -> Grap
             n, [(i, j) for i in range(n) for j in range(i + 1, n)]
         )
     if kind == "gnp":
-        p = float(params["p"])
+        p = _param(kind, params, "p")
         rng = random.Random(rng_seed)
         edges = [
             (i, j)
@@ -247,7 +287,7 @@ def generate_graph(kind: str, params: dict, rng_seed: int | None = None) -> Grap
         ]
         return Graph.from_edges(n, edges)
     if kind == "regular":
-        return _random_regular(n, int(params["d"]), random.Random(rng_seed))
+        return _random_regular(n, _param(kind, params, "d"), random.Random(rng_seed))
     raise ValidationError(f"unknown graph kind {kind!r}")
 
 

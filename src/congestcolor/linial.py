@@ -16,6 +16,11 @@ mis_by_colors turns any proper coloring into a maximal independent set
 in max(color)+1 rounds: class by class, everyone not yet dominated
 joins and says so.  On graphs of max degree 3 a maximal set covers at
 least a quarter of the nodes.
+
+Both run as single passes: every round's sends follow from the schedule
+or the coloring, so each computes its result directly and charges the
+rounds, messages and bits through sim._charge, exactly as the
+message-by-message engine would.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import InvariantError, check
-from .sim import Message, NodeProgram, run_protocol
+from .sim import ALGORITHM, BandwidthError, BandwidthPolicy, _charge
 
 
 @dataclass(frozen=True)
@@ -132,90 +137,56 @@ def _check_proper(graph, colors, what: str) -> None:
             raise ValueError(f"edge ({u}, {v}): {what} must be proper")
 
 
-class _Reduce(NodeProgram):
-    """Send the current color, recolor from the inbox, repeat."""
-
-    def __init__(self, color, schedule):
-        self.color = color
-        self.schedule = schedule
-        self.step = 0
-
-    def _emit(self, ctx):
-        msg = Message(self.color, self.schedule[self.step][1])
-        for u in ctx.neighbors:
-            ctx.send(u, msg)
-
-    def setup(self, ctx):
-        if not ctx.neighbors:
-            # nothing constrains the choice; run the whole schedule now
-            for p, _ in self.schedule:
-                self.color = _recolor(self.color, (), p)
-            ctx.halt()
-        elif not self.schedule:
-            ctx.halt()
-        else:
-            self._emit(ctx)
-
-    def absorb(self, ctx):
-        p, _ = self.schedule[self.step]
-        self.color = _recolor(
-            self.color, [m.payload for m in ctx.inbox.values()], p
-        )
-        self.step += 1
-        if self.step == len(self.schedule):
-            ctx.halt()
-        else:
-            self._emit(ctx)
-
-
 def linial_reduce(graph, colors=None, *, policy=None, round_cap=None, trace=None):
     """Iterate the reduction until the class bound stops shrinking.
 
     Starts from node ids when no coloring is given.  The whole schedule
-    is a pure function of (K, Delta), so every node can precompute it;
-    rounds used equal the schedule length.
+    is a pure function of (K, Delta), so every node can precompute it.
+    Step s is round s + 1, in which every node sends its color, at the
+    step's input width, along each edge; a node without neighbors runs
+    the schedule alone, so an edgeless graph costs no round.  A width
+    past the policy's cap stops the run as its step's sends are queued.
     """
     if colors is None:
         colors = list(range(graph.n))
     _check_proper(graph, colors, "initial coloring")
     schedule, _ = _schedule(max(colors, default=0) + 1, graph.max_degree)
     check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
-    progs = [_Reduce(colors[v], schedule) for v in range(graph.n)]
-    stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
-    return [p.color for p in progs], stats
-
-
-class _ClassSweep(NodeProgram):
-    """Join in class order unless an earlier neighbor joined first."""
-
-    def __init__(self, color):
-        self.color = color
-        self.joined = False
-
-    def _join(self, ctx):
-        self.joined = True
-        for u in ctx.neighbors:
-            ctx.send(u, Message(1, 1))
-        ctx.halt()
-
-    def setup(self, ctx):
-        if self.color == 0:
-            self._join(ctx)
-        else:
-            ctx.wake_at(self.color)
-
-    def absorb(self, ctx):
-        if ctx.inbox:
-            ctx.halt()  # dominated by an earlier class
-        elif ctx.round == self.color:
-            self._join(ctx)
+    sent, failure = [[]], None
+    if graph.edge_list:
+        sent += [[width] * (2 * len(graph.edge_list)) for _, width in schedule]
+        limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
+        for s, (_, width) in enumerate(schedule):
+            if limit is not None and width > limit:
+                edge = graph.edge_list[0]  # the first send: min node, min neighbor
+                failure = (s, BandwidthError(s + 1, edge, width, limit))
+                break
+    stats = _charge({ALGORITHM: sent}, round_cap, trace, failure)
+    colors = list(colors)
+    for p, _ in schedule:
+        colors = [
+            _recolor(c, [colors[u] for u in graph.adj[v]], p)
+            for v, c in enumerate(colors)
+        ]
+    return colors, stats
 
 
 def mis_by_colors(graph, colors, *, policy=None, round_cap=None, trace=None):
-    """Maximal independent set from a proper coloring, one class a round."""
+    """Maximal independent set from a proper coloring, one class a round.
+
+    Class c decides when it wakes in round c: a node joins unless a
+    neighbor joined first, and a joiner tells its neighbors so in round
+    c + 1, with one bit, which fits every strict:K cap.
+    """
     _check_proper(graph, colors, "conflict coloring")
-    progs = [_ClassSweep(colors[v]) for v in range(graph.n)]
-    stats = run_protocol(
-        graph, progs, policy=policy, round_cap=round_cap, trace=trace
-    )
-    return tuple(v for v, p in enumerate(progs) if p.joined), stats
+    joined = [False] * graph.n
+    sent = [[]]
+    for v in sorted(range(graph.n), key=lambda v: (colors[v], v)):
+        nbrs = graph.adj[v]
+        if not any(joined[u] for u in nbrs):
+            joined[v] = True
+            r = colors[v] + bool(nbrs)  # its wakeup, or its one-bit sends
+            sent += [[] for _ in range(r + 1 - len(sent))]
+            sent[r] += [1] * len(nbrs)
+    stats = _charge({ALGORITHM: sent}, round_cap, trace)
+    return tuple(v for v in range(graph.n) if joined[v]), stats

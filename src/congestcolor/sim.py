@@ -17,25 +17,21 @@ Every node must eventually halt.  If no event is pending while some
 node is still live, the run aborts with StallError.  Messages sent to a
 node that already halted are counted but dropped.
 
-Sequential composition is the intended usage: helpers like
-build_bfs_forest or aggregate_pairs each run one protocol and return
-(result, RunStats), and a CommPlan runs them one after another as one
-round ledger: each step gets the round cap minus the rounds already
-charged, and its stats join the ledger's total.  That matches
-synchronous composition where every node knows a common round bound for
-each stage.
+Sequential composition is the intended usage: every phase step, such
+as build_bfs_forest or aggregate_pairs, returns (result, RunStats), and
+a CommPlan runs them one after another as one round ledger: each step
+gets the round cap minus the rounds already charged, and its stats join
+the ledger's total.  That matches synchronous composition where every
+node knows a common round bound for each stage.
 
-The one-round exchange and the tree collectives aggregate_pairs and
-broadcast_values are single passes, not engine runs, charged exactly as
-the engine would charge them: same results, RunStats, trace records and
-errors.  That is exact because in each every node sends once per edge,
-as soon as its input is complete, so every message's round and length
-follow from the sends (exchange: all in round 1) or from the forest and
-the values.  One charging rule, _charge, turns those per-round lengths
-into the pass's RunStats, trace records and round-cap error, for all
-three passes.  aggregate_pairs takes integer numerators over node
-denominators and builds Fractions only at roots.  The tests keep the
-engine-driven versions as the reference.
+Every phase step but the pipeline's flag-low is a single pass, not an
+engine run: the rounds and lengths of its messages follow from its
+input, so it computes its result directly, and one charging rule,
+_charge, turns those lengths into the RunStats, trace records and
+round-cap error the engine would give.  Here that covers the BFS
+forest, the one-round exchange and the tree collectives; linial.py adds
+the reduction and the MIS sweep.  The engine serves flag-low,
+hand-written protocols and the tests' engine-driven references.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
-from .graphs import check
+from .graphs import bfs_depths
 
 ALGORITHM = "algorithm"
 AGGREGATION = "aggregation"
@@ -328,57 +324,15 @@ class BFSTree:
         self.level_sizes = Counter(self.depth.values())
 
 
-class _BFSBuild(NodeProgram):
-    def __init__(self, is_root: bool, width: int):
-        self.is_root = is_root
-        self.width = width
-        self.dist = None
-        self.parent = None
-        self.kids = set()
-
-    def _announce(self, ctx):
-        # the root names itself in the parent slot; no neighbor matches it
-        parent = ctx.node if self.parent is None else self.parent
-        msg = pack_fields((self.dist, self.width), (parent, self.width))
-        for u in ctx.neighbors:
-            ctx.send(u, msg)
-
-    def setup(self, ctx):
-        if not self.is_root:
-            return
-        self.dist = 0
-        if not ctx.neighbors:
-            ctx.halt()
-            return
-        self._announce(ctx)
-        ctx.wake_at(2)
-
-    def absorb(self, ctx):
-        if self.dist is None:
-            senders = {}
-            for u, msg in ctx.inbox.items():
-                senders[u] = unpack_fields(msg, (self.width, self.width))
-            check(
-                all(d == ctx.round - 1 for d, _ in senders.values()),
-                "BFS offers must come from the previous layer",
-            )
-            self.dist = ctx.round
-            self.parent = min(senders)
-            self._announce(ctx)
-            ctx.wake_at(ctx.round + 2)
-        for u, msg in ctx.inbox.items():
-            d, p = unpack_fields(msg, (self.width, self.width))
-            if p == ctx.node and d == self.dist + 1:
-                self.kids.add(u)
-        if ctx.round == self.dist + 2:
-            ctx.halt()
-
-
 def build_bfs_forest(graph, *, roots=None, policy=None, round_cap=None, trace=None):
     """Grow one BFS tree per component; parents tie-break to the min id.
 
-    Completes within eccentricity(root) + 2 rounds per component: one
-    extra round for child announcements and one for the final wakeup.
+    Charged as the synchronous flood: a node at depth d offers its
+    (distance, parent) pair, 2 * ceil(log2 n) bits, to every neighbor in
+    round d + 1, and each tree with an edge takes one more round, at
+    height + 2, for its deepest nodes' final wakeup.  An offer past the
+    policy's cap stops the flood in setup, at the first root (by id)
+    with a neighbor.
     """
     comps = graph.components
     if roots is None:
@@ -393,28 +347,38 @@ def build_bfs_forest(graph, *, roots=None, policy=None, round_cap=None, trace=No
         by_comp[comp_of[r]] = r
     if len(by_comp) != len(comps):
         raise ValueError("every component needs a root")
-    width = max(1, (graph.n - 1).bit_length())
-    root_set = set(roots)
-    progs = [_BFSBuild(v in root_set, width) for v in range(graph.n)]
-    stats = run_protocol(
-        graph, progs, policy=policy, round_cap=round_cap, trace=trace
-    )
-    forest = []
+    width = 2 * max(1, (graph.n - 1).bit_length())
+    limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
+    first = min((r for r in roots if graph.adj[r]), default=None)
+    if first is not None and limit is not None and width > limit:
+        raise BandwidthError(1, (first, graph.adj[first][0]), width, limit)
+    forest, sent = [], [[]]
     for i, comp in enumerate(comps):
-        root = by_comp[i]
-        depth = {v: progs[v].dist for v in comp}
+        dist = bfs_depths(graph.adj, by_comp[i])
+        depth = {v: dist[v] for v in comp}
+        parent = {
+            v: next((u for u in graph.adj[v] if dist[u] == d - 1), None)
+            for v, d in depth.items()
+        }
+        height = max(depth.values())
+        if len(comp) > 1:
+            sent += [[] for _ in range(height + 3 - len(sent))]
+            for v, d in depth.items():
+                sent[d + 1] += [width] * len(graph.adj[v])
         forest.append(
             BFSTree(
-                root=root,
+                root=by_comp[i],
                 nodes=comp,
-                parent={v: progs[v].parent for v in comp},
-                children={v: tuple(sorted(progs[v].kids)) for v in comp},
+                parent=parent,
+                children={
+                    v: tuple(u for u in graph.adj[v] if parent[u] == v) for v in comp
+                },
                 depth=depth,
-                height=max(depth.values()),
+                height=height,
             )
         )
     forest.sort(key=lambda t: t.root)
-    return tuple(forest), stats
+    return tuple(forest), _charge({ALGORITHM: sent}, round_cap, trace)
 
 
 # ---------------------------------------------------------------------------

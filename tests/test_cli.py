@@ -128,6 +128,22 @@ def test_run_rejects_bad_generator_spec(capsys):
     assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--gen", "regular,n=10"], "error: regular graph needs parameter 'd'\n"),
+        (["--graph", "{inst}"], "error: edge 0 endpoint must be an integer, not a string\n"),
+    ],
+)
+def test_run_rejects_malformed_input_with_exit_1(argv, message, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 2, "edges": [[0, "1"]]}))
+    code, stdout, stderr = run_cli(["run"] + [a.format(inst=inst) for a in argv], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == message
+
+
 def test_run_broken_guarantee_exits_3(monkeypatch, capsys):
     # the worse seed bit breaks the conditional chain: a guarantee, not input
     monkeypatch.setattr(derand, "choose_seed_bit", lambda s0, s1: int(s0 <= s1))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
@@ -80,6 +81,26 @@ def test_load_rejects_self_loop(tmp_path):
         load_instance(p)
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([[0, 1]], "instance file must be an object, not an array"),
+        ({"n": 2, "edges": [[0, "1"]]}, "edge 0 endpoint must be an integer, not a string"),
+        ({"n": 2, "edges": [[0, 1.5]]}, "edge 0 endpoint must be an integer, not a number"),
+        ({"n": 2, "edges": [[0]]}, "edge 0 must have two endpoints"),
+        ({"n": True, "edges": []}, "n must be an integer, not a boolean"),
+        ({"n": 2, "edges": [], "psi": [0, 1]}, "psi must be an object, not an array"),
+        ({"n": 2, "edges": [], "lists": [[0], [0]]}, "lists must be an object, not an array"),
+        ({"n": 1, "edges": [], "lists": {"0": 0}}, "node 0: color list must be an array"),
+        ({"n": 1, "edges": [], "lists": {"0": [None]}}, "node 0: color must be an integer"),
+        ({"n": 1, "edges": [], "C": "2"}, "C must be an integer, not a string"),
+    ],
+)
+def test_load_rejects_malformed_json(tmp_path, payload, message):
+    with pytest.raises(ValidationError, match=message):
+        load_instance(write_instance(tmp_path, payload))
+
+
 def test_graph_rejects_parallel_and_range():
     with pytest.raises(ValidationError):
         Graph.from_edges(3, [(0, 1), (1, 0)])
@@ -139,6 +160,31 @@ def test_regular_generator():
     assert all(g.deg(v) == 8 for v in range(256))
     with pytest.raises(ValidationError):
         generate_graph("regular", {"n": 5, "d": 3})
+
+
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("gnp", {"n": 20, "p": float("nan")}, "gnp graph: p=nan is not a probability"),
+        ("gnp", {"n": 20, "p": 1.5}, "gnp graph: p=1.5 is not a probability"),
+        ("gnp", {"n": 20, "p": -0.5}, "gnp graph: p=-0.5 is not a probability"),
+        ("gnp", {"n": 20}, "gnp graph needs parameter 'p'"),
+        ("clique", {"n": 2.9}, "clique graph: n=2.9 is not an integer"),
+        ("path", {"n": "5"}, "path graph: n='5' is not an integer"),
+        ("star", {}, "star graph needs parameter 'n'"),
+        ("regular", {"n": 10}, "regular graph needs parameter 'd'"),
+        ("regular", {"n": 10, "d": 2.5}, "regular graph: d=2.5 is not an integer"),
+    ],
+)
+def test_generators_reject_bad_parameters(kind, params, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        generate_graph(kind, params)
+
+
+def test_generators_take_integral_floats_and_probability_ends():
+    assert generate_graph("clique", {"n": 4.0}) == generate_graph("clique", {"n": 4})
+    assert generate_graph("gnp", {"n": 6, "p": 1}) == generate_graph("clique", {"n": 6})
+    assert not generate_graph("gnp", {"n": 6, "p": 0}).edge_list
 
 
 def _digest(edge_lists):

@@ -7,12 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congestcolor.graphs import Graph, bfs_depths, generate_graph
+from congestcolor.graphs import Graph, InvariantError, bfs_depths, check, generate_graph
+from congestcolor.linial import (
+    _check_proper,
+    _recolor,
+    _schedule,
+    linial_reduce,
+    log_star,
+    mis_by_colors,
+)
 from congestcolor.sim import (
     AGGREGATION,
     ALGORITHM,
     BandwidthError,
     BandwidthPolicy,
+    BFSTree,
     CommPlan,
     Message,
     NodeProgram,
@@ -534,13 +543,13 @@ def engine_broadcast(graph, forest, values, *, policy=None, round_cap=None, trac
     return {v: p.value for v, p in progs.items()}, stats
 
 
-def _outcome(collective, graph, forest, values, traced, **kwargs):
-    """What a collective returns or raises, with the trace it emitted."""
+def _outcome(fn, *args, traced, **kwargs):
+    """What fn(*args, **kwargs) returns or raises, with the trace it emitted."""
     records = []
     trace = records.append if traced else None
     try:
-        result = collective(graph, forest, values, trace=trace, **kwargs)
-    except (ValueError, RoundCapError, BandwidthError) as exc:
+        result = fn(*args, trace=trace, **kwargs)
+    except (ValueError, InvariantError, RoundCapError, BandwidthError) as exc:
         return ("raised", type(exc), str(exc)), records
     return ("returned", result), records
 
@@ -552,17 +561,26 @@ _fractions = st.fractions(
 
 
 @st.composite
-def forests(draw):
+def graphs(draw):
     kind = draw(st.sampled_from(["gnp", "star", "path", "edgeless"]))
     n = draw(st.integers(min_value=1, max_value=40))
     if kind == "gnp":
         p = draw(st.sampled_from([0.02, 0.08, 0.2]))
-        g = generate_graph("gnp", {"n": n, "p": p}, rng_seed=draw(st.integers(0, 999)))
-    elif kind == "edgeless":  # a forest of height 0: no pass has a round
-        g = Graph.from_edges(n, [])
-    else:
-        g = generate_graph(kind, {"n": n})
-    roots = [draw(st.sampled_from(comp)) for comp in g.components]
+        return generate_graph("gnp", {"n": n, "p": p}, rng_seed=draw(st.integers(0, 999)))
+    if kind == "edgeless":  # a forest of height 0: no pass has a round
+        return Graph.from_edges(n, [])
+    return generate_graph(kind, {"n": n})
+
+
+@st.composite
+def rooted_graphs(draw):
+    g = draw(graphs())
+    return g, [draw(st.sampled_from(comp)) for comp in g.components]
+
+
+@st.composite
+def forests(draw):
+    g, roots = draw(rooted_graphs())
     forest, _ = build_bfs_forest(g, roots=roots)
     return g, forest
 
@@ -595,8 +613,8 @@ def test_aggregate_pairs_matches_engine(gf, data, huge, traced, round_cap, beta)
     g, forest = gf
     values = _draw_values(data, g.n, huge)
     kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
-    got = _outcome(aggregate_pairs, g, forest, node_nums(values, g.n), traced, **kwargs)
-    want = _outcome(engine_aggregate, g, forest, values, traced, **kwargs)
+    got = _outcome(aggregate_pairs, g, forest, node_nums(values, g.n), traced=traced, **kwargs)
+    want = _outcome(engine_aggregate, g, forest, values, traced=traced, **kwargs)
     assert got == want
 
 
@@ -609,8 +627,8 @@ def test_aggregate_overflow_against_round_cap_matches_engine(v, round_cap):
     forest, _ = build_bfs_forest(g, roots=[0])
     values = {v + 1: (HUGE, Fraction(1)), 3: (Fraction(-2, 3), Fraction(5))}
     nums = node_nums(values, g.n)
-    got = _outcome(aggregate_pairs, g, forest, nums, True, round_cap=round_cap)
-    want = _outcome(engine_aggregate, g, forest, values, True, round_cap=round_cap)
+    got = _outcome(aggregate_pairs, g, forest, nums, traced=True, round_cap=round_cap)
+    want = _outcome(engine_aggregate, g, forest, values, traced=True, round_cap=round_cap)
     assert got == want
 
 
@@ -653,9 +671,9 @@ def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, r
     ks = data.draw(st.lists(_factors, min_size=g.n, max_size=g.n))
     scaled = tuple([x * k for x, k in zip(col, ks)] for col in nums)
     kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
-    want = _outcome(engine_aggregate, g, forest, values, traced, **kwargs)
+    want = _outcome(engine_aggregate, g, forest, values, traced=traced, **kwargs)
     for triple in (reduced, scaled):
-        assert _outcome(aggregate_pairs, g, forest, triple, traced, **kwargs) == want
+        assert _outcome(aggregate_pairs, g, forest, triple, traced=traced, **kwargs) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -671,8 +689,8 @@ def test_broadcast_values_matches_engine(gf, data, traced, round_cap, beta):
         width = data.draw(st.integers(min_value=1, max_value=9))
         values[t.root] = (data.draw(st.integers(0, 1 << width)), width)
     kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
-    got = _outcome(broadcast_values, g, forest, values, traced, **kwargs)
-    want = _outcome(engine_broadcast, g, forest, values, traced, **kwargs)
+    got = _outcome(broadcast_values, g, forest, values, traced=traced, **kwargs)
+    want = _outcome(engine_broadcast, g, forest, values, traced=traced, **kwargs)
     assert got == want
 
 
@@ -757,4 +775,210 @@ def test_exchange_matches_engine(gs, traced, round_cap, beta):
     kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
     got = _exchange_outcome(exchange, g, outgoing, traced, **kwargs)
     want = _exchange_outcome(engine_exchange, g, outgoing, traced, **kwargs)
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# Engine-driven references for the BFS forest, Linial's reduction and the
+# MIS sweep: the same protocols as node programs, run message by message.
+
+
+class _BFSBuild(NodeProgram):
+    def __init__(self, is_root: bool, width: int):
+        self.is_root = is_root
+        self.width = width
+        self.dist = None
+        self.parent = None
+        self.kids = set()
+
+    def _announce(self, ctx):
+        # the root names itself in the parent slot; no neighbor matches it
+        parent = ctx.node if self.parent is None else self.parent
+        msg = pack_fields((self.dist, self.width), (parent, self.width))
+        for u in ctx.neighbors:
+            ctx.send(u, msg)
+
+    def setup(self, ctx):
+        if not self.is_root:
+            return
+        self.dist = 0
+        if not ctx.neighbors:
+            ctx.halt()
+            return
+        self._announce(ctx)
+        ctx.wake_at(2)
+
+    def absorb(self, ctx):
+        if self.dist is None:
+            senders = {}
+            for u, msg in ctx.inbox.items():
+                senders[u] = unpack_fields(msg, (self.width, self.width))
+            check(
+                all(d == ctx.round - 1 for d, _ in senders.values()),
+                "BFS offers must come from the previous layer",
+            )
+            self.dist = ctx.round
+            self.parent = min(senders)
+            self._announce(ctx)
+            ctx.wake_at(ctx.round + 2)
+        for u, msg in ctx.inbox.items():
+            d, p = unpack_fields(msg, (self.width, self.width))
+            if p == ctx.node and d == self.dist + 1:
+                self.kids.add(u)
+        if ctx.round == self.dist + 2:
+            ctx.halt()
+
+
+def engine_bfs_forest(graph, *, roots, policy=None, round_cap=None, trace=None):
+    """build_bfs_forest for valid roots, one root per component."""
+    width = max(1, (graph.n - 1).bit_length())
+    progs = [_BFSBuild(v in roots, width) for v in range(graph.n)]
+    stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
+    forest = []
+    for comp in graph.components:
+        (root,) = set(comp) & set(roots)
+        depth = {v: progs[v].dist for v in comp}
+        forest.append(
+            BFSTree(
+                root=root,
+                nodes=comp,
+                parent={v: progs[v].parent for v in comp},
+                children={v: tuple(sorted(progs[v].kids)) for v in comp},
+                depth=depth,
+                height=max(depth.values()),
+            )
+        )
+    forest.sort(key=lambda t: t.root)
+    return tuple(forest), stats
+
+
+class _Reduce(NodeProgram):
+    """Send the current color, recolor from the inbox, repeat."""
+
+    def __init__(self, color, schedule):
+        self.color = color
+        self.schedule = schedule
+        self.step = 0
+
+    def _emit(self, ctx):
+        msg = Message(self.color, self.schedule[self.step][1])
+        for u in ctx.neighbors:
+            ctx.send(u, msg)
+
+    def setup(self, ctx):
+        if not ctx.neighbors:
+            # nothing constrains the choice; run the whole schedule now
+            for p, _ in self.schedule:
+                self.color = _recolor(self.color, (), p)
+            ctx.halt()
+        elif not self.schedule:
+            ctx.halt()
+        else:
+            self._emit(ctx)
+
+    def absorb(self, ctx):
+        p, _ = self.schedule[self.step]
+        self.color = _recolor(
+            self.color, [m.payload for m in ctx.inbox.values()], p
+        )
+        self.step += 1
+        if self.step == len(self.schedule):
+            ctx.halt()
+        else:
+            self._emit(ctx)
+
+
+def engine_linial_reduce(graph, colors=None, *, policy=None, round_cap=None, trace=None):
+    if colors is None:
+        colors = list(range(graph.n))
+    _check_proper(graph, colors, "initial coloring")
+    schedule, _ = _schedule(max(colors, default=0) + 1, graph.max_degree)
+    check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
+    progs = [_Reduce(colors[v], schedule) for v in range(graph.n)]
+    stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
+    return [p.color for p in progs], stats
+
+
+class _ClassSweep(NodeProgram):
+    """Join in class order unless an earlier neighbor joined first."""
+
+    def __init__(self, color):
+        self.color = color
+        self.joined = False
+
+    def _join(self, ctx):
+        self.joined = True
+        for u in ctx.neighbors:
+            ctx.send(u, Message(1, 1))
+        ctx.halt()
+
+    def setup(self, ctx):
+        if self.color == 0:
+            self._join(ctx)
+        else:
+            ctx.wake_at(self.color)
+
+    def absorb(self, ctx):
+        if ctx.inbox:
+            ctx.halt()  # dominated by an earlier class
+        elif ctx.round == self.color:
+            self._join(ctx)
+
+
+def engine_mis_by_colors(graph, colors, *, policy=None, round_cap=None, trace=None):
+    _check_proper(graph, colors, "conflict coloring")
+    progs = [_ClassSweep(colors[v]) for v in range(graph.n)]
+    stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
+    return tuple(v for v, p in enumerate(progs) if p.joined), stats
+
+
+@st.composite
+def colorings(draw, g, spread):
+    """A proper coloring of g: greedy in a drawn order, so at most
+    Delta + 1 colors, or distinct colors below `spread` (>= g.n)."""
+    if draw(st.booleans()):
+        colors = [None] * g.n
+        for v in draw(st.permutations(range(g.n))):
+            used = {colors[u] for u in g.adj[v]}
+            colors[v] = min(c for c in range(g.n) if c not in used)
+        return colors
+    distinct = st.lists(st.integers(0, spread - 1), min_size=g.n, max_size=g.n, unique=True)
+    return draw(distinct)
+
+
+_pass_options = {
+    "traced": st.booleans(),
+    "round_cap": st.sampled_from([None, -1, 0, 1, 2, 3, 4, 5]),
+    "beta": st.sampled_from([None, 1, 2, 3]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(gr=rooted_graphs(), **_pass_options)
+def test_build_bfs_forest_matches_engine(gr, traced, round_cap, beta):
+    g, roots = gr
+    kwargs = {"roots": roots, "policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    got = _outcome(build_bfs_forest, g, traced=traced, **kwargs)
+    want = _outcome(engine_bfs_forest, g, traced=traced, **kwargs)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs(), data=st.data(), **_pass_options)
+def test_linial_reduce_matches_engine(g, data, traced, round_cap, beta):
+    # starts of up to 12 bits trip strict:1 and strict:2 for n <= 40
+    colors = data.draw(st.none() | colorings(g, 1 << 12))
+    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    got = _outcome(linial_reduce, g, colors, traced=traced, **kwargs)
+    want = _outcome(engine_linial_reduce, g, colors, traced=traced, **kwargs)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=graphs(), data=st.data(), **_pass_options)
+def test_mis_by_colors_matches_engine(g, data, traced, round_cap, beta):
+    colors = data.draw(colorings(g, 3 * g.n))
+    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    got = _outcome(mis_by_colors, g, colors, traced=traced, **kwargs)
+    want = _outcome(engine_mis_by_colors, g, colors, traced=traced, **kwargs)
     assert got == want
