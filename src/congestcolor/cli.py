@@ -31,6 +31,8 @@ from .decomposition import (
 from .graphs import (
     InvariantError,
     ValidationError,
+    _entry,
+    _typed,
     attach_default_lists,
     check,
     generate_graph,
@@ -175,16 +177,20 @@ def cmd_bench(args) -> int:
     if isinstance(spec, list):
         items, mode, kmode = spec, "mis", "linial"
     else:
-        items = spec["graphs"]
+        items = _entry(_typed(spec, dict, "a suite file"), "graphs", list)
         mode = spec.get("mode", "mis")
         kmode = spec.get("kmode", "linial")
     header = ["n", "delta", "C", "phases", "rounds", "max_bits", "ratio"]
     if not args.no_time:
         header.append("wall_ms")
     lines = [",".join(header)]
-    for item in items:
-        gen = item if isinstance(item, str) else item["gen"]
-        seed = args.rng_seed if isinstance(item, str) else item.get("seed", args.rng_seed)
+    for i, item in enumerate(items):
+        if isinstance(item, str):
+            gen, seed = item, args.rng_seed
+        else:
+            at = f"suite graph {i}: "
+            gen = _entry(_typed(item, dict, f"suite graph {i}"), "gen", str, at)
+            seed = _typed(item.get("seed", args.rng_seed), int, f"{at}seed")
         kind, params = _parse_gen(gen)
         inst = attach_default_lists(generate_graph(kind, params, seed))
         start = time.perf_counter()

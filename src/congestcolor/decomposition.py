@@ -27,6 +27,9 @@ from .graphs import (
     ListColoringInstance,
     PartialColoring,
     ValidationError,
+    _entry,
+    _int_pair,
+    _typed,
     bfs_depths,
     check,
     restrict,
@@ -242,19 +245,22 @@ def save_decomposition(path, decomp: NetworkDecomposition) -> None:
 def load_decomposition(path) -> NetworkDecomposition:
     """Read the JSON format; beta and kappa are measured, not stored."""
     with open(path) as fh:
-        payload = json.load(fh)
-    clusters = tuple(
-        Cluster(
-            id=int(c["id"]),
-            color=int(c["color"]),
-            nodes=tuple(int(v) for v in c["nodes"]),
-            tree_edges=tuple((int(u), int(v)) for u, v in c["tree_edges"]),
-        )
-        for c in payload["clusters"]
-    )
+        payload = _typed(json.load(fh), dict, "a decomposition file")
+    clusters = []
+    for i, c in enumerate(_entry(payload, "clusters", list)):
+        at = f"cluster {i}: "
+        nodes = _entry(_typed(c, dict, f"cluster {i}"), "nodes", list, at)
+        tree = _entry(c, "tree_edges", list, at)
+        clusters.append(Cluster(
+            id=_entry(c, "id", int, at),
+            color=_entry(c, "color", int, at),
+            nodes=tuple(_typed(v, int, at + "node") for v in nodes),
+            tree_edges=tuple(_int_pair(e, at + "tree edge") for e in tree),
+        ))
+    clusters = tuple(clusters)
     return NetworkDecomposition(
         clusters=clusters,
-        alpha=int(payload["alpha"]),
+        alpha=_entry(payload, "alpha", int),
         beta=_beta(clusters),
         kappa=max(_tree_load(clusters).values(), default=1),
     )

@@ -14,16 +14,18 @@ expectation, and fixing seed bits one at a time by comparing the two
 conditional expectations finds one.  Everything here is exact rational
 arithmetic; nothing is sampled.
 
-Both regimes of the conditionals count one box |{z < t_u : z ^ delta < t_v}|.
-While s1 is partially fixed, the free low bits of s2 keep each hash
-output uniform and only the XOR offset delta = low_b(s1 * (x_u ^ x_v))
-between two endpoints matters; branch_pairs turns the count into
-membership tests, so averaging it over the affine set of reachable
-deltas collapses to rank computations against an echelon basis.  Once
-s1 is fixed, so is a_v = low_b(s1 * x_v), and fixing the low bits of s2
+Both regimes of the conditionals count one box |{z < t_u : z ^ delta < t_v}|,
+delta = a_u ^ a_v being the XOR offset of a_v = low_b(s1 * x_v) between
+two endpoints.  While s1 is partially fixed, the free low bits of s2 keep
+each hash output uniform and only delta matters; branch_pairs turns the
+count into membership tests, so averaging it over the affine set of
+reachable deltas collapses to rank computations against an echelon
+basis.  Once s1 is fixed, so is a_v, and fixing the low bits of s2
 leaves the same box over the free high bits, with thresholds rescaled by
-the fixed low bits and one delta per edge (box_count).  The scalar
-oracle behind node_conditional treats that regime apart: a coin
+the fixed low bits and one delta per edge (box_count).  The estimator
+keeps a_v per node by XORs of one generator table, as the exhaustive
+search does, and neither takes a scalar field product.  The scalar
+oracle behind node_conditional treats the second regime apart: a coin
 condition (a_v ^ s2) < t_v is a disjoint union of subcubes of the s2
 hypercube and joint probabilities are cube intersections.
 
@@ -343,12 +345,12 @@ def choose_seed_bit(s0: Fraction, s1: Fraction) -> int:
 # batched candidate sums (one exact path: int64 counts, node sums in int64
 # or, past a per-level bound, in Python ints)
 
-def _gen_table(fam: FamilySpec, dx):
-    """(#dx, m) int64 table of g_k = low_b(x^k * dx), for an int64 array
-    of field elements dx, by m doublings in GF(2^m)."""
+def _gen_table(fam: FamilySpec, y):
+    """(#y, m) int64 table of g_k(y) = low_b(x^k * y), for an int64 array
+    y of field elements, by m doublings in GF(2^m)."""
     m = fam.m
-    table = np.empty((m, len(dx)), dtype=np.int64)
-    g = np.array(dx, dtype=np.int64)
+    table = np.empty((m, len(y)), dtype=np.int64)
+    g = np.array(y, dtype=np.int64)
     for k in range(m):
         table[k] = g
         g <<= 1
@@ -396,20 +398,22 @@ class _Estimator:
     limit of this path is m+b <= 62, so that a count fits int64; __init__
     raises ValueError past it.
 
-    Both regimes count the same box.  While s1 is open, an edge's
-    reachable offsets are the coset delta + span{g_k : k > j}, and its
-    branch pairs turn the average over them into rank arithmetic.
+    The seed state is a_v = low_b(s1 * x_v) per node over the decided s1
+    bits, which deciding s1 bit j XORs with g_j(x_v) = low_b(x^j * x_v),
+    column j of one generator table, and the decided s2 bits per root.
+    Both regimes count the same box, at delta = a_u ^ a_v.  While s1 is
+    open, an edge's reachable offsets are the coset delta + span{g_k : k > j},
+    and its branch pairs turn the average over them into rank arithmetic.
     _span_tables gives every span's echelon once per level.  Reducing to
     the coset representative that is zero at the pivots is linear, so the
     bit-1 side of a pair is its bit-0 side XOR the reduced g_j of its edge.
 
-    Once s1 is fixed, a_v = low_b(s1 * x_v) is known and delta = a_u ^ a_v.
-    With the low `lock` bits of s2 fixed to y, coin v fires when the free
-    high bits z satisfy ((a_v >> lock) ^ z) < T_v, the rescaled threshold
-    T_v = ceil((t_v - ((a_v ^ y) mod 2^lock)) / 2^lock); so like-1 is the
-    box count of T_u, T_v and delta >> lock over b - lock bits, one closed
-    form per edge (box_count).  The oracle _joint_s2 counts the same
-    probabilities as subcube intersections instead.
+    Once s1 is fixed, so is a_v.  With the root's low `lock` s2 bits at y,
+    coin v fires when the free high bits z satisfy ((a_v >> lock) ^ z) < T_v,
+    the rescaled threshold T_v = ceil((t_v - ((a_v ^ y) mod 2^lock)) / 2^lock);
+    so like-1 is the box count of T_u, T_v and delta >> lock over b - lock
+    bits, one closed form per edge (box_count).  The oracle _joint_s2 counts
+    the same probabilities as subcube intersections instead.
     """
 
     def __init__(self, ctx: LevelContext, comp_of: dict):
@@ -426,8 +430,7 @@ class _Estimator:
                 f"edge counts need m+b = {m + b} > 62 bits; "
                 "the exact estimator holds them in int64"
             )
-        self.eu = np.fromiter((e[0] for e in edges), np.int64, E)
-        self.ev = np.fromiter((e[1] for e in edges), np.int64, E)
+        self.eu, self.ev = np.array(edges, dtype=np.int64).T
         # incidence order: the 2E edge ends sorted by node, so that each
         # node with alive edges (inc_node) owns one run of them
         ends = np.concatenate((self.eu, self.ev))
@@ -447,22 +450,24 @@ class _Estimator:
         self.w1 = (c0 * (k1 > 0)).astype(self.acc_type)
         self.w0 = (c1 * (k0 > 0)).astype(self.acc_type)
         self.roots = sorted(set(comp_of.values()))
-        root_col = {r: i for i, r in enumerate(self.roots)}
-        self.node_root = np.array([root_col[comp_of[v]] for v in range(self.n)])
+        self.node_root = np.searchsorted(self.roots, [comp_of[v] for v in range(self.n)])
         self.edge_root = self.node_root[self.eu]
-        self.s1 = np.zeros(len(self.roots), dtype=np.int64)
-        dx_col = {}  # the spans depend on an edge only through dx = x_u ^ x_v
-        dx = [dx_col.setdefault(ctx.x[u] ^ ctx.x[v], len(dx_col)) for u, v in edges]
-        self.edge_dx = np.array(dx, dtype=np.int64)
-        self.gmat = _gen_table(ctx.fam, np.fromiter(dx_col, np.int64, len(dx_col)))
+        x = np.array(ctx.x, dtype=np.int64)
+        self.hx = _gen_table(ctx.fam, x)
+        self.a = np.zeros(self.n, dtype=np.int64)
+        self.s2 = np.zeros(len(self.roots), dtype=np.int64)
+        # the spans depend on an edge only through dx = x_u ^ x_v, and the
+        # generators are linear in it: g_k(x_u ^ x_v) = g_k(x_u) ^ g_k(x_v)
+        _, first, edge_dx = np.unique(
+            x[self.eu] ^ x[self.ev], return_index=True, return_inverse=True)
+        self.gmat = self.hx[self.eu[first]] ^ self.hx[self.ev[first]]
         self.table, self.birth = _span_tables(self.gmat.tolist(), b)
-        self.delta = np.zeros(E, dtype=np.int64)
         tn = np.array(ctx.t, dtype=np.int64)
         self.tu, self.tv = tn[self.eu], tn[self.ev]
         pairs = branch_pairs(self.tu, self.tv, b)
         self.pair_edge, self.pair_p, self.pair_val, self.pair_w = pairs
         self.pair_start = np.flatnonzero(np.diff(self.pair_edge, prepend=-1))
-        self.pair_dx = self.edge_dx[self.pair_edge]
+        self.pair_dx = edge_dx[self.pair_edge]
         self.margin = (1 << b) - self.tu - self.tv
 
     # -- decision evaluation ------------------------------------------------
@@ -494,7 +499,8 @@ class _Estimator:
         pivots = np.flatnonzero(live.any(axis=1))[::-1].tolist()
         rank = np.zeros((b + 1, len(rows[0])), dtype=np.int64)
         rank[:b] = np.cumsum(live[::-1], axis=0)[::-1]
-        tau0 = self._reduce(self.delta[pe] ^ self.pair_val, rows, pivots, pd)
+        delta = self.a[self.eu] ^ self.a[self.ev]
+        tau0 = self._reduce(delta[pe] ^ self.pair_val, rows, pivots, pd)
         gj = self._reduce(self.gmat[:, j].copy(), rows, pivots)
         weight = self.pair_w << (free - rank[pp, pd])
         like1 = np.zeros((2, self.E), dtype=np.int64)
@@ -509,10 +515,11 @@ class _Estimator:
         free = self.ctx.fam.b - lock
         fixed = (1 << lock) - 1
         bit = np.array([[0], [1 << i]], dtype=np.int64)  # seed bit j = 0, 1
+        a_u, a_v, y = self.a[self.eu], self.a[self.ev], self.s2[self.edge_root]
         # rescaled thresholds ceil((t - ((a ^ y) mod 2^lock)) / 2^lock)
-        t_u = (self.tu + fixed - (((self.au ^ self.low) & fixed) ^ bit)) >> lock
-        t_v = (self.tv + fixed - (((self.av ^ self.low) & fixed) ^ bit)) >> lock
-        like1 = box_count(t_u, t_v, self.delta >> lock)
+        t_u = (self.tu + fixed - (((a_u ^ y) & fixed) ^ bit)) >> lock
+        t_v = (self.tv + fixed - (((a_v ^ y) & fixed) ^ bit)) >> lock
+        like1 = box_count(t_u, t_v, (a_u ^ a_v) >> lock)
         return self._node_sums(like1, (1 << free) - t_u - t_v + like1, free)
 
     def _node_sums(self, like1, like0, shift):
@@ -532,19 +539,12 @@ class _Estimator:
     def lock(self, j: int, bits_by_root: dict):
         if not self.E:
             return
-        fam = self.ctx.fam
+        m = self.ctx.fam.m
         bits = np.array([bits_by_root[r] for r in self.roots], dtype=np.int64)
-        if j >= fam.m:
-            self.low |= bits[self.edge_root] << (j - fam.m)
-            return
-        self.s1 |= bits << j
-        self.delta ^= self.gmat[self.edge_dx, j] * bits[self.edge_root]
-        if j == fam.m - 1:  # s1 is fixed: a_v = low_b(s1 * x_v), no s2 bit yet
-            s1 = self.s1[self.node_root].tolist()
-            a = [gf2.mul(fam.fld, s, x) for s, x in zip(s1, self.ctx.x)]
-            a = np.array(a, dtype=np.int64) & ((1 << fam.b) - 1)
-            self.au, self.av = a[self.eu], a[self.ev]
-            self.low = np.zeros(self.E, dtype=np.int64)
+        if j < m:  # s1 gains x^j: a_v ^= low_b(x^j * x_v)
+            self.a ^= self.hx[:, j] * bits[self.node_root]
+        else:
+            self.s2 |= bits << (j - m)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +725,9 @@ def exhaustive_seed(ctx: LevelContext, state: PrefixState, *, nodes=None,
     edge endpoints that match over every s2 are counted per candidate
     count k in int64 and weighted by lcm/k; the weighted sums stay int64
     while 2E * lcm fits and turn to Python ints past it, so mixed list
-    sizes stay exact however large their lcm grows.
+    sizes stay exact however large their lcm grows.  The hash offsets
+    amat[i, s1] = low_b(s1 * x_i) come from one generator table by m
+    doublings, each appending every s1 + 2^k: no scalar field product.
     """
     fam = ctx.fam
     if (1 << fam.seed_bits) > cap:
@@ -756,20 +758,12 @@ def exhaustive_seed(ctx: LevelContext, state: PrefixState, *, nodes=None,
     acc_type = np.int64 if 2 * len(edges) * den < 1 << 63 else object
     scale = np.array([den // k for k in sizes], dtype=acc_type)
 
-    maskb = (1 << b) - 1
-    amap = {
-        x: np.fromiter(
-            (gf2.mul(fam.fld, s1, x) & maskb for s1 in range(1 << m)),
-            np.int64,
-            1 << m,
-        )
-        for x in {ctx.x[v] for v in used}
-    }
-    amat = np.stack([amap[ctx.x[v]] for v in used])
+    g = _gen_table(fam, np.array([ctx.x[v] for v in used], dtype=np.int64))
+    amat = np.zeros((len(used), 1), dtype=np.int64)
+    for k in range(m):
+        amat = np.concatenate((amat, amat ^ g[:, k, None]), axis=1)
     tcol = np.array([ctx.t[v] for v in used], dtype=np.int64)[:, None]
-    pos_of = {v: i for i, v in enumerate(used)}
-    eu = [pos_of[u] for u, _ in edges]
-    ev = [pos_of[v] for _, v in edges]
+    eu, ev = np.searchsorted(used, np.array(edges, dtype=np.int64).T)
     s2v = np.arange(1 << b, dtype=np.int64)
     best_val = best_word = None
     for s1 in range(1 << m):

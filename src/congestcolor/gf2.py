@@ -22,7 +22,7 @@ class FieldSizeError(ValueError):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A concrete GF(2^m): extension degree and reduction modulus mask."""
+    """GF(2^m) by degree and modulus mask; mul takes any monic modulus."""
 
     m: int
     modulus: int
@@ -35,16 +35,6 @@ def _pmod(a: int, f: int) -> int:
     return a
 
 
-def _pmulmod(a: int, b: int, f: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-    return _pmod(r, f)
-
-
 def _pgcd(a: int, b: int) -> int:
     while b:
         a, b = b, _pmod(a, b)
@@ -52,10 +42,10 @@ def _pgcd(a: int, b: int) -> int:
 
 
 def _x_pow_2k_mod(k: int, f: int) -> int:
-    # x^(2^k) mod f by k squarings
+    # x^(2^k) mod f by k squarings in GF(2)[x] / (f)
     t = _pmod(0b10, f)
     for _ in range(k):
-        t = _pmulmod(t, t, f)
+        t = mul(FieldSpec(f.bit_length() - 1, f), t, t)
     return t
 
 
@@ -112,7 +102,8 @@ def field(m: int) -> FieldSpec:
 
 
 def mul(spec: FieldSpec, a: int, b: int) -> int:
-    """Field product of two elements of GF(2^m).
+    """a * b modulo spec's monic degree-m modulus: in GF(2^m) when it is
+    irreducible, else in the ring GF(2)[x] / (f) that is_irreducible uses.
 
     Shift-and-xor carry-less multiplication with reduction folded into each
     shift, so intermediates never exceed m+1 bits.

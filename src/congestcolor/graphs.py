@@ -195,20 +195,31 @@ def _typed(x, kind: type, what: str):
     return x
 
 
+def _entry(obj: dict, key: str, kind: type, where: str = ""):
+    """obj[key] checked by _typed; a missing key is named, not a KeyError."""
+    if key not in obj:
+        raise ValidationError(f"{where}missing key {key!r}")
+    return _typed(obj[key], kind, where + key)
+
+
+def _int_pair(e, what: str) -> tuple:
+    """An array of two integers, as a tuple."""
+    if len(_typed(e, list, what)) != 2:
+        raise ValidationError(f"{what} must have two endpoints")
+    return tuple(_typed(x, int, f"{what} endpoint") for x in e)
+
+
 def load_instance(path) -> ListColoringInstance:
     with open(path) as fh:
         payload = _typed(json.load(fh), dict, "an instance file")
-    edges = []
-    for i, e in enumerate(_typed(payload["edges"], list, "edges")):
-        if len(_typed(e, list, f"edge {i}")) != 2:
-            raise ValidationError(f"edge {i} must have two endpoints")
-        edges.append(tuple(_typed(x, int, f"edge {i} endpoint") for x in e))
-    graph = Graph.from_edges(_typed(payload["n"], int, "n"), edges)
+    edges = _entry(payload, "edges", list)
+    edges = [_int_pair(e, f"edge {i}") for i, e in enumerate(edges)]
+    graph = Graph.from_edges(_entry(payload, "n", int), edges)
     psi = None
     if "psi" in payload:
         raw = _typed(payload["psi"], dict, "psi")
         psi = tuple(
-            _typed(raw[str(v)], int, f"psi of node {v}") for v in range(graph.n)
+            _typed(raw.get(str(v)), int, f"psi of node {v}") for v in range(graph.n)
         )
     if "lists" not in payload:
         base = attach_default_lists(graph)
@@ -240,10 +251,14 @@ def save_coloring(path, coloring: PartialColoring) -> None:
 
 def load_coloring(path) -> PartialColoring:
     with open(path) as fh:
-        payload = json.load(fh)
-    raw = payload["colors"]
-    colors = [raw.get(str(v)) for v in range(int(payload["n"]))]
-    return PartialColoring([None if c is None else int(c) for c in colors])
+        payload = _typed(json.load(fh), dict, "a coloring file")
+    n = _entry(payload, "n", int)
+    raw = _entry(payload, "colors", dict)
+    colors = [raw.get(str(v)) for v in range(n)]
+    return PartialColoring([
+        None if c is None else _typed(c, int, f"color of node {v}")
+        for v, c in enumerate(colors)
+    ])
 
 
 def _param(kind: str, params: dict, key: str):

@@ -265,6 +265,66 @@ def test_verify_missing_file(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 2, "colors": [0, 1]}, "colors must be an object, not an array"),
+        ([0, 1], "a coloring file must be an object, not an array"),
+        ({"n": 2, "colors": {"0": 1.7, "1": 0}}, "color of node 0 must be an integer, not a number"),
+        ({"n": 2, "colors": {"0": "1", "1": 0}}, "color of node 0 must be an integer, not a string"),
+        ({"n": "2", "colors": {}}, "n must be an integer, not a string"),
+        ({"colors": {}}, "missing key 'n'"),
+        ({"n": 2}, "missing key 'colors'"),
+    ],
+)
+def test_verify_rejects_malformed_coloring_with_exit_1(payload, message, tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    col_path = tmp_path / "col.json"
+    write_instance(inst_path, 2, [(0, 1)])
+    col_path.write_text(json.dumps(payload))
+    code, stdout, stderr = run_cli(["verify", str(inst_path), str(col_path)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n": 2}, "missing key 'edges'"),
+        ({"edges": [[0, 1]]}, "missing key 'n'"),
+    ],
+)
+def test_run_names_missing_instance_key(payload, message, tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(payload))
+    code, stdout, stderr = run_cli(["run", "--graph", str(inst)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "suite, message",
+    [
+        ({"graphs": 5}, "graphs must be an array, not an integer"),
+        ({"mode": "mis"}, "missing key 'graphs'"),
+        (5, "a suite file must be an object, not an integer"),
+        ([5], "suite graph 0 must be an object, not an integer"),
+        ([{"seed": 1}], "suite graph 0: missing key 'gen'"),
+        ([{"gen": 5}], "suite graph 0: gen must be a string, not an integer"),
+        ([{"gen": "path,n=3", "seed": [1]}], "suite graph 0: seed must be an integer, not an array"),
+    ],
+)
+def test_bench_rejects_malformed_suite_with_exit_1(suite, message, tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    code, stdout, stderr = run_cli(["bench", str(path), "--no-time"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
 def test_bench_emits_one_row_per_graph(tmp_path, capsys):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps(["path,n=6", "cycle,n=8"]))

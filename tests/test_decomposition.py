@@ -240,6 +240,36 @@ def test_roundtrip(tmp_path):
     assert back == d
 
 
+def _decomposition_payload(**edits):
+    cluster = {"id": 0, "color": 1, "nodes": [0, 1], "tree_edges": [[0, 1]]}
+    cluster.update(edits)
+    return {"alpha": 1, "clusters": [cluster]}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([], "a decomposition file must be an object, not an array"),
+        ({"clusters": []}, "missing key 'alpha'"),
+        ({"alpha": 1}, "missing key 'clusters'"),
+        ({"alpha": 1, "clusters": {}}, "clusters must be an array, not an object"),
+        ({"alpha": 1, "clusters": [0]}, "cluster 0 must be an object, not an integer"),
+        (_decomposition_payload(color=True), "cluster 0: color must be an integer, not a boolean"),
+        (_decomposition_payload(nodes=[0, 1.9]), "cluster 0: node must be an integer, not a number"),
+        (_decomposition_payload(id="0"), "cluster 0: id must be an integer, not a string"),
+        (_decomposition_payload(tree_edges=[[0]]), "cluster 0: tree edge must have two endpoints"),
+        ({"alpha": 1, "clusters": [{"id": 0, "color": 1, "nodes": [0]}]},
+         "cluster 0: missing key 'tree_edges'"),
+    ],
+)
+def test_load_decomposition_rejects_malformed_json(tmp_path, payload, message):
+    p = tmp_path / "decomp.json"
+    p.write_text(json.dumps(payload))
+    with pytest.raises(ValidationError) as exc:
+        load_decomposition(p)
+    assert str(exc.value) == message
+
+
 # composition ----------------------------------------------------------------
 
 def test_compose_single_cluster_matches_direct():

@@ -628,6 +628,33 @@ def test_estimator_per_node_on_forests():
     assert (True, True) in regimes and (True, False) in regimes
 
 
+def test_estimator_seed_state_matches_field_products():
+    # after every lock, a_v = low_b(s1 * x_v) over the s1 bits its root
+    # decided so far, and each root holds exactly the s2 bits it decided
+    rng = random.Random(59)
+    done = 0
+    while done < 20:
+        ctx, comp_of = forest_context(rng)
+        est = _Estimator(ctx, comp_of)
+        if not est.E:
+            continue
+        fam = ctx.fam
+        assert len(est.roots) > 1
+        word = dict.fromkeys(est.roots, 0)
+        for j in range(fam.m + fam.b):
+            bits = {r: rng.randrange(2) for r in est.roots}
+            est.lock(j, bits)
+            for r in est.roots:
+                word[r] |= bits[r] << j
+            s1 = {r: w & ((1 << fam.m) - 1) for r, w in word.items()}
+            assert est.a.tolist() == [
+                gf2.mul(fam.fld, s1[comp_of[v]], x) & ((1 << fam.b) - 1)
+                for v, x in enumerate(ctx.x)
+            ], j
+            assert est.s2.tolist() == [word[r] >> fam.m for r in est.roots], j
+        done += 1
+
+
 def test_estimator_per_node_on_avoid_mis_star():
     # the star of the hub-avoid benchmark, at its first avoid-mis level
     g = generate_graph("star", {"n": 300})

@@ -94,6 +94,9 @@ def test_load_rejects_self_loop(tmp_path):
         ({"n": 1, "edges": [], "lists": {"0": 0}}, "node 0: color list must be an array"),
         ({"n": 1, "edges": [], "lists": {"0": [None]}}, "node 0: color must be an integer"),
         ({"n": 1, "edges": [], "C": "2"}, "C must be an integer, not a string"),
+        ({"n": 2}, "missing key 'edges'"),
+        ({"edges": []}, "missing key 'n'"),
+        ({"n": 2, "edges": [], "psi": {"0": 0}}, "psi of node 1 must be an integer, not null"),
     ],
 )
 def test_load_rejects_malformed_json(tmp_path, payload, message):
