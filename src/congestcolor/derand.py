@@ -32,9 +32,11 @@ hypercube and joint probabilities are cube intersections.
 fix_level runs the selection as a protocol: one exchange of
 (k0, k1, psi) along alive edges, then per seed bit one aggregation of
 the two candidate sums up a spanning tree and a one-bit broadcast back
-down.  Each node enters its two values as integer numerators over one
-denominator, and only the roots' totals become Fractions.  Components
-cannot share a seed, so each root fixes its own.
+down.  Every exact sum adds integer numerators over one common
+denominator and is reduced once: the convergecast adds each node's two
+values over the lcm of its tree's denominators, only the roots' totals
+become Fractions, and phi_sum gives the potentials a level is checked
+against.  Components cannot share a seed, so each root fixes its own.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .coins import (
     threshold,
 )
 from .graphs import InvariantError, check  # InvariantError: re-exported
-from .prefixes import PrefixState, apply_bits, phi, split_counts
+from .prefixes import PrefixState, apply_bits, phi_sum, split_counts
 from .sim import pack_fields
 
 
@@ -342,8 +344,8 @@ def choose_seed_bit(s0: Fraction, s1: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batched candidate sums (one exact path: int64 counts, node sums in int64
-# or, past a per-level bound, in Python ints)
+# batched candidate sums (one exact path: counts and node sums in int64
+# or, past per-level bounds, in Python ints)
 
 def _gen_table(fam: FamilySpec, y):
     """(#y, m) int64 table of g_k(y) = low_b(x^k * y), for an int64 array
@@ -394,9 +396,10 @@ class _Estimator:
     integer numerators over max(k0, 1) max(k1, 1) 2^shift, left unreduced:
     no Fraction is built per node.  The sums run in int64 when the level's
     bound deg(v) (max(k0, 1) + max(k1, 1)) 2^(m+b-1) on every numerator
-    is below 2^63, and in Python ints (object arrays) past it.  The one
-    limit of this path is m+b <= 62, so that a count fits int64; __init__
-    raises ValueError past it.
+    is below 2^63, and in Python ints (object arrays) past it.  The s1
+    counts themselves are int64 while m+b <= 62 and Python ints past it,
+    chosen per level from its widths; the s2 counts stay below 2^b and
+    int64 throughout.
 
     The seed state is a_v = low_b(s1 * x_v) per node over the decided s1
     bits, which deciding s1 bit j XORs with g_j(x_v) = low_b(x^j * x_v),
@@ -425,11 +428,8 @@ class _Estimator:
         if not E:
             return
         m, b = ctx.fam.m, ctx.fam.b
-        if m + b > 62:
-            raise ValueError(
-                f"edge counts need m+b = {m + b} > 62 bits; "
-                "the exact estimator holds them in int64"
-            )
+        # s1-regime counts reach 2^(m+b-1): int64 up to m+b = 62, else objects
+        self.cnt_type = np.int64 if m + b <= 62 else object
         self.eu, self.ev = np.array(edges, dtype=np.int64).T
         # incidence order: the 2E edge ends sorted by node, so that each
         # node with alive edges (inc_node) owns one run of them
@@ -465,10 +465,11 @@ class _Estimator:
         tn = np.array(ctx.t, dtype=np.int64)
         self.tu, self.tv = tn[self.eu], tn[self.ev]
         pairs = branch_pairs(self.tu, self.tv, b)
-        self.pair_edge, self.pair_p, self.pair_val, self.pair_w = pairs
+        self.pair_edge, self.pair_p, self.pair_val, w = pairs
+        self.pair_w = w.astype(self.cnt_type, copy=False)
         self.pair_start = np.flatnonzero(np.diff(self.pair_edge, prepend=-1))
         self.pair_dx = edge_dx[self.pair_edge]
-        self.margin = (1 << b) - self.tu - self.tv
+        self.margin = ((1 << b) - self.tu - self.tv).astype(self.cnt_type, copy=False)
 
     # -- decision evaluation ------------------------------------------------
 
@@ -503,7 +504,7 @@ class _Estimator:
         tau0 = self._reduce(delta[pe] ^ self.pair_val, rows, pivots, pd)
         gj = self._reduce(self.gmat[:, j].copy(), rows, pivots)
         weight = self.pair_w << (free - rank[pp, pd])
-        like1 = np.zeros((2, self.E), dtype=np.int64)
+        like1 = np.zeros((2, self.E), dtype=self.cnt_type)
         for r, tau in enumerate((tau0, tau0 ^ gj[pd])):
             hits = np.where(tau >> pp == 0, weight, 0)
             like1[r, pe[self.pair_start]] = np.add.reduceat(hits, self.pair_start)
@@ -600,10 +601,7 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     if len(comp_of) != n or sum(map(len, comp_nodes.values())) != n:
         raise ValueError("forest must partition the nodes")
     roots = sorted(comp_nodes)
-    comp_phi = {
-        r: sum((phi(state, v) for v in nodes), Fraction(0))
-        for r, nodes in comp_nodes.items()
-    }
+    comp_phi = {r: phi_sum(state, nodes) for r, nodes in comp_nodes.items()}
     slack = {
         r: Fraction(10 * max((state.deg[v] for v in nodes), default=0) * len(nodes),
                     1 << b)
@@ -673,7 +671,7 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
 
     records = {}
     for r in roots:
-        realized = sum((phi(new_state, v) for v in comp_nodes[r]), Fraction(0))
+        realized = phi_sum(new_state, comp_nodes[r])
         check(realized == last[r],
               "realized potential must equal the fully conditioned expectation")
         records[r] = RootRecord(
@@ -696,9 +694,7 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
                     "bound": frac_str(comp_phi[r] + slack[r]),
                 }
             )
-    # the trees partition the nodes, so their sums are the level's totals
-    phi_before = sum(comp_phi.values(), Fraction(0))
-    phi_after = sum((rec.phi_after for rec in records.values()), Fraction(0))
+    phi_before, phi_after = phi_sum(state), phi_sum(new_state)
     bound = phi_before + sum(slack.values(), Fraction(0))
     check(phi_after <= bound, "level potential exceeded the rounding slack")
     report = LevelReport(

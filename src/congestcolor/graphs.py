@@ -253,7 +253,13 @@ def load_coloring(path) -> PartialColoring:
     with open(path) as fh:
         payload = _typed(json.load(fh), dict, "a coloring file")
     n = _entry(payload, "n", int)
+    if n < 0:
+        raise ValidationError(f"node count must be nonnegative, got n={n}")
     raw = _entry(payload, "colors", dict)
+    ids = {str(v) for v in range(n)}
+    for key in raw:
+        if key not in ids:
+            raise ValidationError(f"colors: {key!r} is not a node id in 0..{n - 1}")
     colors = [raw.get(str(v)) for v in range(n)]
     return PartialColoring([
         None if c is None else _typed(c, int, f"color of node {v}")

@@ -9,7 +9,7 @@ endpoints carry the same prefix; dead edges can never conflict again.
 The potential of a node is deg/k over alive incident edges and current
 candidate count.  Summed over nodes it equals the edge form
 sum_{uv alive} (1/k_u + 1/k_v), which is what the per-level expectation
-bounds control.  Everything here is exact Fraction arithmetic.
+bounds control.  It is exact: phi_sum adds integers over lcm(k).
 
 States are immutable; apply_bits returns a fresh state, which lets
 seed-search oracles explore alternative branch outcomes cheaply.
@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .graphs import ListColoringInstance, check
 
@@ -107,14 +108,14 @@ def apply_bits(state: PrefixState, bits) -> PrefixState:
     )
 
 
-def phi(state: PrefixState, v: int) -> Fraction:
-    return Fraction(state.deg[v], state.k(v))
-
-
-def phi_sum(state: PrefixState) -> Fraction:
-    return sum(
-        (phi(state, v) for v in range(state.inst.graph.n)), Fraction(0)
-    )
+def phi_sum(state: PrefixState, nodes=None) -> Fraction:
+    """The potential sum of deg(v) / k(v) over a node sequence (default:
+    every node), as integer numerators over L = lcm(k), reduced once."""
+    if nodes is None:
+        nodes = range(state.inst.graph.n)
+    ks = [state.k(v) for v in nodes]
+    L = lcm(*ks)
+    return Fraction(sum(state.deg[v] * (L // k) for v, k in zip(nodes, ks)), L)
 
 
 def chosen_colors(state: PrefixState) -> list:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .graphs import bfs_depths
 
@@ -430,37 +430,37 @@ def aggregate_pairs(graph, forest, values, *, policy=None, round_cap=None, trace
     `values` is (num_a, num_b, den), node-indexed integer sequences.  One
     pass per tree, children before parents: a non-root v ships its reduced
     subtree sum in round subheight(v) + 1, once all its children have, as
-    an "aggregation" message.  Aggregation is exempt from `policy`; rounds
-    equal the forest height.
+    an "aggregation" message.  Sums add integer numerators over the lcm of
+    the tree's den; only the roots' totals become Fractions.  Aggregation
+    is exempt from `policy`; rounds equal the forest height.
     """
+    num_a, num_b, den = values
     sent = [[] for _ in range(max((t.height for t in forest), default=0) + 1)]
     too_long = len(sent)  # first round in which a sum too long to encode is sent
-    # reduced [num_a, den_a, num_b, den_b] per node: plain ints add faster
-    # than Fraction objects and give the same reduced parts
-    acc = [[na // (ga := gcd(na, d)), d // ga, nb // (gb := gcd(nb, d)), d // gb]
-           for na, nb, d in zip(*values)]
+    sum_a, sum_b = list(num_a), list(num_b)
     totals = {}
     for tree in forest:
         parent, sub = tree.parent, tree.subheight
+        # a reduced fraction is the same over every common denominator, so
+        # S / L reduced by gcd(S, L) prices the message whatever L is
+        L = lcm(*(den[v] for v in tree.nodes))
+        for v in tree.nodes:
+            f = L // den[v]
+            sum_a[v] *= f
+            sum_b[v] *= f
         for v in reversed(tree.order[1:]):  # every child before its parent
-            na, da, nb, db = x = acc[v]
+            sa, sb = sum_a[v], sum_b[v]
+            ga, gb = gcd(sa, L), gcd(sb, L)
+            la, lda = (sa // ga).bit_length(), (L // ga).bit_length()
+            lb, ldb = (sb // gb).bit_length(), (L // gb).bit_length()
             r = sub[v] + 1
-            size = (_PAIR_OVERHEAD + na.bit_length() + da.bit_length()
-                    + nb.bit_length() + db.bit_length())
+            size = _PAIR_OVERHEAD + la + lda + lb + ldb
             sent[r].append(size)
-            if size >> _LEN_FIELD and max(map(int.bit_length, x)) >> _LEN_FIELD:
+            if size >> _LEN_FIELD and max(la, lda, lb, ldb) >> _LEN_FIELD:
                 too_long = min(too_long, r - 1)  # too long to send
-            q = acc[parent[v]]
-            if na:  # a zero side adds nothing
-                num, den = q[0] * da + na * q[1], q[1] * da
-                g = gcd(num, den)
-                q[0], q[1] = num // g, den // g
-            if nb:
-                num, den = q[2] * db + nb * q[3], q[3] * db
-                g = gcd(num, den)
-                q[2], q[3] = num // g, den // g
-        na, da, nb, db = acc[tree.root]
-        totals[tree.root] = (Fraction(na, da), Fraction(nb, db))
+            sum_a[parent[v]] += sa
+            sum_b[parent[v]] += sb
+        totals[tree.root] = (Fraction(sum_a[tree.root], L), Fraction(sum_b[tree.root], L))
     failure = None
     if too_long < len(sent):
         error = ValueError("integer too large for the rational wire format")

@@ -275,6 +275,8 @@ def test_verify_missing_file(tmp_path, capsys):
         ({"n": "2", "colors": {}}, "n must be an integer, not a string"),
         ({"colors": {}}, "missing key 'n'"),
         ({"n": 2}, "missing key 'colors'"),
+        ({"n": -3, "colors": {}}, "node count must be nonnegative, got n=-3"),
+        ({"n": 2, "colors": {"0": 0, "1": 1, "7": "x"}}, "colors: '7' is not a node id in 0..1"),
     ],
 )
 def test_verify_rejects_malformed_coloring_with_exit_1(payload, message, tmp_path, capsys):

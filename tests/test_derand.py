@@ -744,18 +744,25 @@ def test_gen_table_matches_field_products():
         assert got.tolist() == want
 
 
-def test_estimator_count_limit_is_m_plus_b_62():
-    inst = ListColoringInstance(
-        graph=generate_graph("path", {"n": 2}), C=4, lists=((0, 1, 2), (0, 1))
-    )
-    for b, ok in ((30, True), (31, False)):
-        fam = make_family(1 << 32, b)  # m = 32
-        ctx = build_level_context(fam, init_state(inst), (0, 1))
-        if ok:
-            estimator_vs_node_conditional(ctx, {0: 0, 1: 0}, random.Random(b))
-        else:
-            with pytest.raises(ValueError, match="int64"):
-                _Estimator(ctx, {0: 0, 1: 0})
+@pytest.mark.parametrize(
+    "m, b, cnt_type",
+    [(32, 30, np.int64), (40, 31, object), (40, 40, object), (52, 52, object)],
+)
+@pytest.mark.parametrize(
+    "kind, lists",
+    [("path", ((0, 1, 2), (0, 1))), ("star", ((0, 1, 2, 3), (0, 2), (1, 3), (0, 3)))],
+)
+def test_estimator_counts_past_m_plus_b_62_in_objects(kind, lists, m, b, cnt_type):
+    # an s1-regime edge count reaches 2^(m+b-1), which int64 holds only up
+    # to m+b = 62; past it the same kernels run on Python ints
+    g = generate_graph(kind, {"n": len(lists)})
+    inst = ListColoringInstance(graph=g, C=4, lists=lists)
+    fam = make_family(1 << m, b)
+    assert (fam.m, fam.b) == (m, b)
+    ctx = build_level_context(fam, init_state(inst), tuple(range(g.n)))
+    comp_of = dict.fromkeys(range(g.n), 0)
+    est = estimator_vs_node_conditional(ctx, comp_of, random.Random(m + b))
+    assert est.cnt_type is cnt_type
 
 
 # ---------------------------------------------------------------------------

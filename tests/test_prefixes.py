@@ -14,7 +14,6 @@ from congestcolor.prefixes import (
     apply_bits,
     chosen_colors,
     init_state,
-    phi,
     phi_sum,
     split_counts,
 )
@@ -28,9 +27,9 @@ def p3_instance():
 def test_initial_potential_p3():
     st = init_state(p3_instance())
     assert st.W == 2
-    assert phi(st, 0) == Fraction(1, 2)
-    assert phi(st, 1) == Fraction(2, 3)
-    assert phi(st, 2) == Fraction(1, 2)
+    assert phi_sum(st, [0]) == Fraction(1, 2)
+    assert phi_sum(st, [1]) == Fraction(2, 3)
+    assert phi_sum(st, [2]) == Fraction(1, 2)
     assert phi_sum(st) == Fraction(5, 3)
     assert st.alive_edges == ((0, 1), (1, 2))
 
@@ -117,3 +116,24 @@ def test_phi_node_and_edge_forms_agree():
             assert colors[v] in inst.lists[v]
         conflicts = {(u, v) for u, v in g.edge_list if colors[u] == colors[v]}
         assert set(st.alive_edges) == conflicts
+
+
+def test_phi_sum_of_subsets_matches_per_node_fractions():
+    # mid-phase states with mixed candidate counts; empty, one-node,
+    # random and full node subsets
+    rng = random.Random(11)
+    for trial in range(40):
+        g = generate_graph("gnp", {"n": 15, "p": 0.4}, rng_seed=100 + trial)
+        st = init_state(attach_default_lists(g))
+        for _ in range(rng.randrange(st.W)):
+            bits = []
+            for v in range(g.n):
+                k0, k1 = split_counts(st, v)
+                bits.append(rng.choice([b for b, kb in ((0, k0), (1, k1)) if kb]))
+            st = apply_bits(st, bits)
+        for size in (0, 1, rng.randrange(2, g.n), g.n):
+            nodes = tuple(rng.sample(range(g.n), size))
+            want = sum((Fraction(st.deg[v], st.k(v)) for v in nodes), Fraction(0))
+            got = phi_sum(st, nodes)
+            assert type(got) is Fraction and got == want
+        assert phi_sum(st) == phi_sum(st, range(g.n))
