@@ -64,7 +64,7 @@ def _parse_gen(text: str):
 def _build_instance(args):
     if args.graph is not None:
         inst = load_instance(args.graph)
-        if args.colors_mode in ("degree1", "delta1"):
+        if args.colors_mode == "degree1":
             inst = replace(attach_default_lists(inst.graph), psi=inst.psi)
         return inst
     if args.colors_mode == "lists":
@@ -100,7 +100,6 @@ def cmd_run(args) -> int:
             policy=policy,
             round_cap=args.round_cap,
             trace=trace,
-            seed_cap=args.seed_cap,
         )
         if args.decomp == "off":
             coloring, reports = list_color_full(inst, args.mode, **kwargs)
@@ -120,12 +119,6 @@ def cmd_run(args) -> int:
         if fh is not None:
             fh.close()
     check(verify_coloring(inst, coloring).ok, "run produced an invalid coloring")
-    if args.colors_mode == "delta1":
-        delta = inst.graph.max_degree
-        check(
-            all(c <= delta for c in coloring.colors),
-            "delta1 run used a color above the max degree",
-        )
     if args.out:
         save_coloring(args.out, coloring)
     total = _total(reports)
@@ -231,10 +224,9 @@ def _parser() -> argparse.ArgumentParser:
     source.add_argument("--gen", help="generator spec, e.g. gnp,n=200,p=0.05")
     run.add_argument(
         "--colors-mode",
-        choices=("lists", "degree1", "delta1"),
+        choices=("lists", "degree1"),
         default="degree1",
-        help="lists: use the file's lists; degree1: list {0..deg(v)} per node; "
-        "delta1: same lists, plus a check that no color exceeds the max degree",
+        help="lists: use the file's lists; degree1: list {0..deg(v)} per node",
     )
     run.add_argument("--mode", choices=("mis", "avoid-mis"), default="mis")
     run.add_argument("--kmode", choices=("linial", "ids"), default="linial")
@@ -249,7 +241,6 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="write the coloring to this file")
     run.add_argument("--rng-seed", type=int, default=0)
     run.add_argument("--round-cap", type=int)
-    run.add_argument("--seed-cap", type=int)
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="check a coloring file against an instance")

@@ -293,7 +293,6 @@ def color_with_decomposition(
     policy=None,
     round_cap=None,
     trace=None,
-    seed_cap=None,
 ):
     """Color class by class; same-color clusters run as parallel phases.
 
@@ -330,7 +329,6 @@ def color_with_decomposition(
                 policy=policy,
                 round_cap=rem,
                 trace=trace,
-                seed_cap=seed_cap,
             )
             for v, c in zip(sorted(cl.nodes), out.colors):
                 colors[v] = c

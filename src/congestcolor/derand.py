@@ -63,8 +63,11 @@ from .prefixes import PrefixState, apply_bits, phi_sum, split_counts
 from .sim import pack_fields
 
 
+SEED_CAP = 1 << 24  # most seeds an exhaustive search enumerates
+
+
 class SeedCapError(RuntimeError):
-    """Exhaustive search over more seeds than the cap allows."""
+    """Exhaustive search over more seeds than SEED_CAP."""
 
 
 @dataclass(frozen=True)
@@ -183,15 +186,18 @@ def branch_pairs(t_u, t_v, b: int):
 
 
 def box_count(t_u, t_v, delta):
-    """|{z : z < t_u and z ^ delta < t_v}| entrywise, for int64 arrays
-    with entries below 2^53.
+    """|{z : z < t_u and z ^ delta < t_v}| entrywise, for non-negative
+    int64 arrays.
 
     With one delta the branch pair sum collapses: q being the bit length
     of delta ^ t_u ^ t_v, the same pairs hit for every p >= q and of the
     cross pairs only p = q - 1 does.
     """
-    q = np.frexp(delta ^ t_u ^ t_v)[1]  # bit length, exact below 2^53
-    mask = (np.int64(1) << q) - 1
+    x = delta ^ t_u ^ t_v
+    # mask = 2^q - 1; past 2^53 frexp's float may round x up to the next
+    # power of two, one bit too long, and the shift drops that bit
+    mask = ~(np.int64(-1) << np.minimum(np.frexp(x)[1], 63))
+    mask >>= x <= mask >> 1
     top, low = mask ^ (mask >> 1), mask >> 1  # 2^(q-1) (0 at q = 0), below it
     return (
         (t_u & t_v & ~mask)
@@ -576,15 +582,14 @@ def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditional",
-              seed_cap=None):
+def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditional"):
     """Pick one seed per component and refine every prefix by one bit.
 
     Returns (next state, LevelReport).  The conditional strategy walks
     the m+b seed bits that can matter, aggregating both candidate sums
     to each root and broadcasting the winning bit; the exhaustive one
-    has each root pick the best seed outright and costs the same
-    protocol shape with the seed shipped bit by bit.
+    has each root pick the best seed outright, from at most SEED_CAP,
+    and costs the same protocol shape with the seed shipped bit by bit.
     """
     if strategy not in ("conditional", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -594,11 +599,8 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     start_rounds = comm.stats.rounds
 
     comp_nodes = {t.root: t.nodes for t in comm.forest}
-    comp_of = {}
-    for root, nodes in comp_nodes.items():
-        for v in nodes:
-            comp_of[v] = root
-    if len(comp_of) != n or sum(map(len, comp_nodes.values())) != n:
+    comp_of = {v: root for root, nodes in comp_nodes.items() for v in nodes}
+    if sorted(v for nodes in comp_nodes.values() for v in nodes) != list(range(n)):
         raise ValueError("forest must partition the nodes")
     roots = sorted(comp_nodes)
     comp_phi = {r: phi_sum(state, nodes) for r, nodes in comp_nodes.items()}
@@ -622,11 +624,7 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     })
 
     if strategy == "exhaustive":
-        capkw = {} if seed_cap is None else {"cap": seed_cap}
-        picked = {
-            r: exhaustive_seed(ctx, state, nodes=comp_nodes[r], **capkw)
-            for r in roots
-        }
+        picked = {r: exhaustive_seed(ctx, state, nodes=comp_nodes[r]) for r in roots}
         comm.aggregate(([0] * n, [0] * n, [1] * n))  # stands in for facts sent rootward
         for i in range(m + b):
             comm.broadcast(
@@ -711,25 +709,22 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
 # ---------------------------------------------------------------------------
 # exhaustive reference search
 
-def exhaustive_seed(ctx: LevelContext, state: PrefixState, *, nodes=None,
-                    cap: int = 1 << 24):
+def exhaustive_seed(ctx: LevelContext, state: PrefixState, *, nodes=None):
     """Smallest (potential, seed) over the whole seed space.
 
     Enumerates the 2^(m+b) seeds that can differ on the low hash window;
-    s2 coefficients at b and above never reach it and stay zero.  The
-    cap is checked against the nominal 2^(2m) space.  For each s1, the
-    edge endpoints that match over every s2 are counted per candidate
-    count k in int64 and weighted by lcm/k; the weighted sums stay int64
-    while 2E * lcm fits and turn to Python ints past it, so mixed list
-    sizes stay exact however large their lcm grows.  The hash offsets
+    s2 coefficients at b and above never reach it and stay zero.
+    SEED_CAP is checked against the nominal 2^(2m) space.  For each s1,
+    the edge endpoints that match over every s2 are counted per
+    candidate count k in int64 and weighted by lcm/k; the weighted sums
+    stay int64 while 2E * lcm fits and turn to Python ints past it, so
+    mixed list sizes stay exact however large their lcm grows.  The hash offsets
     amat[i, s1] = low_b(s1 * x_i) come from one generator table by m
     doublings, each appending every s1 + 2^k: no scalar field product.
     """
     fam = ctx.fam
-    if (1 << fam.seed_bits) > cap:
-        raise SeedCapError(
-            f"2^{fam.seed_bits} seeds exceed the cap of {cap}"
-        )
+    if (1 << fam.seed_bits) > SEED_CAP:
+        raise SeedCapError(f"2^{fam.seed_bits} seeds exceed the cap of {SEED_CAP}")
     nodeset = set(range(state.inst.graph.n) if nodes is None else nodes)
     # the nodes' alive edges in index order, found through the incidence
     # lists rather than by one scan of every alive edge per component

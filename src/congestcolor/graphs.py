@@ -283,7 +283,19 @@ def _param(kind: str, params: dict, key: str):
     return x
 
 
+# the parameters each generator kind takes
+_GEN_KEYS = dict.fromkeys(("path", "cycle", "star", "clique"), {"n"}) | {
+    "gnp": {"n", "p"},
+    "regular": {"n", "d"},
+}
+
+
 def generate_graph(kind: str, params: dict, rng_seed: int | None = None) -> Graph:
+    if kind not in _GEN_KEYS:
+        raise ValidationError(f"unknown graph kind {kind!r}")
+    for key in params:
+        if key not in _GEN_KEYS[kind]:
+            raise ValidationError(f"{kind} graph takes no parameter {key!r}")
     n = _param(kind, params, "n")
     if kind == "path":
         return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -307,9 +319,7 @@ def generate_graph(kind: str, params: dict, rng_seed: int | None = None) -> Grap
             if rng.random() < p
         ]
         return Graph.from_edges(n, edges)
-    if kind == "regular":
-        return _random_regular(n, _param(kind, params, "d"), random.Random(rng_seed))
-    raise ValidationError(f"unknown graph kind {kind!r}")
+    return _random_regular(n, _param(kind, params, "d"), random.Random(rng_seed))
 
 
 def _random_regular(n: int, d: int, rng: random.Random) -> Graph:

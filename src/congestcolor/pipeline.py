@@ -138,7 +138,6 @@ def color_fraction(
     policy=None,
     round_cap=None,
     trace=None,
-    seed_cap=None,
 ):
     """Run one phase; returns (PartialColoring, PhaseReport).
 
@@ -170,9 +169,7 @@ def color_fraction(
     phi_trace = [phi_sum(state)]
     for _ in range(W):
         ctx = build_level_context(fam, state, inst.psi)
-        state, rep = fix_level(
-            ctx, state, comm, strategy=strategy, seed_cap=seed_cap
-        )
+        state, rep = fix_level(ctx, state, comm, strategy=strategy)
         levels.append(rep)
         phi_trace.append(rep.phi_after)
         check(
@@ -262,7 +259,6 @@ def list_color_full(
     policy=None,
     round_cap=None,
     trace=None,
-    seed_cap=None,
 ):
     """Color every node from its list; returns (PartialColoring, reports).
 
@@ -299,7 +295,6 @@ def list_color_full(
             policy=policy,
             round_cap=None if rem is None else rem - pre.rounds,
             trace=trace,
-            seed_cap=seed_cap,
         )
         rep.stats.add(pre)
         for v, c in enumerate(partial.colors):

@@ -91,26 +91,15 @@ class Message:
             )
 
 
-def pack_fields(*fields, category: str = ALGORITHM) -> Message:
-    """Pack (value, width) pairs MSB-first into one message."""
+def pack_fields(*fields) -> Message:
+    """Pack (value, width) pairs MSB-first into one algorithm message."""
     payload, total = 0, 0
     for value, width in fields:
         if width < 1 or not 0 <= value < (1 << width):
             raise ValueError(f"value {value} does not fit in {width} bits")
         payload = (payload << width) | value
         total += width
-    return Message(payload, total, category)
-
-
-def unpack_fields(msg: Message, widths) -> tuple:
-    widths = tuple(widths)
-    if sum(widths) != msg.bit_len:
-        raise ValueError("field widths do not add up to the message length")
-    out, rest = [], msg.payload
-    for width in reversed(widths):
-        out.append(rest & ((1 << width) - 1))
-        rest >>= width
-    return tuple(reversed(out))
+    return Message(payload, total)
 
 
 @dataclass(frozen=True)
@@ -324,37 +313,25 @@ class BFSTree:
         self.level_sizes = Counter(self.depth.values())
 
 
-def build_bfs_forest(graph, *, roots=None, policy=None, round_cap=None, trace=None):
-    """Grow one BFS tree per component; parents tie-break to the min id.
+def build_bfs_forest(graph, *, policy=None, round_cap=None, trace=None):
+    """Grow one BFS tree per component, rooted at its smallest id, in
+    root order; parents tie-break to the min id.
 
     Charged as the synchronous flood: a node at depth d offers its
     (distance, parent) pair, 2 * ceil(log2 n) bits, to every neighbor in
     round d + 1, and each tree with an edge takes one more round, at
     height + 2, for its deepest nodes' final wakeup.  An offer past the
-    policy's cap stops the flood in setup, at the first root (by id)
-    with a neighbor.
+    policy's cap stops the flood in setup, at the first root with a
+    neighbor.
     """
-    comps = graph.components
-    if roots is None:
-        roots = [c[0] for c in comps]
-    comp_of = {v: i for i, c in enumerate(comps) for v in c}
-    by_comp = {}
-    for r in roots:
-        if not 0 <= r < graph.n:
-            raise ValueError(f"root {r} is not a node of the graph")
-        if comp_of[r] in by_comp:
-            raise ValueError("two roots in one component")
-        by_comp[comp_of[r]] = r
-    if len(by_comp) != len(comps):
-        raise ValueError("every component needs a root")
     width = 2 * max(1, (graph.n - 1).bit_length())
     limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
-    first = min((r for r in roots if graph.adj[r]), default=None)
+    first = next((c[0] for c in graph.components if len(c) > 1), None)
     if first is not None and limit is not None and width > limit:
         raise BandwidthError(1, (first, graph.adj[first][0]), width, limit)
     forest, sent = [], [[]]
-    for i, comp in enumerate(comps):
-        dist = bfs_depths(graph.adj, by_comp[i])
+    for comp in graph.components:
+        dist = bfs_depths(graph.adj, comp[0])
         depth = {v: dist[v] for v in comp}
         parent = {
             v: next((u for u in graph.adj[v] if dist[u] == d - 1), None)
@@ -367,7 +344,7 @@ def build_bfs_forest(graph, *, roots=None, policy=None, round_cap=None, trace=No
                 sent[d + 1] += [width] * len(graph.adj[v])
         forest.append(
             BFSTree(
-                root=by_comp[i],
+                root=comp[0],
                 nodes=comp,
                 parent=parent,
                 children={
@@ -377,7 +354,6 @@ def build_bfs_forest(graph, *, roots=None, policy=None, round_cap=None, trace=No
                 height=height,
             )
         )
-    forest.sort(key=lambda t: t.root)
     return tuple(forest), _charge({ALGORITHM: sent}, round_cap, trace)
 
 

@@ -95,13 +95,13 @@ def test_run_trace_is_json_lines(tmp_path, capsys):
 
 
 def test_run_seed_cap_exhausts(capsys):
-    code, _, stderr = run_cli(
-        ["run", "--gen", "path,n=6", "--strategy", "exhaustive", "--seed-cap", "4"],
+    code, stdout, stderr = run_cli(
+        ["run", "--gen", "star,n=300", "--mode", "avoid-mis", "--strategy", "exhaustive"],
         capsys,
     )
     assert code == 1
-    assert stderr.startswith("error:")
-    assert "cap" in stderr
+    assert stdout == ""
+    assert stderr == "error: 2^46 seeds exceed the cap of 16777216\n"
 
 
 def test_run_round_cap_aborts(capsys):
@@ -133,6 +133,7 @@ def test_run_rejects_bad_generator_spec(capsys):
     [
         (["--gen", "regular,n=10"], "error: regular graph needs parameter 'd'\n"),
         (["--graph", "{inst}"], "error: edge 0 endpoint must be an integer, not a string\n"),
+        (["--gen", "path,n=4,extra=1"], "error: path graph takes no parameter 'extra'\n"),
     ],
 )
 def test_run_rejects_malformed_input_with_exit_1(argv, message, tmp_path, capsys):
@@ -197,13 +198,16 @@ def test_run_lists_mode_respects_file_lists(tmp_path, capsys):
     assert all(coloring.colors[v] in lists[v] for v in range(3))
 
 
-def test_run_delta1_mode_stays_within_max_degree(capsys):
+def test_run_rng_seed_picks_the_generated_graph(tmp_path, capsys):
+    out = tmp_path / "col.json"
     code, stdout, _ = run_cli(
-        ["run", "--gen", "gnp,n=30,p=0.1", "--colors-mode", "delta1", "--rng-seed", "7"],
+        ["run", "--gen", "gnp,n=30,p=0.1", "--rng-seed", "7", "--out", str(out)],
         capsys,
     )
     assert code == 0
     assert json.loads(stdout)["colored"] == 30
+    inst = attach_default_lists(generate_graph("gnp", {"n": 30, "p": 0.1}, 7))
+    assert verify_coloring(inst, load_coloring(out)).ok
 
 
 def test_run_graph_file_with_degree1_lists(tmp_path, capsys):

@@ -205,6 +205,23 @@ def test_single_delta_box_count_matches_enumeration():
     assert got.tolist() == want
 
 
+def test_box_count_matches_oracle_past_2_53():
+    # a float bit length rounds 2^q - 1 up to 2^q past 2^53; draw the
+    # thresholds, then delta so that delta ^ t_u ^ t_v lands within 4 of
+    # some 2^q - 1
+    rng = random.Random(54)
+    for b in range(54, 63):
+        full = 1 << b
+        rows = [(full, full, full - 1)]
+        for _ in range(60):
+            t_u, t_v = (rng.choice([rng.randrange(full + 1), full]) for _ in "uv")
+            near = max(0, (1 << rng.randint(1, b)) - 1 - rng.randrange(5))
+            rows.append((t_u, t_v, (near ^ t_u ^ t_v) & (full - 1)))
+        t_u, t_v, delta = np.array(rows, dtype=np.int64).T
+        want = [xor_box_count(*row, b) for row in rows]
+        assert box_count(t_u, t_v, delta).tolist() == want, b
+
+
 # ---------------------------------------------------------------------------
 # joint outcome probabilities
 
@@ -326,7 +343,11 @@ def test_fix_level_needs_a_partition_of_the_nodes():
                    depth={2: 0}, height=0)
     partial = BFSTree(root=0, nodes=(0, 1), parent={0: None, 1: 0},
                       children={0: (1,), 1: ()}, depth={0: 0, 1: 1}, height=1)
-    for forest in ((partial,), (tree, lone)):
+    # three nodes, as many as the path has, but 5 is not one of them
+    stray = BFSTree(root=0, nodes=(0, 1, 5), parent={0: None, 1: 0, 5: 1},
+                    children={0: (1,), 1: (5,), 5: ()}, depth={0: 0, 1: 1, 5: 2},
+                    height=2)
+    for forest in ((partial,), (tree, lone), (stray,)):
         with pytest.raises(ValueError, match="partition the nodes"):
             fix_level(ctx, state, CommPlan(inst.graph, forest))
 
@@ -485,9 +506,9 @@ def test_exhaustive_seed_cap():
     inst = ListColoringInstance(graph=g, C=2, lists=((0, 1), (0, 1)))
     state = init_state(inst)
     ctx = build_level_context(make_family(2, 13), state, (0, 1))
-    with pytest.raises(SeedCapError):
-        exhaustive_seed(ctx, state, cap=1 << 24)
-    exhaustive_seed(ctx, state, cap=1 << 26)  # raised cap passes
+    # m = b = 13: 2^26 seeds, past the cap of 2^24
+    with pytest.raises(SeedCapError, match="2\\^26 seeds exceed the cap of 16777216"):
+        exhaustive_seed(ctx, state)
 
 
 def test_exhaustive_minimum_leq_conditional():

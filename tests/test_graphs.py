@@ -177,6 +177,12 @@ def test_regular_generator():
         ("star", {}, "star graph needs parameter 'n'"),
         ("regular", {"n": 10}, "regular graph needs parameter 'd'"),
         ("regular", {"n": 10, "d": 2.5}, "regular graph: d=2.5 is not an integer"),
+        ("path", {"n": 4, "extra": 1}, "path graph takes no parameter 'extra'"),
+        ("regular", {"n": 10, "d": 3, "seed": 4}, "regular graph takes no parameter 'seed'"),
+        ("gnp", {"n": 10, "d": 3}, "gnp graph takes no parameter 'd'"),
+        ("regular", {"n": 10, "d": 3, "p": 0.5}, "regular graph takes no parameter 'p'"),
+        ("star", {"n": 5, "p": 0.5}, "star graph takes no parameter 'p'"),
+        ("torus", {"n": 5}, "unknown graph kind 'torus'"),
     ],
 )
 def test_generators_reject_bad_parameters(kind, params, message):

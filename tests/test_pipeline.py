@@ -307,8 +307,10 @@ def test_full_exhaustive_strategy_and_cap():
     inst = attach_default_lists(generate_graph("cycle", {"n": 6}, 0))
     out, _ = list_color_full(inst, strategy="exhaustive")
     assert verify_coloring(inst, out).ok
-    with pytest.raises(SeedCapError):
-        list_color_full(inst, strategy="exhaustive", seed_cap=4)
+    # the hub's 299 neighbours need a 2^46-seed space, past the cap of 2^24
+    star = attach_default_lists(generate_graph("star", {"n": 300}, 0))
+    with pytest.raises(SeedCapError, match="2\\^46 seeds exceed the cap of 16777216"):
+        list_color_full(star, "avoid-mis", strategy="exhaustive")
 
 
 def test_full_trace_records():

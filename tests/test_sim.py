@@ -36,8 +36,19 @@ from congestcolor.sim import (
     exchange,
     pack_fields,
     run_protocol,
-    unpack_fields,
 )
+
+
+def unpack_fields(msg: Message, widths) -> tuple:
+    """The (value, ...) of msg packed by pack_fields with these widths."""
+    widths = tuple(widths)
+    if sum(widths) != msg.bit_len:
+        raise ValueError("field widths do not add up to the message length")
+    out, rest = [], msg.payload
+    for width in reversed(widths):
+        out.append(rest & ((1 << width) - 1))
+        rest >>= width
+    return tuple(reversed(out))
 
 
 def test_message_invariants():
@@ -208,7 +219,7 @@ def test_exchange_helper():
 
 def test_bfs_path_shape():
     g = generate_graph("path", {"n": 5})
-    (tree,), stats = build_bfs_forest(g, roots=[0])
+    (tree,), stats = build_bfs_forest(g)
     assert tree.root == 0
     assert [tree.parent[v] for v in range(5)] == [None, 0, 1, 2, 3]
     assert [tree.depth[v] for v in range(5)] == [0, 1, 2, 3, 4]
@@ -219,7 +230,7 @@ def test_bfs_path_shape():
 
 def test_bfs_ties_break_to_min_id():
     g = generate_graph("cycle", {"n": 4})
-    (tree,), _ = build_bfs_forest(g, roots=[0])
+    (tree,), _ = build_bfs_forest(g)
     # node 2 hears from 1 and 3 in the same round
     assert tree.parent[2] == 1
 
@@ -233,31 +244,15 @@ def test_bfs_forest_roots_and_components():
     assert forest[2].depth[5] == 1
 
 
-@pytest.mark.parametrize(
-    "roots, message",
-    [
-        ([0, 2], "two roots in one component"),
-        ([0, 0], "two roots in one component"),
-        ([0], "every component needs a root"),
-        ([0, 99], "root 99 is not a node"),
-        ([-1, 3], "root -1 is not a node"),
-    ],
-)
-def test_bfs_rejects_bad_roots(roots, message):
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
-    with pytest.raises(ValueError, match=message):
-        build_bfs_forest(g, roots=roots)
-
-
 def test_bfs_many_components_is_fast():
     # a perfect matching: one tree per edge, found without a scan per root
     k = 10_000
     g = Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
     start = time.perf_counter()
-    forest, stats = build_bfs_forest(g, roots=[2 * i + 1 for i in range(k)])
+    forest, stats = build_bfs_forest(g)
     assert time.perf_counter() - start < 2
     assert len(forest) == k and stats.rounds == 3
-    assert all(t.root == 2 * i + 1 and t.height == 1 for i, t in enumerate(forest))
+    assert all(t.root == 2 * i and t.height == 1 for i, t in enumerate(forest))
 
 
 def test_comm_plan_charges_every_step_against_one_cap():
@@ -291,7 +286,7 @@ def test_bfs_matches_offline_distances():
 
 def test_aggregate_pairs_path():
     g = generate_graph("path", {"n": 3})
-    forest, _ = build_bfs_forest(g, roots=[0])
+    forest, _ = build_bfs_forest(g)
     values = {v: (Fraction(v + 1), Fraction(1, v + 1)) for v in range(3)}
     totals, stats = aggregate_pairs(g, forest, node_nums(values, g.n))
     assert totals[0] == (Fraction(6), Fraction(11, 6))
@@ -574,14 +569,19 @@ def graphs(draw):
 
 @st.composite
 def rooted_graphs(draw):
+    """A drawn graph relabelled so that one node drawn per component is
+    its component's smallest id, where the default forest roots it."""
     g = draw(graphs())
-    return g, [draw(st.sampled_from(comp)) for comp in g.components]
+    roots = {draw(st.sampled_from(comp)) for comp in g.components}
+    order = sorted(range(g.n), key=lambda v: (v not in roots, v))
+    label = {v: i for i, v in enumerate(order)}
+    return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edge_list])
 
 
 @st.composite
 def forests(draw):
-    g, roots = draw(rooted_graphs())
-    forest, _ = build_bfs_forest(g, roots=roots)
+    g = draw(rooted_graphs())
+    forest, _ = build_bfs_forest(g)
     return g, forest
 
 
@@ -624,7 +624,7 @@ def test_aggregate_overflow_against_round_cap_matches_engine(v, round_cap):
     # node v + 1 is the first to send a sum too long to encode, while round
     # 5 - v runs; that error comes first unless the cap stops the run sooner
     g = generate_graph("path", {"n": 7})
-    forest, _ = build_bfs_forest(g, roots=[0])
+    forest, _ = build_bfs_forest(g)
     values = {v + 1: (HUGE, Fraction(1)), 3: (Fraction(-2, 3), Fraction(5))}
     nums = node_nums(values, g.n)
     got = _outcome(aggregate_pairs, g, forest, nums, traced=True, round_cap=round_cap)
@@ -829,18 +829,18 @@ class _BFSBuild(NodeProgram):
             ctx.halt()
 
 
-def engine_bfs_forest(graph, *, roots, policy=None, round_cap=None, trace=None):
-    """build_bfs_forest for valid roots, one root per component."""
+def engine_bfs_forest(graph, *, policy=None, round_cap=None, trace=None):
+    """build_bfs_forest: a flood from each component's smallest id."""
     width = max(1, (graph.n - 1).bit_length())
+    roots = {comp[0] for comp in graph.components}
     progs = [_BFSBuild(v in roots, width) for v in range(graph.n)]
     stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
     forest = []
     for comp in graph.components:
-        (root,) = set(comp) & set(roots)
         depth = {v: progs[v].dist for v in comp}
         forest.append(
             BFSTree(
-                root=root,
+                root=comp[0],
                 nodes=comp,
                 parent={v: progs[v].parent for v in comp},
                 children={v: tuple(sorted(progs[v].kids)) for v in comp},
@@ -848,7 +848,6 @@ def engine_bfs_forest(graph, *, roots, policy=None, round_cap=None, trace=None):
                 height=max(depth.values()),
             )
         )
-    forest.sort(key=lambda t: t.root)
     return tuple(forest), stats
 
 
@@ -954,10 +953,9 @@ _pass_options = {
 
 
 @settings(max_examples=200, deadline=None)
-@given(gr=rooted_graphs(), **_pass_options)
-def test_build_bfs_forest_matches_engine(gr, traced, round_cap, beta):
-    g, roots = gr
-    kwargs = {"roots": roots, "policy": BandwidthPolicy(beta), "round_cap": round_cap}
+@given(g=rooted_graphs(), **_pass_options)
+def test_build_bfs_forest_matches_engine(g, traced, round_cap, beta):
+    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
     got = _outcome(build_bfs_forest, g, traced=traced, **kwargs)
     want = _outcome(engine_bfs_forest, g, traced=traced, **kwargs)
     assert got == want
