@@ -7,7 +7,8 @@ CSV row each, with the round count normalized by the bound
 D * ceil(log2 C) * (ceil(log2 K) + ceil(log2 Delta) + ceil(log2 W)).
 
 Generator specs are comma-separated, `kind,key=value,...`, for example
-`gnp,n=200,p=0.05`.  Values parse as int first, then float.
+`gnp,n=200,p=0.05`.  Values parse as int first, then float; a key may
+appear once.
 
 Exit codes: 0 success, 1 bad input or a failed run (including a
 `verify` violation), 2 usage error, 3 a broken guarantee
@@ -54,6 +55,8 @@ def _parse_gen(text: str):
         key, eq, value = part.partition("=")
         if not eq or not key or not value:
             raise ValueError(f"bad generator parameter {part!r}")
+        if key in params:
+            raise ValueError(f"repeated generator parameter {key!r}")
         try:
             params[key] = int(value)
         except ValueError:
@@ -98,7 +101,6 @@ def cmd_run(args) -> int:
             kmode=args.kmode,
             strategy=args.strategy,
             policy=policy,
-            round_cap=args.round_cap,
             trace=trace,
         )
         if args.decomp == "off":
@@ -240,7 +242,6 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", help="write JSON-lines trace records to this file")
     run.add_argument("--out", help="write the coloring to this file")
     run.add_argument("--rng-seed", type=int, default=0)
-    run.add_argument("--round-cap", type=int)
     run.set_defaults(func=cmd_run)
 
     ver = sub.add_parser("verify", help="check a coloring file against an instance")

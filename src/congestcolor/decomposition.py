@@ -20,7 +20,7 @@ general weak-diameter format as well.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import (
@@ -168,18 +168,18 @@ def validate_decomposition(graph, decomp: NetworkDecomposition) -> list:
 
 
 def _bfs_tree(graph, root: int, members: set) -> tuple:
-    seen = {root}
-    edges = []
-    q = deque([root])
-    while q:
-        v = q.popleft()
-        for u in sorted(graph.adj[v]):
-            if u in members and u not in seen:
-                seen.add(u)
-                edges.append((v, u))
-                q.append(u)
-    check(seen == members, "carved ball must be connected")
-    return tuple(edges)
+    """BFS tree edges (parent, child) of the ball `members` from `root`, in
+    BFS order; a node's parent is its first neighbor, in BFS order, one
+    layer up."""
+    adj = {v: [u for u in graph.adj[v] if u in members] for v in members}
+    dist = bfs_depths(adj, root)
+    check(len(dist) == len(members), "carved ball must be connected")
+    parent = {}
+    for v in dist:
+        for u in adj[v]:
+            if dist[u] > dist[v]:
+                parent.setdefault(u, v)
+    return tuple((parent[v], v) for v in dist if v != root)
 
 
 def generate_decomposition(graph) -> NetworkDecomposition:
@@ -291,7 +291,6 @@ def color_with_decomposition(
     kmode: str = "linial",
     strategy: str = "conditional",
     policy=None,
-    round_cap=None,
     trace=None,
 ):
     """Color class by class; same-color clusters run as parallel phases.
@@ -301,8 +300,7 @@ def color_with_decomposition(
     never touch, so they cannot see each other's colors).  Slack
     survives the restriction: a node loses one list color per colored
     neighbor and the incident edge with it, so deg+1 lists stay deg+1.
-    A class is charged kappa times its slowest cluster, so under a round
-    cap each of its clusters gets (cap - rounds used) // kappa rounds.
+    A class is charged kappa times its slowest cluster.
     """
     errs = validate_decomposition(instance.graph, decomp)
     if errs:
@@ -310,14 +308,13 @@ def color_with_decomposition(
     colors = [None] * instance.graph.n
     policy = (policy or BandwidthPolicy()).pin(instance.graph.n)
     records = []
-    used = 0
+    total = 0
     for color in range(1, decomp.alpha + 1):
         active = sorted(
             (cl for cl in decomp.clusters if cl.color == color),
             key=lambda cl: cl.id,
         )
         kappa = max(_tree_load(active).values(), default=1)
-        rem = None if round_cap is None else (round_cap - used) // kappa
         slowest = 0
         cluster_reports = []
         for cl in active:
@@ -327,7 +324,6 @@ def color_with_decomposition(
                 kmode,
                 strategy=strategy,
                 policy=policy,
-                round_cap=rem,
                 trace=trace,
             )
             for v, c in zip(sorted(cl.nodes), out.colors):
@@ -335,7 +331,7 @@ def color_with_decomposition(
             cluster_reports.append(tuple(reps))
             slowest = max(slowest, sum(r.rounds for r in reps))
         charged = kappa * slowest
-        used += charged
+        total += charged
         records.append(
             ClassRecord(
                 color=color,
@@ -359,6 +355,6 @@ def color_with_decomposition(
     check(verify_coloring(instance, out).ok, "composed coloring failed checks")
     return out, CompositionReport(
         classes=tuple(records),
-        rounds=used,
+        rounds=total,
         kappa=max((r.kappa for r in records), default=1),
     )

@@ -50,36 +50,40 @@ def _is_prime(x: int) -> bool:
 
 
 def _ceil_root(K: int, e: int) -> int:
-    """Smallest q >= 2 with q**e >= K."""
-    q = max(2, int(round(K ** (1.0 / e))))
-    while q > 2 and (q - 1) ** e >= K:
-        q -= 1
-    while q**e < K:
-        q += 1
-    return q
+    """Smallest q >= 2 with q**e >= K, in integers: K may pass any float."""
+    lo, hi = 2, 1 << -(-(K - 1).bit_length() // e)  # hi**e >= K >= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**e >= K:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def linial_params(K: int, delta: int) -> PolyParams:
     """Cheapest (q, d): q prime, q > d*delta, q^(d+1) >= K, minimal q^2.
 
-    Ties between degrees go to the smaller d.  The scan stops once the
-    q > d*delta constraint alone rules out improving on the best prime.
+    Ties between degrees go to the smaller d.  Degree d's prime is the
+    first at or above c_d = max(d*delta + 1, ceil(K^(1/(d+1)))), so the
+    cheapest q is the first prime at or above the least c_d, and its d is
+    the least one with c_d <= q; no candidate above q is tested.  Past
+    d = ceil(log2 K) - 1 the root term is 2 and c_d only grows, and once
+    d*delta + 1 reaches the least c_d so far no larger d can lower it.
     """
     if K < 2:
         raise ValueError(f"need at least two colors to reduce, got K={K}")
     if delta < 0:
         raise ValueError("max degree cannot be negative")
-    best = None
-    d = 1
-    while True:
-        q = max(delta * d + 1, _ceil_root(K, d + 1))
-        while not _is_prime(q):
-            q += 1
-        if best is None or q < best.q:
-            best = PolyParams(q=q, d=d)
-        d += 1
-        if max(delta * d + 1, 2) >= best.q:
-            return best
+    bounds = []  # c_1, c_2, ...
+    for d in range(1, max(2, (K - 1).bit_length())):
+        if bounds and delta * d + 1 >= min(bounds):
+            break
+        bounds.append(max(delta * d + 1, _ceil_root(K, d + 1)))
+    q = min(bounds)
+    while not _is_prime(q):
+        q += 1
+    return PolyParams(q=q, d=next(d for d, c in enumerate(bounds, 1) if c <= q))
 
 
 def _schedule(K: int, delta: int):
@@ -137,7 +141,7 @@ def _check_proper(graph, colors, what: str) -> None:
             raise ValueError(f"edge ({u}, {v}): {what} must be proper")
 
 
-def linial_reduce(graph, colors=None, *, policy=None, round_cap=None, trace=None):
+def linial_reduce(graph, colors=None, *, policy=None, trace=None):
     """Iterate the reduction until the class bound stops shrinking.
 
     Starts from node ids when no coloring is given.  The whole schedule
@@ -161,7 +165,7 @@ def linial_reduce(graph, colors=None, *, policy=None, round_cap=None, trace=None
                 edge = graph.edge_list[0]  # the first send: min node, min neighbor
                 failure = (s, BandwidthError(s + 1, edge, width, limit))
                 break
-    stats = _charge({ALGORITHM: sent}, round_cap, trace, failure)
+    stats = _charge({ALGORITHM: sent}, trace, failure)
     colors = list(colors)
     for p, _ in schedule:
         colors = [
@@ -171,7 +175,7 @@ def linial_reduce(graph, colors=None, *, policy=None, round_cap=None, trace=None
     return colors, stats
 
 
-def mis_by_colors(graph, colors, *, policy=None, round_cap=None, trace=None):
+def mis_by_colors(graph, colors, *, policy=None, trace=None):
     """Maximal independent set from a proper coloring, one class a round.
 
     Class c decides when it wakes in round c: a node joins unless a
@@ -188,5 +192,5 @@ def mis_by_colors(graph, colors, *, policy=None, round_cap=None, trace=None):
             r = colors[v] + bool(nbrs)  # its wakeup, or its one-bit sends
             sent += [[] for _ in range(r + 1 - len(sent))]
             sent[r] += [1] * len(nbrs)
-    stats = _charge({ALGORITHM: sent}, round_cap, trace)
+    stats = _charge({ALGORITHM: sent}, trace)
     return tuple(v for v in range(graph.n) if joined[v]), stats

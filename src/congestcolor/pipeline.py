@@ -118,16 +118,13 @@ class _FlagLow(NodeProgram):
         ctx.halt()
 
 
-def _flag_low(graph, members, conflict_edges, *, policy, round_cap, trace):
+def _flag_low(graph, members, conflict_edges, *, policy, trace):
     nbrs = {v: [] for v in range(graph.n)}
     for u, v in conflict_edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
     progs = [_FlagLow(v in members, tuple(nbrs[v])) for v in range(graph.n)]
-    stats = run_protocol(
-        graph, progs, policy=policy, round_cap=round_cap, trace=trace
-    )
-    return progs, stats
+    return progs, run_protocol(graph, progs, policy=policy, trace=trace)
 
 
 def color_fraction(
@@ -136,7 +133,6 @@ def color_fraction(
     *,
     strategy: str = "conditional",
     policy=None,
-    round_cap=None,
     trace=None,
 ):
     """Run one phase; returns (PartialColoring, PhaseReport).
@@ -152,7 +148,7 @@ def color_fraction(
     g = inst.graph
     n = g.n
     policy = (policy or BandwidthPolicy()).pin(n)  # sub-protocols keep n's cap
-    comm = CommPlan(g, policy=policy, round_cap=round_cap, trace=trace)
+    comm = CommPlan(g, policy=policy, trace=trace)
     if n == 0:
         return PartialColoring([]), PhaseReport(
             mode, 0, 0, (Fraction(0),), (), 0 if mode == "mis" else None,
@@ -257,7 +253,6 @@ def list_color_full(
     *,
     strategy: str = "conditional",
     policy=None,
-    round_cap=None,
     trace=None,
 ):
     """Color every node from its list; returns (PartialColoring, reports).
@@ -278,22 +273,19 @@ def list_color_full(
     ids = list(range(n0))  # residual node -> original id
     reports = []
     cur = instance
-    used = 0
     while cur.graph.n:
-        rem = None if round_cap is None else round_cap - used
         if kmode == "ids":
             psi, pre = list(range(cur.graph.n)), RunStats()
         else:  # from the instance's psi in the first phase, else from ids
             psi, pre = linial_reduce(
                 cur.graph, None if reports else cur.psi,
-                policy=policy, round_cap=rem, trace=trace,
+                policy=policy, trace=trace,
             )
         partial, rep = color_fraction(
             replace(cur, psi=tuple(psi)),
             mode,
             strategy=strategy,
             policy=policy,
-            round_cap=None if rem is None else rem - pre.rounds,
             trace=trace,
         )
         rep.stats.add(pre)
@@ -312,7 +304,6 @@ def list_color_full(
             )
         reports.append(rep)
         check(len(reports) <= cap, "phase count exceeded")
-        used += rep.stats.rounds
         ids = [ids[v] for v in range(cur.graph.n) if partial.colors[v] is None]
         cur = residual_instance(cur, partial)
     out = PartialColoring(colors)

@@ -19,19 +19,18 @@ node that already halted are counted but dropped.
 
 Sequential composition is the intended usage: every phase step, such
 as build_bfs_forest or aggregate_pairs, returns (result, RunStats), and
-a CommPlan runs them one after another as one round ledger: each step
-gets the round cap minus the rounds already charged, and its stats join
-the ledger's total.  That matches synchronous composition where every
-node knows a common round bound for each stage.
+a CommPlan runs them one after another as one round ledger whose total
+adds up the steps' stats.
 
 Every phase step but the pipeline's flag-low is a single pass, not an
 engine run: the rounds and lengths of its messages follow from its
 input, so it computes its result directly, and one charging rule,
-_charge, turns those lengths into the RunStats, trace records and
-round-cap error the engine would give.  Here that covers the BFS
-forest, the one-round exchange and the tree collectives; linial.py adds
-the reduction and the MIS sweep.  The engine serves flag-low,
-hand-written protocols and the tests' engine-driven references.
+_charge, turns those lengths into the RunStats and trace records the
+engine would give.  Here that covers the BFS forest, the one-round
+exchange and the tree collectives; linial.py adds the reduction and the
+MIS sweep.  The engine serves flag-low, hand-written protocols and the
+tests' engine-driven references; only it takes a round cap, a check on
+node programs that may never halt.
 """
 
 from __future__ import annotations
@@ -313,7 +312,7 @@ class BFSTree:
         self.level_sizes = Counter(self.depth.values())
 
 
-def build_bfs_forest(graph, *, policy=None, round_cap=None, trace=None):
+def build_bfs_forest(graph, *, policy=None, trace=None):
     """Grow one BFS tree per component, rooted at its smallest id, in
     root order; parents tie-break to the min id.
 
@@ -354,7 +353,7 @@ def build_bfs_forest(graph, *, policy=None, round_cap=None, trace=None):
                 height=height,
             )
         )
-    return tuple(forest), _charge({ALGORITHM: sent}, round_cap, trace)
+    return tuple(forest), _charge({ALGORITHM: sent}, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -365,30 +364,25 @@ def build_bfs_forest(graph, *, policy=None, round_cap=None, trace=None):
 _PAIR_OVERHEAD = 4 * (1 + _LEN_FIELD)
 
 
-def _charge(sent, round_cap, trace, failure=None):
+def _charge(sent, trace, failure=None):
     """RunStats of a pass that delivers, per category c, messages of the
     lengths in sent[c][r] in round r, for r = 1..height, with the engine's
-    trace.  A pass with no rounds charges nothing, whatever the cap.
+    trace.  A pass with no rounds charges nothing.
 
     `failure` is (r, exc) for an error the engine raises while it runs
-    round r (0 is setup); it comes first unless the cap stops it sooner.
+    round r (0 is setup): the rounds before it are traced, then it raises.
     """
     height = max(map(len, sent.values()), default=1) - 1
     if not height:
         return RunStats()
-    done, error = height, None
-    if round_cap is not None and round_cap < height:
-        done = max(round_cap, 0)
-        error = RoundCapError(f"round cap {round_cap} exceeded with work pending")
-    if failure is not None and failure[0] <= done:
-        done, error = failure[0] - 1, failure[1]
+    done = height if failure is None else failure[0] - 1
     if trace is not None:
         for r in range(1, done + 1):
             bits = _per_category() | {c: sum(lens[r]) for c, lens in sent.items()}
             messages = sum(len(lens[r]) for lens in sent.values())
             trace({"round": r, "messages": messages, "category_bits": bits})
-    if error is not None:
-        raise error
+    if failure is not None:
+        raise failure[1]
     stats = RunStats(rounds=height)
     for c, lens in sent.items():
         count = sum(map(len, lens))
@@ -399,7 +393,7 @@ def _charge(sent, round_cap, trace, failure=None):
     return stats
 
 
-def aggregate_pairs(graph, forest, values, *, policy=None, round_cap=None, trace=None):
+def aggregate_pairs(graph, forest, values, *, policy=None, trace=None):
     """Sum node values a_v = num_a[v] / den[v], b_v = num_b[v] / den[v]
     (den > 0, any terms) toward each tree root, as a pair of Fractions.
 
@@ -441,10 +435,10 @@ def aggregate_pairs(graph, forest, values, *, policy=None, round_cap=None, trace
     if too_long < len(sent):
         error = ValueError("integer too large for the rational wire format")
         failure = (too_long, error)
-    return totals, _charge({AGGREGATION: sent}, round_cap, trace, failure)
+    return totals, _charge({AGGREGATION: sent}, trace, failure)
 
 
-def broadcast_values(graph, forest, values, *, policy=None, round_cap=None, trace=None):
+def broadcast_values(graph, forest, values, *, policy=None, trace=None):
     """Push one (value, width) per root down its tree; rounds <= height.
 
     Every node of a tree gets its root's value, which a non-root v hears
@@ -465,23 +459,21 @@ def broadcast_values(graph, forest, values, *, policy=None, round_cap=None, trac
             for d in range(1, tree.height + 1):
                 sent[d] += [width] * tree.level_sizes[d]
         got.update(dict.fromkeys(tree.nodes, value))
-    return got, _charge({ALGORITHM: sent}, round_cap, trace)
+    return got, _charge({ALGORITHM: sent}, trace)
 
 
 class CommPlan:
     """The round ledger of one phase: graph, forest, policy and one RunStats.
 
-    Every step runs through `run`, which hands it the policy, the trace
-    and the round cap minus every round charged so far, and charges the
-    step's RunStats, so consecutive steps share one cumulative cap and
-    add up to one total.  The forest may be set once it has been built.
+    Every step runs through `run`, which hands it the policy and the
+    trace and adds the step's RunStats to the ledger's total.  The forest
+    may be set once it has been built.
     """
 
-    def __init__(self, graph, forest=(), *, policy=None, round_cap=None, trace=None):
+    def __init__(self, graph, forest=(), *, policy=None, trace=None):
         self.graph = graph
         self.forest = forest
         self.policy = policy
-        self.round_cap = round_cap
         self.trace = trace
         self.stats = RunStats()
 
@@ -490,12 +482,9 @@ class CommPlan:
         return max((t.height for t in self.forest), default=0)
 
     def run(self, step, *args):
-        """Result of step(*args, policy, round_cap, trace) after charging
-        the RunStats it returns beside the result."""
-        cap = self.round_cap
-        if cap is not None:
-            cap -= self.stats.rounds
-        result, stats = step(*args, policy=self.policy, round_cap=cap, trace=self.trace)
+        """Result of step(*args, policy, trace) after charging the
+        RunStats it returns beside the result."""
+        result, stats = step(*args, policy=self.policy, trace=self.trace)
         self.stats.add(stats)
         return result
 
@@ -509,14 +498,14 @@ class CommPlan:
         return self.run(broadcast_values, self.graph, self.forest, values)
 
 
-def exchange(graph, outgoing, *, policy=None, round_cap=None, trace=None):
+def exchange(graph, outgoing, *, policy=None, trace=None):
     """One round in which node v sends outgoing[v][u] to each neighbor u;
     returns ({u: {v: message}}, RunStats), charged as the engine would.
 
     Sends are checked in node order, then dict order: a non-Message or a
     target that is no neighbor raises ProtocolError, and an "algorithm"
-    message past the policy's cap BandwidthError, all before the round
-    cap is.  No message costs no round.
+    message past the policy's cap BandwidthError.  No message costs no
+    round.
     """
     limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
     heard = {v: {} for v in range(graph.n)}
@@ -536,4 +525,4 @@ def exchange(graph, outgoing, *, policy=None, round_cap=None, trace=None):
             heard[u][v] = msg
             sizes[msg.category].append(msg.bit_len)
     sent = {c: [[], lens] for c, lens in sizes.items() if lens}
-    return heard, _charge(sent, round_cap, trace)
+    return heard, _charge(sent, trace)

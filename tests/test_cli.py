@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 
@@ -105,11 +106,11 @@ def test_run_seed_cap_exhausts(capsys):
 
 
 def test_run_round_cap_aborts(capsys):
-    code, _, stderr = run_cli(
-        ["run", "--gen", "cycle,n=16", "--round-cap", "3"], capsys
-    )
-    assert code == 1
-    assert stderr.startswith("error:")
+    # the colouring path takes no round cap: the flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--gen", "cycle,n=16", "--round-cap", "3"], capsys)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --round-cap 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("beta", ["0", "-1"])
@@ -134,6 +135,7 @@ def test_run_rejects_bad_generator_spec(capsys):
         (["--gen", "regular,n=10"], "error: regular graph needs parameter 'd'\n"),
         (["--graph", "{inst}"], "error: edge 0 endpoint must be an integer, not a string\n"),
         (["--gen", "path,n=4,extra=1"], "error: path graph takes no parameter 'extra'\n"),
+        (["--gen", "path,n=4,n=6"], "error: repeated generator parameter 'n'\n"),
     ],
 )
 def test_run_rejects_malformed_input_with_exit_1(argv, message, tmp_path, capsys):
@@ -143,6 +145,20 @@ def test_run_rejects_malformed_input_with_exit_1(argv, message, tmp_path, capsys
     assert code == 1
     assert stdout == ""
     assert stderr == message
+
+
+@pytest.mark.parametrize("psi", [3**100, 3**150, 10**400])
+def test_run_huge_start_coloring_is_fast(psi, tmp_path, capsys):
+    # the first reduction step picks (q, d) for K = psi + 1 in integers
+    inst = tmp_path / "inst.json"
+    write_instance(inst, 2, [(0, 1)], psi={0: 0, 1: psi})
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(["run", "--graph", str(inst)], capsys)
+    assert time.perf_counter() - start < 2
+    assert (code, stderr) == (0, "")
+    stats = json.loads(stdout)
+    assert stats["colored"] == 2
+    assert stats["max_bits"]["algorithm"] == psi.bit_length()
 
 
 def test_run_broken_guarantee_exits_3(monkeypatch, capsys):

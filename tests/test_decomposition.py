@@ -25,7 +25,6 @@ from congestcolor.graphs import (
     verify_coloring,
 )
 from congestcolor.pipeline import list_color_full
-from congestcolor.sim import RoundCapError
 
 
 def path(n):
@@ -354,30 +353,3 @@ def test_compose_weak_clusters_charge_kappa(tmp_path):
     assert (back.beta, back.kappa) == (4, 2)
     assert back == d
 
-
-def test_compose_round_cap_covers_kappa_charge():
-    # the clusters of test_compose_weak_clusters_charge_kappa; a class is
-    # charged kappa times its slowest cluster, so a cluster of the kappa=2
-    # class may use only half of what is left
-    g = path(7)
-    inst = attach_default_lists(g)
-
-    def decomp(weak, strong):
-        return NetworkDecomposition(
-            clusters=(
-                Cluster(0, weak, (0, 1), ((0, 1), (1, 2), (2, 3), (3, 4))),
-                Cluster(1, weak, (5, 6), ((2, 3), (3, 4), (4, 5), (5, 6))),
-                Cluster(2, strong, (2, 3, 4), ((2, 3), (3, 4))),
-            ),
-            alpha=2, beta=4, kappa=2,
-        )
-
-    weak_last = decomp(2, 1)
-    _, rep = color_with_decomposition(inst, weak_last, "mis")
-    assert rep.classes[1].kappa == 2
-    _, capped = color_with_decomposition(inst, weak_last, "mis", round_cap=rep.rounds)
-    assert capped.rounds == rep.rounds
-    with pytest.raises(RoundCapError):
-        color_with_decomposition(inst, weak_last, "mis", round_cap=rep.rounds - 1)
-    with pytest.raises(RoundCapError, match=r"round cap \d+ exceeded"):
-        color_with_decomposition(inst, decomp(1, 2), "mis", round_cap=89)

@@ -1,4 +1,8 @@
+import json
 import random
+import time
+from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,32 @@ def test_params_minimize_q_squared():
             assert q_alt * q_alt >= p.q * p.q
             if q_alt * q_alt == p.q * p.q:
                 assert p.d <= d
+
+
+def test_params_match_recorded_grid():
+    # (q, d) recorded from the float-root implementation this one replaced,
+    # on every K < 3000 and on 20 random K of each bit length 12..63; the
+    # file holds, per delta, the first grid K of each run of equal output
+    data = json.loads((Path(__file__).parent / "data" / "linial_params.json").read_text())
+    rng = random.Random(15)
+    drawn = {rng.getrandbits(b - 1) | (1 << (b - 1)) for b in range(12, 64) for _ in range(20)}
+    grid = sorted(set(range(2, 3000)) | drawn)
+    assert len(grid) == 4029
+    for delta, runs in data.items():
+        firsts = [K for K, _, _ in runs]
+        for K in grid:
+            _, q, d = runs[bisect_right(firsts, K) - 1]
+            assert linial_params(K, int(delta)) == PolyParams(q=q, d=d), (K, delta)
+
+
+@pytest.mark.parametrize("bits", [100, 238, 1329])
+def test_params_huge_start_coloring_is_fast(bits):
+    K = 1 << (bits - 1)
+    start = time.perf_counter()
+    p = linial_params(K, 3)
+    assert time.perf_counter() - start < 1
+    assert p.q ** (p.d + 1) >= K and p.q > 3 * p.d and slow_prime(p.q)
+    assert p.q == smallest_valid_q(K, 3, p.d)
 
 
 def test_fixpoints():

@@ -21,7 +21,7 @@ from congestcolor.graphs import (
     verify_coloring,
 )
 from congestcolor.pipeline import color_fraction, list_color_full, trim_lists
-from congestcolor.sim import ALGORITHM, BandwidthPolicy, RoundCapError
+from congestcolor.sim import ALGORITHM, BandwidthPolicy
 from congestcolor.derand import SeedCapError
 
 
@@ -273,34 +273,21 @@ def test_full_strict_bandwidth():
     assert all(r.stats.max_bits_by_category[ALGORITHM] <= cap for r in reps)
 
 
-def test_full_round_cap():
-    inst = attach_default_lists(generate_graph("cycle", {"n": 12}, 0))
-    with pytest.raises(RoundCapError):
-        list_color_full(inst, round_cap=3)
-
-
 @pytest.mark.parametrize(
     "kind, params, mode, total",
     [("cycle", {"n": 12}, "mis", 303), ("star", {"n": 9}, "avoid-mis", 196)],
 )
-def test_full_round_cap_sweep(kind, params, mode, total):
-    # every cap below the total stops the run after exactly that many
-    # rounds, whichever step the cap lands in; the total itself suffices
+def test_full_round_records(kind, params, mode, total):
+    # every step of every phase traces one record per round it charges,
+    # and tracing changes no report
     inst = attach_default_lists(generate_graph(kind, params, 1))
     _, reps = list_color_full(inst, mode, "linial")
+    records = []
+    _, traced = list_color_full(inst, mode, "linial", trace=records.append)
+    assert traced == reps
     assert sum(r.rounds for r in reps) == total
-    for cap in range(total + 1):
-        records = []
-        try:
-            _, capped = list_color_full(
-                inst, mode, "linial", round_cap=cap, trace=records.append
-            )
-        except RoundCapError:
-            assert cap < total
-            assert sum("round" in r for r in records) == cap
-        else:
-            assert cap == total
-            assert capped == reps
+    assert sum("round" in r for r in records) == total
+    assert [r["rounds"] for r in records if "phase" in r] == [r.rounds for r in reps]
 
 
 def test_full_exhaustive_strategy_and_cap():

@@ -255,17 +255,22 @@ def test_bfs_many_components_is_fast():
     assert all(t.root == 2 * i and t.height == 1 for i, t in enumerate(forest))
 
 
-def test_comm_plan_charges_every_step_against_one_cap():
+def test_comm_plan_adds_up_every_step():
     g = generate_graph("path", {"n": 5})
     records = []
-    comm = CommPlan(g, round_cap=9, trace=records.append)
+    comm = CommPlan(g, trace=records.append)
     comm.forest = comm.run(build_bfs_forest, g)  # 4 layers + 2 rounds
     assert comm.stats.rounds == 6 and comm.depth == 4
     assert comm.exchange({0: {1: Message(1, 1)}})[1] == {0: Message(1, 1)}
     assert comm.stats.rounds == 7 and len(records) == 7
-    with pytest.raises(RoundCapError, match="round cap 2 exceeded"):
-        comm.aggregate(node_nums({0: (Fraction(1), Fraction(2))}, g.n))  # 4 rounds
-    assert len(records) == 9
+    totals = comm.aggregate(node_nums({0: (Fraction(1), Fraction(2))}, g.n))
+    assert totals == {0: (Fraction(1), Fraction(2))}
+    assert comm.broadcast({0: (3, 2)}) == dict.fromkeys(range(5), 3)
+    assert comm.stats.rounds == 7 + 4 + 4 and len(records) == 15
+    assert [r["round"] for r in records] == [*range(1, 7), 1, *range(1, 5), *range(1, 5)]
+    assert comm.stats.messages == sum(r["messages"] for r in records)
+    for c in (ALGORITHM, AGGREGATION):
+        assert comm.stats.bits_by_category[c] == sum(r["category_bits"][c] for r in records)
 
 
 def test_bfs_matches_offline_distances():
@@ -597,7 +602,6 @@ def _draw_values(data, n, huge):
 
 _run_options = {
     "traced": st.booleans(),
-    "round_cap": st.sampled_from([None, -2, -1, 0, 1, 2, 3, 4, 5]),
     "beta": st.sampled_from([None, 1, 2]),
 }
 
@@ -609,10 +613,10 @@ _run_options = {
     huge=st.sets(st.integers(min_value=0, max_value=39), max_size=2),
     **_run_options,
 )
-def test_aggregate_pairs_matches_engine(gf, data, huge, traced, round_cap, beta):
+def test_aggregate_pairs_matches_engine(gf, data, huge, traced, beta):
     g, forest = gf
     values = _draw_values(data, g.n, huge)
-    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    kwargs = {"policy": BandwidthPolicy(beta)}
     got = _outcome(aggregate_pairs, g, forest, node_nums(values, g.n), traced=traced, **kwargs)
     want = _outcome(engine_aggregate, g, forest, values, traced=traced, **kwargs)
     assert got == want
@@ -622,27 +626,37 @@ def test_aggregate_pairs_matches_engine(gf, data, huge, traced, round_cap, beta)
 @pytest.mark.parametrize("v", range(6))
 def test_aggregate_overflow_against_round_cap_matches_engine(v, round_cap):
     # node v + 1 is the first to send a sum too long to encode, while round
-    # 5 - v runs; that error comes first unless the cap stops the run sooner
+    # 5 - v runs: the pass traces the rounds before it and raises, as the
+    # engine does (v = 2 is the control: node 3's value replaces the huge
+    # one, and all 6 rounds run).  Only the engine takes a round cap, and
+    # one below that last round stops it sooner, on the pass's first records
     g = generate_graph("path", {"n": 7})
     forest, _ = build_bfs_forest(g)
     values = {v + 1: (HUGE, Fraction(1)), 3: (Fraction(-2, 3), Fraction(5))}
-    nums = node_nums(values, g.n)
-    got = _outcome(aggregate_pairs, g, forest, nums, traced=True, round_cap=round_cap)
-    want = _outcome(engine_aggregate, g, forest, values, traced=True, round_cap=round_cap)
-    assert got == want
+    got = _outcome(aggregate_pairs, g, forest, node_nums(values, g.n), traced=True)
+    assert got == _outcome(engine_aggregate, g, forest, values, traced=True)
+    last = 6 if v == 2 else 5 - v
+    assert got[0][0] == ("returned" if v == 2 else "raised")
+    capped = _outcome(engine_aggregate, g, forest, values, traced=True, round_cap=round_cap)
+    if round_cap is None or round_cap >= last:
+        assert capped == got
+    else:
+        assert capped[0][:2] == ("raised", RoundCapError)
+        assert capped[1] == got[1][:round_cap]
 
 
 def test_passes_without_rounds_charge_nothing_under_a_negative_cap():
     # an all-singleton forest has height 0: the engine runs no round, so
-    # no cap is exceeded, and the passes charge the same zero RunStats
+    # even a negative cap is not exceeded, and the passes charge the same
+    # zero RunStats
     g = Graph.from_edges(3, [])
     forest, _ = build_bfs_forest(g)
     values = {v: (Fraction(v), Fraction(1, v + 1)) for v in range(3)}
-    got = aggregate_pairs(g, forest, node_nums(values, g.n), round_cap=-1)
+    got = aggregate_pairs(g, forest, node_nums(values, g.n))
     assert got == engine_aggregate(g, forest, values, round_cap=-1)
     assert got[1] == RunStats()
     roots = {v: (v, 2) for v in range(3)}
-    got = broadcast_values(g, forest, roots, round_cap=-1)
+    got = broadcast_values(g, forest, roots)
     assert got == engine_broadcast(g, forest, roots, round_cap=-1)
     assert got[1] == RunStats()
 
@@ -660,7 +674,7 @@ _factors = st.one_of(
     huge=st.sets(st.integers(min_value=0, max_value=39), max_size=2),
     **_run_options,
 )
-def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, round_cap, beta):
+def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, beta):
     # messages carry reduced sums, so scaling a node's (num_a, num_b, den)
     # changes no total, RunStats, trace record or error
     g, forest = gf
@@ -670,7 +684,7 @@ def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, r
     reduced = tuple([x // c for x, c in zip(col, gcds)] for col in nums)
     ks = data.draw(st.lists(_factors, min_size=g.n, max_size=g.n))
     scaled = tuple([x * k for x, k in zip(col, ks)] for col in nums)
-    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    kwargs = {"policy": BandwidthPolicy(beta)}
     want = _outcome(engine_aggregate, g, forest, values, traced=traced, **kwargs)
     for triple in (reduced, scaled):
         assert _outcome(aggregate_pairs, g, forest, triple, traced=traced, **kwargs) == want
@@ -682,13 +696,13 @@ def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, r
     data=st.data(),
     **_run_options,
 )
-def test_broadcast_values_matches_engine(gf, data, traced, round_cap, beta):
+def test_broadcast_values_matches_engine(gf, data, traced, beta):
     g, forest = gf
     values = {}
     for t in forest:
         width = data.draw(st.integers(min_value=1, max_value=9))
         values[t.root] = (data.draw(st.integers(0, 1 << width)), width)
-    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    kwargs = {"policy": BandwidthPolicy(beta)}
     got = _outcome(broadcast_values, g, forest, values, traced=traced, **kwargs)
     want = _outcome(engine_broadcast, g, forest, values, traced=traced, **kwargs)
     assert got == want
@@ -713,11 +727,11 @@ class _OneShot(NodeProgram):
         ctx.halt()
 
 
-def engine_exchange(graph, outgoing, *, policy=None, round_cap=None, trace=None):
+def engine_exchange(graph, outgoing, *, policy=None, trace=None):
     if not any(outgoing.get(v) for v in range(graph.n)):
         return {v: {} for v in range(graph.n)}, RunStats()
     progs = [_OneShot(outgoing.get(v, {})) for v in range(graph.n)]
-    stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
+    stats = run_protocol(graph, progs, policy=policy, trace=trace)
     return {v: progs[v].heard for v in range(graph.n)}, stats
 
 
@@ -728,7 +742,7 @@ def _exchange_outcome(fn, graph, outgoing, traced, **kwargs):
     trace = records.append if traced else None
     try:
         heard, stats = fn(graph, outgoing, trace=trace, **kwargs)
-    except (ProtocolError, RoundCapError, BandwidthError) as exc:
+    except (ProtocolError, BandwidthError) as exc:
         return ("raised", type(exc), str(exc)), records
     return ("returned", [(u, list(heard[u].items())) for u in heard], stats), records
 
@@ -767,12 +781,11 @@ def sends(draw):
 @given(
     gs=sends(),
     traced=st.booleans(),
-    round_cap=st.sampled_from([None, -2, -1, 0, 1]),
     beta=st.sampled_from([None, 1, 2]),
 )
-def test_exchange_matches_engine(gs, traced, round_cap, beta):
+def test_exchange_matches_engine(gs, traced, beta):
     g, outgoing = gs
-    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    kwargs = {"policy": BandwidthPolicy(beta)}
     got = _exchange_outcome(exchange, g, outgoing, traced, **kwargs)
     want = _exchange_outcome(engine_exchange, g, outgoing, traced, **kwargs)
     assert got == want
@@ -829,12 +842,12 @@ class _BFSBuild(NodeProgram):
             ctx.halt()
 
 
-def engine_bfs_forest(graph, *, policy=None, round_cap=None, trace=None):
+def engine_bfs_forest(graph, *, policy=None, trace=None):
     """build_bfs_forest: a flood from each component's smallest id."""
     width = max(1, (graph.n - 1).bit_length())
     roots = {comp[0] for comp in graph.components}
     progs = [_BFSBuild(v in roots, width) for v in range(graph.n)]
-    stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
+    stats = run_protocol(graph, progs, policy=policy, trace=trace)
     forest = []
     for comp in graph.components:
         depth = {v: progs[v].dist for v in comp}
@@ -887,14 +900,14 @@ class _Reduce(NodeProgram):
             self._emit(ctx)
 
 
-def engine_linial_reduce(graph, colors=None, *, policy=None, round_cap=None, trace=None):
+def engine_linial_reduce(graph, colors=None, *, policy=None, trace=None):
     if colors is None:
         colors = list(range(graph.n))
     _check_proper(graph, colors, "initial coloring")
     schedule, _ = _schedule(max(colors, default=0) + 1, graph.max_degree)
     check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
     progs = [_Reduce(colors[v], schedule) for v in range(graph.n)]
-    stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
+    stats = run_protocol(graph, progs, policy=policy, trace=trace)
     return [p.color for p in progs], stats
 
 
@@ -924,10 +937,10 @@ class _ClassSweep(NodeProgram):
             self._join(ctx)
 
 
-def engine_mis_by_colors(graph, colors, *, policy=None, round_cap=None, trace=None):
+def engine_mis_by_colors(graph, colors, *, policy=None, trace=None):
     _check_proper(graph, colors, "conflict coloring")
     progs = [_ClassSweep(colors[v]) for v in range(graph.n)]
-    stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
+    stats = run_protocol(graph, progs, policy=policy, trace=trace)
     return tuple(v for v, p in enumerate(progs) if p.joined), stats
 
 
@@ -947,15 +960,14 @@ def colorings(draw, g, spread):
 
 _pass_options = {
     "traced": st.booleans(),
-    "round_cap": st.sampled_from([None, -1, 0, 1, 2, 3, 4, 5]),
     "beta": st.sampled_from([None, 1, 2, 3]),
 }
 
 
 @settings(max_examples=200, deadline=None)
 @given(g=rooted_graphs(), **_pass_options)
-def test_build_bfs_forest_matches_engine(g, traced, round_cap, beta):
-    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+def test_build_bfs_forest_matches_engine(g, traced, beta):
+    kwargs = {"policy": BandwidthPolicy(beta)}
     got = _outcome(build_bfs_forest, g, traced=traced, **kwargs)
     want = _outcome(engine_bfs_forest, g, traced=traced, **kwargs)
     assert got == want
@@ -963,10 +975,10 @@ def test_build_bfs_forest_matches_engine(g, traced, round_cap, beta):
 
 @settings(max_examples=200, deadline=None)
 @given(g=graphs(), data=st.data(), **_pass_options)
-def test_linial_reduce_matches_engine(g, data, traced, round_cap, beta):
+def test_linial_reduce_matches_engine(g, data, traced, beta):
     # starts of up to 12 bits trip strict:1 and strict:2 for n <= 40
     colors = data.draw(st.none() | colorings(g, 1 << 12))
-    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    kwargs = {"policy": BandwidthPolicy(beta)}
     got = _outcome(linial_reduce, g, colors, traced=traced, **kwargs)
     want = _outcome(engine_linial_reduce, g, colors, traced=traced, **kwargs)
     assert got == want
@@ -974,9 +986,9 @@ def test_linial_reduce_matches_engine(g, data, traced, round_cap, beta):
 
 @settings(max_examples=200, deadline=None)
 @given(g=graphs(), data=st.data(), **_pass_options)
-def test_mis_by_colors_matches_engine(g, data, traced, round_cap, beta):
+def test_mis_by_colors_matches_engine(g, data, traced, beta):
     colors = data.draw(colorings(g, 3 * g.n))
-    kwargs = {"policy": BandwidthPolicy(beta), "round_cap": round_cap}
+    kwargs = {"policy": BandwidthPolicy(beta)}
     got = _outcome(mis_by_colors, g, colors, traced=traced, **kwargs)
     want = _outcome(engine_mis_by_colors, g, colors, traced=traced, **kwargs)
     assert got == want
