@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from .graphs import (
     InvariantError,
     ValidationError,
     _entry,
+    _known_keys,
     _typed,
     attach_default_lists,
     check,
@@ -42,7 +44,7 @@ from .graphs import (
     save_coloring,
     verify_coloring,
 )
-from .pipeline import list_color_full
+from .pipeline import KMODES, MODES, check_modes, list_color_full
 from .sim import ALGORITHM, BandwidthPolicy, RunStats
 
 
@@ -83,20 +85,11 @@ def _total(reports) -> RunStats:
     return total
 
 
-def _trace_writer(fh):
-    def write(record):
-        fh.write(json.dumps(record, sort_keys=True))
-        fh.write("\n")
-
-    return write
-
-
 def cmd_run(args) -> int:
     inst = _build_instance(args)
     policy = BandwidthPolicy.parse(args.bandwidth)
-    fh = open(args.trace, "w") if args.trace else None
-    try:
-        trace = _trace_writer(fh) if fh else None
+    with open(args.trace, "w") if args.trace else nullcontext() as fh:
+        trace = (lambda r: fh.write(json.dumps(r, sort_keys=True) + "\n")) if fh else None
         kwargs = dict(
             kmode=args.kmode,
             strategy=args.strategy,
@@ -117,9 +110,6 @@ def cmd_run(args) -> int:
                 rep for rec in comp.classes for reps in rec.reports for rep in reps
             ]
             rounds = comp.rounds
-    finally:
-        if fh is not None:
-            fh.close()
     check(verify_coloring(inst, coloring).ok, "run produced an invalid coloring")
     if args.out:
         save_coloring(args.out, coloring)
@@ -171,10 +161,13 @@ def cmd_bench(args) -> int:
         spec = json.load(fh)
     if isinstance(spec, list):
         items, mode, kmode = spec, "mis", "linial"
-    else:
-        items = _entry(_typed(spec, dict, "a suite file"), "graphs", list)
+    else:  # the suite's own keys are checked before any graph runs
+        _known_keys(_typed(spec, dict, "a suite file"), ("graphs", "mode", "kmode"),
+                    "a suite file takes no key")
+        items = _entry(spec, "graphs", list)
         mode = spec.get("mode", "mis")
         kmode = spec.get("kmode", "linial")
+        check_modes(mode, kmode)
     header = ["n", "delta", "C", "phases", "rounds", "max_bits", "ratio"]
     if not args.no_time:
         header.append("wall_ms")
@@ -183,9 +176,10 @@ def cmd_bench(args) -> int:
         if isinstance(item, str):
             gen, seed = item, args.rng_seed
         else:
-            at = f"suite graph {i}: "
-            gen = _entry(_typed(item, dict, f"suite graph {i}"), "gen", str, at)
-            seed = _typed(item.get("seed", args.rng_seed), int, f"{at}seed")
+            at = f"suite graph {i}"
+            _known_keys(_typed(item, dict, at), ("gen", "seed"), f"{at} takes no key")
+            gen = _entry(item, "gen", str, f"{at}: ")
+            seed = _typed(item.get("seed", args.rng_seed), int, f"{at}: seed")
         kind, params = _parse_gen(gen)
         inst = attach_default_lists(generate_graph(kind, params, seed))
         start = time.perf_counter()
@@ -230,8 +224,8 @@ def _parser() -> argparse.ArgumentParser:
         default="degree1",
         help="lists: use the file's lists; degree1: list {0..deg(v)} per node",
     )
-    run.add_argument("--mode", choices=("mis", "avoid-mis"), default="mis")
-    run.add_argument("--kmode", choices=("linial", "ids"), default="linial")
+    run.add_argument("--mode", choices=MODES, default="mis")
+    run.add_argument("--kmode", choices=KMODES, default="linial")
     run.add_argument(
         "--strategy", choices=("conditional", "exhaustive"), default="conditional"
     )

@@ -33,10 +33,11 @@ fix_level runs the selection as a protocol: one exchange of
 (k0, k1, psi) along alive edges, then per seed bit one aggregation of
 the two candidate sums up a spanning tree and a one-bit broadcast back
 down.  Every exact sum adds integer numerators over one common
-denominator and is reduced once: the convergecast adds each node's two
-values over the lcm of its tree's denominators, only the roots' totals
-become Fractions, and phi_sum gives the potentials a level is checked
-against.  Components cannot share a seed, so each root fixes its own.
+denominator: the convergecast adds each node's two values over one lcm
+for the whole forest, roots compare and chain their integer totals by
+cross-multiplication, and phi_sum gives the potentials a level is
+checked against.  Components cannot share a seed, so each tree, named
+by its forest position, fixes its own.
 """
 
 from __future__ import annotations
@@ -344,8 +345,8 @@ def node_conditional(ctx: LevelContext, v: int, prefix: SeedPrefix) -> Fraction:
     return total
 
 
-def choose_seed_bit(s0: Fraction, s1: Fraction) -> int:
-    """Greedy argmin; ties go to 0 so runs are reproducible."""
+def choose_seed_bit(s0, s1) -> int:
+    """Greedy argmin over one denominator; ties go to 0 so runs repeat."""
     return 0 if s0 <= s1 else 1
 
 
@@ -409,7 +410,8 @@ class _Estimator:
 
     The seed state is a_v = low_b(s1 * x_v) per node over the decided s1
     bits, which deciding s1 bit j XORs with g_j(x_v) = low_b(x^j * x_v),
-    column j of one generator table, and the decided s2 bits per root.
+    column j of one generator table, and the decided s2 bits of each of
+    the `trees` trees, which go by forest position: tree_of[v] is v's.
     Both regimes count the same box, at delta = a_u ^ a_v.  While s1 is
     open, an edge's reachable offsets are the coset delta + span{g_k : k > j},
     and its branch pairs turn the average over them into rank arithmetic.
@@ -417,7 +419,7 @@ class _Estimator:
     the coset representative that is zero at the pivots is linear, so the
     bit-1 side of a pair is its bit-0 side XOR the reduced g_j of its edge.
 
-    Once s1 is fixed, so is a_v.  With the root's low `lock` s2 bits at y,
+    Once s1 is fixed, so is a_v.  With its tree's low `lock` s2 bits at y,
     coin v fires when the free high bits z satisfy ((a_v >> lock) ^ z) < T_v,
     the rescaled threshold T_v = ceil((t_v - ((a_v ^ y) mod 2^lock)) / 2^lock);
     so like-1 is the box count of T_u, T_v and delta >> lock over b - lock
@@ -425,7 +427,7 @@ class _Estimator:
     the same probabilities as subcube intersections instead.
     """
 
-    def __init__(self, ctx: LevelContext, comp_of: dict):
+    def __init__(self, ctx: LevelContext, tree_of, trees: int):
         self.ctx = ctx
         self.n = len(ctx.x)
         self.den = [max(a, 1) * max(b, 1) for a, b in zip(ctx.k0, ctx.k1)]
@@ -455,13 +457,11 @@ class _Estimator:
         self.acc_type = np.int64 if bound < 1 << 63 else object
         self.w1 = (c0 * (k1 > 0)).astype(self.acc_type)
         self.w0 = (c1 * (k0 > 0)).astype(self.acc_type)
-        self.roots = sorted(set(comp_of.values()))
-        self.node_root = np.searchsorted(self.roots, [comp_of[v] for v in range(self.n)])
-        self.edge_root = self.node_root[self.eu]
+        self.tree_of = np.asarray(tree_of, dtype=np.int64)
         x = np.array(ctx.x, dtype=np.int64)
         self.hx = _gen_table(ctx.fam, x)
         self.a = np.zeros(self.n, dtype=np.int64)
-        self.s2 = np.zeros(len(self.roots), dtype=np.int64)
+        self.s2 = np.zeros(trees, dtype=np.int64)
         # the spans depend on an edge only through dx = x_u ^ x_v, and the
         # generators are linear in it: g_k(x_u ^ x_v) = g_k(x_u) ^ g_k(x_v)
         _, first, edge_dx = np.unique(
@@ -522,7 +522,7 @@ class _Estimator:
         free = self.ctx.fam.b - lock
         fixed = (1 << lock) - 1
         bit = np.array([[0], [1 << i]], dtype=np.int64)  # seed bit j = 0, 1
-        a_u, a_v, y = self.a[self.eu], self.a[self.ev], self.s2[self.edge_root]
+        a_u, a_v, y = self.a[self.eu], self.a[self.ev], self.s2[self.tree_of[self.eu]]
         # rescaled thresholds ceil((t - ((a ^ y) mod 2^lock)) / 2^lock)
         t_u = (self.tu + fixed - (((a_u ^ y) & fixed) ^ bit)) >> lock
         t_v = (self.tv + fixed - (((a_v ^ y) & fixed) ^ bit)) >> lock
@@ -543,13 +543,13 @@ class _Estimator:
 
     # -- committing a decided bit -------------------------------------------
 
-    def lock(self, j: int, bits_by_root: dict):
+    def lock(self, j: int, bits):  # seed bit j is bits[i] in tree i
         if not self.E:
             return
         m = self.ctx.fam.m
-        bits = np.array([bits_by_root[r] for r in self.roots], dtype=np.int64)
+        bits = np.array(bits, dtype=np.int64)
         if j < m:  # s1 gains x^j: a_v ^= low_b(x^j * x_v)
-            self.a ^= self.hx[:, j] * bits[self.node_root]
+            self.a ^= self.hx[:, j] * bits[self.tree_of]
         else:
             self.s2 |= bits << (j - m)
 
@@ -597,18 +597,18 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     n = state.inst.graph.n
     m, b = fam.m, fam.b
     start_rounds = comm.stats.rounds
+    forest = comm.forest
 
-    comp_nodes = {t.root: t.nodes for t in comm.forest}
-    comp_of = {v: root for root, nodes in comp_nodes.items() for v in nodes}
-    if sorted(v for nodes in comp_nodes.values() for v in nodes) != list(range(n)):
+    owner = sorted((v, i) for i, t in enumerate(forest) for v in t.nodes)
+    if [v for v, _ in owner] != list(range(n)):
         raise ValueError("forest must partition the nodes")
-    roots = sorted(comp_nodes)
-    comp_phi = {r: phi_sum(state, nodes) for r, nodes in comp_nodes.items()}
-    slack = {
-        r: Fraction(10 * max((state.deg[v] for v in nodes), default=0) * len(nodes),
-                    1 << b)
-        for r, nodes in comp_nodes.items()
-    }
+    tree_of = [i for _, i in owner]
+    comp_phi = [phi_sum(state, t.nodes) for t in forest]
+    slack = [
+        Fraction(10 * max((state.deg[v] for v in t.nodes), default=0) * len(t.nodes),
+                 1 << b)
+        for t in forest
+    ]
 
     # round 1: alive neighbors swap split counts and psi colors, after which
     # every node can price its neighbors' coins locally; each node packs its
@@ -624,76 +624,70 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     })
 
     if strategy == "exhaustive":
-        picked = {r: exhaustive_seed(ctx, state, nodes=comp_nodes[r]) for r in roots}
+        picked = [exhaustive_seed(ctx, state, nodes=t.nodes) for t in forest]
         comm.aggregate(([0] * n, [0] * n, [1] * n))  # stands in for facts sent rootward
-        for i in range(m + b):
-            comm.broadcast(
-                {r: ((seed_to_int(fam, picked[r][0]) >> i) & 1, 1) for r in roots}
-            )
-        seeds = {r: picked[r][0] for r in roots}
-        chains = {r: () for r in roots}
-        expect_start = {r: picked[r][1] for r in roots}
-        last = {r: picked[r][1] for r in roots}
-    else:
-        est = _Estimator(ctx, comp_of)
-        chains = {r: [] for r in roots}
-        expect_start, last = {}, {}
         for j in range(m + b):
-            totals = comm.aggregate(est.decision_values(j))
-            bits = {}
-            for r in roots:
-                s0, s1 = totals[r]
+            comm.broadcast([((seed_to_int(fam, seed) >> j) & 1, 1) for seed, _ in picked])
+        seeds = [seed for seed, _ in picked]
+        expect_start = last = [value for _, value in picked]
+        chains = [()] * len(forest)
+    else:
+        est = _Estimator(ctx, tree_of, len(forest))
+        # each tree's last choice as an integer over its convergecast's lcm
+        chains, last, expect_start = [[] for _ in forest], [None] * len(forest), []
+        for j in range(m + b):
+            L, totals = comm.aggregate(est.decision_values(j))
+            bits = []
+            for i, (s0, s1) in enumerate(totals):
                 if j == 0:
-                    expect_start[r] = (s0 + s1) / 2
-                    check(expect_start[r] <= comp_phi[r] + slack[r],
+                    expect_start.append(Fraction(s0 + s1, 2 * L))
+                    check(expect_start[i] <= comp_phi[i] + slack[i],
                           "threshold rounding drifted past its slack")
-                else:
-                    check((s0 + s1) / 2 == last[r], "conditional chain broke")
-                bits[r] = choose_seed_bit(s0, s1)
-                last[r] = min(s0, s1)
-                chains[r].append((s0, s1, bits[r]))
-            comm.broadcast({r: (bits[r], 1) for r in roots})
+                else:  # (s0 + s1) / 2 equals the previous bit's choice
+                    check((s0 + s1) * last[i][1] == 2 * last[i][0] * L,
+                          "conditional chain broke")
+                bits.append(choose_seed_bit(s0, s1))
+                last[i] = (min(s0, s1), L)
+                chains[i].append((Fraction(s0, L), Fraction(s1, L), bits[i]))
+            comm.broadcast([(bit, 1) for bit in bits])
             est.lock(j, bits)
-        seeds = {}
-        for r in roots:
-            word = 0
-            for i, (_, _, bit) in enumerate(chains[r]):
-                word |= bit << i
-            seeds[r] = seed_from_int(fam, word)
+        seeds = [seed_from_int(fam, sum(c[2] << j for j, c in enumerate(chain)))
+                 for chain in chains]
+        last = [Fraction(*pair) for pair in last]
 
     coin_bits = [
-        1 if hash_eval(fam, seeds[comp_of[v]], ctx.x[v]) < ctx.t[v] else 0
+        1 if hash_eval(fam, seeds[tree_of[v]], ctx.x[v]) < ctx.t[v] else 0
         for v in range(n)
     ]
     new_state = apply_bits(state, coin_bits)
 
     records = {}
-    for r in roots:
-        realized = phi_sum(new_state, comp_nodes[r])
-        check(realized == last[r],
+    for i, t in enumerate(forest):
+        realized = phi_sum(new_state, t.nodes)
+        check(realized == last[i],
               "realized potential must equal the fully conditioned expectation")
-        records[r] = RootRecord(
-            root=r,
-            nodes=comp_nodes[r],
-            seed=seeds[r],
-            expect_start=expect_start[r],
-            chain=tuple(chains[r]),
-            phi_before=comp_phi[r],
+        records[t.root] = RootRecord(
+            root=t.root,
+            nodes=t.nodes,
+            seed=seeds[i],
+            expect_start=expect_start[i],
+            chain=tuple(chains[i]),
+            phi_before=comp_phi[i],
             phi_after=realized,
         )
         if comm.trace is not None:
             comm.trace(
                 {
                     "level": new_state.level,
-                    "root": r,
-                    "seed": seed_bit_string(fam, seeds[r]),
-                    "phi_before": frac_str(comp_phi[r]),
+                    "root": t.root,
+                    "seed": seed_bit_string(fam, seeds[i]),
+                    "phi_before": frac_str(comp_phi[i]),
                     "phi_after": frac_str(realized),
-                    "bound": frac_str(comp_phi[r] + slack[r]),
+                    "bound": frac_str(comp_phi[i] + slack[i]),
                 }
             )
     phi_before, phi_after = phi_sum(state), phi_sum(new_state)
-    bound = phi_before + sum(slack.values(), Fraction(0))
+    bound = phi_before + sum(slack, Fraction(0))
     check(phi_after <= bound, "level potential exceeded the rounding slack")
     report = LevelReport(
         level=new_state.level,

@@ -202,6 +202,13 @@ def _entry(obj: dict, key: str, kind: type, where: str = ""):
     return _typed(obj[key], kind, where + key)
 
 
+def _known_keys(obj: dict, allowed, what: str) -> None:
+    """Raise, after `what`, the first key of obj outside `allowed`."""
+    extra = next((key for key in obj if key not in allowed), None)
+    if extra is not None:
+        raise ValidationError(f"{what} {extra!r}")
+
+
 def _int_pair(e, what: str) -> tuple:
     """An array of two integers, as a tuple."""
     if len(_typed(e, list, what)) != 2:
@@ -293,9 +300,7 @@ _GEN_KEYS = dict.fromkeys(("path", "cycle", "star", "clique"), {"n"}) | {
 def generate_graph(kind: str, params: dict, rng_seed: int | None = None) -> Graph:
     if kind not in _GEN_KEYS:
         raise ValidationError(f"unknown graph kind {kind!r}")
-    for key in params:
-        if key not in _GEN_KEYS[kind]:
-            raise ValidationError(f"{kind} graph takes no parameter {key!r}")
+    _known_keys(params, _GEN_KEYS[kind], f"{kind} graph takes no parameter")
     n = _param(kind, params, "n")
     if kind == "path":
         return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])

@@ -45,6 +45,18 @@ from .sim import (
 )
 
 
+MODES = ("mis", "avoid-mis")  # colour through an MIS, or through a matching
+KMODES = ("linial", "ids")  # start colouring: Linial's reduction, or the ids
+
+
+def check_modes(mode, kmode="linial") -> None:
+    """ValueError unless list_color_full takes this mode and kmode."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if kmode not in KMODES:
+        raise ValueError(f"unknown kmode {kmode!r}")
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -141,8 +153,7 @@ def color_fraction(
     mode lists are trimmed to deg+1 first (phase-local; the caller's
     instance keeps its full lists).
     """
-    if mode not in ("mis", "avoid-mis"):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_modes(mode)
     if inst.psi is None:
         raise ValidationError("phase needs a proper start coloring psi")
     g = inst.graph
@@ -262,10 +273,7 @@ def list_color_full(
     stops shrinking, "ids" uses identifiers outright.  Each phase
     colors a fixed fraction, so the loop ends within O(log n) phases.
     """
-    if kmode not in ("linial", "ids"):
-        raise ValueError(f"unknown kmode {kmode!r}")
-    if mode not in ("mis", "avoid-mis"):
-        raise ValueError(f"unknown mode {mode!r}")
+    check_modes(mode, kmode)
     n0 = instance.graph.n
     policy = (policy or BandwidthPolicy()).pin(n0)
     cap = _phase_cap(n0, mode)

@@ -28,16 +28,16 @@ input, so it computes its result directly, and one charging rule,
 _charge, turns those lengths into the RunStats and trace records the
 engine would give.  Here that covers the BFS forest, the one-round
 exchange and the tree collectives; linial.py adds the reduction and the
-MIS sweep.  The engine serves flag-low, hand-written protocols and the
-tests' engine-driven references; only it takes a round cap, a check on
-node programs that may never halt.
+MIS sweep; the collectives name each tree by its forest position.  The
+engine serves flag-low, hand-written protocols and the tests'
+engine-driven references; only it takes a round cap, a check on node
+programs that may never halt.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from math import gcd, lcm
 
 from .graphs import bfs_depths
@@ -395,29 +395,27 @@ def _charge(sent, trace, failure=None):
 
 def aggregate_pairs(graph, forest, values, *, policy=None, trace=None):
     """Sum node values a_v = num_a[v] / den[v], b_v = num_b[v] / den[v]
-    (den > 0, any terms) toward each tree root, as a pair of Fractions.
+    (den > 0, any terms) toward each tree root, in integers.
 
-    `values` is (num_a, num_b, den), node-indexed integer sequences.  One
-    pass per tree, children before parents: a non-root v ships its reduced
-    subtree sum in round subheight(v) + 1, once all its children have, as
-    an "aggregation" message.  Sums add integer numerators over the lcm of
-    the tree's den; only the roots' totals become Fractions.  Aggregation
-    is exempt from `policy`; rounds equal the forest height.
+    `values` is (num_a, num_b, den), node-indexed integer sequences.
+    Returns (L, sums): L = lcm(den), one common denominator for the whole
+    forest, and sums[i] the integer pair (A, B) with A / L, B / L the
+    totals of forest[i].  Children go before parents: a non-root v ships
+    its reduced subtree sum in round subheight(v) + 1, once all its
+    children have, as an "aggregation" message.  Aggregation is exempt
+    from `policy`; rounds equal the forest height.
     """
     num_a, num_b, den = values
     sent = [[] for _ in range(max((t.height for t in forest), default=0) + 1)]
     too_long = len(sent)  # first round in which a sum too long to encode is sent
-    sum_a, sum_b = list(num_a), list(num_b)
-    totals = {}
+    # a reduced fraction is the same over every common denominator, so
+    # S / L reduced by gcd(S, L) prices the message whatever L is
+    L = lcm(*den)
+    scale = [L // d for d in den]
+    sum_a = [a * f for a, f in zip(num_a, scale)]
+    sum_b = [b * f for b, f in zip(num_b, scale)]
     for tree in forest:
         parent, sub = tree.parent, tree.subheight
-        # a reduced fraction is the same over every common denominator, so
-        # S / L reduced by gcd(S, L) prices the message whatever L is
-        L = lcm(*(den[v] for v in tree.nodes))
-        for v in tree.nodes:
-            f = L // den[v]
-            sum_a[v] *= f
-            sum_b[v] *= f
         for v in reversed(tree.order[1:]):  # every child before its parent
             sa, sb = sum_a[v], sum_b[v]
             ga, gb = gcd(sa, L), gcd(sb, L)
@@ -430,27 +428,26 @@ def aggregate_pairs(graph, forest, values, *, policy=None, trace=None):
                 too_long = min(too_long, r - 1)  # too long to send
             sum_a[parent[v]] += sa
             sum_b[parent[v]] += sb
-        totals[tree.root] = (Fraction(sum_a[tree.root], L), Fraction(sum_b[tree.root], L))
     failure = None
     if too_long < len(sent):
         error = ValueError("integer too large for the rational wire format")
         failure = (too_long, error)
-    return totals, _charge({AGGREGATION: sent}, trace, failure)
+    sums = [(sum_a[t.root], sum_b[t.root]) for t in forest]
+    return (L, sums), _charge({AGGREGATION: sent}, trace, failure)
 
 
 def broadcast_values(graph, forest, values, *, policy=None, trace=None):
-    """Push one (value, width) per root down its tree; rounds <= height.
+    """Push values[i] = (value, width) down forest[i]; rounds <= height.
 
     Every node of a tree gets its root's value, which a non-root v hears
     in round depth(v) as a `width`-bit "algorithm" message.  Roots with
-    children check, in root order as the engine's setup round does, that
+    children check, in forest order as the engine's setup round does, that
     the payload fits and then that the policy's cap allows the width.
     """
     sent = [[] for _ in range(max((t.height for t in forest), default=0) + 1)]
     limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
     got = {}
-    for tree in forest:
-        value, width = values[tree.root]
+    for tree, (value, width) in zip(forest, values):
         if tree.height:
             Message(value, width)  # raises ValueError unless the payload fits
             if limit is not None and width > limit:

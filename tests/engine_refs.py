@@ -1,0 +1,355 @@
+"""Engine-driven references for the passes: each protocol that sim.py and
+linial.py evaluate as a charged pass, run here as node programs on the
+round engine, message by message, with the pass's signature and result.
+
+The tests compare every pass with its reference one at a time
+(test_sim.py) and swap all of them in for a whole colouring
+(test_engine_run.py).  Nothing in the library imports this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from congestcolor.graphs import check
+from congestcolor.linial import _check_proper, _recolor, _schedule, log_star
+from congestcolor.sim import (
+    AGGREGATION,
+    BFSTree,
+    Message,
+    NodeProgram,
+    RunStats,
+    _LEN_FIELD,
+    pack_fields,
+    run_protocol,
+)
+
+
+def unpack_fields(msg: Message, widths) -> tuple:
+    """The (value, ...) of msg packed by pack_fields with these widths."""
+    widths = tuple(widths)
+    if sum(widths) != msg.bit_len:
+        raise ValueError("field widths do not add up to the message length")
+    out, rest = [], msg.payload
+    for width in reversed(widths):
+        out.append(rest & ((1 << width) - 1))
+        rest >>= width
+    return tuple(reversed(out))
+
+
+# The rational wire format of aggregation messages, which the engine-driven
+# reference below ships and decodes.
+
+
+def _append_int(payload: int, bits: int, z: int) -> tuple:
+    mag = abs(z)
+    length = mag.bit_length()
+    if length >= (1 << _LEN_FIELD):
+        raise ValueError("integer too large for the rational wire format")
+    payload = (payload << 1) | (1 if z < 0 else 0)
+    payload = (payload << _LEN_FIELD) | length
+    payload = (payload << length) | mag
+    return payload, bits + 1 + _LEN_FIELD + length
+
+
+def pack_fraction_pair(a: Fraction, b: Fraction) -> Message:
+    payload, bits = 0, 0
+    for z in (a.numerator, a.denominator, b.numerator, b.denominator):
+        payload, bits = _append_int(payload, bits, z)
+    return Message(payload, bits, AGGREGATION)
+
+
+def _read_int(payload: int, cursor: int) -> tuple:
+    sign = (payload >> (cursor - 1)) & 1
+    cursor -= 1
+    length = (payload >> (cursor - _LEN_FIELD)) & ((1 << _LEN_FIELD) - 1)
+    cursor -= _LEN_FIELD
+    mag = (payload >> (cursor - length)) & ((1 << length) - 1) if length else 0
+    cursor -= length
+    return (-mag if sign else mag), cursor
+
+
+def unpack_fraction_pair(msg: Message) -> tuple:
+    cursor = msg.bit_len
+    parts = []
+    for _ in range(4):
+        z, cursor = _read_int(msg.payload, cursor)
+        parts.append(z)
+    if cursor != 0:
+        raise ValueError("trailing bits in rational message")
+    return Fraction(parts[0], parts[1]), Fraction(parts[2], parts[3])
+
+
+# ---------------------------------------------------------------------------
+# Engine-driven reference for the tree collectives: the same convergecast
+# and broadcast run as node programs, message by message.
+
+
+class _SumPairs(NodeProgram):
+    def __init__(self, parent, children, value):
+        self.parent = parent
+        self.children = set(children)
+        self.acc = value
+        self.total = None
+
+    def _flush(self, ctx):
+        if self.parent is None:
+            self.total = self.acc
+        else:
+            ctx.send(self.parent, pack_fraction_pair(*self.acc))
+        ctx.halt()
+
+    def setup(self, ctx):
+        if not self.children:
+            self._flush(ctx)
+
+    def absorb(self, ctx):
+        for u, msg in ctx.inbox.items():
+            a, b = unpack_fraction_pair(msg)
+            self.acc = (self.acc[0] + a, self.acc[1] + b)
+            self.children.discard(u)
+        if not self.children:
+            self._flush(ctx)
+
+
+def engine_aggregate(graph, forest, values, *, policy=None, round_cap=None, trace=None):
+    """aggregate_pairs: every node ships its subtree's pair of Fractions in
+    the wire format; the roots' totals come back as integers over lcm(den)."""
+    num_a, num_b, den = values
+    progs = {}
+    for tree in forest:
+        for v in tree.nodes:
+            val = (Fraction(num_a[v], den[v]), Fraction(num_b[v], den[v]))
+            progs[v] = _SumPairs(tree.parent[v], tree.children[v], val)
+    stats = run_protocol(
+        graph,
+        [progs[v] for v in sorted(progs)],
+        policy=policy,
+        round_cap=round_cap,
+        trace=trace,
+    )
+    L = lcm(*den)
+    sums = [
+        tuple(s.numerator * (L // s.denominator) for s in progs[t.root].total)
+        for t in forest
+    ]
+    return (L, sums), stats
+
+
+class _Relay(NodeProgram):
+    def __init__(self, children, width, value=None):
+        self.children = children
+        self.width = width
+        self.value = value
+
+    def _forward(self, ctx):
+        for u in self.children:
+            ctx.send(u, Message(self.value, self.width))
+        ctx.halt()
+
+    def setup(self, ctx):
+        if self.value is not None:
+            self._forward(ctx)
+
+    def absorb(self, ctx):
+        (msg,) = ctx.inbox.values()
+        self.value = msg.payload
+        self._forward(ctx)
+
+
+def engine_broadcast(graph, forest, values, *, policy=None, round_cap=None, trace=None):
+    progs = {}
+    for tree, (value, width) in zip(forest, values):
+        for v in tree.nodes:
+            progs[v] = _Relay(
+                tree.children[v], width, value if v == tree.root else None
+            )
+    stats = run_protocol(
+        graph,
+        [progs[v] for v in sorted(progs)],
+        policy=policy,
+        round_cap=round_cap,
+        trace=trace,
+    )
+    return {v: p.value for v, p in progs.items()}, stats
+
+
+# ---------------------------------------------------------------------------
+# Engine-driven reference for the one-round exchange.
+
+
+class _OneShot(NodeProgram):
+    def __init__(self, outgoing):
+        self.outgoing = outgoing
+        self.heard = {}
+
+    def setup(self, ctx):
+        for u, msg in self.outgoing.items():
+            ctx.send(u, msg)
+        ctx.wake_at(1)
+
+    def absorb(self, ctx):
+        self.heard = dict(ctx.inbox)
+        ctx.halt()
+
+
+def engine_exchange(graph, outgoing, *, policy=None, trace=None):
+    if not any(outgoing.get(v) for v in range(graph.n)):
+        return {v: {} for v in range(graph.n)}, RunStats()
+    progs = [_OneShot(outgoing.get(v, {})) for v in range(graph.n)]
+    stats = run_protocol(graph, progs, policy=policy, trace=trace)
+    return {v: progs[v].heard for v in range(graph.n)}, stats
+
+
+# ---------------------------------------------------------------------------
+# Engine-driven references for the BFS forest, Linial's reduction and the
+# MIS sweep: the same protocols as node programs, run message by message.
+
+
+class _BFSBuild(NodeProgram):
+    def __init__(self, is_root: bool, width: int):
+        self.is_root = is_root
+        self.width = width
+        self.dist = None
+        self.parent = None
+        self.kids = set()
+
+    def _announce(self, ctx):
+        # the root names itself in the parent slot; no neighbor matches it
+        parent = ctx.node if self.parent is None else self.parent
+        msg = pack_fields((self.dist, self.width), (parent, self.width))
+        for u in ctx.neighbors:
+            ctx.send(u, msg)
+
+    def setup(self, ctx):
+        if not self.is_root:
+            return
+        self.dist = 0
+        if not ctx.neighbors:
+            ctx.halt()
+            return
+        self._announce(ctx)
+        ctx.wake_at(2)
+
+    def absorb(self, ctx):
+        if self.dist is None:
+            senders = {}
+            for u, msg in ctx.inbox.items():
+                senders[u] = unpack_fields(msg, (self.width, self.width))
+            check(
+                all(d == ctx.round - 1 for d, _ in senders.values()),
+                "BFS offers must come from the previous layer",
+            )
+            self.dist = ctx.round
+            self.parent = min(senders)
+            self._announce(ctx)
+            ctx.wake_at(ctx.round + 2)
+        for u, msg in ctx.inbox.items():
+            d, p = unpack_fields(msg, (self.width, self.width))
+            if p == ctx.node and d == self.dist + 1:
+                self.kids.add(u)
+        if ctx.round == self.dist + 2:
+            ctx.halt()
+
+
+def engine_bfs_forest(graph, *, policy=None, trace=None):
+    """build_bfs_forest: a flood from each component's smallest id."""
+    width = max(1, (graph.n - 1).bit_length())
+    roots = {comp[0] for comp in graph.components}
+    progs = [_BFSBuild(v in roots, width) for v in range(graph.n)]
+    stats = run_protocol(graph, progs, policy=policy, trace=trace)
+    forest = []
+    for comp in graph.components:
+        depth = {v: progs[v].dist for v in comp}
+        forest.append(
+            BFSTree(
+                root=comp[0],
+                nodes=comp,
+                parent={v: progs[v].parent for v in comp},
+                children={v: tuple(sorted(progs[v].kids)) for v in comp},
+                depth=depth,
+                height=max(depth.values()),
+            )
+        )
+    return tuple(forest), stats
+
+
+class _Reduce(NodeProgram):
+    """Send the current color, recolor from the inbox, repeat."""
+
+    def __init__(self, color, schedule):
+        self.color = color
+        self.schedule = schedule
+        self.step = 0
+
+    def _emit(self, ctx):
+        msg = Message(self.color, self.schedule[self.step][1])
+        for u in ctx.neighbors:
+            ctx.send(u, msg)
+
+    def setup(self, ctx):
+        if not ctx.neighbors:
+            # nothing constrains the choice; run the whole schedule now
+            for p, _ in self.schedule:
+                self.color = _recolor(self.color, (), p)
+            ctx.halt()
+        elif not self.schedule:
+            ctx.halt()
+        else:
+            self._emit(ctx)
+
+    def absorb(self, ctx):
+        p, _ = self.schedule[self.step]
+        self.color = _recolor(
+            self.color, [m.payload for m in ctx.inbox.values()], p
+        )
+        self.step += 1
+        if self.step == len(self.schedule):
+            ctx.halt()
+        else:
+            self._emit(ctx)
+
+
+def engine_linial_reduce(graph, colors=None, *, policy=None, trace=None):
+    if colors is None:
+        colors = list(range(graph.n))
+    _check_proper(graph, colors, "initial coloring")
+    schedule, _ = _schedule(max(colors, default=0) + 1, graph.max_degree)
+    check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
+    progs = [_Reduce(colors[v], schedule) for v in range(graph.n)]
+    stats = run_protocol(graph, progs, policy=policy, trace=trace)
+    return [p.color for p in progs], stats
+
+
+class _ClassSweep(NodeProgram):
+    """Join in class order unless an earlier neighbor joined first."""
+
+    def __init__(self, color):
+        self.color = color
+        self.joined = False
+
+    def _join(self, ctx):
+        self.joined = True
+        for u in ctx.neighbors:
+            ctx.send(u, Message(1, 1))
+        ctx.halt()
+
+    def setup(self, ctx):
+        if self.color == 0:
+            self._join(ctx)
+        else:
+            ctx.wake_at(self.color)
+
+    def absorb(self, ctx):
+        if ctx.inbox:
+            ctx.halt()  # dominated by an earlier class
+        elif ctx.round == self.color:
+            self._join(ctx)
+
+
+def engine_mis_by_colors(graph, colors, *, policy=None, trace=None):
+    _check_proper(graph, colors, "conflict coloring")
+    progs = [_ClassSweep(colors[v]) for v in range(graph.n)]
+    stats = run_protocol(graph, progs, policy=policy, trace=trace)
+    return tuple(v for v, p in enumerate(progs) if p.joined), stats

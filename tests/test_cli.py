@@ -336,6 +336,12 @@ def test_run_names_missing_instance_key(payload, message, tmp_path, capsys):
         ([{"seed": 1}], "suite graph 0: missing key 'gen'"),
         ([{"gen": 5}], "suite graph 0: gen must be a string, not an integer"),
         ([{"gen": "path,n=3", "seed": [1]}], "suite graph 0: seed must be an integer, not an array"),
+        # keys the reader would otherwise skip or leave unchecked
+        ({"graphs": [], "mode": "foo", "kmode": 7}, "unknown mode 'foo'"),
+        ({"graphs": ["path,n=3"], "mdoe": "avoid-mis"}, "a suite file takes no key 'mdoe'"),
+        ([{"gen": "path,n=3", "sede": 5}], "suite graph 0 takes no key 'sede'"),
+        ({"graphs": [], "kmode": 7}, "unknown kmode 7"),
+        ({"graphs": [], "kmode": "sorted"}, "unknown kmode 'sorted'"),
     ],
 )
 def test_bench_rejects_malformed_suite_with_exit_1(suite, message, tmp_path, capsys):

@@ -91,22 +91,23 @@ def oracle_exhaustive(ctx, edges):
     return seed_from_int(fam, best[1]), best[0]
 
 
-def estimator_vs_node_conditional(ctx, comp_of, rng, nodes=None):
-    """Run _Estimator over every seed bit of the level, checking each
-    node's (or each listed node's) two candidate values against the
-    scalar closed form.  Returns the estimator."""
-    est = _Estimator(ctx, comp_of)
-    prefix = {r: () for r in set(comp_of.values())}
+def estimator_vs_node_conditional(ctx, tree_of, rng, nodes=None):
+    """Run _Estimator over every seed bit of the level, with node v in
+    tree tree_of[v], checking each node's (or each listed node's) two
+    candidate values against the scalar closed form.  Returns the
+    estimator."""
+    est = _Estimator(ctx, tree_of, max(tree_of) + 1)
+    prefix = [()] * (max(tree_of) + 1)
     for j in range(ctx.fam.m + ctx.fam.b):
         num0, num1, den = est.decision_values(j)
         for v in range(len(ctx.x)) if nodes is None else nodes:
-            pre = prefix[comp_of[v]]
+            pre = prefix[tree_of[v]]
             for r, num in ((0, num0), (1, num1)):
                 want = node_conditional(ctx, v, SeedPrefix(pre + (r,)))
                 assert Fraction(num[v], den[v]) == want, (j, v, r)
-        bits = {root: rng.randrange(2) for root in prefix}
+        bits = [rng.randrange(2) for _ in prefix]
         est.lock(j, bits)
-        prefix = {root: pre + (bits[root],) for root, pre in prefix.items()}
+        prefix = [pre + (bit,) for pre, bit in zip(prefix, bits)]
     return est
 
 
@@ -371,18 +372,29 @@ def test_fix_level_triangle_bound():
 
 
 def test_fix_level_chain_is_monotone_and_exact():
+    # every other draw is a forest of trees whose list sizes differ, so the
+    # convergecast's one lcm for the whole forest is not each tree's own;
+    # every tree's chain must still equal its own scalar sums
     rng = random.Random(23)
-    done = 0
+    done, wider = 0, []
     while done < 12:
-        made = random_context(rng, n_max=6, b_max=5)
+        made = forest_level(rng) if done % 2 else random_context(rng, n_max=6, b_max=5)
         if made is None:
             continue
         ctx, state = made
         graph = state.inst.graph
         forest, _ = build_bfs_forest(graph)
         comm = CommPlan(graph, forest)
+
+        def aggregate(values, run=comm.aggregate):
+            L, sums = run(values)
+            wider.append(any(lcm(*(values[2][v] for v in t.nodes)) != L for t in forest))
+            return L, sums
+
+        comm.aggregate = aggregate
         new_state, report = fix_level(ctx, state, comm)
         d_eff = ctx.fam.m + ctx.fam.b
+        assert list(report.roots) == [t.root for t in forest]
         for root, rec in report.roots.items():
             assert len(rec.chain) == d_eff
             prev = rec.expect_start
@@ -394,30 +406,28 @@ def test_fix_level_chain_is_monotone_and_exact():
                 assert chosen <= prev
                 prev = chosen
             assert rec.phi_after == prev  # realized == final expectation
-        # decision sums recompute from the public scalar estimator
-        root, rec = min(report.roots.items())
-        comp = next(t.nodes for t in forest if t.root == root)
-        bits = []
-        for j, (s0, s1, bit) in enumerate(rec.chain):
-            for r in (0, 1):
-                want = sum(
-                    node_conditional(ctx, v, SeedPrefix(tuple(bits + [r])))
-                    for v in comp
-                )
-                assert want == (s1 if r else s0)
-            bits.append(bit)
+        # every tree's decision sums recompute from the scalar estimator
+        for tree in forest:
+            bits = []
+            for s0, s1, bit in report.roots[tree.root].chain:
+                for r, want in ((0, s0), (1, s1)):
+                    prefix = SeedPrefix(tuple(bits + [r]))
+                    assert sum(node_conditional(ctx, v, prefix) for v in tree.nodes) == want
+                bits.append(bit)
         done += 1
+    assert any(wider)
 
 
 @pytest.mark.parametrize("n", [100, 200])
-def test_seed_bits_build_fractions_only_at_roots(monkeypatch, n):
-    # node values travel as integers, so decision_values and aggregate_pairs
-    # build at most two Fractions per root and seed bit, whatever n is
+def test_seed_bit_sums_build_no_fractions(monkeypatch, n):
+    # node values travel as integers and the roots' sums come back as
+    # integers over one lcm, so decision_values and aggregate_pairs build
+    # no Fraction at all, whatever n is
     graph = generate_graph("gnp", {"n": n, "p": 0.05}, rng_seed=0)
     state = init_state(attach_default_lists(graph))
     ctx = build_level_context(make_family(n, 8), state, tuple(range(n)))
     forest, _ = build_bfs_forest(graph)
-    built, inside = 0, False
+    built, calls, inside = 0, 0, False
     new = Fraction.__new__
 
     def counting_new(cls, *args, **kwargs):
@@ -427,8 +437,8 @@ def test_seed_bits_build_fractions_only_at_roots(monkeypatch, n):
 
     def counted(f):
         def wrapper(*args, **kwargs):
-            nonlocal inside
-            inside = True
+            nonlocal inside, calls
+            inside, calls = True, calls + 1
             try:
                 return f(*args, **kwargs)
             finally:
@@ -439,7 +449,8 @@ def test_seed_bits_build_fractions_only_at_roots(monkeypatch, n):
     monkeypatch.setattr(_Estimator, "decision_values", counted(_Estimator.decision_values))
     monkeypatch.setattr(sim, "aggregate_pairs", counted(sim.aggregate_pairs))
     fix_level(ctx, state, CommPlan(graph, forest))
-    assert 0 < built <= 2 * len(forest) * (ctx.fam.m + ctx.fam.b)
+    assert calls == 2 * (ctx.fam.m + ctx.fam.b)
+    assert built == 0
 
 
 def test_fix_level_single_node_and_edgeless():
@@ -614,9 +625,10 @@ def test_uniform_average_drops_for_power_of_two_lists():
 # ---------------------------------------------------------------------------
 # the batched estimator, node by node against the scalar closed forms
 
-def forest_context(rng):
-    """Several random components at a random level, psi drawn from a
-    color space up to 5x the node count (so m can exceed b)."""
+def forest_level(rng):
+    """(LevelContext, PrefixState) of several random components, whose
+    lists differ in size with their degrees, at a random level; psi is
+    drawn from a color space up to 5x the node count (so m can exceed b)."""
     edges, n = [], 0
     for _ in range(rng.randrange(2, 5)):
         size = rng.randrange(2, 6)
@@ -633,19 +645,27 @@ def forest_context(rng):
         state = apply_bits(state, bits)
     K = rng.randrange(n, 5 * n + 1)
     fam = make_family(K, rng.randrange(1, 6))
-    ctx = build_level_context(fam, state, tuple(rng.sample(range(K), n)))
-    forest, _ = build_bfs_forest(inst.graph)
-    comp_of = {v: t.root for t in forest for v in t.nodes}
-    return ctx, comp_of
+    return build_level_context(fam, state, tuple(rng.sample(range(K), n))), state
+
+
+def forest_context(rng):
+    """A forest_level context and each node's tree, by forest position."""
+    ctx, state = forest_level(rng)
+    forest, _ = build_bfs_forest(state.inst.graph)
+    tree_of = [None] * len(ctx.x)
+    for i, t in enumerate(forest):
+        for v in t.nodes:
+            tree_of[v] = i
+    return ctx, tree_of
 
 
 def test_estimator_per_node_on_forests():
     rng = random.Random(53)
     regimes = set()
     for _ in range(25):
-        ctx, comp_of = forest_context(rng)
-        estimator_vs_node_conditional(ctx, comp_of, rng)
-        regimes.add((len(set(comp_of.values())) > 1, ctx.fam.m > ctx.fam.b))
+        ctx, tree_of = forest_context(rng)
+        estimator_vs_node_conditional(ctx, tree_of, rng)
+        regimes.add((max(tree_of) > 0, ctx.fam.m > ctx.fam.b))
     assert (True, True) in regimes and (True, False) in regimes
 
 
@@ -655,24 +675,24 @@ def test_estimator_seed_state_matches_field_products():
     rng = random.Random(59)
     done = 0
     while done < 20:
-        ctx, comp_of = forest_context(rng)
-        est = _Estimator(ctx, comp_of)
+        ctx, tree_of = forest_context(rng)
+        trees = max(tree_of) + 1
+        est = _Estimator(ctx, tree_of, trees)
         if not est.E:
             continue
         fam = ctx.fam
-        assert len(est.roots) > 1
-        word = dict.fromkeys(est.roots, 0)
+        assert trees > 1
+        word = [0] * trees
         for j in range(fam.m + fam.b):
-            bits = {r: rng.randrange(2) for r in est.roots}
+            bits = [rng.randrange(2) for _ in range(trees)]
             est.lock(j, bits)
-            for r in est.roots:
-                word[r] |= bits[r] << j
-            s1 = {r: w & ((1 << fam.m) - 1) for r, w in word.items()}
+            word = [w | bit << j for w, bit in zip(word, bits)]
+            s1 = [w & ((1 << fam.m) - 1) for w in word]
             assert est.a.tolist() == [
-                gf2.mul(fam.fld, s1[comp_of[v]], x) & ((1 << fam.b) - 1)
+                gf2.mul(fam.fld, s1[tree_of[v]], x) & ((1 << fam.b) - 1)
                 for v, x in enumerate(ctx.x)
             ], j
-            assert est.s2.tolist() == [word[r] >> fam.m for r in est.roots], j
+            assert est.s2.tolist() == [w >> fam.m for w in word], j
         done += 1
 
 
@@ -693,7 +713,7 @@ def test_estimator_per_node_on_avoid_mis_star():
     ]
     budget = fam.m + fam.b + max(w).bit_length() + g.n.bit_length() + 3
     assert budget >= 63
-    est = estimator_vs_node_conditional(ctx, {v: 0 for v in range(g.n)}, random.Random(59))
+    est = estimator_vs_node_conditional(ctx, [0] * g.n, random.Random(59))
     assert est.acc_type is np.int64
 
 
@@ -708,7 +728,7 @@ def test_estimator_per_node_on_wide_avoid_mis_star():
     assert g.max_degree << (fam.m + fam.b - 1) >= 1 << 63
     rng = random.Random(67)
     nodes = [0] + rng.sample(range(1, g.n), 16)
-    est = estimator_vs_node_conditional(ctx, {v: 0 for v in range(g.n)}, rng, nodes)
+    est = estimator_vs_node_conditional(ctx, [0] * g.n, rng, nodes)
     assert est.acc_type is object
     forest, _ = build_bfs_forest(g)
     _, report = fix_level(ctx, state, CommPlan(g, forest))
@@ -727,7 +747,7 @@ def test_estimator_per_node_with_sure_coins():
         assert (ctx.k1[0], ctx.k0[2]) == (0, 0)
         assert (ctx.t[0], ctx.t[2]) == (0, 1 << b)
         for seed in range(4):
-            estimator_vs_node_conditional(ctx, {0: 0, 1: 0, 2: 0}, random.Random(seed))
+            estimator_vs_node_conditional(ctx, [0, 0, 0], random.Random(seed))
 
 
 @pytest.mark.parametrize(
@@ -747,8 +767,7 @@ def test_estimator_sums_in_int64_only_below_the_bound(kind, lists, b, acc_type):
     inst = ListColoringInstance(graph=g, C=4, lists=lists)
     fam = make_family(1 << 32, b)  # m = 32
     ctx = build_level_context(fam, init_state(inst), tuple(range(g.n)))
-    comp_of = dict.fromkeys(range(g.n), 0)
-    est = estimator_vs_node_conditional(ctx, comp_of, random.Random(b))
+    est = estimator_vs_node_conditional(ctx, [0] * g.n, random.Random(b))
     assert est.acc_type is acc_type
 
 
@@ -781,8 +800,7 @@ def test_estimator_counts_past_m_plus_b_62_in_objects(kind, lists, m, b, cnt_typ
     fam = make_family(1 << m, b)
     assert (fam.m, fam.b) == (m, b)
     ctx = build_level_context(fam, init_state(inst), tuple(range(g.n)))
-    comp_of = dict.fromkeys(range(g.n), 0)
-    est = estimator_vs_node_conditional(ctx, comp_of, random.Random(m + b))
+    est = estimator_vs_node_conditional(ctx, [0] * g.n, random.Random(m + b))
     assert est.cnt_type is cnt_type
 
 

@@ -1,27 +1,19 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congestcolor.graphs import Graph, InvariantError, bfs_depths, check, generate_graph
-from congestcolor.linial import (
-    _check_proper,
-    _recolor,
-    _schedule,
-    linial_reduce,
-    log_star,
-    mis_by_colors,
-)
+from congestcolor.graphs import Graph, InvariantError, bfs_depths, generate_graph
+from congestcolor.linial import linial_reduce, mis_by_colors
 from congestcolor.sim import (
     AGGREGATION,
     ALGORITHM,
     BandwidthError,
     BandwidthPolicy,
-    BFSTree,
     CommPlan,
     Message,
     NodeProgram,
@@ -37,18 +29,17 @@ from congestcolor.sim import (
     pack_fields,
     run_protocol,
 )
-
-
-def unpack_fields(msg: Message, widths) -> tuple:
-    """The (value, ...) of msg packed by pack_fields with these widths."""
-    widths = tuple(widths)
-    if sum(widths) != msg.bit_len:
-        raise ValueError("field widths do not add up to the message length")
-    out, rest = [], msg.payload
-    for width in reversed(widths):
-        out.append(rest & ((1 << width) - 1))
-        rest >>= width
-    return tuple(reversed(out))
+from engine_refs import (
+    engine_aggregate,
+    engine_bfs_forest,
+    engine_broadcast,
+    engine_exchange,
+    engine_linial_reduce,
+    engine_mis_by_colors,
+    pack_fraction_pair,
+    unpack_fields,
+    unpack_fraction_pair,
+)
 
 
 def test_message_invariants():
@@ -90,47 +81,9 @@ def node_nums(values: dict, n: int) -> tuple:
     return tuple(map(list, zip(*rows)))
 
 
-# The rational wire format of aggregation messages, which the engine-driven
-# reference below ships and decodes.
-
-
-def _append_int(payload: int, bits: int, z: int) -> tuple:
-    mag = abs(z)
-    length = mag.bit_length()
-    if length >= (1 << _LEN_FIELD):
-        raise ValueError("integer too large for the rational wire format")
-    payload = (payload << 1) | (1 if z < 0 else 0)
-    payload = (payload << _LEN_FIELD) | length
-    payload = (payload << length) | mag
-    return payload, bits + 1 + _LEN_FIELD + length
-
-
-def pack_fraction_pair(a: Fraction, b: Fraction) -> Message:
-    payload, bits = 0, 0
-    for z in (a.numerator, a.denominator, b.numerator, b.denominator):
-        payload, bits = _append_int(payload, bits, z)
-    return Message(payload, bits, AGGREGATION)
-
-
-def _read_int(payload: int, cursor: int) -> tuple:
-    sign = (payload >> (cursor - 1)) & 1
-    cursor -= 1
-    length = (payload >> (cursor - _LEN_FIELD)) & ((1 << _LEN_FIELD) - 1)
-    cursor -= _LEN_FIELD
-    mag = (payload >> (cursor - length)) & ((1 << length) - 1) if length else 0
-    cursor -= length
-    return (-mag if sign else mag), cursor
-
-
-def unpack_fraction_pair(msg: Message) -> tuple:
-    cursor = msg.bit_len
-    parts = []
-    for _ in range(4):
-        z, cursor = _read_int(msg.payload, cursor)
-        parts.append(z)
-    if cursor != 0:
-        raise ValueError("trailing bits in rational message")
-    return Fraction(parts[0], parts[1]), Fraction(parts[2], parts[3])
+def root_totals(L, sums) -> list:
+    """aggregate_pairs' integer root sums over L as Fraction pairs."""
+    return [(Fraction(a, L), Fraction(b, L)) for a, b in sums]
 
 
 @given(
@@ -263,9 +216,9 @@ def test_comm_plan_adds_up_every_step():
     assert comm.stats.rounds == 6 and comm.depth == 4
     assert comm.exchange({0: {1: Message(1, 1)}})[1] == {0: Message(1, 1)}
     assert comm.stats.rounds == 7 and len(records) == 7
-    totals = comm.aggregate(node_nums({0: (Fraction(1), Fraction(2))}, g.n))
-    assert totals == {0: (Fraction(1), Fraction(2))}
-    assert comm.broadcast({0: (3, 2)}) == dict.fromkeys(range(5), 3)
+    totals = root_totals(*comm.aggregate(node_nums({0: (Fraction(1), Fraction(2))}, g.n)))
+    assert totals == [(Fraction(1), Fraction(2))]
+    assert comm.broadcast([(3, 2)]) == dict.fromkeys(range(5), 3)
     assert comm.stats.rounds == 7 + 4 + 4 and len(records) == 15
     assert [r["round"] for r in records] == [*range(1, 7), 1, *range(1, 5), *range(1, 5)]
     assert comm.stats.messages == sum(r["messages"] for r in records)
@@ -293,8 +246,9 @@ def test_aggregate_pairs_path():
     g = generate_graph("path", {"n": 3})
     forest, _ = build_bfs_forest(g)
     values = {v: (Fraction(v + 1), Fraction(1, v + 1)) for v in range(3)}
-    totals, stats = aggregate_pairs(g, forest, node_nums(values, g.n))
-    assert totals[0] == (Fraction(6), Fraction(11, 6))
+    (L, sums), stats = aggregate_pairs(g, forest, node_nums(values, g.n))
+    assert L == 6 and sums == [(36, 11)]
+    assert root_totals(L, sums) == [(Fraction(6), Fraction(11, 6))]
     assert stats.rounds == 2  # tree height
     assert stats.bits_by_category[ALGORITHM] == 0
     assert stats.bits_by_category[AGGREGATION] > 0
@@ -303,8 +257,8 @@ def test_aggregate_pairs_path():
 def test_aggregate_single_node_is_free():
     g = Graph.from_edges(1, [])
     forest, _ = build_bfs_forest(g)
-    totals, stats = aggregate_pairs(g, forest, node_nums({0: (Fraction(5), Fraction(0))}, 1))
-    assert totals[0] == (Fraction(5), Fraction(0))
+    (L, sums), stats = aggregate_pairs(g, forest, node_nums({0: (Fraction(5), Fraction(0))}, 1))
+    assert (L, sums) == (1, [(5, 0)])
     assert stats.rounds == 0
 
 
@@ -312,15 +266,15 @@ def test_aggregate_defaults_missing_values_to_zero():
     g = generate_graph("star", {"n": 5})
     forest, _ = build_bfs_forest(g)
     values = node_nums({3: (Fraction(1, 7), Fraction(2))}, g.n)
-    totals, stats = aggregate_pairs(g, forest, values)
-    assert totals[0] == (Fraction(1, 7), Fraction(2))
+    (L, sums), stats = aggregate_pairs(g, forest, values)
+    assert root_totals(L, sums) == [(Fraction(1, 7), Fraction(2))]
     assert stats.rounds == 1
 
 
 def test_broadcast_star():
     g = generate_graph("star", {"n": 5})
     forest, _ = build_bfs_forest(g)
-    got, stats = broadcast_values(g, forest, {0: (5, 3)})
+    got, stats = broadcast_values(g, forest, [(5, 3)])
     assert got == {v: 5 for v in range(5)}
     assert stats.rounds == 1
     assert stats.max_bits_by_category[ALGORITHM] == 3
@@ -335,11 +289,12 @@ def test_aggregate_random_trees():
             v: (Fraction(rng.randrange(-50, 50), rng.randrange(1, 9)), Fraction(rng.randrange(9)))
             for v in range(18)
         }
-        totals, stats = aggregate_pairs(g, forest, node_nums(values, g.n))
-        for tree in forest:
-            want0 = sum(values[v][0] for v in tree.nodes)
-            want1 = sum(values[v][1] for v in tree.nodes)
-            assert totals[tree.root] == (want0, want1)
+        nums = node_nums(values, g.n)
+        (L, sums), stats = aggregate_pairs(g, forest, nums)
+        assert L == lcm(*nums[2])  # one denominator for every tree
+        for (a, b), tree in zip(root_totals(L, sums), forest):
+            assert a == sum(values[v][0] for v in tree.nodes)
+            assert b == sum(values[v][1] for v in tree.nodes)
         assert stats.rounds == max(t.height for t in forest)
 
 
@@ -456,91 +411,7 @@ def test_stats_add():
 
 
 # ---------------------------------------------------------------------------
-# Engine-driven reference for the tree collectives: the same convergecast
-# and broadcast run as node programs, message by message.
-
-
-class _SumPairs(NodeProgram):
-    def __init__(self, parent, children, value):
-        self.parent = parent
-        self.children = set(children)
-        self.acc = value
-        self.total = None
-
-    def _flush(self, ctx):
-        if self.parent is None:
-            self.total = self.acc
-        else:
-            ctx.send(self.parent, pack_fraction_pair(*self.acc))
-        ctx.halt()
-
-    def setup(self, ctx):
-        if not self.children:
-            self._flush(ctx)
-
-    def absorb(self, ctx):
-        for u, msg in ctx.inbox.items():
-            a, b = unpack_fraction_pair(msg)
-            self.acc = (self.acc[0] + a, self.acc[1] + b)
-            self.children.discard(u)
-        if not self.children:
-            self._flush(ctx)
-
-
-def engine_aggregate(graph, forest, values, *, policy=None, round_cap=None, trace=None):
-    zero = (Fraction(0), Fraction(0))
-    progs = {}
-    for tree in forest:
-        for v in tree.nodes:
-            val = values.get(v, zero)
-            progs[v] = _SumPairs(tree.parent[v], tree.children[v], tuple(val))
-    stats = run_protocol(
-        graph,
-        [progs[v] for v in sorted(progs)],
-        policy=policy,
-        round_cap=round_cap,
-        trace=trace,
-    )
-    return {t.root: progs[t.root].total for t in forest}, stats
-
-
-class _Relay(NodeProgram):
-    def __init__(self, children, width, value=None):
-        self.children = children
-        self.width = width
-        self.value = value
-
-    def _forward(self, ctx):
-        for u in self.children:
-            ctx.send(u, Message(self.value, self.width))
-        ctx.halt()
-
-    def setup(self, ctx):
-        if self.value is not None:
-            self._forward(ctx)
-
-    def absorb(self, ctx):
-        (msg,) = ctx.inbox.values()
-        self.value = msg.payload
-        self._forward(ctx)
-
-
-def engine_broadcast(graph, forest, values, *, policy=None, round_cap=None, trace=None):
-    progs = {}
-    for tree in forest:
-        value, width = values[tree.root]
-        for v in tree.nodes:
-            progs[v] = _Relay(
-                tree.children[v], width, value if v == tree.root else None
-            )
-    stats = run_protocol(
-        graph,
-        [progs[v] for v in sorted(progs)],
-        policy=policy,
-        round_cap=round_cap,
-        trace=trace,
-    )
-    return {v: p.value for v, p in progs.items()}, stats
+# Each pass against its engine-driven reference in engine_refs.py.
 
 
 def _outcome(fn, *args, traced, **kwargs):
@@ -552,6 +423,15 @@ def _outcome(fn, *args, traced, **kwargs):
     except (ValueError, InvariantError, RoundCapError, BandwidthError) as exc:
         return ("raised", type(exc), str(exc)), records
     return ("returned", result), records
+
+
+def _as_totals(outcome):
+    """An aggregation outcome with its (L, sums) as Fraction root totals."""
+    (status, *rest), records = outcome
+    if status == "returned":
+        (L, sums), stats = rest[0]
+        rest = [(root_totals(L, sums), stats)]
+    return (status, *rest), records
 
 
 HUGE = Fraction(1 << (1 << _LEN_FIELD))  # numerator too long to encode
@@ -617,8 +497,9 @@ def test_aggregate_pairs_matches_engine(gf, data, huge, traced, beta):
     g, forest = gf
     values = _draw_values(data, g.n, huge)
     kwargs = {"policy": BandwidthPolicy(beta)}
-    got = _outcome(aggregate_pairs, g, forest, node_nums(values, g.n), traced=traced, **kwargs)
-    want = _outcome(engine_aggregate, g, forest, values, traced=traced, **kwargs)
+    nums = node_nums(values, g.n)
+    got = _outcome(aggregate_pairs, g, forest, nums, traced=traced, **kwargs)
+    want = _outcome(engine_aggregate, g, forest, nums, traced=traced, **kwargs)
     assert got == want
 
 
@@ -632,8 +513,8 @@ def test_aggregate_overflow_against_round_cap_matches_engine(v, round_cap):
     # one below that last round stops it sooner, on the pass's first records
     g = generate_graph("path", {"n": 7})
     forest, _ = build_bfs_forest(g)
-    values = {v + 1: (HUGE, Fraction(1)), 3: (Fraction(-2, 3), Fraction(5))}
-    got = _outcome(aggregate_pairs, g, forest, node_nums(values, g.n), traced=True)
+    values = node_nums({v + 1: (HUGE, Fraction(1)), 3: (Fraction(-2, 3), Fraction(5))}, g.n)
+    got = _outcome(aggregate_pairs, g, forest, values, traced=True)
     assert got == _outcome(engine_aggregate, g, forest, values, traced=True)
     last = 6 if v == 2 else 5 - v
     assert got[0][0] == ("returned" if v == 2 else "raised")
@@ -651,11 +532,11 @@ def test_passes_without_rounds_charge_nothing_under_a_negative_cap():
     # zero RunStats
     g = Graph.from_edges(3, [])
     forest, _ = build_bfs_forest(g)
-    values = {v: (Fraction(v), Fraction(1, v + 1)) for v in range(3)}
-    got = aggregate_pairs(g, forest, node_nums(values, g.n))
+    values = node_nums({v: (Fraction(v), Fraction(1, v + 1)) for v in range(3)}, g.n)
+    got = aggregate_pairs(g, forest, values)
     assert got == engine_aggregate(g, forest, values, round_cap=-1)
     assert got[1] == RunStats()
-    roots = {v: (v, 2) for v in range(3)}
+    roots = [(v, 2) for v in range(3)]
     got = broadcast_values(g, forest, roots)
     assert got == engine_broadcast(g, forest, roots, round_cap=-1)
     assert got[1] == RunStats()
@@ -676,7 +557,8 @@ _factors = st.one_of(
 )
 def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, beta):
     # messages carry reduced sums, so scaling a node's (num_a, num_b, den)
-    # changes no total, RunStats, trace record or error
+    # changes no total, RunStats, trace record or error, though it may
+    # change the common denominator L of the integer root sums
     g, forest = gf
     values = _draw_values(data, g.n, huge)
     nums = node_nums(values, g.n)
@@ -685,9 +567,10 @@ def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, b
     ks = data.draw(st.lists(_factors, min_size=g.n, max_size=g.n))
     scaled = tuple([x * k for x, k in zip(col, ks)] for col in nums)
     kwargs = {"policy": BandwidthPolicy(beta)}
-    want = _outcome(engine_aggregate, g, forest, values, traced=traced, **kwargs)
+    want = _as_totals(_outcome(engine_aggregate, g, forest, nums, traced=traced, **kwargs))
     for triple in (reduced, scaled):
-        assert _outcome(aggregate_pairs, g, forest, triple, traced=traced, **kwargs) == want
+        got = _outcome(aggregate_pairs, g, forest, triple, traced=traced, **kwargs)
+        assert _as_totals(got) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -698,10 +581,10 @@ def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, b
 )
 def test_broadcast_values_matches_engine(gf, data, traced, beta):
     g, forest = gf
-    values = {}
-    for t in forest:
+    values = []
+    for _ in forest:
         width = data.draw(st.integers(min_value=1, max_value=9))
-        values[t.root] = (data.draw(st.integers(0, 1 << width)), width)
+        values.append((data.draw(st.integers(0, 1 << width)), width))
     kwargs = {"policy": BandwidthPolicy(beta)}
     got = _outcome(broadcast_values, g, forest, values, traced=traced, **kwargs)
     want = _outcome(engine_broadcast, g, forest, values, traced=traced, **kwargs)
@@ -709,30 +592,8 @@ def test_broadcast_values_matches_engine(gf, data, traced, beta):
 
 
 # ---------------------------------------------------------------------------
-# Engine-driven reference for the one-round exchange.
-
-
-class _OneShot(NodeProgram):
-    def __init__(self, outgoing):
-        self.outgoing = outgoing
-        self.heard = {}
-
-    def setup(self, ctx):
-        for u, msg in self.outgoing.items():
-            ctx.send(u, msg)
-        ctx.wake_at(1)
-
-    def absorb(self, ctx):
-        self.heard = dict(ctx.inbox)
-        ctx.halt()
-
-
-def engine_exchange(graph, outgoing, *, policy=None, trace=None):
-    if not any(outgoing.get(v) for v in range(graph.n)):
-        return {v: {} for v in range(graph.n)}, RunStats()
-    progs = [_OneShot(outgoing.get(v, {})) for v in range(graph.n)]
-    stats = run_protocol(graph, progs, policy=policy, trace=trace)
-    return {v: progs[v].heard for v in range(graph.n)}, stats
+# Engine-driven references for the exchange, the BFS forest, Linial's
+# reduction and the MIS sweep.
 
 
 def _exchange_outcome(fn, graph, outgoing, traced, **kwargs):
@@ -789,159 +650,6 @@ def test_exchange_matches_engine(gs, traced, beta):
     got = _exchange_outcome(exchange, g, outgoing, traced, **kwargs)
     want = _exchange_outcome(engine_exchange, g, outgoing, traced, **kwargs)
     assert got == want
-
-
-# ---------------------------------------------------------------------------
-# Engine-driven references for the BFS forest, Linial's reduction and the
-# MIS sweep: the same protocols as node programs, run message by message.
-
-
-class _BFSBuild(NodeProgram):
-    def __init__(self, is_root: bool, width: int):
-        self.is_root = is_root
-        self.width = width
-        self.dist = None
-        self.parent = None
-        self.kids = set()
-
-    def _announce(self, ctx):
-        # the root names itself in the parent slot; no neighbor matches it
-        parent = ctx.node if self.parent is None else self.parent
-        msg = pack_fields((self.dist, self.width), (parent, self.width))
-        for u in ctx.neighbors:
-            ctx.send(u, msg)
-
-    def setup(self, ctx):
-        if not self.is_root:
-            return
-        self.dist = 0
-        if not ctx.neighbors:
-            ctx.halt()
-            return
-        self._announce(ctx)
-        ctx.wake_at(2)
-
-    def absorb(self, ctx):
-        if self.dist is None:
-            senders = {}
-            for u, msg in ctx.inbox.items():
-                senders[u] = unpack_fields(msg, (self.width, self.width))
-            check(
-                all(d == ctx.round - 1 for d, _ in senders.values()),
-                "BFS offers must come from the previous layer",
-            )
-            self.dist = ctx.round
-            self.parent = min(senders)
-            self._announce(ctx)
-            ctx.wake_at(ctx.round + 2)
-        for u, msg in ctx.inbox.items():
-            d, p = unpack_fields(msg, (self.width, self.width))
-            if p == ctx.node and d == self.dist + 1:
-                self.kids.add(u)
-        if ctx.round == self.dist + 2:
-            ctx.halt()
-
-
-def engine_bfs_forest(graph, *, policy=None, trace=None):
-    """build_bfs_forest: a flood from each component's smallest id."""
-    width = max(1, (graph.n - 1).bit_length())
-    roots = {comp[0] for comp in graph.components}
-    progs = [_BFSBuild(v in roots, width) for v in range(graph.n)]
-    stats = run_protocol(graph, progs, policy=policy, trace=trace)
-    forest = []
-    for comp in graph.components:
-        depth = {v: progs[v].dist for v in comp}
-        forest.append(
-            BFSTree(
-                root=comp[0],
-                nodes=comp,
-                parent={v: progs[v].parent for v in comp},
-                children={v: tuple(sorted(progs[v].kids)) for v in comp},
-                depth=depth,
-                height=max(depth.values()),
-            )
-        )
-    return tuple(forest), stats
-
-
-class _Reduce(NodeProgram):
-    """Send the current color, recolor from the inbox, repeat."""
-
-    def __init__(self, color, schedule):
-        self.color = color
-        self.schedule = schedule
-        self.step = 0
-
-    def _emit(self, ctx):
-        msg = Message(self.color, self.schedule[self.step][1])
-        for u in ctx.neighbors:
-            ctx.send(u, msg)
-
-    def setup(self, ctx):
-        if not ctx.neighbors:
-            # nothing constrains the choice; run the whole schedule now
-            for p, _ in self.schedule:
-                self.color = _recolor(self.color, (), p)
-            ctx.halt()
-        elif not self.schedule:
-            ctx.halt()
-        else:
-            self._emit(ctx)
-
-    def absorb(self, ctx):
-        p, _ = self.schedule[self.step]
-        self.color = _recolor(
-            self.color, [m.payload for m in ctx.inbox.values()], p
-        )
-        self.step += 1
-        if self.step == len(self.schedule):
-            ctx.halt()
-        else:
-            self._emit(ctx)
-
-
-def engine_linial_reduce(graph, colors=None, *, policy=None, trace=None):
-    if colors is None:
-        colors = list(range(graph.n))
-    _check_proper(graph, colors, "initial coloring")
-    schedule, _ = _schedule(max(colors, default=0) + 1, graph.max_degree)
-    check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
-    progs = [_Reduce(colors[v], schedule) for v in range(graph.n)]
-    stats = run_protocol(graph, progs, policy=policy, trace=trace)
-    return [p.color for p in progs], stats
-
-
-class _ClassSweep(NodeProgram):
-    """Join in class order unless an earlier neighbor joined first."""
-
-    def __init__(self, color):
-        self.color = color
-        self.joined = False
-
-    def _join(self, ctx):
-        self.joined = True
-        for u in ctx.neighbors:
-            ctx.send(u, Message(1, 1))
-        ctx.halt()
-
-    def setup(self, ctx):
-        if self.color == 0:
-            self._join(ctx)
-        else:
-            ctx.wake_at(self.color)
-
-    def absorb(self, ctx):
-        if ctx.inbox:
-            ctx.halt()  # dominated by an earlier class
-        elif ctx.round == self.color:
-            self._join(ctx)
-
-
-def engine_mis_by_colors(graph, colors, *, policy=None, trace=None):
-    _check_proper(graph, colors, "conflict coloring")
-    progs = [_ClassSweep(colors[v]) for v in range(graph.n)]
-    stats = run_protocol(graph, progs, policy=policy, trace=trace)
-    return tuple(v for v, p in enumerate(progs) if p.joined), stats
 
 
 @st.composite
