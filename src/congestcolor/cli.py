@@ -168,10 +168,7 @@ def cmd_bench(args) -> int:
         mode = spec.get("mode", "mis")
         kmode = spec.get("kmode", "linial")
         check_modes(mode, kmode)
-    header = ["n", "delta", "C", "phases", "rounds", "max_bits", "ratio"]
-    if not args.no_time:
-        header.append("wall_ms")
-    lines = [",".join(header)]
+    insts = []  # every item is checked and built before the first colouring
     for i, item in enumerate(items):
         if isinstance(item, str):
             gen, seed = item, args.rng_seed
@@ -181,7 +178,12 @@ def cmd_bench(args) -> int:
             gen = _entry(item, "gen", str, f"{at}: ")
             seed = _typed(item.get("seed", args.rng_seed), int, f"{at}: seed")
         kind, params = _parse_gen(gen)
-        inst = attach_default_lists(generate_graph(kind, params, seed))
+        insts.append(attach_default_lists(generate_graph(kind, params, seed)))
+    header = ["n", "delta", "C", "phases", "rounds", "max_bits", "ratio"]
+    if not args.no_time:
+        header.append("wall_ms")
+    lines = [",".join(header)]
+    for inst in insts:
         start = time.perf_counter()
         _, reports = list_color_full(inst, mode, kmode)
         wall_ms = round(1000 * (time.perf_counter() - start))

@@ -32,11 +32,12 @@ hypercube and joint probabilities are cube intersections.
 fix_level runs the selection as a protocol: one exchange of
 (k0, k1, psi) along alive edges, then per seed bit one aggregation of
 the two candidate sums up a spanning tree and a one-bit broadcast back
-down.  Every exact sum adds integer numerators over one common
-denominator: the convergecast adds each node's two values over one lcm
-for the whole forest, roots compare and chain their integer totals by
-cross-multiplication, and phi_sum gives the potentials a level is
-checked against.  Components cannot share a seed, so each tree, named
+down.  Only the aggregation's sums are read; the exchange and the
+broadcast are charged by their widths.  Every exact sum adds integer
+numerators over one common denominator: the convergecast adds each
+node's two values over one lcm for the whole forest, roots compare and
+chain their integer totals by cross-multiplication, and phi_sum gives
+the potentials a level is checked against.  Components cannot share a seed, so each tree, named
 by its forest position, fixes its own.
 """
 
@@ -56,12 +57,10 @@ from .coins import (
     hash_eval,
     seed_bit_string,
     seed_from_int,
-    seed_to_int,
     threshold,
 )
 from .graphs import InvariantError, check  # InvariantError: re-exported
 from .prefixes import PrefixState, apply_bits, phi_sum, split_counts
-from .sim import pack_fields
 
 
 SEED_CAP = 1 << 24  # most seeds an exhaustive search enumerates
@@ -559,11 +558,11 @@ class _Estimator:
 
 @dataclass
 class RootRecord:
+    """One tree's level: its seed and its potential before and after."""
+
     root: int
     nodes: tuple
     seed: Seed
-    expect_start: Fraction
-    chain: tuple
     phi_before: Fraction
     phi_after: Fraction
 
@@ -585,11 +584,15 @@ def frac_str(f: Fraction) -> str:
 def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditional"):
     """Pick one seed per component and refine every prefix by one bit.
 
-    Returns (next state, LevelReport).  The conditional strategy walks
-    the m+b seed bits that can matter, aggregating both candidate sums
-    to each root and broadcasting the winning bit; the exhaustive one
-    has each root pick the best seed outright, from at most SEED_CAP,
-    and costs the same protocol shape with the seed shipped bit by bit.
+    Returns (next state, LevelReport).  Round 1 charges each node's
+    (k0, k1, psi) to every alive neighbor, in node order, then incidence
+    order.  The conditional strategy walks the m+b seed bits that can
+    matter, aggregating both candidate sums to each root, which checks
+    them as integers against its previous choice, and charging a one-bit
+    broadcast of the winning bit; each tree's seed accumulates as an
+    integer word.  The exhaustive one has each root pick the best seed
+    outright, from at most SEED_CAP, and costs the same protocol shape
+    with the seed shipped bit by bit.
     """
     if strategy not in ("conditional", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -610,49 +613,42 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
         for t in forest
     ]
 
-    # round 1: alive neighbors swap split counts and psi colors, after which
-    # every node can price its neighbors' coins locally; each node packs its
-    # one message once and sends it to every alive neighbor
+    # round 1: every node sends its split counts and psi color, (k0, k1, x)
+    # in 2 * cw + a bits, to each alive neighbor, after which every node can
+    # price its neighbors' coins locally
     cw = max(1, state.inst.C.bit_length())
-    comm.exchange({
-        v: dict.fromkeys(
-            (u for i in inc for u in ctx.edges[i] if u != v),
-            pack_fields((ctx.k0[v], cw), (ctx.k1[v], cw), (ctx.x[v], fam.a)),
-        )
-        for v, inc in enumerate(ctx.incident)
-        if inc
-    })
+    sends = [(v, u) for v, inc in enumerate(ctx.incident)
+             for i in inc for u in ctx.edges[i] if u != v]
+    comm.exchange(sends, 2 * cw + fam.a)
 
     if strategy == "exhaustive":
         picked = [exhaustive_seed(ctx, state, nodes=t.nodes) for t in forest]
         comm.aggregate(([0] * n, [0] * n, [1] * n))  # stands in for facts sent rootward
-        for j in range(m + b):
-            comm.broadcast([((seed_to_int(fam, seed) >> j) & 1, 1) for seed, _ in picked])
+        for _ in range(m + b):
+            comm.broadcast(1)  # one seed bit per tree
         seeds = [seed for seed, _ in picked]
-        expect_start = last = [value for _, value in picked]
-        chains = [()] * len(forest)
+        last = [value for _, value in picked]
     else:
         est = _Estimator(ctx, tree_of, len(forest))
-        # each tree's last choice as an integer over its convergecast's lcm
-        chains, last, expect_start = [[] for _ in forest], [None] * len(forest), []
+        # each tree's seed so far, and its last choice as an integer over
+        # its convergecast's lcm
+        words, last = [0] * len(forest), [None] * len(forest)
         for j in range(m + b):
             L, totals = comm.aggregate(est.decision_values(j))
             bits = []
             for i, (s0, s1) in enumerate(totals):
                 if j == 0:
-                    expect_start.append(Fraction(s0 + s1, 2 * L))
-                    check(expect_start[i] <= comp_phi[i] + slack[i],
+                    check(Fraction(s0 + s1, 2 * L) <= comp_phi[i] + slack[i],
                           "threshold rounding drifted past its slack")
                 else:  # (s0 + s1) / 2 equals the previous bit's choice
                     check((s0 + s1) * last[i][1] == 2 * last[i][0] * L,
                           "conditional chain broke")
                 bits.append(choose_seed_bit(s0, s1))
+                words[i] |= bits[i] << j
                 last[i] = (min(s0, s1), L)
-                chains[i].append((Fraction(s0, L), Fraction(s1, L), bits[i]))
-            comm.broadcast([(bit, 1) for bit in bits])
+            comm.broadcast(1)  # each root's chosen bit
             est.lock(j, bits)
-        seeds = [seed_from_int(fam, sum(c[2] << j for j, c in enumerate(chain)))
-                 for chain in chains]
+        seeds = [seed_from_int(fam, word) for word in words]
         last = [Fraction(*pair) for pair in last]
 
     coin_bits = [
@@ -670,8 +666,6 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
             root=t.root,
             nodes=t.nodes,
             seed=seeds[i],
-            expect_start=expect_start[i],
-            chain=tuple(chains[i]),
             phi_before=comp_phi[i],
             phi_after=realized,
         )

@@ -209,6 +209,15 @@ def _known_keys(obj: dict, allowed, what: str) -> None:
         raise ValidationError(f"{what} {extra!r}")
 
 
+def _node_ids(raw: dict, n: int, what: str) -> dict:
+    """raw, once every key of it names a node "0" .. str(n - 1)."""
+    ids = {str(v) for v in range(n)}
+    for key in raw:
+        if key not in ids:
+            raise ValidationError(f"{what}: {key!r} is not a node id in 0..{n - 1}")
+    return raw
+
+
 def _int_pair(e, what: str) -> tuple:
     """An array of two integers, as a tuple."""
     if len(_typed(e, list, what)) != 2:
@@ -219,12 +228,13 @@ def _int_pair(e, what: str) -> tuple:
 def load_instance(path) -> ListColoringInstance:
     with open(path) as fh:
         payload = _typed(json.load(fh), dict, "an instance file")
+    _known_keys(payload, ("n", "edges", "lists", "C", "psi"), "an instance file takes no key")
     edges = _entry(payload, "edges", list)
     edges = [_int_pair(e, f"edge {i}") for i, e in enumerate(edges)]
     graph = Graph.from_edges(_entry(payload, "n", int), edges)
     psi = None
     if "psi" in payload:
-        raw = _typed(payload["psi"], dict, "psi")
+        raw = _node_ids(_typed(payload["psi"], dict, "psi"), graph.n, "psi")
         psi = tuple(
             _typed(raw.get(str(v)), int, f"psi of node {v}") for v in range(graph.n)
         )
@@ -234,7 +244,7 @@ def load_instance(path) -> ListColoringInstance:
         if C < base.C:
             raise ValidationError(f"C={C} too small for default lists (need {base.C})")
         return ListColoringInstance(graph=graph, C=C, lists=base.lists, psi=psi)
-    raw = _typed(payload["lists"], dict, "lists")
+    raw = _node_ids(_typed(payload["lists"], dict, "lists"), graph.n, "lists")
     lists = []
     for v in range(graph.n):
         if str(v) not in raw:
@@ -262,11 +272,7 @@ def load_coloring(path) -> PartialColoring:
     n = _entry(payload, "n", int)
     if n < 0:
         raise ValidationError(f"node count must be nonnegative, got n={n}")
-    raw = _entry(payload, "colors", dict)
-    ids = {str(v) for v in range(n)}
-    for key in raw:
-        if key not in ids:
-            raise ValidationError(f"colors: {key!r} is not a node id in 0..{n - 1}")
+    raw = _node_ids(_entry(payload, "colors", dict), n, "colors")
     colors = [raw.get(str(v)) for v in range(n)]
     return PartialColoring([
         None if c is None else _typed(c, int, f"color of node {v}")

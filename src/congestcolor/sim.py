@@ -17,10 +17,12 @@ Every node must eventually halt.  If no event is pending while some
 node is still live, the run aborts with StallError.  Messages sent to a
 node that already halted are counted but dropped.
 
-Sequential composition is the intended usage: every phase step, such
-as build_bfs_forest or aggregate_pairs, returns (result, RunStats), and
-a CommPlan runs them one after another as one round ledger whose total
-adds up the steps' stats.
+Sequential composition is the intended usage: a phase step whose
+result someone reads, such as build_bfs_forest or aggregate_pairs,
+returns (result, RunStats); the one-round exchange and the seed-bit
+broadcast, whose contents no one reads, take the widths their charge
+depends on and return only RunStats.  A CommPlan runs the steps one
+after another as one round ledger whose total adds up their stats.
 
 Every phase step but the pipeline's flag-low is a single pass, not an
 engine run: the rounds and lengths of its messages follow from its
@@ -88,17 +90,6 @@ class Message:
             raise ValueError(
                 f"payload {self.payload} does not fit in {self.bit_len} bits"
             )
-
-
-def pack_fields(*fields) -> Message:
-    """Pack (value, width) pairs MSB-first into one algorithm message."""
-    payload, total = 0, 0
-    for value, width in fields:
-        if width < 1 or not 0 <= value < (1 << width):
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        payload = (payload << width) | value
-        total += width
-    return Message(payload, total)
 
 
 @dataclass(frozen=True)
@@ -436,35 +427,32 @@ def aggregate_pairs(graph, forest, values, *, policy=None, trace=None):
     return (L, sums), _charge({AGGREGATION: sent}, trace, failure)
 
 
-def broadcast_values(graph, forest, values, *, policy=None, trace=None):
-    """Push values[i] = (value, width) down forest[i]; rounds <= height.
-
-    Every node of a tree gets its root's value, which a non-root v hears
-    in round depth(v) as a `width`-bit "algorithm" message.  Roots with
-    children check, in forest order as the engine's setup round does, that
-    the payload fits and then that the policy's cap allows the width.
+def broadcast_values(graph, forest, width, *, policy=None, trace=None):
+    """Charge one `width`-bit "algorithm" message down every tree of the
+    forest, which a non-root v hears in round depth(v); returns RunStats,
+    rounds <= height.  The first tree with children checks, as the
+    engine's setup round does, that the policy's cap allows the width.
     """
     sent = [[] for _ in range(max((t.height for t in forest), default=0) + 1)]
     limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
-    got = {}
-    for tree, (value, width) in zip(forest, values):
+    for tree in forest:
         if tree.height:
-            Message(value, width)  # raises ValueError unless the payload fits
             if limit is not None and width > limit:
                 edge = (tree.root, tree.children[tree.root][0])
                 raise BandwidthError(1, edge, width, limit)
             for d in range(1, tree.height + 1):
                 sent[d] += [width] * tree.level_sizes[d]
-        got.update(dict.fromkeys(tree.nodes, value))
-    return got, _charge({ALGORITHM: sent}, trace)
+    return _charge({ALGORITHM: sent}, trace)
 
 
 class CommPlan:
     """The round ledger of one phase: graph, forest, policy and one RunStats.
 
-    Every step runs through `run`, which hands it the policy and the
-    trace and adds the step's RunStats to the ledger's total.  The forest
-    may be set once it has been built.
+    A step with a result runs through `run`, which hands it the policy
+    and the trace, adds the step's RunStats to the ledger's total and
+    returns the result; `exchange` and `broadcast` add the RunStats of
+    their charge-only passes the same way and return nothing.  The
+    forest may be set once it has been built.
     """
 
     def __init__(self, graph, forest=(), *, policy=None, trace=None):
@@ -485,41 +473,31 @@ class CommPlan:
         self.stats.add(stats)
         return result
 
-    def exchange(self, outgoing):
-        return self.run(exchange, self.graph, outgoing)
+    def exchange(self, sends, width):
+        self.stats.add(
+            exchange(self.graph, sends, width, policy=self.policy, trace=self.trace)
+        )
 
     def aggregate(self, values):
         return self.run(aggregate_pairs, self.graph, self.forest, values)
 
-    def broadcast(self, values):
-        return self.run(broadcast_values, self.graph, self.forest, values)
+    def broadcast(self, width):
+        self.stats.add(
+            broadcast_values(
+                self.graph, self.forest, width, policy=self.policy, trace=self.trace
+            )
+        )
 
 
-def exchange(graph, outgoing, *, policy=None, trace=None):
-    """One round in which node v sends outgoing[v][u] to each neighbor u;
-    returns ({u: {v: message}}, RunStats), charged as the engine would.
-
-    Sends are checked in node order, then dict order: a non-Message or a
-    target that is no neighbor raises ProtocolError, and an "algorithm"
-    message past the policy's cap BandwidthError.  No message costs no
-    round.
+def exchange(graph, sends, width, *, policy=None, trace=None):
+    """Charge one round in which each directed edge (src, dst) in `sends`
+    carries one `width`-bit "algorithm" message; returns RunStats, as the
+    engine would charge them.  A width past the policy's cap raises
+    BandwidthError at sends[0].  No send costs no round.
     """
+    if not sends:
+        return RunStats()
     limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
-    heard = {v: {} for v in range(graph.n)}
-    sizes = {c: [] for c in _CATEGORIES}
-    for v in range(graph.n):
-        out = outgoing.get(v)
-        if not out:
-            continue
-        nbrs = set(graph.adj[v])
-        for u, msg in out.items():
-            if not isinstance(msg, Message):
-                raise ProtocolError(f"node {v} sent a non-Message object")
-            if u not in nbrs:
-                raise ProtocolError(f"node {v} has no edge to {u}")
-            if limit is not None and msg.category == ALGORITHM and msg.bit_len > limit:
-                raise BandwidthError(1, (v, u), msg.bit_len, limit)
-            heard[u][v] = msg
-            sizes[msg.category].append(msg.bit_len)
-    sent = {c: [[], lens] for c, lens in sizes.items() if lens}
-    return heard, _charge(sent, trace)
+    if limit is not None and width > limit:
+        raise BandwidthError(1, sends[0], width, limit)
+    return _charge({ALGORITHM: [[], [width] * len(sends)]}, trace)

@@ -21,9 +21,23 @@ from congestcolor.sim import (
     NodeProgram,
     RunStats,
     _LEN_FIELD,
-    pack_fields,
     run_protocol,
 )
+
+
+# Fixed-width fields, in which _BFSBuild below ships its (distance,
+# parent) offers.
+
+
+def pack_fields(*fields) -> Message:
+    """Pack (value, width) pairs MSB-first into one algorithm message."""
+    payload, total = 0, 0
+    for value, width in fields:
+        if width < 1 or not 0 <= value < (1 << width):
+            raise ValueError(f"value {value} does not fit in {width} bits")
+        payload = (payload << width) | value
+        total += width
+    return Message(payload, total)
 
 
 def unpack_fields(msg: Message, widths) -> tuple:
@@ -158,21 +172,21 @@ class _Relay(NodeProgram):
         self._forward(ctx)
 
 
-def engine_broadcast(graph, forest, values, *, policy=None, round_cap=None, trace=None):
+def engine_broadcast(graph, forest, width, *, policy=None, round_cap=None, trace=None):
+    """broadcast_values: every root relays a `width`-bit value, all ones,
+    down its tree."""
     progs = {}
-    for tree, (value, width) in zip(forest, values):
+    for tree in forest:
         for v in tree.nodes:
-            progs[v] = _Relay(
-                tree.children[v], width, value if v == tree.root else None
-            )
-    stats = run_protocol(
+            value = (1 << width) - 1 if v == tree.root else None
+            progs[v] = _Relay(tree.children[v], width, value)
+    return run_protocol(
         graph,
         [progs[v] for v in sorted(progs)],
         policy=policy,
         round_cap=round_cap,
         trace=trace,
     )
-    return {v: p.value for v, p in progs.items()}, stats
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +196,6 @@ def engine_broadcast(graph, forest, values, *, policy=None, round_cap=None, trac
 class _OneShot(NodeProgram):
     def __init__(self, outgoing):
         self.outgoing = outgoing
-        self.heard = {}
 
     def setup(self, ctx):
         for u, msg in self.outgoing.items():
@@ -190,16 +203,19 @@ class _OneShot(NodeProgram):
         ctx.wake_at(1)
 
     def absorb(self, ctx):
-        self.heard = dict(ctx.inbox)
         ctx.halt()
 
 
-def engine_exchange(graph, outgoing, *, policy=None, trace=None):
-    if not any(outgoing.get(v) for v in range(graph.n)):
-        return {v: {} for v in range(graph.n)}, RunStats()
-    progs = [_OneShot(outgoing.get(v, {})) for v in range(graph.n)]
-    stats = run_protocol(graph, progs, policy=policy, trace=trace)
-    return {v: progs[v].heard for v in range(graph.n)}, stats
+def engine_exchange(graph, sends, width, *, policy=None, trace=None):
+    """exchange: each (src, dst) in sends carries a `width`-bit message;
+    a node queues its sends in their order in `sends`."""
+    if not sends:
+        return RunStats()
+    outgoing = [{} for _ in range(graph.n)]
+    for src, dst in sends:
+        outgoing[src][dst] = Message((1 << width) - 1, width)
+    progs = [_OneShot(out) for out in outgoing]
+    return run_protocol(graph, progs, policy=policy, trace=trace)
 
 
 # ---------------------------------------------------------------------------

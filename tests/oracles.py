@@ -1,4 +1,5 @@
-"""Scalar reference implementations that only tests use.
+"""Scalar reference implementations that only tests use, and a CommPlan
+that records each seed bit's root sums for the chain checks.
 
 Nothing in the library calls these; they stay here as independent
 oracles for the vectorised paths.  They check their inputs with raise,
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from congestcolor.coins import FamilySpec, Seed, hash_eval, threshold
+from congestcolor.coins import FamilySpec, Seed, hash_eval, seed_to_int, threshold
+from congestcolor.sim import CommPlan
 
 
 @dataclass(frozen=True)
@@ -53,3 +55,32 @@ def xor_box_count(t_u: int, t_v: int, delta: int, b: int) -> int:
             elif top_u >> (i2 - i) == top_v:
                 total += 1 << i
     return total
+
+
+class RecordingPlan(CommPlan):
+    """A CommPlan that keeps the (L, sums) of every convergecast in `sums`,
+    so that a test reads each seed bit's root sums back after fix_level."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sums = []
+
+    def aggregate(self, values):
+        got = super().aggregate(values)
+        self.sums.append(got)
+        return got
+
+
+def bit_chains(fam: FamilySpec, forest, sums, roots) -> dict:
+    """{root: [(s0, s1, bit), ...]} of one conditional fix_level: per seed
+    bit, the tree's two candidate sums as Fractions, from that level's
+    convergecasts `sums`, and the bit its seed (in `roots`, the level
+    report's RootRecords) took."""
+    chains = {}
+    for i, tree in enumerate(forest):
+        word = seed_to_int(fam, roots[tree.root].seed)
+        chains[tree.root] = [
+            (Fraction(totals[i][0], L), Fraction(totals[i][1], L), (word >> j) & 1)
+            for j, (L, totals) in enumerate(sums)
+        ]
+    return chains

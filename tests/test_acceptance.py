@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from congestcolor import pipeline
 from congestcolor.coins import (
     hash_eval,
     make_family,
@@ -58,7 +59,7 @@ from congestcolor.sim import (
     CommPlan,
     build_bfs_forest,
 )
-from oracles import coin_eval, make_coin
+from oracles import RecordingPlan, bit_chains, coin_eval, make_coin
 
 
 def ceil_div(a, b):
@@ -83,23 +84,34 @@ def suite_specs():
 def suite_runs():
     policy = BandwidthPolicy.parse("strict:8")
     runs = []
+    levels = []  # (family, forest, seed-bit root sums, LevelReport) per level
+
+    def recorded_level(ctx, state, comm, **kwargs):
+        start = len(comm.sums)
+        state, rep = fix_level(ctx, state, comm, **kwargs)
+        levels.append((ctx.fam, comm.forest, comm.sums[start:], rep))
+        return state, rep
+
     start = time.perf_counter()
-    for label, kind, params in suite_specs():
-        inst = attach_default_lists(generate_graph(kind, params, 0))
-        for mode in ("mis", "avoid-mis"):
-            for kmode in ("linial", "ids"):
-                coloring, reports = list_color_full(inst, mode, kmode, policy=policy)
-                runs.append(
-                    {
-                        "label": label,
-                        "instance": inst,
-                        "mode": mode,
-                        "kmode": kmode,
-                        "coloring": coloring,
-                        "reports": reports,
-                    }
-                )
-    return {"runs": runs, "elapsed": time.perf_counter() - start}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "CommPlan", RecordingPlan)
+        mp.setattr(pipeline, "fix_level", recorded_level)
+        for label, kind, params in suite_specs():
+            inst = attach_default_lists(generate_graph(kind, params, 0))
+            for mode in ("mis", "avoid-mis"):
+                for kmode in ("linial", "ids"):
+                    coloring, reports = list_color_full(inst, mode, kmode, policy=policy)
+                    runs.append(
+                        {
+                            "label": label,
+                            "instance": inst,
+                            "mode": mode,
+                            "kmode": kmode,
+                            "coloring": coloring,
+                            "reports": reports,
+                        }
+                    )
+    return {"runs": runs, "levels": levels, "elapsed": time.perf_counter() - start}
 
 
 def test_criterion_01_validity_on_full_suite(suite_runs):
@@ -288,21 +300,28 @@ def test_criterion_05_estimator_matches_brute_force():
 
 
 def test_criterion_06_good_bit_chain(suite_runs):
+    # each level's seed-bit root sums, read back from a recording CommPlan
+    levels = suite_runs["levels"]
+    reports = [
+        lvl for run in suite_runs["runs"] for rep in run["reports"] for lvl in rep.levels
+    ]
+    assert [lvl for *_, lvl in levels] == reports
     decisions = 0
-    for run in suite_runs["runs"]:
-        for rep in run["reports"]:
-            for lvl in rep.levels:
-                for rec in lvl.roots.values():
-                    assert rec.chain, "conditional runs must record every bit"
-                    prev = rec.expect_start
-                    for s0, s1, bit in rec.chain:
-                        assert (s0 + s1) / 2 == prev
-                        chosen = s1 if bit else s0
-                        assert chosen == min(s0, s1)
-                        assert chosen <= prev
-                        prev = chosen
-                        decisions += 1
-                    assert rec.phi_after == prev
+    for fam, forest, sums, lvl in levels:
+        chains = bit_chains(fam, forest, sums, lvl.roots)
+        for root, rec in lvl.roots.items():
+            chain = chains[root]
+            assert len(chain) == fam.m + fam.b, "conditional runs must record every bit"
+            (s0, s1, _), *_ = chain
+            prev = (s0 + s1) / 2  # the expectation before any bit is fixed
+            for s0, s1, bit in chain:
+                assert (s0 + s1) / 2 == prev
+                chosen = s1 if bit else s0
+                assert chosen == min(s0, s1)
+                assert chosen <= prev
+                prev = chosen
+                decisions += 1
+            assert rec.phi_after == prev
     assert decisions > 10000
     print(f"criterion 6 (good-bit chain): PASS, {decisions} decisions exact")
 

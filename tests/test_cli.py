@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from congestcolor import derand
+from congestcolor import cli, derand
 from congestcolor.cli import main
 from congestcolor.decomposition import generate_decomposition, save_decomposition
 from congestcolor.graphs import (
@@ -16,6 +16,7 @@ from congestcolor.graphs import (
     load_instance,
     verify_coloring,
 )
+from congestcolor.pipeline import list_color_full
 
 RATIO = re.compile(r"^\d+/\d+$")
 
@@ -136,12 +137,22 @@ def test_run_rejects_bad_generator_spec(capsys):
         (["--graph", "{inst}"], "error: edge 0 endpoint must be an integer, not a string\n"),
         (["--gen", "path,n=4,extra=1"], "error: path graph takes no parameter 'extra'\n"),
         (["--gen", "path,n=4,n=6"], "error: repeated generator parameter 'n'\n"),
+        # a misspelt "lists" once coloured from the default lists instead
+        (
+            ["--graph", "{typo}", "--colors-mode", "lists"],
+            "error: an instance file takes no key 'list'\n",
+        ),
     ],
 )
 def test_run_rejects_malformed_input_with_exit_1(argv, message, tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"n": 2, "edges": [[0, "1"]]}))
-    code, stdout, stderr = run_cli(["run"] + [a.format(inst=inst) for a in argv], capsys)
+    typo = tmp_path / "typo.json"
+    typo.write_text(
+        json.dumps({"n": 2, "edges": [[0, 1]], "list": {"0": [5, 6], "1": [5, 6]}, "C": 7})
+    )
+    argv = [a.format(inst=inst, typo=typo) for a in argv]
+    code, stdout, stderr = run_cli(["run"] + argv, capsys)
     assert code == 1
     assert stdout == ""
     assert stderr == message
@@ -342,15 +353,25 @@ def test_run_names_missing_instance_key(payload, message, tmp_path, capsys):
         ([{"gen": "path,n=3", "sede": 5}], "suite graph 0 takes no key 'sede'"),
         ({"graphs": [], "kmode": 7}, "unknown kmode 7"),
         ({"graphs": [], "kmode": "sorted"}, "unknown kmode 'sorted'"),
+        # a bad item after a good one is found before any graph is coloured
+        (["path,n=3", {"gen": "path,n=3", "sede": 1}], "suite graph 1 takes no key 'sede'"),
+        (["path,n=3", "gnp,n=3"], "gnp graph needs parameter 'p'"),
     ],
 )
-def test_bench_rejects_malformed_suite_with_exit_1(suite, message, tmp_path, capsys):
+def test_bench_rejects_malformed_suite_with_exit_1(
+    suite, message, tmp_path, capsys, monkeypatch
+):
+    coloured = []
+    monkeypatch.setattr(
+        cli, "list_color_full", lambda *a, **k: coloured.append(a) or list_color_full(*a, **k)
+    )
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))
     code, stdout, stderr = run_cli(["bench", str(path), "--no-time"], capsys)
     assert code == 1
     assert stdout == ""
     assert stderr == f"error: {message}\n"
+    assert coloured == []
 
 
 def test_bench_emits_one_row_per_graph(tmp_path, capsys):

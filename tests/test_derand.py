@@ -40,7 +40,7 @@ from congestcolor.graphs import (
 from congestcolor.pipeline import _accuracy_bits, trim_lists
 from congestcolor.prefixes import apply_bits, init_state, phi_sum, split_counts
 from congestcolor.sim import BFSTree, CommPlan, build_bfs_forest
-from oracles import xor_box_count
+from oracles import RecordingPlan, bit_chains, xor_box_count
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,7 @@ def run_one_level(inst, psi, b, strategy="conditional"):
     fam = make_family(max(psi) + 1, b)
     ctx = build_level_context(fam, state, psi)
     forest, _ = build_bfs_forest(inst.graph)
-    comm = CommPlan(inst.graph, forest)
+    comm = RecordingPlan(inst.graph, forest)
     new_state, report = fix_level(ctx, state, comm, strategy=strategy)
     return state, new_state, report, comm
 
@@ -364,11 +364,12 @@ def test_fix_level_triangle_bound():
     assert report.phi_before == 2
     assert report.phi_after == phi_sum(new_state)
     assert report.phi_after <= Fraction(2) + Fraction(3, 2)
-    rec = report.roots[0]
+    chain = bit_chains(make_family(3, 6), comm.forest, comm.sums, report.roots)[0]
     # family: K=3 gives a=2, so m=b=6 and m+b decisions get recorded
-    assert len(rec.chain) == 12
+    assert len(chain) == 12
     # rounding the thresholds costs at most 10*2^-b per edge endpoint
-    assert rec.expect_start <= 2 + Fraction(10 * 2 * 3, 1 << 6)
+    s0, s1, _ = chain[0]
+    assert (s0 + s1) / 2 <= 2 + Fraction(10 * 2 * 3, 1 << 6)
 
 
 def test_fix_level_chain_is_monotone_and_exact():
@@ -384,7 +385,7 @@ def test_fix_level_chain_is_monotone_and_exact():
         ctx, state = made
         graph = state.inst.graph
         forest, _ = build_bfs_forest(graph)
-        comm = CommPlan(graph, forest)
+        comm = RecordingPlan(graph, forest)
 
         def aggregate(values, run=comm.aggregate):
             L, sums = run(values)
@@ -395,10 +396,12 @@ def test_fix_level_chain_is_monotone_and_exact():
         new_state, report = fix_level(ctx, state, comm)
         d_eff = ctx.fam.m + ctx.fam.b
         assert list(report.roots) == [t.root for t in forest]
+        chains = bit_chains(ctx.fam, forest, comm.sums, report.roots)
         for root, rec in report.roots.items():
-            assert len(rec.chain) == d_eff
-            prev = rec.expect_start
-            for s0, s1, bit in rec.chain:
+            assert len(chains[root]) == d_eff
+            (s0, s1, _), *_ = chains[root]
+            prev = (s0 + s1) / 2  # the expectation before any bit is fixed
+            for s0, s1, bit in chains[root]:
                 assert (s0 + s1) / 2 == prev
                 chosen = s1 if bit else s0
                 assert chosen == min(s0, s1)
@@ -409,7 +412,7 @@ def test_fix_level_chain_is_monotone_and_exact():
         # every tree's decision sums recompute from the scalar estimator
         for tree in forest:
             bits = []
-            for s0, s1, bit in report.roots[tree.root].chain:
+            for s0, s1, bit in chains[tree.root]:
                 for r, want in ((0, s0), (1, s1)):
                     prefix = SeedPrefix(tuple(bits + [r]))
                     assert sum(node_conditional(ctx, v, prefix) for v in tree.nodes) == want
@@ -451,6 +454,33 @@ def test_seed_bit_sums_build_no_fractions(monkeypatch, n):
     fix_level(ctx, state, CommPlan(graph, forest))
     assert calls == 2 * (ctx.fam.m + ctx.fam.b)
     assert built == 0
+
+
+def test_fix_level_fraction_count_does_not_grow_with_the_seed(monkeypatch):
+    # each tree's seed accumulates as an integer word and its chain stays in
+    # integers, so a level on three trees builds as many Fractions at
+    # m + b = 8 seed bits as at 16
+    g = Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
+    state = init_state(attach_default_lists(g))
+    forest, _ = build_bfs_forest(g)
+    built = 0
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    counts = {}
+    for b in (4, 8):
+        ctx = build_level_context(make_family(g.n, b), state, tuple(range(g.n)))
+        built = 0
+        with monkeypatch.context() as mp:
+            mp.setattr(Fraction, "__new__", staticmethod(counting_new))
+            fix_level(ctx, state, CommPlan(g, forest))
+        counts[ctx.fam.m + ctx.fam.b] = built
+    assert list(counts) == [8, 16] and len(forest) == 3
+    assert counts[8] == counts[16], counts
 
 
 def test_fix_level_single_node_and_edgeless():

@@ -97,6 +97,14 @@ def test_load_rejects_self_loop(tmp_path):
         ({"n": 2}, "missing key 'edges'"),
         ({"edges": []}, "missing key 'n'"),
         ({"n": 2, "edges": [], "psi": {"0": 0}}, "psi of node 1 must be an integer, not null"),
+        # keys the loader would otherwise drop
+        (
+            {"n": 2, "edges": [[0, 1]], "list": {"0": [5, 6], "1": [5, 6]}, "C": 7},
+            "an instance file takes no key 'list'",
+        ),
+        ({"n": 2, "edges": [], "psi": {"0": 0, "1": 1, "7": 2}}, "psi: '7' is not a node id in 0..1"),
+        ({"n": 2, "edges": [], "lists": {"0": [0], "1": [0], "7": [0]}}, "lists: '7' is not a node id"),
+        ({"n": 2, "edges": [], "lists": {"0": [0], "01": [0]}}, "lists: '01' is not a node id"),
     ],
 )
 def test_load_rejects_malformed_json(tmp_path, payload, message):

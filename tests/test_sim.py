@@ -26,7 +26,6 @@ from congestcolor.sim import (
     broadcast_values,
     build_bfs_forest,
     exchange,
-    pack_fields,
     run_protocol,
 )
 from engine_refs import (
@@ -36,6 +35,7 @@ from engine_refs import (
     engine_exchange,
     engine_linial_reduce,
     engine_mis_by_colors,
+    pack_fields,
     pack_fraction_pair,
     unpack_fields,
     unpack_fraction_pair,
@@ -160,14 +160,12 @@ def test_flood_echo_round_count():
 
 def test_exchange_helper():
     g = generate_graph("path", {"n": 3})
-    outgoing = {
-        v: {u: Message(v + 1, 4) for u in g.adj[v]} for v in range(3)
-    }
-    inbox, stats = exchange(g, outgoing)
+    stats = exchange(g, [(v, u) for v in range(3) for u in g.adj[v]], 4)
     assert stats.rounds == 1
     assert stats.messages == 4
-    assert inbox[1][0].payload == 1 and inbox[1][2].payload == 3
-    assert inbox[0][1].payload == 2
+    assert stats.bits_by_category[ALGORITHM] == 16
+    assert stats.max_bits_by_category[ALGORITHM] == 4
+    assert exchange(g, [], 4) == RunStats()
 
 
 def test_bfs_path_shape():
@@ -214,11 +212,11 @@ def test_comm_plan_adds_up_every_step():
     comm = CommPlan(g, trace=records.append)
     comm.forest = comm.run(build_bfs_forest, g)  # 4 layers + 2 rounds
     assert comm.stats.rounds == 6 and comm.depth == 4
-    assert comm.exchange({0: {1: Message(1, 1)}})[1] == {0: Message(1, 1)}
+    comm.exchange([(0, 1)], 1)
     assert comm.stats.rounds == 7 and len(records) == 7
     totals = root_totals(*comm.aggregate(node_nums({0: (Fraction(1), Fraction(2))}, g.n)))
     assert totals == [(Fraction(1), Fraction(2))]
-    assert comm.broadcast([(3, 2)]) == dict.fromkeys(range(5), 3)
+    comm.broadcast(2)
     assert comm.stats.rounds == 7 + 4 + 4 and len(records) == 15
     assert [r["round"] for r in records] == [*range(1, 7), 1, *range(1, 5), *range(1, 5)]
     assert comm.stats.messages == sum(r["messages"] for r in records)
@@ -274,9 +272,9 @@ def test_aggregate_defaults_missing_values_to_zero():
 def test_broadcast_star():
     g = generate_graph("star", {"n": 5})
     forest, _ = build_bfs_forest(g)
-    got, stats = broadcast_values(g, forest, [(5, 3)])
-    assert got == {v: 5 for v in range(5)}
+    stats = broadcast_values(g, forest, 3)
     assert stats.rounds == 1
+    assert stats.messages == 4
     assert stats.max_bits_by_category[ALGORITHM] == 3
 
 
@@ -536,10 +534,9 @@ def test_passes_without_rounds_charge_nothing_under_a_negative_cap():
     got = aggregate_pairs(g, forest, values)
     assert got == engine_aggregate(g, forest, values, round_cap=-1)
     assert got[1] == RunStats()
-    roots = [(v, 2) for v in range(3)]
-    got = broadcast_values(g, forest, roots)
-    assert got == engine_broadcast(g, forest, roots, round_cap=-1)
-    assert got[1] == RunStats()
+    got = broadcast_values(g, forest, 2)
+    assert got == engine_broadcast(g, forest, 2, round_cap=-1)
+    assert got == RunStats()
 
 
 _factors = st.one_of(
@@ -576,18 +573,14 @@ def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, b
 @settings(max_examples=150, deadline=None)
 @given(
     gf=forests(),
-    data=st.data(),
+    width=st.integers(min_value=1, max_value=9),
     **_run_options,
 )
-def test_broadcast_values_matches_engine(gf, data, traced, beta):
+def test_broadcast_values_matches_engine(gf, width, traced, beta):
     g, forest = gf
-    values = []
-    for _ in forest:
-        width = data.draw(st.integers(min_value=1, max_value=9))
-        values.append((data.draw(st.integers(0, 1 << width)), width))
     kwargs = {"policy": BandwidthPolicy(beta)}
-    got = _outcome(broadcast_values, g, forest, values, traced=traced, **kwargs)
-    want = _outcome(engine_broadcast, g, forest, values, traced=traced, **kwargs)
+    got = _outcome(broadcast_values, g, forest, width, traced=traced, **kwargs)
+    want = _outcome(engine_broadcast, g, forest, width, traced=traced, **kwargs)
     assert got == want
 
 
@@ -596,46 +589,22 @@ def test_broadcast_values_matches_engine(gf, data, traced, beta):
 # reduction and the MIS sweep.
 
 
-def _exchange_outcome(fn, graph, outgoing, traced, **kwargs):
-    """What an exchange returns or raises, with the trace it emitted; the
-    inboxes as item lists, so their order counts too."""
-    records = []
-    trace = records.append if traced else None
-    try:
-        heard, stats = fn(graph, outgoing, trace=trace, **kwargs)
-    except (ProtocolError, BandwidthError) as exc:
-        return ("raised", type(exc), str(exc)), records
-    return ("returned", [(u, list(heard[u].items())) for u in heard], stats), records
-
-
 @st.composite
 def sends(draw):
-    """A graph and an outgoing map over it: some nodes send nothing or are
-    left out, and a send may go to a non-neighbour or not be a Message."""
+    """A graph, directed sends along its edges in node order, as fix_level
+    lists them (some nodes send nothing, the others to a drawn subset of
+    their neighbours in drawn order), and a message width."""
     kind = draw(st.sampled_from(["gnp", "star", "path"]))
     n = draw(st.integers(min_value=1, max_value=16))
     if kind == "gnp":
         g = generate_graph("gnp", {"n": n, "p": 0.3}, rng_seed=draw(st.integers(0, 999)))
     else:
         g = generate_graph(kind, {"n": n})
-    messages = st.builds(
-        Message,
-        payload=st.just(0),
-        bit_len=st.integers(min_value=1, max_value=12),
-        category=st.sampled_from([ALGORITHM, AGGREGATION]),
-    )
-    bad = draw(st.booleans())
-    payloads = st.one_of(messages, st.just(7)) if bad else messages
-    outgoing = {}
-    for v in draw(st.permutations(range(n))):  # node order is not dict order
-        if draw(st.integers(0, 3)) == 0:
-            continue  # left out
-        targets = list(g.adj[v])
-        if bad:
-            targets += [v, n]
-        chosen = draw(st.lists(st.sampled_from(targets), unique=True)) if targets else []
-        outgoing[v] = {u: draw(payloads) for u in chosen}
-    return g, outgoing
+    out = []
+    for v in range(n):
+        if g.adj[v] and draw(st.integers(0, 3)):
+            out += [(v, u) for u in draw(st.lists(st.sampled_from(g.adj[v]), unique=True))]
+    return g, out, draw(st.integers(min_value=1, max_value=12))
 
 
 @settings(max_examples=300, deadline=None)
@@ -645,10 +614,10 @@ def sends(draw):
     beta=st.sampled_from([None, 1, 2]),
 )
 def test_exchange_matches_engine(gs, traced, beta):
-    g, outgoing = gs
+    g, out, width = gs
     kwargs = {"policy": BandwidthPolicy(beta)}
-    got = _exchange_outcome(exchange, g, outgoing, traced, **kwargs)
-    want = _exchange_outcome(engine_exchange, g, outgoing, traced, **kwargs)
+    got = _outcome(exchange, g, out, width, traced=traced, **kwargs)
+    want = _outcome(engine_exchange, g, out, width, traced=traced, **kwargs)
     assert got == want
 
 
