@@ -29,6 +29,7 @@ from .graphs import (
     ValidationError,
     _entry,
     _int_pair,
+    _known_keys,
     _typed,
     bfs_depths,
     check,
@@ -98,10 +99,15 @@ def _beta(clusters) -> int:
 
 
 def validate_decomposition(graph, decomp: NetworkDecomposition) -> list:
-    """All deviations from the decomposition contract, as readable strings."""
+    """All deviations from the decomposition contract, as readable
+    strings; clusters go by id, so a repeated id is a partition error."""
     errs = []
     owner = {}
+    ids = set()
     for cl in decomp.clusters:
+        if cl.id in ids:
+            errs.append(f"partition: cluster id {cl.id} repeated")
+        ids.add(cl.id)
         for v in cl.nodes:
             if not 0 <= v < graph.n:
                 errs.append(f"partition: cluster {cl.id} node {v} outside the graph")
@@ -243,13 +249,17 @@ def save_decomposition(path, decomp: NetworkDecomposition) -> None:
 
 
 def load_decomposition(path) -> NetworkDecomposition:
-    """Read the JSON format; beta and kappa are measured, not stored."""
+    """Read the JSON format; beta and kappa are measured, not stored.
+    A key the format does not name, at the top or in a cluster, is an error."""
     with open(path) as fh:
         payload = _typed(json.load(fh), dict, "a decomposition file")
+    _known_keys(payload, ("alpha", "clusters"), "a decomposition file takes no key")
     clusters = []
     for i, c in enumerate(_entry(payload, "clusters", list)):
         at = f"cluster {i}: "
-        nodes = _entry(_typed(c, dict, f"cluster {i}"), "nodes", list, at)
+        _typed(c, dict, f"cluster {i}")
+        _known_keys(c, ("id", "color", "nodes", "tree_edges"), f"cluster {i} takes no key")
+        nodes = _entry(c, "nodes", list, at)
         tree = _entry(c, "tree_edges", list, at)
         clusters.append(Cluster(
             id=_entry(c, "id", int, at),
@@ -295,25 +305,26 @@ def color_with_decomposition(
 ):
     """Color class by class; same-color clusters run as parallel phases.
 
-    Each cluster restricts the instance to its own nodes, minus colors
-    already taken by neighbors in earlier classes (same-color clusters
-    never touch, so they cannot see each other's colors).  Slack
-    survives the restriction: a node loses one list color per colored
-    neighbor and the incident edge with it, so deg+1 lists stay deg+1.
-    A class is charged kappa times its slowest cluster.
+    Only the colors some cluster has form classes, in ascending order,
+    and a class runs its clusters by id; so the work grows with the
+    clusters, not with alpha.  Each cluster restricts the instance to its
+    own nodes, minus colors already taken by neighbors in earlier classes
+    (same-color clusters never touch, so they cannot see each other's
+    colors).  Slack survives the restriction: a node loses one list
+    color per colored neighbor and the incident edge with it, so deg+1
+    lists stay deg+1.  A class is charged kappa times its slowest cluster.
     """
     errs = validate_decomposition(instance.graph, decomp)
     if errs:
         raise ValidationError(f"invalid decomposition: {errs[0]}")
     colors = [None] * instance.graph.n
     policy = (policy or BandwidthPolicy()).pin(instance.graph.n)
+    classes = {}
+    for cl in sorted(decomp.clusters, key=lambda cl: cl.id):
+        classes.setdefault(cl.color, []).append(cl)
     records = []
     total = 0
-    for color in range(1, decomp.alpha + 1):
-        active = sorted(
-            (cl for cl in decomp.clusters if cl.color == color),
-            key=lambda cl: cl.id,
-        )
+    for color, active in sorted(classes.items()):
         kappa = max(_tree_load(active).values(), default=1)
         slowest = 0
         cluster_reports = []

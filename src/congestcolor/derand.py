@@ -558,10 +558,12 @@ class _Estimator:
 
 @dataclass
 class RootRecord:
-    """One tree's level: its seed and its potential before and after."""
+    """One tree's level: its seed and its potential before and after.
 
-    root: int
-    nodes: tuple
+    LevelReport.roots keys it by the tree's root; the forest holds the
+    tree's nodes.
+    """
+
     seed: Seed
     phi_before: Fraction
     phi_after: Fraction
@@ -593,6 +595,9 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     integer word.  The exhaustive one has each root pick the best seed
     outright, from at most SEED_CAP, and costs the same protocol shape
     with the seed shipped bit by bit.
+
+    Tree i of comm.forest is rooted at roots[i] and holds nodes[i]; a
+    Forest partitions range(len(tree_of)), so only its length is checked.
     """
     if strategy not in ("conditional", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -601,16 +606,14 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     m, b = fam.m, fam.b
     start_rounds = comm.stats.rounds
     forest = comm.forest
-
-    owner = sorted((v, i) for i, t in enumerate(forest) for v in t.nodes)
-    if [v for v, _ in owner] != list(range(n)):
+    if len(forest.tree_of) != n:
         raise ValueError("forest must partition the nodes")
-    tree_of = [i for _, i in owner]
-    comp_phi = [phi_sum(state, t.nodes) for t in forest]
+    tree_of, trees = forest.tree_of, forest.nodes
+    comp_phi = [phi_sum(state, nodes) for nodes in trees]
     slack = [
-        Fraction(10 * max((state.deg[v] for v in t.nodes), default=0) * len(t.nodes),
+        Fraction(10 * max((state.deg[v] for v in nodes), default=0) * len(nodes),
                  1 << b)
-        for t in forest
+        for nodes in trees
     ]
 
     # round 1: every node sends its split counts and psi color, (k0, k1, x)
@@ -622,17 +625,17 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     comm.exchange(sends, 2 * cw + fam.a)
 
     if strategy == "exhaustive":
-        picked = [exhaustive_seed(ctx, state, nodes=t.nodes) for t in forest]
+        picked = [exhaustive_seed(ctx, state, nodes=nodes) for nodes in trees]
         comm.aggregate(([0] * n, [0] * n, [1] * n))  # stands in for facts sent rootward
         for _ in range(m + b):
             comm.broadcast(1)  # one seed bit per tree
         seeds = [seed for seed, _ in picked]
         last = [value for _, value in picked]
     else:
-        est = _Estimator(ctx, tree_of, len(forest))
+        est = _Estimator(ctx, tree_of, len(trees))
         # each tree's seed so far, and its last choice as an integer over
         # its convergecast's lcm
-        words, last = [0] * len(forest), [None] * len(forest)
+        words, last = [0] * len(trees), [None] * len(trees)
         for j in range(m + b):
             L, totals = comm.aggregate(est.decision_values(j))
             bits = []
@@ -658,13 +661,11 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     new_state = apply_bits(state, coin_bits)
 
     records = {}
-    for i, t in enumerate(forest):
-        realized = phi_sum(new_state, t.nodes)
+    for i, (root, nodes) in enumerate(zip(forest.roots, trees)):
+        realized = phi_sum(new_state, nodes)
         check(realized == last[i],
               "realized potential must equal the fully conditioned expectation")
-        records[t.root] = RootRecord(
-            root=t.root,
-            nodes=t.nodes,
+        records[root] = RootRecord(
             seed=seeds[i],
             phi_before=comp_phi[i],
             phi_after=realized,
@@ -673,7 +674,7 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
             comm.trace(
                 {
                     "level": new_state.level,
-                    "root": t.root,
+                    "root": root,
                     "seed": seed_bit_string(fam, seeds[i]),
                     "phi_before": frac_str(comp_phi[i]),
                     "phi_after": frac_str(realized),

@@ -86,19 +86,6 @@ class Graph:
             (max(bfs_depths(self.adj, v).values()) for v in range(self.n)), default=0
         )
 
-    @cached_property
-    def components(self) -> tuple:
-        """Connected components as sorted node tuples, ordered by min node."""
-        out = []
-        seen = set()
-        for v in range(self.n):
-            if v in seen:
-                continue
-            comp = sorted(bfs_depths(self.adj, v))
-            seen.update(comp)
-            out.append(tuple(comp))
-        return tuple(out)
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)

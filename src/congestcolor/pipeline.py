@@ -237,7 +237,7 @@ def color_fraction(
         mis_size=mis_size,
         k_classes=inst.psi_range,
         seed_bits=fam.m + fam.b,
-        depth=comm.depth,
+        depth=comm.forest.height,
         levels=tuple(levels),
         candidates=candidates,
         conflict_edges=conflict,

@@ -30,15 +30,16 @@ input, so it computes its result directly, and one charging rule,
 _charge, turns those lengths into the RunStats and trace records the
 engine would give.  Here that covers the BFS forest, the one-round
 exchange and the tree collectives; linial.py adds the reduction and the
-MIS sweep; the collectives name each tree by its forest position.  The
-engine serves flag-low, hand-written protocols and the tests'
-engine-driven references; only it takes a round cap, a check on node
-programs that may never halt.
+MIS sweep.  The forest is one Forest of node-indexed arrays with its
+collectives' schedule derived once, so the collectives make one pass
+over it and name each tree by its forest position.  The engine serves
+flag-low, hand-written protocols and the tests' engine-driven
+references; only it takes a round cap, a check on node programs that
+may never halt.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import gcd, lcm
 
@@ -283,68 +284,85 @@ def run_protocol(
 
 
 @dataclass
-class BFSTree:
-    root: int
+class Forest:
+    """A spanning forest, one tree per component, as node-indexed arrays.
+
+    tree_of[v] is v's tree by forest position, parent[v] its parent (None
+    at a root) and depth[v] its hop distance from the root; tree i is
+    rooted at roots[i] and holds the ascending nodes[i].  Construction
+    raises ValueError unless nodes and tree_of partition range(n) the
+    same way.  The collectives' schedule is derived once for the whole
+    forest: `upward` lists the non-roots, deepest first, so every child
+    comes before its parent; subheight[v] is the height of v's subtree,
+    level_sizes[d] the number of nodes at depth d, and height the largest
+    depth.  Equality compares the five stored fields.
+    """
+
+    tree_of: tuple
+    parent: tuple
+    depth: tuple
+    roots: tuple
     nodes: tuple
-    parent: dict
-    children: dict
-    depth: dict
-    height: int
-    # schedule of the tree collectives, derived once per tree
-    order: tuple = field(init=False, repr=False, compare=False)  # BFS, root first
-    subheight: dict = field(init=False, repr=False, compare=False)
-    level_sizes: Counter = field(init=False, repr=False, compare=False)  # per depth
+    upward: tuple = field(init=False, repr=False, compare=False)
+    subheight: list = field(init=False, repr=False, compare=False)
+    level_sizes: list = field(init=False, repr=False, compare=False)
+    height: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.order = tuple(sorted(self.nodes, key=lambda v: (self.depth[v], v)))
-        self.subheight = sub = dict.fromkeys(self.order, 0)
-        for v in reversed(self.order[1:]):
-            sub[self.parent[v]] = max(sub[self.parent[v]], sub[v] + 1)
-        self.level_sizes = Counter(self.depth.values())
+        owner = sorted((v, i) for i, tree in enumerate(self.nodes) for v in tree)
+        if owner != list(enumerate(self.tree_of)):
+            raise ValueError("forest must partition the nodes")
+        self.height = max(self.depth, default=0)
+        levels = [[] for _ in range(self.height + 1)]
+        for v, d in enumerate(self.depth):
+            levels[d].append(v)
+        self.level_sizes = [len(level) for level in levels]
+        self.upward = tuple(v for level in reversed(levels[1:]) for v in level)
+        self.subheight = sub = [0] * len(self.depth)
+        for v in self.upward:
+            p = self.parent[v]
+            sub[p] = max(sub[p], sub[v] + 1)
 
 
 def build_bfs_forest(graph, *, policy=None, trace=None):
     """Grow one BFS tree per component, rooted at its smallest id, in
-    root order; parents tie-break to the min id.
+    root order: one BFS from each node no earlier tree reached.  A
+    node's parent is its smallest-id neighbor one layer up.
 
     Charged as the synchronous flood: a node at depth d offers its
     (distance, parent) pair, 2 * ceil(log2 n) bits, to every neighbor in
-    round d + 1, and each tree with an edge takes one more round, at
-    height + 2, for its deepest nodes' final wakeup.  An offer past the
-    policy's cap stops the flood in setup, at the first root with a
-    neighbor.
+    round d + 1, and the deepest nodes take one more round, at height + 2,
+    for their final wakeup.  An offer past the policy's cap stops the
+    flood in setup, at the first node with a neighbor, which roots the
+    first tree with an edge.
     """
-    width = 2 * max(1, (graph.n - 1).bit_length())
-    limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
-    first = next((c[0] for c in graph.components if len(c) > 1), None)
-    if first is not None and limit is not None and width > limit:
-        raise BandwidthError(1, (first, graph.adj[first][0]), width, limit)
-    forest, sent = [], [[]]
-    for comp in graph.components:
-        dist = bfs_depths(graph.adj, comp[0])
-        depth = {v: dist[v] for v in comp}
-        parent = {
-            v: next((u for u in graph.adj[v] if dist[u] == d - 1), None)
-            for v, d in depth.items()
-        }
-        height = max(depth.values())
-        if len(comp) > 1:
-            sent += [[] for _ in range(height + 3 - len(sent))]
-            for v, d in depth.items():
-                sent[d + 1] += [width] * len(graph.adj[v])
-        forest.append(
-            BFSTree(
-                root=comp[0],
-                nodes=comp,
-                parent=parent,
-                children={
-                    v: tuple(u for u in graph.adj[v] if parent[u] == v) for v in comp
-                },
-                depth=depth,
-                height=height,
-            )
-        )
-    return tuple(forest), _charge({ALGORITHM: sent}, trace)
+    n, adj = graph.n, graph.adj
+    width = 2 * max(1, (n - 1).bit_length())
+    limit = (policy or BandwidthPolicy()).limit_bits(n)
+    if limit is not None and width > limit:
+        first = next((v for v in range(n) if adj[v]), None)
+        if first is not None:
+            raise BandwidthError(1, (first, adj[first][0]), width, limit)
+    tree_of, parent, depth = [None] * n, [None] * n, [0] * n
+    roots, nodes = [], []
+    for root in range(n):
+        if tree_of[root] is not None:
+            continue
+        dist = bfs_depths(adj, root)
+        for v, d in dist.items():
+            tree_of[v] = len(roots)
+            depth[v] = d
+            if d:
+                parent[v] = next(u for u in adj[v] if dist[u] == d - 1)
+        roots.append(root)
+        nodes.append(tuple(sorted(dist)))
+    forest = Forest(tuple(tree_of), tuple(parent), tuple(depth), tuple(roots), tuple(nodes))
+    sent = [[]]
+    if graph.edge_list:
+        sent += [[] for _ in range(forest.height + 2)]
+        for v, d in enumerate(depth):
+            sent[d + 1] += [width] * len(adj[v])
+    return forest, _charge({ALGORITHM: sent}, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +404,20 @@ def _charge(sent, trace, failure=None):
 
 def aggregate_pairs(graph, forest, values, *, policy=None, trace=None):
     """Sum node values a_v = num_a[v] / den[v], b_v = num_b[v] / den[v]
-    (den > 0, any terms) toward each tree root, in integers.
+    (den > 0, any terms) toward each tree root of the Forest, in integers.
 
     `values` is (num_a, num_b, den), node-indexed integer sequences.
     Returns (L, sums): L = lcm(den), one common denominator for the whole
     forest, and sums[i] the integer pair (A, B) with A / L, B / L the
-    totals of forest[i].  Children go before parents: a non-root v ships
-    its reduced subtree sum in round subheight(v) + 1, once all its
-    children have, as an "aggregation" message.  Aggregation is exempt
-    from `policy`; rounds equal the forest height.
+    totals of tree i.  One pass over forest.upward puts children before
+    parents: a non-root v ships its reduced subtree sum in round
+    subheight(v) + 1, once all its children have, as an "aggregation"
+    message.  Aggregation is exempt from `policy`; rounds equal the
+    forest height.
     """
     num_a, num_b, den = values
-    sent = [[] for _ in range(max((t.height for t in forest), default=0) + 1)]
+    parent, sub = forest.parent, forest.subheight
+    sent = [[] for _ in range(forest.height + 1)]
     too_long = len(sent)  # first round in which a sum too long to encode is sent
     # a reduced fraction is the same over every common denominator, so
     # S / L reduced by gcd(S, L) prices the message whatever L is
@@ -405,48 +425,43 @@ def aggregate_pairs(graph, forest, values, *, policy=None, trace=None):
     scale = [L // d for d in den]
     sum_a = [a * f for a, f in zip(num_a, scale)]
     sum_b = [b * f for b, f in zip(num_b, scale)]
-    for tree in forest:
-        parent, sub = tree.parent, tree.subheight
-        for v in reversed(tree.order[1:]):  # every child before its parent
-            sa, sb = sum_a[v], sum_b[v]
-            ga, gb = gcd(sa, L), gcd(sb, L)
-            la, lda = (sa // ga).bit_length(), (L // ga).bit_length()
-            lb, ldb = (sb // gb).bit_length(), (L // gb).bit_length()
-            r = sub[v] + 1
-            size = _PAIR_OVERHEAD + la + lda + lb + ldb
-            sent[r].append(size)
-            if size >> _LEN_FIELD and max(la, lda, lb, ldb) >> _LEN_FIELD:
-                too_long = min(too_long, r - 1)  # too long to send
-            sum_a[parent[v]] += sa
-            sum_b[parent[v]] += sb
+    for v in forest.upward:
+        sa, sb = sum_a[v], sum_b[v]
+        ga, gb = gcd(sa, L), gcd(sb, L)
+        la, lda = (sa // ga).bit_length(), (L // ga).bit_length()
+        lb, ldb = (sb // gb).bit_length(), (L // gb).bit_length()
+        r = sub[v] + 1
+        size = _PAIR_OVERHEAD + la + lda + lb + ldb
+        sent[r].append(size)
+        if size >> _LEN_FIELD and max(la, lda, lb, ldb) >> _LEN_FIELD:
+            too_long = min(too_long, r - 1)  # too long to send
+        sum_a[parent[v]] += sa
+        sum_b[parent[v]] += sb
     failure = None
     if too_long < len(sent):
         error = ValueError("integer too large for the rational wire format")
         failure = (too_long, error)
-    sums = [(sum_a[t.root], sum_b[t.root]) for t in forest]
+    sums = [(sum_a[r], sum_b[r]) for r in forest.roots]
     return (L, sums), _charge({AGGREGATION: sent}, trace, failure)
 
 
 def broadcast_values(graph, forest, width, *, policy=None, trace=None):
     """Charge one `width`-bit "algorithm" message down every tree of the
-    forest, which a non-root v hears in round depth(v); returns RunStats,
-    rounds <= height.  The first tree with children checks, as the
-    engine's setup round does, that the policy's cap allows the width.
+    Forest, which the level_sizes[d] nodes at depth d hear in round d;
+    returns RunStats, rounds = height.  The first root with a neighbor
+    checks, as the engine's setup round does, that the policy's cap
+    allows the width.
     """
-    sent = [[] for _ in range(max((t.height for t in forest), default=0) + 1)]
     limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
-    for tree in forest:
-        if tree.height:
-            if limit is not None and width > limit:
-                edge = (tree.root, tree.children[tree.root][0])
-                raise BandwidthError(1, edge, width, limit)
-            for d in range(1, tree.height + 1):
-                sent[d] += [width] * tree.level_sizes[d]
+    if forest.height and limit is not None and width > limit:
+        root = next(r for r in forest.roots if graph.adj[r])
+        raise BandwidthError(1, (root, graph.adj[root][0]), width, limit)
+    sent = [[]] + [[width] * size for size in forest.level_sizes[1:]]
     return _charge({ALGORITHM: sent}, trace)
 
 
 class CommPlan:
-    """The round ledger of one phase: graph, forest, policy and one RunStats.
+    """The round ledger of one phase: graph, Forest, policy and one RunStats.
 
     A step with a result runs through `run`, which hands it the policy
     and the trace, adds the step's RunStats to the ledger's total and
@@ -455,16 +470,12 @@ class CommPlan:
     forest may be set once it has been built.
     """
 
-    def __init__(self, graph, forest=(), *, policy=None, trace=None):
+    def __init__(self, graph, forest=None, *, policy=None, trace=None):
         self.graph = graph
         self.forest = forest
         self.policy = policy
         self.trace = trace
         self.stats = RunStats()
-
-    @property
-    def depth(self) -> int:
-        return max((t.height for t in self.forest), default=0)
 
     def run(self, step, *args):
         """Result of step(*args, policy, trace) after charging the

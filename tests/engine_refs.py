@@ -12,11 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from congestcolor.graphs import check
+from congestcolor.graphs import bfs_depths, check
 from congestcolor.linial import _check_proper, _recolor, _schedule, log_star
 from congestcolor.sim import (
     AGGREGATION,
-    BFSTree,
+    Forest,
     Message,
     NodeProgram,
     RunStats,
@@ -127,26 +127,28 @@ class _SumPairs(NodeProgram):
             self._flush(ctx)
 
 
+def _children(forest):
+    """Each node's children, ascending, from the forest's parent array."""
+    kids = [[] for _ in forest.parent]
+    for v, p in enumerate(forest.parent):
+        if p is not None:
+            kids[p].append(v)
+    return kids
+
+
 def engine_aggregate(graph, forest, values, *, policy=None, round_cap=None, trace=None):
     """aggregate_pairs: every node ships its subtree's pair of Fractions in
     the wire format; the roots' totals come back as integers over lcm(den)."""
     num_a, num_b, den = values
-    progs = {}
-    for tree in forest:
-        for v in tree.nodes:
-            val = (Fraction(num_a[v], den[v]), Fraction(num_b[v], den[v]))
-            progs[v] = _SumPairs(tree.parent[v], tree.children[v], val)
-    stats = run_protocol(
-        graph,
-        [progs[v] for v in sorted(progs)],
-        policy=policy,
-        round_cap=round_cap,
-        trace=trace,
-    )
+    progs = [
+        _SumPairs(p, kids, (Fraction(num_a[v], den[v]), Fraction(num_b[v], den[v])))
+        for v, (p, kids) in enumerate(zip(forest.parent, _children(forest)))
+    ]
+    stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
     L = lcm(*den)
     sums = [
-        tuple(s.numerator * (L // s.denominator) for s in progs[t.root].total)
-        for t in forest
+        tuple(s.numerator * (L // s.denominator) for s in progs[r].total)
+        for r in forest.roots
     ]
     return (L, sums), stats
 
@@ -175,18 +177,11 @@ class _Relay(NodeProgram):
 def engine_broadcast(graph, forest, width, *, policy=None, round_cap=None, trace=None):
     """broadcast_values: every root relays a `width`-bit value, all ones,
     down its tree."""
-    progs = {}
-    for tree in forest:
-        for v in tree.nodes:
-            value = (1 << width) - 1 if v == tree.root else None
-            progs[v] = _Relay(tree.children[v], width, value)
-    return run_protocol(
-        graph,
-        [progs[v] for v in sorted(progs)],
-        policy=policy,
-        round_cap=round_cap,
-        trace=trace,
-    )
+    progs = [
+        _Relay(kids, width, (1 << width) - 1 if p is None else None)
+        for p, kids in zip(forest.parent, _children(forest))
+    ]
+    return run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +264,39 @@ class _BFSBuild(NodeProgram):
             ctx.halt()
 
 
+def components(graph) -> list:
+    """Connected components as ascending node tuples, ordered by min node."""
+    seen, out = set(), []
+    for v in range(graph.n):
+        if v not in seen:
+            comp = tuple(sorted(bfs_depths(graph.adj, v)))
+            seen.update(comp)
+            out.append(comp)
+    return out
+
+
 def engine_bfs_forest(graph, *, policy=None, trace=None):
     """build_bfs_forest: a flood from each component's smallest id."""
     width = max(1, (graph.n - 1).bit_length())
-    roots = {comp[0] for comp in graph.components}
-    progs = [_BFSBuild(v in roots, width) for v in range(graph.n)]
+    comps = components(graph)
+    roots = tuple(comp[0] for comp in comps)
+    is_root = set(roots)
+    progs = [_BFSBuild(v in is_root, width) for v in range(graph.n)]
     stats = run_protocol(graph, progs, policy=policy, trace=trace)
-    forest = []
-    for comp in graph.components:
-        depth = {v: progs[v].dist for v in comp}
-        forest.append(
-            BFSTree(
-                root=comp[0],
-                nodes=comp,
-                parent={v: progs[v].parent for v in comp},
-                children={v: tuple(sorted(progs[v].kids)) for v in comp},
-                depth=depth,
-                height=max(depth.values()),
-            )
-        )
-    return tuple(forest), stats
+    tree_of = [None] * graph.n
+    for i, comp in enumerate(comps):
+        for v in comp:
+            tree_of[v] = i
+    forest = Forest(
+        tree_of=tuple(tree_of),
+        parent=tuple(p.parent for p in progs),
+        depth=tuple(p.dist for p in progs),
+        roots=roots,
+        nodes=tuple(comps),
+    )
+    for v, kids in enumerate(_children(forest)):
+        check(progs[v].kids == set(kids), "a node's kids must be its children")
+    return forest, stats
 
 
 class _Reduce(NodeProgram):

@@ -77,9 +77,9 @@ def bit_chains(fam: FamilySpec, forest, sums, roots) -> dict:
     convergecasts `sums`, and the bit its seed (in `roots`, the level
     report's RootRecords) took."""
     chains = {}
-    for i, tree in enumerate(forest):
-        word = seed_to_int(fam, roots[tree.root].seed)
-        chains[tree.root] = [
+    for i, root in enumerate(forest.roots):
+        word = seed_to_int(fam, roots[root].seed)
+        chains[root] = [
             (Fraction(totals[i][0], L), Fraction(totals[i][1], L), (word >> j) & 1)
             for j, (L, totals) in enumerate(sums)
         ]

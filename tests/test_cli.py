@@ -142,6 +142,11 @@ def test_run_rejects_bad_generator_spec(capsys):
             ["--graph", "{typo}", "--colors-mode", "lists"],
             "error: an instance file takes no key 'list'\n",
         ),
+        # two clusters under one id once coloured two adjacent nodes at once
+        (
+            ["--gen", "path,n=2", "--decomp", "{twice}"],
+            "error: invalid decomposition: partition: cluster id 0 repeated\n",
+        ),
     ],
 )
 def test_run_rejects_malformed_input_with_exit_1(argv, message, tmp_path, capsys):
@@ -151,7 +156,11 @@ def test_run_rejects_malformed_input_with_exit_1(argv, message, tmp_path, capsys
     typo.write_text(
         json.dumps({"n": 2, "edges": [[0, 1]], "list": {"0": [5, 6], "1": [5, 6]}, "C": 7})
     )
-    argv = [a.format(inst=inst, typo=typo) for a in argv]
+    twice = tmp_path / "twice.json"
+    twice.write_text(json.dumps({"alpha": 1, "clusters": [
+        {"id": 0, "color": 1, "nodes": [v], "tree_edges": []} for v in (0, 1)
+    ]}))
+    argv = [a.format(inst=inst, typo=typo, twice=twice) for a in argv]
     code, stdout, stderr = run_cli(["run"] + argv, capsys)
     assert code == 1
     assert stdout == ""

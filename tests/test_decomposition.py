@@ -117,6 +117,13 @@ def test_validator_partition_violations():
         alpha=1, beta=2, kappa=1,
     )
     assert any("node 2 in no cluster" in e for e in validate_decomposition(g, gap))
+    # two clusters under one id: keyed by id, they once read as one cluster
+    # whose two nodes touch, so two adjacent nodes took colors side by side
+    twice = NetworkDecomposition(
+        clusters=(Cluster(0, 1, (0,), ()), Cluster(0, 1, (1,), ())),
+        alpha=1, beta=0, kappa=1,
+    )
+    assert validate_decomposition(path(2), twice) == ["partition: cluster id 0 repeated"]
 
 
 def test_validator_tree_structure():
@@ -259,6 +266,8 @@ def _decomposition_payload(**edits):
         (_decomposition_payload(tree_edges=[[0]]), "cluster 0: tree edge must have two endpoints"),
         ({"alpha": 1, "clusters": [{"id": 0, "color": 1, "nodes": [0]}]},
          "cluster 0: missing key 'tree_edges'"),
+        ({"alpha": 1, "kappa": 99, "clusters": []}, "a decomposition file takes no key 'kappa'"),
+        (_decomposition_payload(colour=7), "cluster 0 takes no key 'colour'"),
     ],
 )
 def test_load_decomposition_rejects_malformed_json(tmp_path, payload, message):
@@ -278,6 +287,19 @@ def test_compose_single_cluster_matches_direct():
     via, rep = color_with_decomposition(inst, one_cluster(g), "mis")
     assert via.colors == direct.colors
     assert len(rep.classes) == 1 and rep.kappa == 1
+
+
+def test_compose_visits_only_the_colors_clusters_have():
+    # alpha bounds the colors; it does not set how many classes run
+    g = path(2)
+    d = NetworkDecomposition(
+        clusters=(Cluster(0, 1000, (0, 1), ((0, 1),)),), alpha=1000, beta=1, kappa=1
+    )
+    records = []
+    out, rep = color_with_decomposition(attach_default_lists(g), d, "mis", trace=records.append)
+    assert [rec.color for rec in rep.classes] == [1000]
+    assert [r["class"] for r in records if "class" in r] == [1000]
+    assert verify_coloring(attach_default_lists(g), out).ok
 
 
 def test_compose_parallel_classes_charge_max():

@@ -39,7 +39,7 @@ from congestcolor.graphs import (
 )
 from congestcolor.pipeline import _accuracy_bits, trim_lists
 from congestcolor.prefixes import apply_bits, init_state, phi_sum, split_counts
-from congestcolor.sim import BFSTree, CommPlan, build_bfs_forest
+from congestcolor.sim import CommPlan, Forest, build_bfs_forest
 from oracles import RecordingPlan, bit_chains, xor_box_count
 
 
@@ -339,18 +339,24 @@ def test_fix_level_needs_a_partition_of_the_nodes():
     inst = attach_default_lists(generate_graph("path", {"n": 3}))
     state = init_state(inst)
     ctx = build_level_context(make_family(3, 4), state, (0, 1, 2))
-    (tree,), _ = build_bfs_forest(inst.graph)
-    lone = BFSTree(root=2, nodes=(2,), parent={2: None}, children={2: ()},
-                   depth={2: 0}, height=0)
-    partial = BFSTree(root=0, nodes=(0, 1), parent={0: None, 1: 0},
-                      children={0: (1,), 1: ()}, depth={0: 0, 1: 1}, height=1)
+    path = dict(parent=(None, 0, 1), depth=(0, 1, 2))
+    # node 2 also alone in a second tree
+    with pytest.raises(ValueError, match="partition the nodes"):
+        Forest(tree_of=(0, 0, 1), roots=(0, 2), nodes=((0, 1, 2), (2,)), **path)
+    # node 2 in no tree
+    with pytest.raises(ValueError, match="partition the nodes"):
+        Forest(tree_of=(0, 0, 0), roots=(0,), nodes=((0, 1),), **path)
     # three nodes, as many as the path has, but 5 is not one of them
-    stray = BFSTree(root=0, nodes=(0, 1, 5), parent={0: None, 1: 0, 5: 1},
-                    children={0: (1,), 1: (5,), 5: ()}, depth={0: 0, 1: 1, 5: 2},
-                    height=2)
-    for forest in ((partial,), (tree, lone), (stray,)):
-        with pytest.raises(ValueError, match="partition the nodes"):
-            fix_level(ctx, state, CommPlan(inst.graph, forest))
+    with pytest.raises(ValueError, match="partition the nodes"):
+        Forest(tree_of=(0, 0, 0), roots=(0,), nodes=((0, 1, 5),), **path)
+    # node 1 in tree 0, but tree_of puts it in tree 1
+    with pytest.raises(ValueError, match="partition the nodes"):
+        Forest(tree_of=(0, 1, 0), roots=(0, 1), nodes=((0, 1, 2), ()), **path)
+    # a partition of the first two nodes only
+    partial = Forest(tree_of=(0, 0), parent=(None, 0), depth=(0, 1),
+                     roots=(0,), nodes=((0, 1),))
+    with pytest.raises(ValueError, match="partition the nodes"):
+        fix_level(ctx, state, CommPlan(inst.graph, partial))
 
 
 def test_fix_level_triangle_bound():
@@ -389,13 +395,13 @@ def test_fix_level_chain_is_monotone_and_exact():
 
         def aggregate(values, run=comm.aggregate):
             L, sums = run(values)
-            wider.append(any(lcm(*(values[2][v] for v in t.nodes)) != L for t in forest))
+            wider.append(any(lcm(*(values[2][v] for v in t)) != L for t in forest.nodes))
             return L, sums
 
         comm.aggregate = aggregate
         new_state, report = fix_level(ctx, state, comm)
         d_eff = ctx.fam.m + ctx.fam.b
-        assert list(report.roots) == [t.root for t in forest]
+        assert tuple(report.roots) == forest.roots
         chains = bit_chains(ctx.fam, forest, comm.sums, report.roots)
         for root, rec in report.roots.items():
             assert len(chains[root]) == d_eff
@@ -410,12 +416,12 @@ def test_fix_level_chain_is_monotone_and_exact():
                 prev = chosen
             assert rec.phi_after == prev  # realized == final expectation
         # every tree's decision sums recompute from the scalar estimator
-        for tree in forest:
+        for root, nodes in zip(forest.roots, forest.nodes):
             bits = []
-            for s0, s1, bit in chains[tree.root]:
+            for s0, s1, bit in chains[root]:
                 for r, want in ((0, s0), (1, s1)):
                     prefix = SeedPrefix(tuple(bits + [r]))
-                    assert sum(node_conditional(ctx, v, prefix) for v in tree.nodes) == want
+                    assert sum(node_conditional(ctx, v, prefix) for v in nodes) == want
                 bits.append(bit)
         done += 1
     assert any(wider)
@@ -479,7 +485,7 @@ def test_fix_level_fraction_count_does_not_grow_with_the_seed(monkeypatch):
             mp.setattr(Fraction, "__new__", staticmethod(counting_new))
             fix_level(ctx, state, CommPlan(g, forest))
         counts[ctx.fam.m + ctx.fam.b] = built
-    assert list(counts) == [8, 16] and len(forest) == 3
+    assert list(counts) == [8, 16] and len(forest.roots) == 3
     assert counts[8] == counts[16], counts
 
 
@@ -510,7 +516,7 @@ def test_fix_level_round_bound():
         comm = CommPlan(graph, forest)
         fix_level(ctx, state, comm)
         d = 2 * ctx.fam.m
-        depth = comm.depth
+        depth = comm.forest.height
         assert comm.stats.rounds <= 1 + d * (2 * depth + 2)
         done += 1
 
@@ -620,12 +626,12 @@ def test_exhaustive_strategy_matches_componentwise_minimum():
         comm = CommPlan(graph, forest)
         new_state, report = fix_level(ctx, state, comm, strategy="exhaustive")
         per_comp = sum(
-            exhaustive_seed(ctx, state, nodes=t.nodes)[1] for t in forest
+            exhaustive_seed(ctx, state, nodes=nodes)[1] for nodes in forest.nodes
         )
         assert report.phi_after == per_comp
         assert report.phi_after == phi_sum(new_state)
         d = 2 * ctx.fam.m
-        assert comm.stats.rounds <= 1 + d * (2 * comm.depth + 2)
+        assert comm.stats.rounds <= 1 + d * (2 * comm.forest.height + 2)
         done += 1
 
 
@@ -682,11 +688,7 @@ def forest_context(rng):
     """A forest_level context and each node's tree, by forest position."""
     ctx, state = forest_level(rng)
     forest, _ = build_bfs_forest(state.inst.graph)
-    tree_of = [None] * len(ctx.x)
-    for i, t in enumerate(forest):
-        for v in t.nodes:
-            tree_of[v] = i
-    return ctx, tree_of
+    return ctx, forest.tree_of
 
 
 def test_estimator_per_node_on_forests():

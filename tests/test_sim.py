@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import congestcolor.graphs as graphs_module
+import congestcolor.sim as sim_module
 from congestcolor.graphs import Graph, InvariantError, bfs_depths, generate_graph
 from congestcolor.linial import linial_reduce, mis_by_colors
 from congestcolor.sim import (
@@ -29,6 +31,7 @@ from congestcolor.sim import (
     run_protocol,
 )
 from engine_refs import (
+    components,
     engine_aggregate,
     engine_bfs_forest,
     engine_broadcast,
@@ -170,29 +173,30 @@ def test_exchange_helper():
 
 def test_bfs_path_shape():
     g = generate_graph("path", {"n": 5})
-    (tree,), stats = build_bfs_forest(g)
-    assert tree.root == 0
-    assert [tree.parent[v] for v in range(5)] == [None, 0, 1, 2, 3]
-    assert [tree.depth[v] for v in range(5)] == [0, 1, 2, 3, 4]
-    assert tree.children[1] == (2,)
-    assert tree.height == 4
+    forest, stats = build_bfs_forest(g)
+    assert forest.roots == (0,) and forest.nodes == (tuple(range(5)),)
+    assert forest.parent == (None, 0, 1, 2, 3)
+    assert forest.depth == (0, 1, 2, 3, 4)
+    assert forest.upward == (4, 3, 2, 1)
+    assert forest.height == 4
     assert stats.rounds <= 2 * 4 + 2
 
 
 def test_bfs_ties_break_to_min_id():
     g = generate_graph("cycle", {"n": 4})
-    (tree,), _ = build_bfs_forest(g)
+    forest, _ = build_bfs_forest(g)
     # node 2 hears from 1 and 3 in the same round
-    assert tree.parent[2] == 1
+    assert forest.parent[2] == 1
 
 
 def test_bfs_forest_roots_and_components():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
     forest, _ = build_bfs_forest(g)
-    assert [t.root for t in forest] == [0, 3, 4]
-    assert forest[1].nodes == (3,)
-    assert forest[1].height == 0
-    assert forest[2].depth[5] == 1
+    assert forest.roots == (0, 3, 4)
+    assert forest.nodes == ((0, 1, 2), (3,), (4, 5))
+    assert forest.tree_of == (0, 0, 0, 1, 2, 2)
+    assert forest.depth[5] == 1 and forest.height == 2
+    assert forest.level_sizes == [3, 2, 1]
 
 
 def test_bfs_many_components_is_fast():
@@ -202,8 +206,8 @@ def test_bfs_many_components_is_fast():
     start = time.perf_counter()
     forest, stats = build_bfs_forest(g)
     assert time.perf_counter() - start < 2
-    assert len(forest) == k and stats.rounds == 3
-    assert all(t.root == 2 * i and t.height == 1 for i, t in enumerate(forest))
+    assert forest.roots == tuple(range(0, 2 * k, 2)) and stats.rounds == 3
+    assert forest.height == 1 and forest.level_sizes == [k, k]
 
 
 def test_comm_plan_adds_up_every_step():
@@ -211,7 +215,7 @@ def test_comm_plan_adds_up_every_step():
     records = []
     comm = CommPlan(g, trace=records.append)
     comm.forest = comm.run(build_bfs_forest, g)  # 4 layers + 2 rounds
-    assert comm.stats.rounds == 6 and comm.depth == 4
+    assert comm.stats.rounds == 6 and comm.forest.height == 4
     comm.exchange([(0, 1)], 1)
     assert comm.stats.rounds == 7 and len(records) == 7
     totals = root_totals(*comm.aggregate(node_nums({0: (Fraction(1), Fraction(2))}, g.n)))
@@ -228,16 +232,15 @@ def test_bfs_matches_offline_distances():
     for trial in range(10):
         g = generate_graph("gnp", {"n": 24, "p": 0.12}, rng_seed=trial)
         forest, stats = build_bfs_forest(g)
-        ecc = 0
-        for tree in forest:
-            dist = bfs_depths(g.adj, tree.root)
-            assert tree.depth == dist
-            ecc = max(ecc, tree.height)
-            for v in tree.nodes:
-                if v != tree.root:
-                    assert tree.depth[tree.parent[v]] == tree.depth[v] - 1
-                    assert tree.parent[v] in g.adj[v]
-        assert stats.rounds <= 2 * ecc + 2
+        for root, nodes in zip(forest.roots, forest.nodes):
+            dist = bfs_depths(g.adj, root)
+            assert sorted(dist) == list(nodes)
+            assert all(forest.depth[v] == d for v, d in dist.items())
+            for v in nodes:
+                if v != root:
+                    assert forest.depth[forest.parent[v]] == forest.depth[v] - 1
+                    assert forest.parent[v] in g.adj[v]
+        assert stats.rounds <= 2 * forest.height + 2
 
 
 def test_aggregate_pairs_path():
@@ -290,10 +293,10 @@ def test_aggregate_random_trees():
         nums = node_nums(values, g.n)
         (L, sums), stats = aggregate_pairs(g, forest, nums)
         assert L == lcm(*nums[2])  # one denominator for every tree
-        for (a, b), tree in zip(root_totals(L, sums), forest):
-            assert a == sum(values[v][0] for v in tree.nodes)
-            assert b == sum(values[v][1] for v in tree.nodes)
-        assert stats.rounds == max(t.height for t in forest)
+        for (a, b), nodes in zip(root_totals(L, sums), forest.nodes):
+            assert a == sum(values[v][0] for v in nodes)
+            assert b == sum(values[v][1] for v in nodes)
+        assert stats.rounds == forest.height
 
 
 def test_strict_policy_flags_fat_algorithm_messages():
@@ -455,7 +458,7 @@ def rooted_graphs(draw):
     """A drawn graph relabelled so that one node drawn per component is
     its component's smallest id, where the default forest roots it."""
     g = draw(graphs())
-    roots = {draw(st.sampled_from(comp)) for comp in g.components}
+    roots = {draw(st.sampled_from(comp)) for comp in components(g)}
     order = sorted(range(g.n), key=lambda v: (v not in roots, v))
     label = {v: i for i, v in enumerate(order)}
     return Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edge_list])
@@ -639,6 +642,50 @@ _pass_options = {
     "traced": st.booleans(),
     "beta": st.sampled_from([None, 1, 2, 3]),
 }
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=graphs())
+def test_forest_arrays_match_a_walk_of_the_trees(g):
+    forest, _ = build_bfs_forest(g)
+    n, parent = g.n, forest.parent
+    assert sorted(v for nodes in forest.nodes for v in nodes) == list(range(n))
+    for i, nodes in enumerate(forest.nodes):
+        assert list(nodes) == sorted(nodes) and forest.roots[i] == nodes[0]
+        assert {v for v in range(n) if forest.tree_of[v] == i} == set(nodes)
+    assert forest.roots == tuple(v for v in range(n) if parent[v] is None)
+    # upward holds every non-root once, each child before its parent
+    pos = {v: k for k, v in enumerate(forest.upward)}
+    assert len(pos) == len(forest.upward) == n - len(forest.roots)
+    assert all(parent[v] is not None for v in pos)
+    assert all(parent[v] not in pos or pos[v] < pos[parent[v]] for v in pos)
+    # walk every node up to its root: its depth, and its ancestors' subheights
+    depth, sub = [0] * n, [0] * n
+    for v in range(n):
+        u = v
+        while parent[u] is not None:
+            u = parent[u]
+            depth[v] += 1
+            sub[u] = max(sub[u], depth[v])
+        assert forest.tree_of[u] == forest.tree_of[v]
+    assert list(forest.depth) == depth and forest.subheight == sub
+    assert forest.height == max(depth, default=0)
+    assert forest.level_sizes == [depth.count(d) for d in range(forest.height + 1)]
+
+
+def test_build_bfs_forest_runs_one_bfs_per_component(monkeypatch):
+    # components {0, 1, 2}, {3}, {4, 5} and {6}, on a graph no BFS has seen
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (4, 5)])
+    calls = []
+
+    def counted(adj, src):
+        calls.append(src)
+        return bfs_depths(adj, src)
+
+    for module in (graphs_module, sim_module):
+        monkeypatch.setattr(module, "bfs_depths", counted)
+    forest, _ = build_bfs_forest(g)
+    assert calls == [0, 3, 4, 6] and forest.roots == (0, 3, 4, 6)
 
 
 @settings(max_examples=200, deadline=None)
