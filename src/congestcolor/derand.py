@@ -34,11 +34,12 @@ fix_level runs the selection as a protocol: one exchange of
 the two candidate sums up a spanning tree and a one-bit broadcast back
 down.  Only the aggregation's sums are read; the exchange and the
 broadcast are charged by their widths.  Every exact sum adds integer
-numerators over one common denominator: the convergecast adds each
-node's two values over one lcm for the whole forest, roots compare and
-chain their integer totals by cross-multiplication, and phi_sum gives
-the potentials a level is checked against.  Components cannot share a seed, so each tree, named
-by its forest position, fixes its own.
+numerators over one common denominator: the convergecast adds the two
+values of each node with alive edges (the others add 0) over one lcm of
+their denominators for the whole forest, roots compare and chain their
+integer totals by cross-multiplication, and phi_sum gives the potentials
+a level is checked against.  Components cannot share a seed, so each
+tree, named by its forest position, fixes its own.
 """
 
 from __future__ import annotations
@@ -392,12 +393,15 @@ def _span_tables(gens, b: int):
 
 
 class _Estimator:
-    """Candidate sums for every node, one decision at a time, exact.
+    """Candidate sums for every node with alive edges, one decision at a
+    time, exact.  A node without alive edges adds 0 to both sums, so it is
+    never listed: the level's work follows its alive edges, not n.
 
     Once seed bit j is decided, an alive edge's like-1 and like-0 counts
     are integers in units of 2^-(free+b) while s1 is open and 2^-free
     after (free = undecided bits that still matter), so each is at most
-    2^(m+b-1).  Each node sums its incident counts, one reduceat over the
+    2^(m+b-1).  Each node with alive edges (inc_node, listed once per
+    level as `nodes`) sums its incident counts, one reduceat over the
     edge ends sorted by node, and folds in its weights 1/k1 and 1/k0 as
     integer numerators over max(k0, 1) max(k1, 1) 2^shift, left unreduced:
     no Fraction is built per node.  The sums run in int64 when the level's
@@ -429,7 +433,6 @@ class _Estimator:
     def __init__(self, ctx: LevelContext, tree_of, trees: int):
         self.ctx = ctx
         self.n = len(ctx.x)
-        self.den = [max(a, 1) * max(b, 1) for a, b in zip(ctx.k0, ctx.k1)]
         edges = ctx.edges
         self.E = E = len(edges)
         if not E:
@@ -449,6 +452,7 @@ class _Estimator:
         k0, k1 = (np.array(ks, dtype=np.int64)[self.inc_node]
                   for ks in (ctx.k0, ctx.k1))
         c0, c1 = np.maximum(k0, 1), np.maximum(k1, 1)
+        self.nodes, self.den = self.inc_node.tolist(), (c0 * c1).tolist()
         # each count is at most 2^(m+b-1) and the weights den/k1 = c0 and
         # den/k0 = c1 (0 on a side without candidates), so this bounds
         # every node's numerator
@@ -479,10 +483,12 @@ class _Estimator:
     # -- decision evaluation ------------------------------------------------
 
     def decision_values(self, j: int):
-        """Node-indexed integer lists (num0, num1, den): num_r[v] / den[v]
-        is node v's conditional value with seed bit j = r, unreduced."""
+        """Integer lists (nodes, num0, num1, den) over the nodes with alive
+        edges (inc_node): num_r[i] / den[i] is node nodes[i]'s conditional
+        value with seed bit j = r, unreduced; every other node's is 0, and
+        a level without alive edges lists no node."""
         if not self.E:
-            return [0] * self.n, [0] * self.n, [1] * self.n
+            return [], [], [], []
         if j < self.ctx.fam.m:
             return self._decide_s1(j)
         return self._decide_s2(j)
@@ -529,16 +535,16 @@ class _Estimator:
         return self._node_sums(like1, (1 << free) - t_u - t_v + like1, free)
 
     def _node_sums(self, like1, like0, shift):
-        """like1 and like0 are (2, E), per seed bit value and edge.  Node
-        v's sum over its alive edges of like1/k1 + like0/k0, over 2^shift,
-        is num_r[v] / den[v] for seed bit value r; returns (num0, num1, den).
+        """like1 and like0 are (2, E), per seed bit value and edge.  The
+        sum over node nodes[i]'s alive edges of like1/k1 + like0/k0, over
+        2^shift, is num_r[i] / den[i] for seed bit value r; returns
+        (nodes, num0, num1, den), one entry per node with alive edges.
         Sums run in the level's acc_type: int64 when its bound allows."""
         like = np.concatenate((like1, like0))[:, self.inc_edge]
         like = like.astype(self.acc_type, copy=False)
         sums = np.add.reduceat(like, self.inc_start, axis=1)
-        num = np.zeros((2, self.n), dtype=self.acc_type)
-        num[:, self.inc_node] = sums[:2] * self.w1 + sums[2:] * self.w0
-        return *num.tolist(), [d << shift for d in self.den]
+        num = sums[:2] * self.w1 + sums[2:] * self.w0
+        return self.nodes, *num.tolist(), [d << shift for d in self.den]
 
     # -- committing a decided bit -------------------------------------------
 
@@ -589,12 +595,12 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     Returns (next state, LevelReport).  Round 1 charges each node's
     (k0, k1, psi) to every alive neighbor, in node order, then incidence
     order.  The conditional strategy walks the m+b seed bits that can
-    matter, aggregating both candidate sums to each root, which checks
-    them as integers against its previous choice, and charging a one-bit
-    broadcast of the winning bit; each tree's seed accumulates as an
-    integer word.  The exhaustive one has each root pick the best seed
-    outright, from at most SEED_CAP, and costs the same protocol shape
-    with the seed shipped bit by bit.
+    matter, aggregating both candidate sums of the nodes with alive edges
+    to each root, which checks them as integers against its previous
+    choice, and charging a one-bit broadcast of the winning bit; each
+    tree's seed accumulates as an integer word.  The exhaustive one has
+    each root pick the best seed outright, from at most SEED_CAP, and
+    costs the same protocol shape with the seed shipped bit by bit.
 
     Tree i of comm.forest is rooted at roots[i] and holds nodes[i]; a
     Forest partitions range(len(tree_of)), so only its length is checked.
@@ -626,7 +632,9 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
 
     if strategy == "exhaustive":
         picked = [exhaustive_seed(ctx, state, nodes=nodes) for nodes in trees]
-        comm.aggregate(([0] * n, [0] * n, [1] * n))  # stands in for facts sent rootward
+        # no node listed, so every non-root ships the zero pair: it stands
+        # in for the facts sent rootward
+        comm.aggregate(([], [], [], []))
         for _ in range(m + b):
             comm.broadcast(1)  # one seed bit per tree
         seeds = [seed for seed, _ in picked]

@@ -31,11 +31,14 @@ _charge, turns those lengths into the RunStats and trace records the
 engine would give.  Here that covers the BFS forest, the one-round
 exchange and the tree collectives; linial.py adds the reduction and the
 MIS sweep.  The forest is one Forest of node-indexed arrays with its
-collectives' schedule derived once, so the collectives make one pass
-over it and name each tree by its forest position.  The engine serves
-flag-low, hand-written protocols and the tests' engine-driven
-references; only it takes a round cap, a check on node programs that
-may never halt.
+collectives' schedule derived once, so the collectives need no loop
+over trees and name each tree by its forest position.  The seed-bit
+convergecast takes terms only at the nodes it lists and prices only
+them and their ancestors; every other non-root ships the zero pair,
+charged per round by count, so its work follows the listed nodes, not
+n.  The engine serves flag-low, hand-written protocols and the tests'
+engine-driven references; only it takes a round cap, a check on node
+programs that may never halt.
 """
 
 from __future__ import annotations
@@ -292,10 +295,11 @@ class Forest:
     rooted at roots[i] and holds the ascending nodes[i].  Construction
     raises ValueError unless nodes and tree_of partition range(n) the
     same way.  The collectives' schedule is derived once for the whole
-    forest: `upward` lists the non-roots, deepest first, so every child
-    comes before its parent; subheight[v] is the height of v's subtree,
-    level_sizes[d] the number of nodes at depth d, and height the largest
-    depth.  Equality compares the five stored fields.
+    forest: subheight[v] is the height of v's subtree, level_sizes[d] the
+    number of nodes at depth d, up_sizes[r] the number of non-roots that
+    ship their subtree sum in round r of a convergecast (those of
+    subheight r - 1), and height the largest depth.  Equality compares
+    the five stored fields.
     """
 
     tree_of: tuple
@@ -303,9 +307,9 @@ class Forest:
     depth: tuple
     roots: tuple
     nodes: tuple
-    upward: tuple = field(init=False, repr=False, compare=False)
     subheight: list = field(init=False, repr=False, compare=False)
     level_sizes: list = field(init=False, repr=False, compare=False)
+    up_sizes: list = field(init=False, repr=False, compare=False)
     height: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -317,11 +321,14 @@ class Forest:
         for v, d in enumerate(self.depth):
             levels[d].append(v)
         self.level_sizes = [len(level) for level in levels]
-        self.upward = tuple(v for level in reversed(levels[1:]) for v in level)
         self.subheight = sub = [0] * len(self.depth)
-        for v in self.upward:
+        self.up_sizes = [0] * (self.height + 1)
+        # the non-roots deepest first: every child before its parent, so
+        # sub[v] is final when v is reached
+        for v in (v for level in reversed(levels[1:]) for v in level):
             p = self.parent[v]
             sub[p] = max(sub[p], sub[v] + 1)
+            self.up_sizes[sub[v] + 1] += 1
 
 
 def build_bfs_forest(graph, *, policy=None, trace=None):
@@ -403,45 +410,71 @@ def _charge(sent, trace, failure=None):
 
 
 def aggregate_pairs(graph, forest, values, *, policy=None, trace=None):
-    """Sum node values a_v = num_a[v] / den[v], b_v = num_b[v] / den[v]
-    (den > 0, any terms) toward each tree root of the Forest, in integers.
+    """Sum node values a_v = num_a[i] / den[i], b_v = num_b[i] / den[i]
+    for v = nodes[i] (den > 0, any terms; 0 at every node not listed)
+    toward each tree root of the Forest, in integers.
 
-    `values` is (num_a, num_b, den), node-indexed integer sequences.
-    Returns (L, sums): L = lcm(den), one common denominator for the whole
-    forest, and sums[i] the integer pair (A, B) with A / L, B / L the
-    totals of tree i.  One pass over forest.upward puts children before
-    parents: a non-root v ships its reduced subtree sum in round
-    subheight(v) + 1, once all its children have, as an "aggregation"
-    message.  Aggregation is exempt from `policy`; rounds equal the
-    forest height.
+    `values` is (nodes, num_a, num_b, den), integer sequences of one
+    length; a node listed twice or outside range(n) raises ValueError.
+    Returns (L, sums): L = lcm(den), 1 when nothing is listed, one common
+    denominator for the whole forest, and sums[i] the integer pair (A, B)
+    with A / L, B / L the totals of tree i.  A non-root v ships its
+    reduced subtree sum in round subheight(v) + 1, once all its children
+    have, as an "aggregation" message.  Only the listed nodes and their
+    ancestors are priced, deepest first by depth buckets, a parent joining
+    the bucket above when first reached; every other non-root ships
+    0/1, 0/1, charged per round by count from forest.up_sizes.  So the
+    Python work follows the listed nodes; only two node-indexed scratch
+    lists are n wide.  Aggregation is exempt from `policy`; rounds equal
+    the forest height.
     """
-    num_a, num_b, den = values
-    parent, sub = forest.parent, forest.subheight
-    sent = [[] for _ in range(forest.height + 1)]
-    too_long = len(sent)  # first round in which a sum too long to encode is sent
+    nodes, num_a, num_b, den = values
+    n, height = len(forest.tree_of), forest.height
+    depth, parent, sub = forest.depth, forest.parent, forest.subheight
+    sent = [[] for _ in range(height + 1)]
+    too_long = height + 1  # first round in which a sum too long to encode is sent
     # a reduced fraction is the same over every common denominator, so
     # S / L reduced by gcd(S, L) prices the message whatever L is
     L = lcm(*den)
-    scale = [L // d for d in den]
-    sum_a = [a * f for a, f in zip(num_a, scale)]
-    sum_b = [b * f for b, f in zip(num_b, scale)]
-    for v in forest.upward:
-        sa, sb = sum_a[v], sum_b[v]
-        ga, gb = gcd(sa, L), gcd(sb, L)
-        la, lda = (sa // ga).bit_length(), (L // ga).bit_length()
-        lb, ldb = (sb // gb).bit_length(), (L // gb).bit_length()
-        r = sub[v] + 1
-        size = _PAIR_OVERHEAD + la + lda + lb + ldb
-        sent[r].append(size)
-        if size >> _LEN_FIELD and max(la, lda, lb, ldb) >> _LEN_FIELD:
-            too_long = min(too_long, r - 1)  # too long to send
-        sum_a[parent[v]] += sa
-        sum_b[parent[v]] += sb
+    # sums by node: None marks a node the walk has not reached
+    sum_a, sum_b = [None] * n, [0] * n
+    bucket = [[] for _ in sent]  # the nodes to price, by depth
+    for v, a, b, d in zip(nodes, num_a, num_b, den):
+        if not 0 <= v < n:  # a negative id would index from the end
+            raise ValueError(f"listed node {v} lies outside range({n})")
+        if sum_a[v] is not None:
+            raise ValueError(f"node {v} is listed twice")
+        f = L // d
+        sum_a[v], sum_b[v] = a * f, b * f
+        bucket[depth[v]].append(v)
+    for d in range(height, 0, -1):
+        up = bucket[d - 1]
+        for v in bucket[d]:
+            sa, sb = sum_a[v], sum_b[v]
+            ga, gb = gcd(sa, L), gcd(sb, L)
+            la, lda = (sa // ga).bit_length(), (L // ga).bit_length()
+            lb, ldb = (sb // gb).bit_length(), (L // gb).bit_length()
+            r = sub[v] + 1
+            size = _PAIR_OVERHEAD + la + lda + lb + ldb
+            sent[r].append(size)
+            if size >> _LEN_FIELD and max(la, lda, lb, ldb) >> _LEN_FIELD:
+                too_long = min(too_long, r - 1)  # too long to send
+            p = parent[v]
+            if sum_a[p] is None:  # first seen: priced with its depth
+                sum_a[p] = sa
+                up.append(p)
+            else:
+                sum_a[p] += sa
+            sum_b[p] += sb
+    # every non-root the walk never reached has subtree sum 0 and ships 0/1, 0/1
+    for lens, count in zip(sent, forest.up_sizes):
+        if count > len(lens):
+            lens += [_PAIR_OVERHEAD + 2] * (count - len(lens))
     failure = None
-    if too_long < len(sent):
+    if too_long <= height:
         error = ValueError("integer too large for the rational wire format")
         failure = (too_long, error)
-    sums = [(sum_a[r], sum_b[r]) for r in forest.roots]
+    sums = [(sum_a[r] or 0, sum_b[r]) for r in forest.roots]
     return (L, sums), _charge({AGGREGATION: sent}, trace, failure)
 
 
@@ -490,6 +523,8 @@ class CommPlan:
         )
 
     def aggregate(self, values):
+        """(L, sums) of aggregate_pairs over the forest, for the sparse
+        `values` (nodes, num_a, num_b, den); unlisted nodes add 0."""
         return self.run(aggregate_pairs, self.graph, self.forest, values)
 
     def broadcast(self, width):

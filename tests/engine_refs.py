@@ -138,10 +138,15 @@ def _children(forest):
 
 def engine_aggregate(graph, forest, values, *, policy=None, round_cap=None, trace=None):
     """aggregate_pairs: every node ships its subtree's pair of Fractions in
-    the wire format; the roots' totals come back as integers over lcm(den)."""
-    num_a, num_b, den = values
+    the wire format, with the pair 0, 0 at each node `values` does not
+    list; the roots' totals come back as integers over the lcm of the
+    listed den."""
+    nodes, num_a, num_b, den = values
+    pairs = [(Fraction(0), Fraction(0))] * graph.n
+    for v, a, b, d in zip(nodes, num_a, num_b, den):
+        pairs[v] = (Fraction(a, d), Fraction(b, d))
     progs = [
-        _SumPairs(p, kids, (Fraction(num_a[v], den[v]), Fraction(num_b[v], den[v])))
+        _SumPairs(p, kids, pairs[v])
         for v, (p, kids) in enumerate(zip(forest.parent, _children(forest)))
     ]
     stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)

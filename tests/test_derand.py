@@ -93,18 +93,23 @@ def oracle_exhaustive(ctx, edges):
 
 def estimator_vs_node_conditional(ctx, tree_of, rng, nodes=None):
     """Run _Estimator over every seed bit of the level, with node v in
-    tree tree_of[v], checking each node's (or each listed node's) two
-    candidate values against the scalar closed form.  Returns the
-    estimator."""
+    tree tree_of[v], checking each node's (or each of `nodes`') two
+    candidate values against the scalar closed form: the estimator lists
+    the nodes with alive edges, ascending, and every other node's value
+    is 0.  Returns the estimator."""
     est = _Estimator(ctx, tree_of, max(tree_of) + 1)
     prefix = [()] * (max(tree_of) + 1)
+    alive = [v for v, inc in enumerate(ctx.incident) if inc]
     for j in range(ctx.fam.m + ctx.fam.b):
-        num0, num1, den = est.decision_values(j)
+        listed, num0, num1, den = est.decision_values(j)
+        assert listed == alive, j
+        at = {v: i for i, v in enumerate(listed)}
         for v in range(len(ctx.x)) if nodes is None else nodes:
             pre = prefix[tree_of[v]]
             for r, num in ((0, num0), (1, num1)):
                 want = node_conditional(ctx, v, SeedPrefix(pre + (r,)))
-                assert Fraction(num[v], den[v]) == want, (j, v, r)
+                got = Fraction(num[at[v]], den[at[v]]) if v in at else 0
+                assert got == want, (j, v, r)
         bits = [rng.randrange(2) for _ in prefix]
         est.lock(j, bits)
         prefix = [pre + (bit,) for pre, bit in zip(prefix, bits)]
@@ -395,7 +400,8 @@ def test_fix_level_chain_is_monotone_and_exact():
 
         def aggregate(values, run=comm.aggregate):
             L, sums = run(values)
-            wider.append(any(lcm(*(values[2][v] for v in t)) != L for t in forest.nodes))
+            den = dict(zip(values[0], values[3]))
+            wider.append(any(lcm(*(den[v] for v in t if v in den)) != L for t in forest.nodes))
             return L, sums
 
         comm.aggregate = aggregate
@@ -699,6 +705,22 @@ def test_estimator_per_node_on_forests():
         estimator_vs_node_conditional(ctx, tree_of, rng)
         regimes.add((max(tree_of) > 0, ctx.fam.m > ctx.fam.b))
     assert (True, True) in regimes and (True, False) in regimes
+
+
+def test_estimator_lists_only_nodes_with_alive_edges():
+    # node 3 has no edge, so the estimator never lists it, on any seed bit;
+    # a level with no alive edge lists no node at all
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
+    ctx = build_level_context(make_family(g.n, 3), init_state(attach_default_lists(g)), tuple(range(g.n)))
+    forest, _ = build_bfs_forest(g)
+    est = estimator_vs_node_conditional(ctx, forest.tree_of, random.Random(5))
+    for j in range(ctx.fam.m + ctx.fam.b):
+        nodes, num0, num1, den = est.decision_values(j)
+        assert nodes == [0, 1, 2, 4, 5] and len(num0) == len(num1) == len(den) == 5
+    inst = ListColoringInstance(graph=Graph.from_edges(3, []), C=2, lists=((0, 1),) * 3)
+    ctx = build_level_context(make_family(3, 3), init_state(inst), (0, 1, 2))
+    est = _Estimator(ctx, (0, 1, 2), 3)
+    assert est.decision_values(0) == ([], [], [], [])
 
 
 def test_estimator_seed_state_matches_field_products():

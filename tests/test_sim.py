@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import congestcolor.graphs as graphs_module
@@ -76,12 +76,11 @@ def pair_nums(a: Fraction, b: Fraction) -> tuple:
     return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
 
 
-def node_nums(values: dict, n: int) -> tuple:
-    """aggregate_pairs input (num_a, num_b, den) of {v: (Fraction, Fraction)},
-    zero at the nodes left out."""
-    zero = (Fraction(0), Fraction(0))
-    rows = [pair_nums(*values.get(v, zero)) for v in range(n)]
-    return tuple(map(list, zip(*rows)))
+def node_nums(values: dict) -> tuple:
+    """aggregate_pairs input (nodes, num_a, num_b, den) of {v: (Fraction,
+    Fraction)}, listing the keys in dict order; a node left out adds 0."""
+    rows = [pair_nums(*pair) for pair in values.values()]
+    return (list(values), *([row[k] for row in rows] for k in range(3)))
 
 
 def root_totals(L, sums) -> list:
@@ -177,7 +176,7 @@ def test_bfs_path_shape():
     assert forest.roots == (0,) and forest.nodes == (tuple(range(5)),)
     assert forest.parent == (None, 0, 1, 2, 3)
     assert forest.depth == (0, 1, 2, 3, 4)
-    assert forest.upward == (4, 3, 2, 1)
+    assert forest.subheight == [4, 3, 2, 1, 0] and forest.up_sizes == [0, 1, 1, 1, 1]
     assert forest.height == 4
     assert stats.rounds <= 2 * 4 + 2
 
@@ -218,7 +217,7 @@ def test_comm_plan_adds_up_every_step():
     assert comm.stats.rounds == 6 and comm.forest.height == 4
     comm.exchange([(0, 1)], 1)
     assert comm.stats.rounds == 7 and len(records) == 7
-    totals = root_totals(*comm.aggregate(node_nums({0: (Fraction(1), Fraction(2))}, g.n)))
+    totals = root_totals(*comm.aggregate(node_nums({0: (Fraction(1), Fraction(2))})))
     assert totals == [(Fraction(1), Fraction(2))]
     comm.broadcast(2)
     assert comm.stats.rounds == 7 + 4 + 4 and len(records) == 15
@@ -247,7 +246,7 @@ def test_aggregate_pairs_path():
     g = generate_graph("path", {"n": 3})
     forest, _ = build_bfs_forest(g)
     values = {v: (Fraction(v + 1), Fraction(1, v + 1)) for v in range(3)}
-    (L, sums), stats = aggregate_pairs(g, forest, node_nums(values, g.n))
+    (L, sums), stats = aggregate_pairs(g, forest, node_nums(values))
     assert L == 6 and sums == [(36, 11)]
     assert root_totals(L, sums) == [(Fraction(6), Fraction(11, 6))]
     assert stats.rounds == 2  # tree height
@@ -258,7 +257,7 @@ def test_aggregate_pairs_path():
 def test_aggregate_single_node_is_free():
     g = Graph.from_edges(1, [])
     forest, _ = build_bfs_forest(g)
-    (L, sums), stats = aggregate_pairs(g, forest, node_nums({0: (Fraction(5), Fraction(0))}, 1))
+    (L, sums), stats = aggregate_pairs(g, forest, node_nums({0: (Fraction(5), Fraction(0))}))
     assert (L, sums) == (1, [(5, 0)])
     assert stats.rounds == 0
 
@@ -266,7 +265,7 @@ def test_aggregate_single_node_is_free():
 def test_aggregate_defaults_missing_values_to_zero():
     g = generate_graph("star", {"n": 5})
     forest, _ = build_bfs_forest(g)
-    values = node_nums({3: (Fraction(1, 7), Fraction(2))}, g.n)
+    values = node_nums({3: (Fraction(1, 7), Fraction(2))})
     (L, sums), stats = aggregate_pairs(g, forest, values)
     assert root_totals(L, sums) == [(Fraction(1, 7), Fraction(2))]
     assert stats.rounds == 1
@@ -290,9 +289,9 @@ def test_aggregate_random_trees():
             v: (Fraction(rng.randrange(-50, 50), rng.randrange(1, 9)), Fraction(rng.randrange(9)))
             for v in range(18)
         }
-        nums = node_nums(values, g.n)
+        nums = node_nums(values)
         (L, sums), stats = aggregate_pairs(g, forest, nums)
-        assert L == lcm(*nums[2])  # one denominator for every tree
+        assert L == lcm(*nums[3])  # one denominator for every tree
         for (a, b), nodes in zip(root_totals(L, sums), forest.nodes):
             assert a == sum(values[v][0] for v in nodes)
             assert b == sum(values[v][1] for v in nodes)
@@ -498,7 +497,7 @@ def test_aggregate_pairs_matches_engine(gf, data, huge, traced, beta):
     g, forest = gf
     values = _draw_values(data, g.n, huge)
     kwargs = {"policy": BandwidthPolicy(beta)}
-    nums = node_nums(values, g.n)
+    nums = node_nums(values)
     got = _outcome(aggregate_pairs, g, forest, nums, traced=traced, **kwargs)
     want = _outcome(engine_aggregate, g, forest, nums, traced=traced, **kwargs)
     assert got == want
@@ -514,7 +513,7 @@ def test_aggregate_overflow_against_round_cap_matches_engine(v, round_cap):
     # one below that last round stops it sooner, on the pass's first records
     g = generate_graph("path", {"n": 7})
     forest, _ = build_bfs_forest(g)
-    values = node_nums({v + 1: (HUGE, Fraction(1)), 3: (Fraction(-2, 3), Fraction(5))}, g.n)
+    values = node_nums({v + 1: (HUGE, Fraction(1)), 3: (Fraction(-2, 3), Fraction(5))})
     got = _outcome(aggregate_pairs, g, forest, values, traced=True)
     assert got == _outcome(engine_aggregate, g, forest, values, traced=True)
     last = 6 if v == 2 else 5 - v
@@ -533,7 +532,7 @@ def test_passes_without_rounds_charge_nothing_under_a_negative_cap():
     # zero RunStats
     g = Graph.from_edges(3, [])
     forest, _ = build_bfs_forest(g)
-    values = node_nums({v: (Fraction(v), Fraction(1, v + 1)) for v in range(3)}, g.n)
+    values = node_nums({v: (Fraction(v), Fraction(1, v + 1)) for v in range(3)})
     got = aggregate_pairs(g, forest, values)
     assert got == engine_aggregate(g, forest, values, round_cap=-1)
     assert got[1] == RunStats()
@@ -561,16 +560,93 @@ def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, b
     # change the common denominator L of the integer root sums
     g, forest = gf
     values = _draw_values(data, g.n, huge)
-    nums = node_nums(values, g.n)
-    gcds = [gcd(*row) for row in zip(*nums)]
-    reduced = tuple([x // c for x, c in zip(col, gcds)] for col in nums)
-    ks = data.draw(st.lists(_factors, min_size=g.n, max_size=g.n))
-    scaled = tuple([x * k for x, k in zip(col, ks)] for col in nums)
+    nums = node_nums(values)
+    nodes, *cols = nums
+    gcds = [gcd(*row) for row in zip(*cols)]
+    reduced = (nodes, *([x // c for x, c in zip(col, gcds)] for col in cols))
+    ks = data.draw(st.lists(_factors, min_size=len(nodes), max_size=len(nodes)))
+    scaled = (nodes, *([x * k for x, k in zip(col, ks)] for col in cols))
     kwargs = {"policy": BandwidthPolicy(beta)}
     want = _as_totals(_outcome(engine_aggregate, g, forest, nums, traced=traced, **kwargs))
     for triple in (reduced, scaled):
         got = _outcome(aggregate_pairs, g, forest, triple, traced=traced, **kwargs)
         assert _as_totals(got) == want
+
+
+@st.composite
+def sparse_terms(draw, forest, huge):
+    """aggregate_pairs input listing a drawn subset of the forest's nodes in
+    drawn order, with integer terms that may be 0 or negative; a deepest
+    node is listed and its parent is not, so the walk reaches a non-root
+    with no term of its own.  Listed nodes in `huge` get a numerator too
+    long for the wire format."""
+    n = len(forest.tree_of)
+    order = draw(st.permutations(range(n)))
+    listed = order[: draw(st.integers(0, n))]
+    deep = max(range(n), key=forest.depth.__getitem__)
+    listed = [v for v in listed if v not in (deep, forest.parent[deep])]
+    listed.insert(draw(st.integers(0, len(listed))), deep)
+    term = st.integers(-(10**6), 10**6) | st.just(0)
+    den = st.integers(min_value=1, max_value=10**6) | _factors
+    rows = [
+        (v, HUGE.numerator if v in huge else draw(term), draw(term), draw(den))
+        for v in listed
+    ]
+    return tuple([row[k] for row in rows] for k in range(4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gf=forests(),
+    data=st.data(),
+    huge=st.sets(st.integers(min_value=0, max_value=39), max_size=2),
+    **_run_options,
+)
+def test_aggregate_pairs_sparse_listing_matches_engine(gf, data, huge, traced, beta):
+    g, forest = gf
+    assume(forest.height >= 2)
+    values = data.draw(sparse_terms(forest, huge))
+    kwargs = {"policy": BandwidthPolicy(beta)}
+    got = _outcome(aggregate_pairs, g, forest, values, traced=traced, **kwargs)
+    want = _outcome(engine_aggregate, g, forest, values, traced=traced, **kwargs)
+    assert got == want
+
+
+def test_aggregate_pairs_prices_only_listed_nodes_and_their_ancestors(monkeypatch):
+    # one listed leaf of a 300-node star takes its two gcds; the other 298
+    # leaves ship 0/1, 0/1 and are charged by count, with no gcd
+    g = generate_graph("star", {"n": 300})
+    forest, _ = build_bfs_forest(g)
+    values = ([17], [3], [-5], [7])
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return gcd(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sim_module, "gcd", counted)
+        got = aggregate_pairs(g, forest, values)
+    assert calls <= 2
+    assert got == engine_aggregate(g, forest, values)
+    assert got[0] == (7, [(3, -5)]) and got[1].messages == 299
+
+
+def test_aggregate_pairs_rejects_a_repeated_node():
+    g = generate_graph("path", {"n": 5})
+    forest, _ = build_bfs_forest(g)
+    with pytest.raises(ValueError, match="node 3 is listed twice"):
+        aggregate_pairs(g, forest, ([3, 1, 3], [1, 2, 3], [0, 0, 0], [1, 1, 1]))
+
+
+@pytest.mark.parametrize("v", [-1, 5])
+def test_aggregate_pairs_rejects_a_node_outside_the_forest(v):
+    # a negative id would otherwise index the node arrays from the end
+    g = generate_graph("path", {"n": 5})
+    forest, _ = build_bfs_forest(g)
+    with pytest.raises(ValueError, match=rf"listed node {v} lies outside range\(5\)"):
+        aggregate_pairs(g, forest, ([2, v], [1, 1], [0, 0], [1, 1]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -654,11 +730,6 @@ def test_forest_arrays_match_a_walk_of_the_trees(g):
         assert list(nodes) == sorted(nodes) and forest.roots[i] == nodes[0]
         assert {v for v in range(n) if forest.tree_of[v] == i} == set(nodes)
     assert forest.roots == tuple(v for v in range(n) if parent[v] is None)
-    # upward holds every non-root once, each child before its parent
-    pos = {v: k for k, v in enumerate(forest.upward)}
-    assert len(pos) == len(forest.upward) == n - len(forest.roots)
-    assert all(parent[v] is not None for v in pos)
-    assert all(parent[v] not in pos or pos[v] < pos[parent[v]] for v in pos)
     # walk every node up to its root: its depth, and its ancestors' subheights
     depth, sub = [0] * n, [0] * n
     for v in range(n):
@@ -671,6 +742,9 @@ def test_forest_arrays_match_a_walk_of_the_trees(g):
     assert list(forest.depth) == depth and forest.subheight == sub
     assert forest.height == max(depth, default=0)
     assert forest.level_sizes == [depth.count(d) for d in range(forest.height + 1)]
+    # a non-root ships in round subheight + 1 of a convergecast
+    ships = [sub[v] + 1 for v in range(n) if parent[v] is not None]
+    assert forest.up_sizes == [ships.count(r) for r in range(forest.height + 1)]
 
 
 def test_build_bfs_forest_runs_one_bfs_per_component(monkeypatch):
