@@ -19,15 +19,16 @@ delta = a_u ^ a_v being the XOR offset of a_v = low_b(s1 * x_v) between
 two endpoints.  While s1 is partially fixed, the free low bits of s2 keep
 each hash output uniform and only delta matters; branch_pairs turns the
 count into membership tests, so averaging it over the affine set of
-reachable deltas collapses to rank computations against an echelon
-basis.  Once s1 is fixed, so is a_v, and fixing the low bits of s2
-leaves the same box over the free high bits, with thresholds rescaled by
-the fixed low bits and one delta per edge (box_count).  The estimator
-keeps a_v per node by XORs of one generator table, as the exhaustive
-search does, and neither takes a scalar field product.  The scalar
-oracle behind node_conditional treats the second regime apart: a coin
-condition (a_v ^ s2) < t_v is a disjoint union of subcubes of the s2
-hypercube and joint probabilities are cube intersections.
+reachable deltas collapses to a reduction and a rank, which one backward
+sweep per level builds for every seed bit.  Once s1 is fixed, so is a_v,
+and fixing the low bits of s2 leaves the same box over the free high
+bits, with thresholds rescaled by the fixed low bits and one delta per
+edge (box_count).  The estimator, fix_level's coins and the exhaustive
+search read a_v off one generator table per level, and none takes a
+scalar field product.  The scalar oracle behind node_conditional treats
+the second regime apart: a coin condition (a_v ^ s2) < t_v is a disjoint
+union of subcubes of the s2 hypercube and joint probabilities are cube
+intersections.
 
 fix_level runs the selection as a protocol: one exchange of
 (k0, k1, psi) along alive edges, then per seed bit one aggregation of
@@ -52,14 +53,7 @@ from math import lcm
 import numpy as np
 
 from . import gf2
-from .coins import (
-    FamilySpec,
-    Seed,
-    hash_eval,
-    seed_bit_string,
-    seed_from_int,
-    threshold,
-)
+from .coins import FamilySpec, Seed, seed_bit_string, seed_from_int
 from .graphs import InvariantError, check  # InvariantError: re-exported
 from .prefixes import PrefixState, apply_bits, phi_sum, split_counts
 
@@ -108,6 +102,11 @@ class LevelContext:
     def _eset(self) -> frozenset:
         return frozenset(self.edges)
 
+    @cached_property
+    def gen_table(self):
+        """(n, m) int64 table of g_k(x_v) = low_b(x^k * x_v): a_v for any s1."""
+        return _gen_table(self.fam, np.array(self.x, dtype=np.int64))
+
 
 def build_level_context(fam: FamilySpec, state: PrefixState, psi) -> LevelContext:
     n = state.inst.graph.n
@@ -121,29 +120,19 @@ def build_level_context(fam: FamilySpec, state: PrefixState, psi) -> LevelContex
     for u, v in state.alive_edges:
         if psi[u] == psi[v]:
             raise ValueError(f"edge ({u}, {v}): psi must separate alive endpoints")
-    k0, k1, t = [], [], []
-    for v in range(n):
-        a0, a1 = split_counts(state, v)
-        k0.append(a0)
-        k1.append(a1)
-        t.append(threshold(Fraction(a1, a0 + a1), fam.b))
+    counts = [split_counts(state, v) for v in range(n)]
     return LevelContext(
         fam=fam,
         x=tuple(psi),
-        k0=tuple(k0),
-        k1=tuple(k1),
-        t=tuple(t),
+        k0=tuple(k0 for k0, _ in counts),
+        k1=tuple(k1 for _, k1 in counts),
+        t=tuple(-(-(k1 << fam.b) // (k0 + k1)) for k0, k1 in counts),  # ceil
         edges=tuple(state.alive_edges),
     )
 
 
 # ---------------------------------------------------------------------------
 # counting lattice points of {y < t_u} x {y ^ delta < t_v}
-
-def _blocks(t: int, b: int):
-    """Disjoint dyadic blocks covering [0, t): pairs (i, required y >> i)."""
-    return [(i, (t >> i) - 1) for i in range(b + 1) if (t >> i) & 1]
-
 
 @lru_cache(maxsize=None)
 def xor_branch_pairs(t_u: int, t_v: int, b: int) -> tuple:
@@ -186,6 +175,14 @@ def branch_pairs(t_u, t_v, b: int):
     return entry, p, (((u ^ v) >> p) ^ flip.astype(t_u.dtype)) << p, w
 
 
+def _bit_mask(x):
+    """2^q - 1 entrywise, q the bit length of a non-negative int64 array."""
+    # past 2^53 frexp's float may round x up a bit too long; the shift drops it
+    mask = ~(np.int64(-1) << np.minimum(np.frexp(x)[1], 63))
+    mask >>= x <= mask >> 1
+    return mask
+
+
 def box_count(t_u, t_v, delta):
     """|{z : z < t_u and z ^ delta < t_v}| entrywise, for non-negative
     int64 arrays.
@@ -194,11 +191,7 @@ def box_count(t_u, t_v, delta):
     of delta ^ t_u ^ t_v, the same pairs hit for every p >= q and of the
     cross pairs only p = q - 1 does.
     """
-    x = delta ^ t_u ^ t_v
-    # mask = 2^q - 1; past 2^53 frexp's float may round x up to the next
-    # power of two, one bit too long, and the shift drops that bit
-    mask = ~(np.int64(-1) << np.minimum(np.frexp(x)[1], 63))
-    mask >>= x <= mask >> 1
+    mask = _bit_mask(delta ^ t_u ^ t_v)
     top, low = mask ^ (mask >> 1), mask >> 1  # 2^(q-1) (0 at q = 0), below it
     return (
         (t_u & t_v & ~mask)
@@ -207,26 +200,20 @@ def box_count(t_u, t_v, delta):
     )
 
 
-def _echelon(rows):
-    """Rows with distinct MSB pivots spanning the input, pivot descending."""
-    basis = {}
-    for r in rows:
-        while r:
-            piv = r.bit_length() - 1
-            if piv not in basis:
-                basis[piv] = r
-                break
-            r ^= basis[piv]
-    return tuple(sorted(basis.items(), reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _basis_from(fam: FamilySpec, dx: int, lo: int) -> tuple:
-    """Echelon basis of span{g_k : k >= lo}, g_k = low_b(x^k * dx)."""
-    # scalar gf2 products, kept apart from the estimator's _gen_table so
+    """Echelon basis of span{g_k : k >= lo}, g_k = low_b(x^k * dx): rows
+    (pivot, row) with distinct MSB pivots, pivot descending."""
+    # scalar gf2 products, kept apart from the level's generator table so
     # that the oracle stays an independent reference
-    maskb = (1 << fam.b) - 1
-    return _echelon(gf2.mul(fam.fld, 1 << k, dx) & maskb for k in range(lo, fam.m))
+    basis = {}
+    for k in range(lo, fam.m):
+        r = gf2.mul(fam.fld, 1 << k, dx) & ((1 << fam.b) - 1)
+        while r and r.bit_length() - 1 in basis:
+            r ^= basis[r.bit_length() - 1]
+        if r:
+            basis[r.bit_length() - 1] = r
+    return tuple(sorted(basis.items(), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +225,7 @@ def _joint_s1(ctx, u, v, bits):
     fam = ctx.fam
     m, b = fam.m, fam.b
     j = len(bits)
-    s1 = 0
-    for k, bit in enumerate(bits):
-        s1 |= bit << k
+    s1 = sum(bit << k for k, bit in enumerate(bits))
     dx = ctx.x[u] ^ ctx.x[v]
     delta0 = gf2.mul(fam.fld, s1, dx) & ((1 << b) - 1)
     basis = _basis_from(fam, dx, j)
@@ -260,40 +245,30 @@ def _joint_s1(ctx, u, v, bits):
 
 
 def _coin_cubes(a: int, t: int, b: int) -> list:
-    """Disjoint subcubes (fixed-bit mask, value) covering {y: (a ^ y) < t}."""
-    out = []
-    for i, top in _blocks(t, b):
-        if i == b:
-            out.append((0, 0))
-        else:
-            mask = ((1 << b) - 1) ^ ((1 << i) - 1)
-            out.append((mask, (top ^ (a >> i)) << i))
-    return out
+    """Disjoint subcubes (fixed-bit mask, value) covering {y: (a ^ y) < t},
+    one per dyadic block [2^i ((t >> i) - 1), 2^i (t >> i)) of [0, t)."""
+    return [
+        (((1 << b) - 1) ^ ((1 << i) - 1), (((t >> i) - 1) ^ (a >> i)) << i)
+        if i < b else (0, 0)
+        for i in range(b + 1) if (t >> i) & 1
+    ]
 
 
 def _cube_count(cubes, lock_mask, lock_val, b):
-    total = 0
-    for mask, val in cubes:
-        if (val ^ lock_val) & mask & lock_mask:
-            continue
-        total += 1 << (b - (mask | lock_mask).bit_count())
-    return total
+    return sum(1 << (b - (mask | lock_mask).bit_count()) for mask, val in cubes
+               if not (val ^ lock_val) & mask & lock_mask)
 
 
 def _joint_s2(ctx, u, v, bits):
     fam = ctx.fam
     m, b = fam.m, fam.b
     maskb = (1 << b) - 1
-    s1 = 0
-    for k in range(m):
-        s1 |= bits[k] << k
+    s1 = sum(bit << k for k, bit in enumerate(bits[:m]))
     a_u = gf2.mul(fam.fld, s1, ctx.x[u]) & maskb
     a_v = gf2.mul(fam.fld, s1, ctx.x[v]) & maskb
     w_bits = bits[m:]
     fixed = min(len(w_bits), b)  # s2 coefficients >= b never reach the window
-    w_val = 0
-    for k in range(fixed):
-        w_val |= w_bits[k] << k
+    w_val = sum(bit << k for k, bit in enumerate(w_bits[:fixed]))
     if fixed == b:
         cu = (a_u ^ w_val) < ctx.t[u]
         cv = (a_v ^ w_val) < ctx.t[v]
@@ -367,29 +342,59 @@ def _gen_table(fam: FamilySpec, y):
     return table.T & ((1 << fam.b) - 1)
 
 
-def _span_tables(gens, b: int):
-    """Echelon of span{g_k : k > j} for every j < m, per offset dx.
+def _distinct(keys):
+    """(an entry of each distinct key, each entry's key number ascending)."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    at = np.empty(len(uniq), dtype=np.int64)
+    at[inverse] = np.arange(len(keys))
+    return at, inverse
 
-    gens lists g_0, ..., g_{m-1} per dx.  Inserting g_{m-1}, ..., g_1 in
-    turn only ever adds rows, so one pass records each row's birth k and
-    the echelon for j is the rows born at k > j.  Returns table (b, #dx),
-    table[p] being the row with MSB p or 0, and birth (b, #dx).
-    """
-    m = len(gens[0])
-    table = np.zeros((b, len(gens)), dtype=np.int64)
-    birth = np.zeros((b, len(gens)), dtype=np.int64)
-    for col, g in enumerate(gens):
-        found = {}
-        for k in range(m - 1, 0, -1):
-            r = g[k]
-            while r:
-                p = r.bit_length() - 1
-                if p not in found:
-                    found[p] = table[p, col] = r
-                    birth[p, col] = k
-                    break
-                r ^= found[p]
-    return table, birth
+
+def _combine(gens, words):
+    """XOR over k of bit k of words[i] times gens[k, i]: low_b(s1 * y)."""
+    on = (words >> np.arange(len(gens))[:, None]) & 1
+    return np.bitwise_xor.reduce(gens * on, axis=0)
+
+
+class _SpanSweep:
+    """R_j, reduction modulo span{g_k : k > j} to the representative zero
+    at the span's pivots, for every j < m, of generators gens[k] of each
+    offset dx and values vals[i] at offsets at[i].  R_{m-1} is the identity
+    and step_j(y) = y ^ bit_{q_j}(y) c_j turns R_j into R_{j-1}, where
+    c_j = R_j(g_j) is nonzero exactly when it adds a pivot, its top bit q_j.
+    The sweep applies every step and records its flips as bools; XOR undoes
+    itself, so replaying them moves either way.  After seek(j), gens[k] =
+    R_j(g_k) (0 for k > j), vals[i] = R_j(value i) and rank[p, dx] counts
+    the span's pivots >= p."""
+
+    def __init__(self, gens, b, vals, at):
+        m, ndx = gens.shape  # generators and values in one array y
+        self.y = np.concatenate((gens.ravel(), vals))
+        self.at = np.concatenate((np.arange(m * ndx) % ndx, at))  # y[i]'s offset
+        self.gens, self.vals = self.y[:m * ndx].reshape(m, ndx), self.y[m * ndx:]
+        self.rank = np.zeros((b + 1, ndx), dtype=np.int64)
+        self.pow = np.int64(1) << np.arange(b + 1)[:, None]  # 2^p per row p
+        self.steps = [None] * m
+        for j in range(m - 1, 0, -1):
+            c = self.gens[j].copy()
+            mask = _bit_mask(c)
+            top = mask ^ (mask >> 1)  # 2^q_j, or 0 where c_j adds no pivot
+            self.steps[j] = c, top, (self.y & top[self.at]) != 0
+            self._step(j, 1)
+        self.j = 0
+
+    def _step(self, j, sign):  # sign: +1 adds row c_j, -1 removes it
+        c, top, flip = self.steps[j]
+        self.y ^= flip * c[self.at]
+        self.rank += sign * (top >= self.pow)
+
+    def seek(self, j):
+        while self.j < j:
+            self.j += 1
+            self._step(self.j, -1)
+        while self.j > j:
+            self._step(self.j, 1)
+            self.j -= 1
 
 
 class _Estimator:
@@ -411,16 +416,16 @@ class _Estimator:
     chosen per level from its widths; the s2 counts stay below 2^b and
     int64 throughout.
 
-    The seed state is a_v = low_b(s1 * x_v) per node over the decided s1
-    bits, which deciding s1 bit j XORs with g_j(x_v) = low_b(x^j * x_v),
-    column j of one generator table, and the decided s2 bits of each of
-    the `trees` trees, which go by forest position: tree_of[v] is v's.
+    The seed state is the decided s1 and s2 bits of each of the `trees`
+    trees, by forest position (tree_of[v] is v's), and a_v = low_b(s1 * x_v)
+    per node, which deciding s1 bit j XORs with g_j(x_v) = low_b(x^j * x_v).
     Both regimes count the same box, at delta = a_u ^ a_v.  While s1 is
     open, an edge's reachable offsets are the coset delta + span{g_k : k > j},
-    and its branch pairs turn the average over them into rank arithmetic.
-    _span_tables gives every span's echelon once per level.  Reducing to
-    the coset representative that is zero at the pivots is linear, so the
-    bit-1 side of a pair is its bit-0 side XOR the reduced g_j of its edge.
+    and its branch pairs turn the average over them into tests on
+    R_j(delta ^ val) (_SpanSweep, over the distinct dx = x_u ^ x_v) and
+    ranks.  R_j is linear, so R_j(delta) XORs the R_j(g_k) that the tree's
+    decided s1 bits select, and the bit-1 side of a pair is its bit-0 side
+    XOR R_j(g_j) of its edge.
 
     Once s1 is fixed, so is a_v.  With its tree's low `lock` s2 bits at y,
     coin v fires when the free high bits z satisfy ((a_v >> lock) ^ z) < T_v,
@@ -432,7 +437,6 @@ class _Estimator:
 
     def __init__(self, ctx: LevelContext, tree_of, trees: int):
         self.ctx = ctx
-        self.n = len(ctx.x)
         edges = ctx.edges
         self.E = E = len(edges)
         if not E:
@@ -461,23 +465,30 @@ class _Estimator:
         self.w1 = (c0 * (k1 > 0)).astype(self.acc_type)
         self.w0 = (c1 * (k0 > 0)).astype(self.acc_type)
         self.tree_of = np.asarray(tree_of, dtype=np.int64)
-        x = np.array(ctx.x, dtype=np.int64)
-        self.hx = _gen_table(ctx.fam, x)
-        self.a = np.zeros(self.n, dtype=np.int64)
+        self.edge_tree = self.tree_of[self.eu]
+        self.a = np.zeros(len(ctx.x), dtype=np.int64)
+        self.s1 = np.zeros(trees, dtype=np.int64)
         self.s2 = np.zeros(trees, dtype=np.int64)
         # the spans depend on an edge only through dx = x_u ^ x_v, and the
         # generators are linear in it: g_k(x_u ^ x_v) = g_k(x_u) ^ g_k(x_v)
-        _, first, edge_dx = np.unique(
-            x[self.eu] ^ x[self.ev], return_index=True, return_inverse=True)
-        self.gmat = self.hx[self.eu[first]] ^ self.hx[self.ev[first]]
-        self.table, self.birth = _span_tables(self.gmat.tolist(), b)
+        x = np.array(ctx.x, dtype=np.int64)
+        at, edge_dx = _distinct(x[self.eu] ^ x[self.ev])
+        ndx = len(at)
+        gens = (ctx.gen_table[self.eu[at]] ^ ctx.gen_table[self.ev[at]]).T
         tn = np.array(ctx.t, dtype=np.int64)
         self.tu, self.tv = tn[self.eu], tn[self.ev]
-        pairs = branch_pairs(self.tu, self.tv, b)
-        self.pair_edge, self.pair_p, self.pair_val, w = pairs
-        self.pair_w = w.astype(self.cnt_type, copy=False)
-        self.pair_start = np.flatnonzero(np.diff(self.pair_edge, prepend=-1))
-        self.pair_dx = edge_dx[self.pair_edge]
+        pe, self.pair_p, val, w = branch_pairs(self.tu, self.tv, b)
+        self.pair_edge, self.pair_w = pe, w.astype(self.cnt_type, copy=False)
+        self.pair_start = np.flatnonzero(np.diff(pe, prepend=-1))
+        pd = edge_dx[pe]
+        self.pair_rank = self.pair_p * ndx + pd  # its entry of span.rank
+        # R_j(delta) depends on an edge only through (tree, dx) and R_j(val)
+        # on a pair only through (dx, val): each is kept per distinct key
+        at, key = _distinct(self.edge_tree * ndx + edge_dx)
+        self.key_dx, self.key_tree, self.pair_key = edge_dx[at], self.edge_tree[at], key[pe]
+        wide = np.int64 if ndx << (b + 1) < 1 << 63 else object
+        at, self.pair_vkey = _distinct(pd.astype(wide) << (b + 1) | val)
+        self.span = _SpanSweep(gens, b, val[at], pd[at])
         self.margin = ((1 << b) - self.tu - self.tv).astype(self.cnt_type, copy=False)
 
     # -- decision evaluation ------------------------------------------------
@@ -493,33 +504,21 @@ class _Estimator:
             return self._decide_s1(j)
         return self._decide_s2(j)
 
-    @staticmethod
-    def _reduce(x, rows, pivots, at=None):
-        """x's coset representative modulo the span of rows, zero at every
-        pivot; entry i reduces against offset at[i], or i when at is None."""
-        for p in pivots:
-            x ^= (rows[p] if at is None else rows[p][at]) * ((x >> p) & 1)
-        return x
-
     def _decide_s1(self, j):
-        b = self.ctx.fam.b
         free = self.ctx.fam.m - j - 1
-        pe, pp, pd = self.pair_edge, self.pair_p, self.pair_dx
-        # echelon of span{g_k : k > j}, and per p the number of pivots >= p
-        live = self.birth > j
-        rows = np.where(live, self.table, 0)
-        pivots = np.flatnonzero(live.any(axis=1))[::-1].tolist()
-        rank = np.zeros((b + 1, len(rows[0])), dtype=np.int64)
-        rank[:b] = np.cumsum(live[::-1], axis=0)[::-1]
-        delta = self.a[self.eu] ^ self.a[self.ev]
-        tau0 = self._reduce(delta[pe] ^ self.pair_val, rows, pivots, pd)
-        gj = self._reduce(self.gmat[:, j].copy(), rows, pivots)
-        weight = self.pair_w << (free - rank[pp, pd])
+        pe, pp, pk = self.pair_edge, self.pair_p, self.pair_key
+        span = self.span
+        span.seek(j)
+        # R_j(g_k) per key, k <= j; R_j(delta) XORs those its tree's s1 picks
+        g = span.gens[:j + 1, self.key_dx]
+        delta = _combine(g[:j], self.s1[self.key_tree])
+        tau0 = delta[pk] ^ span.vals[self.pair_vkey]
+        weight = self.pair_w << (free - span.rank.ravel()[self.pair_rank])
         like1 = np.zeros((2, self.E), dtype=self.cnt_type)
-        for r, tau in enumerate((tau0, tau0 ^ gj[pd])):
+        for r, tau in enumerate((tau0, tau0 ^ g[j][pk])):
             hits = np.where(tau >> pp == 0, weight, 0)
             like1[r, pe[self.pair_start]] = np.add.reduceat(hits, self.pair_start)
-        return self._node_sums(like1, (self.margin << free) + like1, free + b)
+        return self._node_sums(like1, (self.margin << free) + like1, free + self.ctx.fam.b)
 
     def _decide_s2(self, j):
         i = j - self.ctx.fam.m
@@ -527,7 +526,7 @@ class _Estimator:
         free = self.ctx.fam.b - lock
         fixed = (1 << lock) - 1
         bit = np.array([[0], [1 << i]], dtype=np.int64)  # seed bit j = 0, 1
-        a_u, a_v, y = self.a[self.eu], self.a[self.ev], self.s2[self.tree_of[self.eu]]
+        a_u, a_v, y = self.a[self.eu], self.a[self.ev], self.s2[self.edge_tree]
         # rescaled thresholds ceil((t - ((a ^ y) mod 2^lock)) / 2^lock)
         t_u = (self.tu + fixed - (((a_u ^ y) & fixed) ^ bit)) >> lock
         t_v = (self.tv + fixed - (((a_v ^ y) & fixed) ^ bit)) >> lock
@@ -554,7 +553,8 @@ class _Estimator:
         m = self.ctx.fam.m
         bits = np.array(bits, dtype=np.int64)
         if j < m:  # s1 gains x^j: a_v ^= low_b(x^j * x_v)
-            self.a ^= self.hx[:, j] * bits[self.tree_of]
+            self.a ^= self.ctx.gen_table[:, j] * bits[self.tree_of]
+            self.s1 |= bits << j
         else:
             self.s2 |= bits << (j - m)
 
@@ -662,11 +662,11 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
         seeds = [seed_from_int(fam, word) for word in words]
         last = [Fraction(*pair) for pair in last]
 
-    coin_bits = [
-        1 if hash_eval(fam, seeds[tree_of[v]], ctx.x[v]) < ctx.t[v] else 0
-        for v in range(n)
-    ]
-    new_state = apply_bits(state, coin_bits)
+    # coin v fires when low_b(a_v ^ s2) < t_v, a_v = low_b(s1 * x_v)
+    s1, s2 = np.array([(seed.s1, seed.s2) for seed in seeds], dtype=np.int64)[list(tree_of)].T
+    a = _combine(ctx.gen_table.T, s1) if s1.any() else s1  # s1 = 0: a = 0
+    coin = ((a ^ s2) & ((1 << b) - 1)) < np.array(ctx.t, dtype=np.int64)
+    new_state = apply_bits(state, coin.astype(np.int64).tolist())
 
     records = {}
     for i, (root, nodes) in enumerate(zip(forest.roots, trees)):
@@ -746,7 +746,7 @@ def exhaustive_seed(ctx: LevelContext, state: PrefixState, *, nodes=None):
     acc_type = np.int64 if 2 * len(edges) * den < 1 << 63 else object
     scale = np.array([den // k for k in sizes], dtype=acc_type)
 
-    g = _gen_table(fam, np.array([ctx.x[v] for v in used], dtype=np.int64))
+    g = ctx.gen_table[used]
     amat = np.zeros((len(used), 1), dtype=np.int64)
     for k in range(m):
         amat = np.concatenate((amat, amat ^ g[:, k, None]), axis=1)

@@ -28,8 +28,10 @@ from congestcolor.derand import (
     joint_outcome_prob,
     node_conditional,
     xor_branch_pairs,
+    _basis_from,
     _Estimator,
     _gen_table,
+    _SpanSweep,
 )
 from congestcolor.graphs import (
     Graph,
@@ -611,6 +613,43 @@ def test_exhaustive_strategy_scans_edges_once_per_level():
     assert seen[4] == seen[16] == seen[64] <= 2, seen
 
 
+def test_thresholds_match_coins_threshold_on_a_grid():
+    # level 0 splits each list at color 64: k0 colors below it, k1 above,
+    # for every k0 + k1 < 60; t is ceil(k1 2^b / (k0 + k1)) in integers
+    splits = [(k0, k - k0) for k in range(1, 60) for k0 in range(k + 1)]
+    lists = tuple(tuple(range(k0)) + tuple(range(64, 64 + k1)) for k0, k1 in splits)
+    inst = ListColoringInstance(graph=Graph.from_edges(len(lists), []), C=128, lists=lists)
+    state = init_state(inst)
+    for b in range(1, 40):
+        ctx = build_level_context(make_family(len(lists), b), state, tuple(range(len(lists))))
+        assert list(zip(ctx.k0, ctx.k1)) == splits
+        assert list(ctx.t) == [
+            coins.threshold(Fraction(k1, k0 + k1), b) for k0, k1 in splits
+        ], b
+
+
+def test_coins_match_hash_eval_on_forests():
+    # the level's coins come from one generator table and a vector compare;
+    # each must be the scalar hash of its tree's seed against t_v
+    rng = random.Random(79)
+    for strategy in ("conditional", "exhaustive"):
+        done = 0
+        while done < 8:
+            ctx, state = forest_level(rng)
+            forest, _ = build_bfs_forest(state.inst.graph)
+            if 2 * ctx.fam.m > 24 or len(forest.roots) < 2:
+                continue
+            new_state, report = fix_level(
+                ctx, state, CommPlan(state.inst.graph, forest), strategy=strategy
+            )
+            seeds = [report.roots[root].seed for root in forest.roots]
+            assert [p & 1 for p in new_state.prefix] == [
+                int(coins.hash_eval(ctx.fam, seeds[forest.tree_of[v]], x) < ctx.t[v])
+                for v, x in enumerate(ctx.x)
+            ], strategy
+            done += 1
+
+
 def test_level_context_is_a_frozen_record_of_six_fields():
     ctx = fair_pair_context()
     assert [f.name for f in fields(ctx)] == ["fam", "x", "k0", "k1", "t", "edges"]
@@ -838,6 +877,45 @@ def test_gen_table_matches_field_products():
         assert got.tolist() == want
 
 
+def reduce_by(basis, y):
+    """y's coset representative modulo an echelon basis, zero at its pivots."""
+    for piv, row in basis:
+        if (y >> piv) & 1:
+            y ^= row
+    return y
+
+
+def test_span_sweep_matches_echelon_oracle():
+    # after seek(j), in any order of j, every reduced value and generator
+    # and every rank match reduction against the oracle's echelon basis of
+    # span{g_k : k > j}, for m up to 40 and m + b past 62
+    rng = random.Random(73)
+    for m in range(1, 41):
+        for b in {rng.randrange(1, m + 1), m}:
+            fam = make_family(1 << m, b)
+            dx = [rng.randrange(1, 1 << m) for _ in range(4)] + [1, (1 << m) - 1]
+            gens = _gen_table(fam, np.array(dx, dtype=np.int64)).T
+            want_gens = gens.tolist()
+            # pair values reach bit b (val < 2^(b+1)), one past the span's
+            at = [rng.randrange(len(dx)) for _ in range(24)]
+            vals = [rng.randrange(1 << (b + 1)) for _ in at]
+            sweep = _SpanSweep(gens, b, np.array(vals, dtype=np.int64), np.array(at))
+            order = list(range(m)) + rng.sample(range(m), m)
+            for j in order:
+                sweep.seek(j)
+                basis = [_basis_from(fam, d, j + 1) for d in dx]
+                assert sweep.vals.tolist() == [
+                    reduce_by(basis[i], y) for i, y in zip(at, vals)
+                ], (m, b, j)
+                assert sweep.gens.tolist() == [
+                    [reduce_by(basis[i], g[i]) for i in range(len(dx))] for g in want_gens
+                ], (m, b, j)
+                assert sweep.rank.tolist() == [
+                    [sum(piv >= p for piv, _ in basis[i]) for i in range(len(dx))]
+                    for p in range(b + 1)
+                ], (m, b, j)
+
+
 @pytest.mark.parametrize(
     "m, b, cnt_type",
     [(32, 30, np.int64), (40, 31, object), (40, 40, object), (52, 52, object)],
@@ -856,6 +934,19 @@ def test_estimator_counts_past_m_plus_b_62_in_objects(kind, lists, m, b, cnt_typ
     ctx = build_level_context(fam, init_state(inst), tuple(range(g.n)))
     est = estimator_vs_node_conditional(ctx, [0] * g.n, random.Random(m + b))
     assert est.cnt_type is cnt_type
+
+
+def test_estimator_value_keys_past_int64():
+    # at b = 62 the (dx, value) keys pass int64; the three hub edges have
+    # the same thresholds, so the same branch pair values, at three
+    # offsets, and a key shared by two offsets would give one the other's
+    # reductions
+    g = generate_graph("star", {"n": 4})
+    lists = ((0, 1, 2, 4, 5), (0, 1, 4), (1, 2, 5), (0, 2, 4))
+    inst = ListColoringInstance(graph=g, C=8, lists=lists)
+    ctx = build_level_context(make_family(1 << 62, 62), init_state(inst), (0, 1, 2, 3))
+    assert ctx.t == (-(-(2 << 62) // 5),) + (-(-(1 << 62) // 3),) * 3
+    estimator_vs_node_conditional(ctx, [0] * g.n, random.Random(83))
 
 
 # ---------------------------------------------------------------------------
