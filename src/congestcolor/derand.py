@@ -36,8 +36,8 @@ the two candidate sums up a spanning tree and a one-bit broadcast back
 down.  Only the aggregation's sums are read; the exchange and the
 broadcast are charged by their widths.  Every exact sum adds integer
 numerators over one common denominator: the convergecast adds the two
-values of each node with alive edges (the others add 0) over one lcm of
-their denominators for the whole forest, roots compare and chain their
+values of each node with alive edges (the others add 0) over the
+estimator's one denominator for the forest, roots compare and chain their
 integer totals by cross-multiplication, and phi_sum gives the potentials
 a level is checked against.  Components cannot share a seed, so each
 tree, named by its forest position, fixes its own.
@@ -342,12 +342,20 @@ def _gen_table(fam: FamilySpec, y):
     return table.T & ((1 << fam.b) - 1)
 
 
+def _runs(s):
+    """Bools over s and one past it: where a run of equal entries starts."""
+    cut = np.ones(len(s) + 1, dtype=bool)
+    cut[1:-1] = s[1:] != s[:-1]
+    return cut
+
+
 def _distinct(keys):
-    """(an entry of each distinct key, each entry's key number ascending)."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    at = np.empty(len(uniq), dtype=np.int64)
-    at[inverse] = np.arange(len(keys))
-    return at, inverse
+    """(an entry of each distinct key, any one, each entry's key number ascending)."""
+    order = np.argsort(keys)
+    first = _runs(keys[order])[:-1]
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return order[first], inverse
 
 
 def _combine(gens, words):
@@ -408,10 +416,11 @@ class _Estimator:
     2^(m+b-1).  Each node with alive edges (inc_node, listed once per
     level as `nodes`) sums its incident counts, one reduceat over the
     edge ends sorted by node, and folds in its weights 1/k1 and 1/k0 as
-    integer numerators over max(k0, 1) max(k1, 1) 2^shift, left unreduced:
-    no Fraction is built per node.  The sums run in int64 when the level's
-    bound deg(v) (max(k0, 1) + max(k1, 1)) 2^(m+b-1) on every numerator
-    is below 2^63, and in Python ints (object arrays) past it.  The s1
+    integer numerators over lam 2^shift, lam the level's lcm of the
+    distinct max(k0, 1) max(k1, 1), unreduced.  The like sums run in int64
+    when the level's bound deg(v) (max(k0, 1) + max(k1, 1)) 2^(m+b-1) is
+    below 2^63, the numerators when it is times lam / (max(k0, 1)
+    max(k1, 1)), and in Python ints (object arrays) past it.  The s1
     counts themselves are int64 while m+b <= 62 and Python ints past it,
     chosen per level from its widths; the s2 counts stay below 2^b and
     int64 throughout.
@@ -450,20 +459,21 @@ class _Estimator:
         ends = np.concatenate((self.eu, self.ev))
         order = np.argsort(ends, kind="stable")
         self.inc_edge, ends = order % E, ends[order]
-        self.inc_start = np.flatnonzero(np.diff(ends, prepend=-1))
+        cut = np.flatnonzero(_runs(ends))
+        self.inc_start, deg = cut[:-1], cut[1:] - cut[:-1]
         self.inc_node = ends[self.inc_start]
-        deg = np.diff(self.inc_start, append=2 * E)
         k0, k1 = (np.array(ks, dtype=np.int64)[self.inc_node]
                   for ks in (ctx.k0, ctx.k1))
         c0, c1 = np.maximum(k0, 1), np.maximum(k1, 1)
-        self.nodes, self.den = self.inc_node.tolist(), (c0 * c1).tolist()
-        # each count is at most 2^(m+b-1) and the weights den/k1 = c0 and
-        # den/k0 = c1 (0 on a side without candidates), so this bounds
-        # every node's numerator
-        bound = int((deg * (c0 + c1)).max()) << (m + b - 1)
-        self.acc_type = np.int64 if bound < 1 << 63 else object
-        self.w1 = (c0 * (k1 > 0)).astype(self.acc_type)
-        self.w0 = (c1 * (k0 > 0)).astype(self.acc_type)
+        self.nodes = self.inc_node.tolist()
+        # counts reach 2^(m+b-1): with weights c0, c1 this bounds the like sums,
+        # with lam/k1, lam/k0 (0 on a side without candidates) the numerators
+        self.lam = lcm(*set((c0 * c1).tolist()))
+        w1, w0 = (self.lam // c.astype(object) * (k > 0) for c, k in ((c1, k1), (c0, k0)))
+        self.acc_type, self.num_type = (
+            np.int64 if int((deg * w).max()) << (m + b - 1) < 1 << 63 else object
+            for w in (c0 + c1, w1 + w0))
+        self.w1, self.w0 = w1.astype(self.num_type), w0.astype(self.num_type)
         self.tree_of = np.asarray(tree_of, dtype=np.int64)
         self.edge_tree = self.tree_of[self.eu]
         self.a = np.zeros(len(ctx.x), dtype=np.int64)
@@ -479,7 +489,7 @@ class _Estimator:
         self.tu, self.tv = tn[self.eu], tn[self.ev]
         pe, self.pair_p, val, w = branch_pairs(self.tu, self.tv, b)
         self.pair_edge, self.pair_w = pe, w.astype(self.cnt_type, copy=False)
-        self.pair_start = np.flatnonzero(np.diff(pe, prepend=-1))
+        self.pair_start = np.flatnonzero(_runs(pe))[:-1]
         pd = edge_dx[pe]
         self.pair_rank = self.pair_p * ndx + pd  # its entry of span.rank
         # R_j(delta) depends on an edge only through (tree, dx) and R_j(val)
@@ -494,12 +504,12 @@ class _Estimator:
     # -- decision evaluation ------------------------------------------------
 
     def decision_values(self, j: int):
-        """Integer lists (nodes, num0, num1, den) over the nodes with alive
-        edges (inc_node): num_r[i] / den[i] is node nodes[i]'s conditional
-        value with seed bit j = r, unreduced; every other node's is 0, and
-        a level without alive edges lists no node."""
+        """(nodes, num0, num1, L) over the nodes with alive edges: num_r[i] / L
+        is node nodes[i]'s conditional value with seed bit j = r, unreduced,
+        over one L = lam 2^shift; every other node's is 0, and a level
+        without alive edges lists no node, over L = 1."""
         if not self.E:
-            return [], [], [], []
+            return [], [], [], 1
         if j < self.ctx.fam.m:
             return self._decide_s1(j)
         return self._decide_s2(j)
@@ -536,14 +546,14 @@ class _Estimator:
     def _node_sums(self, like1, like0, shift):
         """like1 and like0 are (2, E), per seed bit value and edge.  The
         sum over node nodes[i]'s alive edges of like1/k1 + like0/k0, over
-        2^shift, is num_r[i] / den[i] for seed bit value r; returns
-        (nodes, num0, num1, den), one entry per node with alive edges.
-        Sums run in the level's acc_type: int64 when its bound allows."""
+        2^shift, is num_r[i] / (lam 2^shift) for seed bit value r; returns
+        (nodes, num0, num1, lam << shift), one list entry per node with
+        alive edges.  Like sums run in acc_type, numerators in num_type."""
         like = np.concatenate((like1, like0))[:, self.inc_edge]
         like = like.astype(self.acc_type, copy=False)
         sums = np.add.reduceat(like, self.inc_start, axis=1)
         num = sums[:2] * self.w1 + sums[2:] * self.w0
-        return self.nodes, *num.tolist(), [d << shift for d in self.den]
+        return self.nodes, *num.tolist(), self.lam << shift
 
     # -- committing a decided bit -------------------------------------------
 
@@ -634,7 +644,7 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
         picked = [exhaustive_seed(ctx, state, nodes=nodes) for nodes in trees]
         # no node listed, so every non-root ships the zero pair: it stands
         # in for the facts sent rootward
-        comm.aggregate(([], [], [], []))
+        comm.aggregate(([], [], [], 1))
         for _ in range(m + b):
             comm.broadcast(1)  # one seed bit per tree
         seeds = [seed for seed, _ in picked]
@@ -642,7 +652,7 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     else:
         est = _Estimator(ctx, tree_of, len(trees))
         # each tree's seed so far, and its last choice as an integer over
-        # its convergecast's lcm
+        # its convergecast's denominator
         words, last = [0] * len(trees), [None] * len(trees)
         for j in range(m + b):
             L, totals = comm.aggregate(est.decision_values(j))

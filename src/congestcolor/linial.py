@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import InvariantError, check
-from .sim import ALGORITHM, BandwidthError, BandwidthPolicy, _charge
+from .sim import ALGORITHM, BandwidthError, BandwidthPolicy, _charge, _even
 
 
 @dataclass(frozen=True)
@@ -156,9 +156,9 @@ def linial_reduce(graph, colors=None, *, policy=None, trace=None):
     _check_proper(graph, colors, "initial coloring")
     schedule, _ = _schedule(max(colors, default=0) + 1, graph.max_degree)
     check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
-    sent, failure = [[]], None
+    sent, failure = [_even(0, 0)], None
     if graph.edge_list:
-        sent += [[width] * (2 * len(graph.edge_list)) for _, width in schedule]
+        sent += [_even(2 * len(graph.edge_list), width) for _, width in schedule]
         limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
         for s, (_, width) in enumerate(schedule):
             if limit is not None and width > limit:
@@ -184,13 +184,13 @@ def mis_by_colors(graph, colors, *, policy=None, trace=None):
     """
     _check_proper(graph, colors, "conflict coloring")
     joined = [False] * graph.n
-    sent = [[]]
+    sends = [0]  # the one-bit sends of each round
     for v in sorted(range(graph.n), key=lambda v: (colors[v], v)):
         nbrs = graph.adj[v]
         if not any(joined[u] for u in nbrs):
             joined[v] = True
             r = colors[v] + bool(nbrs)  # its wakeup, or its one-bit sends
-            sent += [[] for _ in range(r + 1 - len(sent))]
-            sent[r] += [1] * len(nbrs)
-    stats = _charge({ALGORITHM: sent}, trace)
+            sends += [0] * (r + 1 - len(sends))
+            sends[r] += len(nbrs)
+    stats = _charge({ALGORITHM: [_even(k, 1) for k in sends]}, trace)
     return tuple(v for v in range(graph.n) if joined[v]), stats

@@ -25,26 +25,25 @@ depends on and return only RunStats.  A CommPlan runs the steps one
 after another as one round ledger whose total adds up their stats.
 
 Every phase step but the pipeline's flag-low is a single pass, not an
-engine run: the rounds and lengths of its messages follow from its
-input, so it computes its result directly, and one charging rule,
-_charge, turns those lengths into the RunStats and trace records the
-engine would give.  Here that covers the BFS forest, the one-round
-exchange and the tree collectives; linial.py adds the reduction and the
-MIS sweep.  The forest is one Forest of node-indexed arrays with its
-collectives' schedule derived once, so the collectives need no loop
-over trees and name each tree by its forest position.  The seed-bit
-convergecast takes terms only at the nodes it lists and prices only
-them and their ancestors; every other non-root ships the zero pair,
-charged per round by count, so its work follows the listed nodes, not
-n.  The engine serves flag-low, hand-written protocols and the tests'
-engine-driven references; only it takes a round cap, a check on node
-programs that may never halt.
+engine run: its rounds and messages follow from its input, so it
+computes its result directly, and one charging rule, _charge, turns
+each round's message count, bits and longest message into the RunStats
+and trace the engine would give.  Here that covers the BFS forest, the
+one-round exchange and the tree collectives; linial.py adds the
+reduction and the MIS sweep.  The forest is one Forest of node-indexed
+arrays with its collectives' schedule derived once, so they need no
+loop over trees and name each tree by its forest position.  The seed-bit
+convergecast takes integer terms over one given denominator only at the
+nodes it lists and prices only them and their ancestors; every other
+non-root ships the zero pair, charged per round by count.  Only the
+engine, which serves flag-low, hand-written protocols and the tests'
+references, takes a round cap, a check on programs that never halt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import gcd, lcm
+from math import gcd
 
 from .graphs import bfs_depths
 
@@ -129,7 +128,7 @@ class BandwidthPolicy:
 
 
 def _per_category(value=0):
-    return {c: value for c in _CATEGORIES}
+    return dict.fromkeys(_CATEGORIES, value)
 
 
 @dataclass
@@ -294,12 +293,13 @@ class Forest:
     at a root) and depth[v] its hop distance from the root; tree i is
     rooted at roots[i] and holds the ascending nodes[i].  Construction
     raises ValueError unless nodes and tree_of partition range(n) the
-    same way.  The collectives' schedule is derived once for the whole
-    forest: subheight[v] is the height of v's subtree, level_sizes[d] the
-    number of nodes at depth d, up_sizes[r] the number of non-roots that
-    ship their subtree sum in round r of a convergecast (those of
-    subheight r - 1), and height the largest depth.  Equality compares
-    the five stored fields.
+    same way and each tree holds its root, alone parentless at depth 0,
+    and every other node's parent one layer up.  The collectives'
+    schedule is derived once for the whole forest: subheight[v] is the
+    height of v's subtree, level_sizes[d] the number of nodes at depth d,
+    up_sizes[r] the number of non-roots that ship their subtree sum in
+    round r of a convergecast (those of subheight r - 1), and height the
+    largest depth.  Equality compares the five stored fields.
     """
 
     tree_of: tuple
@@ -316,6 +316,15 @@ class Forest:
         owner = sorted((v, i) for i, tree in enumerate(self.nodes) for v in tree)
         if owner != list(enumerate(self.tree_of)):
             raise ValueError("forest must partition the nodes")
+        tree_of, depth, roots = self.tree_of, self.depth, self.roots
+        if len(roots) != len(self.nodes) or any(r not in t for r, t in zip(roots, self.nodes)):
+            raise ValueError("each tree's root must lie in it")
+        for v, p in enumerate(self.parent):
+            if v == roots[tree_of[v]]:
+                if p is not None or depth[v]:
+                    raise ValueError(f"root {v} must have no parent and depth 0")
+            elif p not in range(len(depth)) or (tree_of[p], depth[p]) != (tree_of[v], depth[v] - 1):
+                raise ValueError(f"node {v} needs a parent in its tree one layer up")
         self.height = max(self.depth, default=0)
         levels = [[] for _ in range(self.height + 1)]
         for v, d in enumerate(self.depth):
@@ -364,12 +373,12 @@ def build_bfs_forest(graph, *, policy=None, trace=None):
         roots.append(root)
         nodes.append(tuple(sorted(dist)))
     forest = Forest(tuple(tree_of), tuple(parent), tuple(depth), tuple(roots), tuple(nodes))
-    sent = [[]]
+    offers = [0]  # offers[d + 1]: the degree sum of the nodes at depth d
     if graph.edge_list:
-        sent += [[] for _ in range(forest.height + 2)]
+        offers += [0] * (forest.height + 2)
         for v, d in enumerate(depth):
-            sent[d + 1] += [width] * len(adj[v])
-    return forest, _charge({ALGORITHM: sent}, trace)
+            offers[d + 1] += len(adj[v])
+    return forest, _charge({ALGORITHM: [_even(k, width) for k in offers]}, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +390,9 @@ _PAIR_OVERHEAD = 4 * (1 + _LEN_FIELD)
 
 
 def _charge(sent, trace, failure=None):
-    """RunStats of a pass that delivers, per category c, messages of the
-    lengths in sent[c][r] in round r, for r = 1..height, with the engine's
-    trace.  A pass with no rounds charges nothing.
+    """RunStats of a pass that delivers, per category c, sent[c][r] =
+    (messages, bits, max_bits) in round r = 1..height (0 is setup), with
+    the engine's trace.  A pass with no rounds charges nothing.
 
     `failure` is (r, exc) for an error the engine raises while it runs
     round r (0 is setup): the rounds before it are traced, then it raises.
@@ -394,69 +403,70 @@ def _charge(sent, trace, failure=None):
     done = height if failure is None else failure[0] - 1
     if trace is not None:
         for r in range(1, done + 1):
-            bits = _per_category() | {c: sum(lens[r]) for c, lens in sent.items()}
-            messages = sum(len(lens[r]) for lens in sent.values())
+            bits = _per_category() | {c: rounds[r][1] for c, rounds in sent.items()}
+            messages = sum(rounds[r][0] for rounds in sent.values())
             trace({"round": r, "messages": messages, "category_bits": bits})
     if failure is not None:
         raise failure[1]
     stats = RunStats(rounds=height)
-    for c, lens in sent.items():
-        count = sum(map(len, lens))
-        stats.messages += count
-        stats.messages_by_category[c] = count
-        stats.bits_by_category[c] = sum(map(sum, lens))
-        stats.max_bits_by_category[c] = max(map(max, filter(None, lens)), default=0)
+    for c, rounds in sent.items():
+        count, bits, top = zip(*rounds)
+        stats.messages += sum(count)
+        stats.messages_by_category[c] = sum(count)
+        stats.bits_by_category[c] = sum(bits)
+        stats.max_bits_by_category[c] = max(top)
     return stats
 
 
-def aggregate_pairs(graph, forest, values, *, policy=None, trace=None):
-    """Sum node values a_v = num_a[i] / den[i], b_v = num_b[i] / den[i]
-    for v = nodes[i] (den > 0, any terms; 0 at every node not listed)
-    toward each tree root of the Forest, in integers.
+def _even(count, width):
+    """(messages, bits, max_bits) of a round of `count` width-bit messages."""
+    return count, count * width, width if count else 0
 
-    `values` is (nodes, num_a, num_b, den), integer sequences of one
-    length; a node listed twice or outside range(n) raises ValueError.
-    Returns (L, sums): L = lcm(den), 1 when nothing is listed, one common
-    denominator for the whole forest, and sums[i] the integer pair (A, B)
-    with A / L, B / L the totals of tree i.  A non-root v ships its
-    reduced subtree sum in round subheight(v) + 1, once all its children
-    have, as an "aggregation" message.  Only the listed nodes and their
-    ancestors are priced, deepest first by depth buckets, a parent joining
-    the bucket above when first reached; every other non-root ships
-    0/1, 0/1, charged per round by count from forest.up_sizes.  So the
-    Python work follows the listed nodes; only two node-indexed scratch
-    lists are n wide.  Aggregation is exempt from `policy`; rounds equal
-    the forest height.
+
+def aggregate_pairs(graph, forest, values, *, policy=None, trace=None):
+    """Sum node values a_v = num_a[i] / L, b_v = num_b[i] / L for
+    v = nodes[i] (L > 0, any terms; 0 at every node not listed) toward
+    each tree root of the Forest, in integers.
+
+    `values` is (nodes, num_a, num_b, L), integer sequences of one length
+    over one denominator L for the whole forest; a node listed twice or
+    outside range(n) raises ValueError.  Returns (L, sums), sums[i] the
+    integer pair (A, B) with A / L, B / L the totals of tree i.  A
+    non-root v ships its reduced subtree sum in round subheight(v) + 1,
+    once all its children have, as an "aggregation" message.  Only the
+    listed nodes and their ancestors are priced, deepest first by depth
+    buckets, a parent joining the bucket above when first reached; every
+    other non-root ships 0/1, 0/1, charged per round by count from
+    forest.up_sizes.  So the Python work follows the listed nodes; only
+    two node-indexed scratch lists are n wide.  Aggregation is exempt
+    from `policy`; rounds equal the forest height.
     """
-    nodes, num_a, num_b, den = values
+    nodes, num_a, num_b, L = values
     n, height = len(forest.tree_of), forest.height
     depth, parent, sub = forest.depth, forest.parent, forest.subheight
-    sent = [[] for _ in range(height + 1)]
+    priced = [[] for _ in range(height + 1)]  # the priced sizes, by round
     too_long = height + 1  # first round in which a sum too long to encode is sent
-    # a reduced fraction is the same over every common denominator, so
-    # S / L reduced by gcd(S, L) prices the message whatever L is
-    L = lcm(*den)
     # sums by node: None marks a node the walk has not reached
     sum_a, sum_b = [None] * n, [0] * n
-    bucket = [[] for _ in sent]  # the nodes to price, by depth
-    for v, a, b, d in zip(nodes, num_a, num_b, den):
+    bucket = [[] for _ in priced]  # the nodes to price, by depth
+    for v, a, b in zip(nodes, num_a, num_b):
         if not 0 <= v < n:  # a negative id would index from the end
             raise ValueError(f"listed node {v} lies outside range({n})")
         if sum_a[v] is not None:
             raise ValueError(f"node {v} is listed twice")
-        f = L // d
-        sum_a[v], sum_b[v] = a * f, b * f
+        sum_a[v], sum_b[v] = a, b
         bucket[depth[v]].append(v)
     for d in range(height, 0, -1):
         up = bucket[d - 1]
         for v in bucket[d]:
             sa, sb = sum_a[v], sum_b[v]
+            # S / L reduced by gcd(S, L) is the message, whatever L is
             ga, gb = gcd(sa, L), gcd(sb, L)
             la, lda = (sa // ga).bit_length(), (L // ga).bit_length()
             lb, ldb = (sb // gb).bit_length(), (L // gb).bit_length()
             r = sub[v] + 1
             size = _PAIR_OVERHEAD + la + lda + lb + ldb
-            sent[r].append(size)
+            priced[r].append(size)
             if size >> _LEN_FIELD and max(la, lda, lb, ldb) >> _LEN_FIELD:
                 too_long = min(too_long, r - 1)  # too long to send
             p = parent[v]
@@ -466,10 +476,10 @@ def aggregate_pairs(graph, forest, values, *, policy=None, trace=None):
             else:
                 sum_a[p] += sa
             sum_b[p] += sb
-    # every non-root the walk never reached has subtree sum 0 and ships 0/1, 0/1
-    for lens, count in zip(sent, forest.up_sizes):
-        if count > len(lens):
-            lens += [_PAIR_OVERHEAD + 2] * (count - len(lens))
+    # every non-root the walk never reached ships 0/1, 0/1, the shortest pair
+    zero = _PAIR_OVERHEAD + 2
+    sent = [(k, sum(s) + (k - len(s)) * zero, max(s)) if s else _even(k, zero)
+            for s, k in zip(priced, forest.up_sizes)]
     failure = None
     if too_long <= height:
         error = ValueError("integer too large for the rational wire format")
@@ -489,7 +499,7 @@ def broadcast_values(graph, forest, width, *, policy=None, trace=None):
     if forest.height and limit is not None and width > limit:
         root = next(r for r in forest.roots if graph.adj[r])
         raise BandwidthError(1, (root, graph.adj[root][0]), width, limit)
-    sent = [[]] + [[width] * size for size in forest.level_sizes[1:]]
+    sent = [_even(0, width), *(_even(size, width) for size in forest.level_sizes[1:])]
     return _charge({ALGORITHM: sent}, trace)
 
 
@@ -524,7 +534,7 @@ class CommPlan:
 
     def aggregate(self, values):
         """(L, sums) of aggregate_pairs over the forest, for the sparse
-        `values` (nodes, num_a, num_b, den); unlisted nodes add 0."""
+        `values` (nodes, num_a, num_b, L); unlisted nodes add 0."""
         return self.run(aggregate_pairs, self.graph, self.forest, values)
 
     def broadcast(self, width):
@@ -546,4 +556,4 @@ def exchange(graph, sends, width, *, policy=None, trace=None):
     limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
     if limit is not None and width > limit:
         raise BandwidthError(1, sends[0], width, limit)
-    return _charge({ALGORITHM: [[], [width] * len(sends)]}, trace)
+    return _charge({ALGORITHM: [_even(0, width), _even(len(sends), width)]}, trace)

@@ -10,7 +10,6 @@ The tests compare every pass with its reference one at a time
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from congestcolor.graphs import bfs_depths, check
 from congestcolor.linial import _check_proper, _recolor, _schedule, log_star
@@ -139,18 +138,16 @@ def _children(forest):
 def engine_aggregate(graph, forest, values, *, policy=None, round_cap=None, trace=None):
     """aggregate_pairs: every node ships its subtree's pair of Fractions in
     the wire format, with the pair 0, 0 at each node `values` does not
-    list; the roots' totals come back as integers over the lcm of the
-    listed den."""
-    nodes, num_a, num_b, den = values
+    list; the roots' totals come back as integers over the given L."""
+    nodes, num_a, num_b, L = values
     pairs = [(Fraction(0), Fraction(0))] * graph.n
-    for v, a, b, d in zip(nodes, num_a, num_b, den):
-        pairs[v] = (Fraction(a, d), Fraction(b, d))
+    for v, a, b in zip(nodes, num_a, num_b):
+        pairs[v] = (Fraction(a, L), Fraction(b, L))
     progs = [
         _SumPairs(p, kids, pairs[v])
         for v, (p, kids) in enumerate(zip(forest.parent, _children(forest)))
     ]
     stats = run_protocol(graph, progs, policy=policy, round_cap=round_cap, trace=trace)
-    L = lcm(*den)
     sums = [
         tuple(s.numerator * (L // s.denominator) for s in progs[r].total)
         for r in forest.roots

@@ -97,20 +97,24 @@ def estimator_vs_node_conditional(ctx, tree_of, rng, nodes=None):
     """Run _Estimator over every seed bit of the level, with node v in
     tree tree_of[v], checking each node's (or each of `nodes`') two
     candidate values against the scalar closed form: the estimator lists
-    the nodes with alive edges, ascending, and every other node's value
-    is 0.  Returns the estimator."""
+    the nodes with alive edges, ascending, over one L, the lcm of
+    max(k0, 1) max(k1, 1) 2^shift over them (counts are in units of
+    2^-shift), and every other node's value is 0.  Returns the estimator."""
     est = _Estimator(ctx, tree_of, max(tree_of) + 1)
     prefix = [()] * (max(tree_of) + 1)
     alive = [v for v, inc in enumerate(ctx.incident) if inc]
-    for j in range(ctx.fam.m + ctx.fam.b):
-        listed, num0, num1, den = est.decision_values(j)
+    m, b = ctx.fam.m, ctx.fam.b
+    for j in range(m + b):
+        listed, num0, num1, L = est.decision_values(j)
         assert listed == alive, j
+        shift = m + b - 1 - j  # the undecided seed bits, both regimes
+        assert L == lcm(*(max(ctx.k0[v], 1) * max(ctx.k1[v], 1) << shift for v in listed)), j
         at = {v: i for i, v in enumerate(listed)}
         for v in range(len(ctx.x)) if nodes is None else nodes:
             pre = prefix[tree_of[v]]
             for r, num in ((0, num0), (1, num1)):
                 want = node_conditional(ctx, v, SeedPrefix(pre + (r,)))
-                got = Fraction(num[at[v]], den[at[v]]) if v in at else 0
+                got = Fraction(num[at[v]], L) if v in at else 0
                 assert got == want, (j, v, r)
         bits = [rng.randrange(2) for _ in prefix]
         est.lock(j, bits)
@@ -401,10 +405,12 @@ def test_fix_level_chain_is_monotone_and_exact():
         comm = RecordingPlan(graph, forest)
 
         def aggregate(values, run=comm.aggregate):
-            L, sums = run(values)
-            den = dict(zip(values[0], values[3]))
-            wider.append(any(lcm(*(den[v] for v in t if v in den)) != L for t in forest.nodes))
-            return L, sums
+            # each listed node's own denominator is max(k0, 1) max(k1, 1),
+            # times a power of two common to all
+            den = {v: max(ctx.k0[v], 1) * max(ctx.k1[v], 1) for v in values[0]}
+            lam = lcm(*den.values())
+            wider.append(any(lcm(*(den[v] for v in t if v in den)) != lam for t in forest.nodes))
+            return run(values)
 
         comm.aggregate = aggregate
         new_state, report = fix_level(ctx, state, comm)
@@ -754,12 +760,12 @@ def test_estimator_lists_only_nodes_with_alive_edges():
     forest, _ = build_bfs_forest(g)
     est = estimator_vs_node_conditional(ctx, forest.tree_of, random.Random(5))
     for j in range(ctx.fam.m + ctx.fam.b):
-        nodes, num0, num1, den = est.decision_values(j)
-        assert nodes == [0, 1, 2, 4, 5] and len(num0) == len(num1) == len(den) == 5
+        nodes, num0, num1, _ = est.decision_values(j)
+        assert nodes == [0, 1, 2, 4, 5] and len(num0) == len(num1) == 5
     inst = ListColoringInstance(graph=Graph.from_edges(3, []), C=2, lists=((0, 1),) * 3)
     ctx = build_level_context(make_family(3, 3), init_state(inst), (0, 1, 2))
     est = _Estimator(ctx, (0, 1, 2), 3)
-    assert est.decision_values(0) == ([], [], [], [])
+    assert est.decision_values(0) == ([], [], [], 1)
 
 
 def test_estimator_seed_state_matches_field_products():
@@ -862,6 +868,29 @@ def test_estimator_sums_in_int64_only_below_the_bound(kind, lists, b, acc_type):
     ctx = build_level_context(fam, init_state(inst), tuple(range(g.n)))
     est = estimator_vs_node_conditional(ctx, [0] * g.n, random.Random(b))
     assert est.acc_type is acc_type
+
+
+@pytest.mark.parametrize(
+    "splits, num_type",
+    [
+        # the like sums fit int64, but weighted over the level's one
+        # denominator, the product of the pairwise coprime k0 k1, past
+        # 2^63, they do not
+        (((2, 3), (5, 7), (11, 13), (17, 19), (23, 29), (31, 37), (41, 43), (47, 53)), object),
+        (((2, 3), (1, 2), (3, 3), (2, 2)), np.int64),
+    ],
+    ids=["coprime", "small"],
+)
+def test_estimator_numerators_in_int64_only_below_the_bound(splits, num_type):
+    # level 0 splits each list at color 64: k0 colors below it, k1 above
+    n = len(splits)
+    lists = tuple(tuple(range(k0)) + tuple(range(64, 64 + k1)) for k0, k1 in splits)
+    inst = ListColoringInstance(graph=generate_graph("cycle", {"n": n}), C=128, lists=lists)
+    ctx = build_level_context(make_family(n, 3), init_state(inst), tuple(range(n)))
+    assert tuple(zip(ctx.k0, ctx.k1)) == splits
+    assert (lcm(*(k0 * k1 for k0, k1 in splits)) > 1 << 63) == (num_type is object)
+    est = estimator_vs_node_conditional(ctx, [0] * n, random.Random(89))
+    assert est.acc_type is np.int64 and est.num_type is num_type
 
 
 def test_gen_table_matches_field_products():

@@ -17,6 +17,7 @@ from congestcolor.sim import (
     BandwidthError,
     BandwidthPolicy,
     CommPlan,
+    Forest,
     Message,
     NodeProgram,
     ProtocolError,
@@ -72,15 +73,13 @@ def test_pack_fields_round_trip(values):
     assert unpack_fields(msg, [w for _, w in fields]) == tuple(values)
 
 
-def pair_nums(a: Fraction, b: Fraction) -> tuple:
-    return a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
-
-
 def node_nums(values: dict) -> tuple:
-    """aggregate_pairs input (nodes, num_a, num_b, den) of {v: (Fraction,
-    Fraction)}, listing the keys in dict order; a node left out adds 0."""
-    rows = [pair_nums(*pair) for pair in values.values()]
-    return (list(values), *([row[k] for row in rows] for k in range(3)))
+    """aggregate_pairs input (nodes, num_a, num_b, L) of {v: (Fraction,
+    Fraction)}, listing the keys in dict order over L, the lcm of every
+    denominator (1 when nothing is listed); a node left out adds 0."""
+    L = lcm(*(x.denominator for pair in values.values() for x in pair))
+    num_a, num_b = ([int(pair[k] * L) for pair in values.values()] for k in range(2))
+    return list(values), num_a, num_b, L
 
 
 def root_totals(L, sums) -> list:
@@ -291,7 +290,7 @@ def test_aggregate_random_trees():
         }
         nums = node_nums(values)
         (L, sums), stats = aggregate_pairs(g, forest, nums)
-        assert L == lcm(*nums[3])  # one denominator for every tree
+        assert L == nums[3]  # one denominator for every tree
         for (a, b), nodes in zip(root_totals(L, sums), forest.nodes):
             assert a == sum(values[v][0] for v in nodes)
             assert b == sum(values[v][1] for v in nodes)
@@ -555,31 +554,26 @@ _factors = st.one_of(
     **_run_options,
 )
 def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, beta):
-    # messages carry reduced sums, so scaling a node's (num_a, num_b, den)
-    # changes no total, RunStats, trace record or error, though it may
-    # change the common denominator L of the integer root sums
+    # messages carry reduced sums, so scaling every numerator and L by one
+    # k changes no total, RunStats, trace record or error, though it
+    # changes the common denominator L of the integer root sums
     g, forest = gf
-    values = _draw_values(data, g.n, huge)
-    nums = node_nums(values)
-    nodes, *cols = nums
-    gcds = [gcd(*row) for row in zip(*cols)]
-    reduced = (nodes, *([x // c for x, c in zip(col, gcds)] for col in cols))
-    ks = data.draw(st.lists(_factors, min_size=len(nodes), max_size=len(nodes)))
-    scaled = (nodes, *([x * k for x, k in zip(col, ks)] for col in cols))
+    nodes, num_a, num_b, L = node_nums(_draw_values(data, g.n, huge))
+    k = data.draw(_factors)
+    scaled = (nodes, [a * k for a in num_a], [b * k for b in num_b], L * k)
     kwargs = {"policy": BandwidthPolicy(beta)}
-    want = _as_totals(_outcome(engine_aggregate, g, forest, nums, traced=traced, **kwargs))
-    for triple in (reduced, scaled):
-        got = _outcome(aggregate_pairs, g, forest, triple, traced=traced, **kwargs)
-        assert _as_totals(got) == want
+    want = _outcome(engine_aggregate, g, forest, (nodes, num_a, num_b, L), traced=traced, **kwargs)
+    got = _outcome(aggregate_pairs, g, forest, scaled, traced=traced, **kwargs)
+    assert _as_totals(got) == _as_totals(want)
 
 
 @st.composite
 def sparse_terms(draw, forest, huge):
     """aggregate_pairs input listing a drawn subset of the forest's nodes in
-    drawn order, with integer terms that may be 0 or negative; a deepest
-    node is listed and its parent is not, so the walk reaches a non-root
-    with no term of its own.  Listed nodes in `huge` get a numerator too
-    long for the wire format."""
+    drawn order, with integer terms that may be 0 or negative, over one
+    drawn L; a deepest node is listed and its parent is not, so the walk
+    reaches a non-root with no term of its own.  Listed nodes in `huge`
+    get a numerator too long for the wire format."""
     n = len(forest.tree_of)
     order = draw(st.permutations(range(n)))
     listed = order[: draw(st.integers(0, n))]
@@ -587,12 +581,9 @@ def sparse_terms(draw, forest, huge):
     listed = [v for v in listed if v not in (deep, forest.parent[deep])]
     listed.insert(draw(st.integers(0, len(listed))), deep)
     term = st.integers(-(10**6), 10**6) | st.just(0)
-    den = st.integers(min_value=1, max_value=10**6) | _factors
-    rows = [
-        (v, HUGE.numerator if v in huge else draw(term), draw(term), draw(den))
-        for v in listed
-    ]
-    return tuple([row[k] for row in rows] for k in range(4))
+    L = draw(st.integers(min_value=1, max_value=10**6) | _factors)
+    rows = [(v, HUGE.numerator if v in huge else draw(term), draw(term)) for v in listed]
+    return (*([row[k] for row in rows] for k in range(3)), L)
 
 
 @settings(max_examples=150, deadline=None)
@@ -617,7 +608,7 @@ def test_aggregate_pairs_prices_only_listed_nodes_and_their_ancestors(monkeypatc
     # leaves ship 0/1, 0/1 and are charged by count, with no gcd
     g = generate_graph("star", {"n": 300})
     forest, _ = build_bfs_forest(g)
-    values = ([17], [3], [-5], [7])
+    values = ([17], [3], [-5], 7)
     calls = 0
 
     def counted(*args):
@@ -637,7 +628,7 @@ def test_aggregate_pairs_rejects_a_repeated_node():
     g = generate_graph("path", {"n": 5})
     forest, _ = build_bfs_forest(g)
     with pytest.raises(ValueError, match="node 3 is listed twice"):
-        aggregate_pairs(g, forest, ([3, 1, 3], [1, 2, 3], [0, 0, 0], [1, 1, 1]))
+        aggregate_pairs(g, forest, ([3, 1, 3], [1, 2, 3], [0, 0, 0], 1))
 
 
 @pytest.mark.parametrize("v", [-1, 5])
@@ -646,7 +637,7 @@ def test_aggregate_pairs_rejects_a_node_outside_the_forest(v):
     g = generate_graph("path", {"n": 5})
     forest, _ = build_bfs_forest(g)
     with pytest.raises(ValueError, match=rf"listed node {v} lies outside range\(5\)"):
-        aggregate_pairs(g, forest, ([2, v], [1, 1], [0, 0], [1, 1]))
+        aggregate_pairs(g, forest, ([2, v], [1, 1], [0, 0], 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -745,6 +736,37 @@ def test_forest_arrays_match_a_walk_of_the_trees(g):
     # a non-root ships in round subheight + 1 of a convergecast
     ships = [sub[v] + 1 for v in range(n) if parent[v] is not None]
     assert forest.up_sizes == [ships.count(r) for r in range(forest.height + 1)]
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        # node 2's parent lies in tree 0: tree 1's sums would reach root 0
+        (dict(tree_of=(0, 1, 1), parent=(None, None, 0), depth=(0, 0, 1), roots=(0, 1),
+              nodes=((0,), (1, 2))),
+         "node 2 needs a parent in its tree one layer up"),
+        # non-root 1 has no parent: its term would never reach a root
+        (dict(tree_of=(0, 0), parent=(None, None), depth=(0, 0), roots=(0,), nodes=((0, 1),)),
+         "node 1 needs a parent in its tree one layer up"),
+        (dict(tree_of=(0, 0), parent=(None, None), depth=(0, 1), roots=(0,), nodes=((0, 1),)),
+         "node 1 needs a parent in its tree one layer up"),
+        # root 0 has a parent
+        (dict(tree_of=(0, 0), parent=(1, 0), depth=(0, 1), roots=(0,), nodes=((0, 1),)),
+         "root 0 must have no parent and depth 0"),
+        # node 2 sits two layers below its parent: height 2, one round
+        (dict(tree_of=(0, 0, 0), parent=(None, 0, 0), depth=(0, 1, 2), roots=(0,),
+              nodes=((0, 1, 2),)),
+         "node 2 needs a parent in its tree one layer up"),
+        # tree 1's root lies in tree 0
+        (dict(tree_of=(0, 1), parent=(None, None), depth=(0, 0), roots=(0, 0), nodes=((0,), (1,))),
+         "each tree's root must lie in it"),
+    ],
+    ids=["parent-in-another-tree", "orphan-at-depth-0", "orphan-at-depth-1",
+         "root-with-parent", "depth-skips-a-layer", "root-outside-its-tree"],
+)
+def test_forest_rejects_inconsistent_trees(fields, error):
+    with pytest.raises(ValueError, match=error):
+        Forest(**fields)
 
 
 def test_build_bfs_forest_runs_one_bfs_per_component(monkeypatch):
