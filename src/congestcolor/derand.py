@@ -33,8 +33,10 @@ intersections.
 fix_level runs the selection as a protocol: one exchange of
 (k0, k1, psi) along alive edges, then per seed bit one aggregation of
 the two candidate sums up a spanning tree and a one-bit broadcast back
-down.  Only the aggregation's sums are read; the exchange and the
-broadcast are charged by their widths.  Every exact sum adds integer
+down.  The roots decide every bit first, from the estimator's tree
+totals; then the protocol is charged bit by bit, and each aggregation's
+root sums are checked against the totals decided on.  The exchange and
+the broadcast are charged by their widths.  Every exact sum adds integer
 numerators over one common denominator: the convergecast adds the two
 values of each node with alive edges (the others add 0) over the
 estimator's one denominator for the forest, roots compare and chain their
@@ -56,6 +58,7 @@ from . import gf2
 from .coins import FamilySpec, Seed, seed_bit_string, seed_from_int
 from .graphs import InvariantError, check  # InvariantError: re-exported
 from .prefixes import PrefixState, apply_bits, phi_sum, split_counts
+from .sim import Convergecasts
 
 
 SEED_CAP = 1 << 24  # most seeds an exhaustive search enumerates
@@ -417,10 +420,14 @@ class _Estimator:
     level as `nodes`) sums its incident counts, one reduceat over the
     edge ends sorted by node, and folds in its weights 1/k1 and 1/k0 as
     integer numerators over lam 2^shift, lam the level's lcm of the
-    distinct max(k0, 1) max(k1, 1), unreduced.  The like sums run in int64
-    when the level's bound deg(v) (max(k0, 1) + max(k1, 1)) 2^(m+b-1) is
-    below 2^63, the numerators when it is times lam / (max(k0, 1)
-    max(k1, 1)), and in Python ints (object arrays) past it.  The s1
+    distinct max(k0, 1) max(k1, 1), unreduced; one sum, or one reduceat
+    over the nodes in tree order, gives each tree's totals.  The like
+    sums run in int64 when the level's bound deg(v) (max(k0, 1) +
+    max(k1, 1)) 2^(m+b-1) is below 2^63, the numerators when it is times
+    lam / (max(k0, 1) max(k1, 1)), the tree totals when that bound summed
+    over the nodes is, and in Python ints (object arrays) past it.  The
+    last two both hold while 2E lam 2^(m+b) < 2^63, as on most levels, so
+    only past that are their exact bounds built, in Python ints.  The s1
     counts themselves are int64 while m+b <= 62 and Python ints past it,
     chosen per level from its widths; the s2 counts stay below 2^b and
     int64 throughout.
@@ -446,6 +453,7 @@ class _Estimator:
 
     def __init__(self, ctx: LevelContext, tree_of, trees: int):
         self.ctx = ctx
+        self.trees = trees
         edges = ctx.edges
         self.E = E = len(edges)
         if not E:
@@ -465,16 +473,28 @@ class _Estimator:
         k0, k1 = (np.array(ks, dtype=np.int64)[self.inc_node]
                   for ks in (ctx.k0, ctx.k1))
         c0, c1 = np.maximum(k0, 1), np.maximum(k1, 1)
-        self.nodes = self.inc_node.tolist()
-        # counts reach 2^(m+b-1): with weights c0, c1 this bounds the like sums,
-        # with lam/k1, lam/k0 (0 on a side without candidates) the numerators
-        self.lam = lcm(*set((c0 * c1).tolist()))
-        w1, w0 = (self.lam // c.astype(object) * (k > 0) for c, k in ((c1, k1), (c0, k0)))
-        self.acc_type, self.num_type = (
-            np.int64 if int((deg * w).max()) << (m + b - 1) < 1 << 63 else object
-            for w in (c0 + c1, w1 + w0))
+        # counts reach 2^(m+b-1): with weights c0, c1 this bounds the like sums
+        self.acc_type = np.int64 if int((deg * (c0 + c1)).max()) << (m + b - 1) < 1 << 63 else object
+        # and with lam/k1, lam/k0 (0 on a side without candidates), each at
+        # most lam, the numerators, and summed over the nodes the tree totals;
+        # both stay below 2E lam 2^(m+b), so past that alone the exact bounds
+        # are built, in Python ints
+        self.lam = lam = lcm(*set((c0 * c1).tolist()))
+        if lam * 2 * E << (m + b) < 1 << 63:
+            w1, w0 = (lam // c * (k > 0) for c, k in ((c1, k1), (c0, k0)))
+            self.num_type = self.tot_type = np.int64
+        else:
+            w1, w0 = (lam // c.astype(object) * (k > 0) for c, k in ((c1, k1), (c0, k0)))
+            bound = deg * (w1 + w0) << (m + b - 1)
+            self.num_type, self.tot_type = (
+                np.int64 if x < 1 << 63 else object for x in (bound.max(), bound.sum()))
         self.w1, self.w0 = w1.astype(self.num_type), w0.astype(self.num_type)
         self.tree_of = np.asarray(tree_of, dtype=np.int64)
+        # the listed nodes by tree: one reduceat gives the trees' totals
+        node_tree = self.tree_of[self.inc_node]
+        self.by_tree = np.argsort(node_tree, kind="stable")
+        cut = np.flatnonzero(_runs(node_tree[self.by_tree]))[:-1]
+        self.tree_cut, self.tree_at = cut, node_tree[self.by_tree[cut]]
         self.edge_tree = self.tree_of[self.eu]
         self.a = np.zeros(len(ctx.x), dtype=np.int64)
         self.s1 = np.zeros(trees, dtype=np.int64)
@@ -504,12 +524,16 @@ class _Estimator:
     # -- decision evaluation ------------------------------------------------
 
     def decision_values(self, j: int):
-        """(nodes, num0, num1, L) over the nodes with alive edges: num_r[i] / L
-        is node nodes[i]'s conditional value with seed bit j = r, unreduced,
-        over one L = lam 2^shift; every other node's is 0, and a level
-        without alive edges lists no node, over L = 1."""
+        """(nodes, num0, num1, L, totals) over the nodes with alive edges:
+        num_r[i] / L is node nodes[i]'s conditional value with seed bit
+        j = r, unreduced, over one L = lam 2^shift, and totals[r][i] / L
+        the sum of those values over tree i, what its root decides on.
+        Every other node's value is 0, and a level without alive edges
+        lists no node, over L = 1.  nodes, num_r and totals are arrays;
+        totals run in tot_type."""
         if not self.E:
-            return [], [], [], 1
+            none = np.zeros(0, dtype=np.int64)
+            return none, none, none, 1, np.zeros((2, self.trees), dtype=np.int64)
         if j < self.ctx.fam.m:
             return self._decide_s1(j)
         return self._decide_s2(j)
@@ -547,13 +571,19 @@ class _Estimator:
         """like1 and like0 are (2, E), per seed bit value and edge.  The
         sum over node nodes[i]'s alive edges of like1/k1 + like0/k0, over
         2^shift, is num_r[i] / (lam 2^shift) for seed bit value r; returns
-        (nodes, num0, num1, lam << shift), one list entry per node with
-        alive edges.  Like sums run in acc_type, numerators in num_type."""
+        decision_values' five values.  Like sums run in acc_type,
+        numerators in num_type, tree totals in tot_type."""
         like = np.concatenate((like1, like0))[:, self.inc_edge]
         like = like.astype(self.acc_type, copy=False)
         sums = np.add.reduceat(like, self.inc_start, axis=1)
         num = sums[:2] * self.w1 + sums[2:] * self.w0
-        return self.nodes, *num.tolist(), self.lam << shift
+        wide = num.astype(self.tot_type, copy=False)
+        if self.trees == 1:
+            totals = wide.sum(axis=1, keepdims=True)
+        else:
+            totals = np.zeros((2, self.trees), dtype=self.tot_type)
+            totals[:, self.tree_at] = np.add.reduceat(wide[:, self.by_tree], self.tree_cut, axis=1)
+        return self.inc_node, num[0], num[1], self.lam << shift, totals
 
     # -- committing a decided bit -------------------------------------------
 
@@ -604,11 +634,15 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
 
     Returns (next state, LevelReport).  Round 1 charges each node's
     (k0, k1, psi) to every alive neighbor, in node order, then incidence
-    order.  The conditional strategy walks the m+b seed bits that can
-    matter, aggregating both candidate sums of the nodes with alive edges
-    to each root, which checks them as integers against its previous
-    choice, and charging a one-bit broadcast of the winning bit; each
-    tree's seed accumulates as an integer word.  The exhaustive one has
+    order.  The conditional strategy first decides the m+b seed bits that
+    can matter: each root reads its tree's two candidate totals off the
+    estimator, checks them as integers against its previous choice and
+    takes the smaller, and each tree's seed accumulates as an integer
+    word.  Then it charges the protocol bit by bit, in order: the
+    convergecast of both candidate sums of the nodes with alive edges,
+    whose root sums must equal the totals decided on (graphs.check), and
+    a one-bit broadcast of the winning bit; the level's convergecasts are
+    priced together, on the first.  The exhaustive one has
     each root pick the best seed outright, from at most SEED_CAP, and
     costs the same protocol shape with the seed shipped bit by bit.
 
@@ -644,18 +678,21 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
         picked = [exhaustive_seed(ctx, state, nodes=nodes) for nodes in trees]
         # no node listed, so every non-root ships the zero pair: it stands
         # in for the facts sent rootward
-        comm.aggregate(([], [], [], 1))
+        comm.aggregate(Convergecasts((), [()], [()], [1]), 0)
         for _ in range(m + b):
             comm.broadcast(1)  # one seed bit per tree
         seeds = [seed for seed, _ in picked]
         last = [value for _, value in picked]
     else:
         est = _Estimator(ctx, tree_of, len(trees))
-        # each tree's seed so far, and its last choice as an integer over
-        # its convergecast's denominator
+        # decide: each root reads its tree's totals off the estimator.
+        # words: each tree's seed so far; last: its last choice as an
+        # integer over that bit's denominator
         words, last = [0] * len(trees), [None] * len(trees)
+        num_a, num_b, dens, decided = [], [], [], []
         for j in range(m + b):
-            L, totals = comm.aggregate(est.decision_values(j))
+            nodes, num0, num1, L, totals = est.decision_values(j)
+            totals = list(zip(*totals.tolist()))
             bits = []
             for i, (s0, s1) in enumerate(totals):
                 if j == 0:
@@ -667,8 +704,19 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
                 bits.append(choose_seed_bit(s0, s1))
                 words[i] |= bits[i] << j
                 last[i] = (min(s0, s1), L)
-            comm.broadcast(1)  # each root's chosen bit
             est.lock(j, bits)
+            num_a.append(num0)
+            num_b.append(num1)
+            dens.append(L)
+            decided.append(totals)
+        # charge: per seed bit the convergecast of both candidate sums,
+        # whose root sums must be the totals decided on, then the broadcast
+        # of each root's chosen bit
+        casts = Convergecasts(nodes, num_a, num_b, dens)
+        for j in range(m + b):
+            _, sums = comm.aggregate(casts, j)
+            check(sums == decided[j], "root sums must equal the totals the roots decided on")
+            comm.broadcast(1)
         seeds = [seed_from_int(fam, word) for word in words]
         last = [Fraction(*pair) for pair in last]
 

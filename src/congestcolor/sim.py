@@ -32,18 +32,24 @@ and trace the engine would give.  Here that covers the BFS forest, the
 one-round exchange and the tree collectives; linial.py adds the
 reduction and the MIS sweep.  The forest is one Forest of node-indexed
 arrays with its collectives' schedule derived once, so they need no
-loop over trees and name each tree by its forest position.  The seed-bit
-convergecast takes integer terms over one given denominator only at the
-nodes it lists and prices only them and their ancestors; every other
-non-root ships the zero pair, charged per round by count.  Only the
-engine, which serves flag-low, hand-written protocols and the tests'
-references, takes a round cap, a check on programs that never halt.
+loop over trees and name each tree by its forest position.  The m+b
+seed-bit convergecasts of a level come as one Convergecasts: integer
+terms over one given denominator per bit, only at the nodes the level
+lists.  The level's first aggregate_pairs call prices all of its bits in
+one numpy pass, each subtree sum a difference of prefix sums over the
+forest's DFS preorder, and every call charges its own bit, so the
+charges keep the protocol's order.  Only the listed nodes and their
+ancestors are priced; every other non-root ships the zero pair, charged
+per round by count.  Only the engine, which serves flag-low, hand-written
+protocols and the tests' references, takes a round cap, a check on
+programs that never halt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import gcd
+
+import numpy as np
 
 from .graphs import bfs_depths
 
@@ -299,7 +305,13 @@ class Forest:
     height of v's subtree, level_sizes[d] the number of nodes at depth d,
     up_sizes[r] the number of non-roots that ship their subtree sum in
     round r of a convergecast (those of subheight r - 1), and height the
-    largest depth.  Equality compares the five stored fields.
+    largest depth.  For the convergecast's prefix sums it also holds, as
+    int64 arrays, a DFS preorder of the trees in forest order: v's
+    subtree takes the positions tin[v] <= p < tout[v], tree i those from
+    tree_start[i] to tree_start[i + 1]; ship[v] is the round in which v
+    ships, subheight[v] + 1, or 0 at a root, and shippers the non-roots
+    by that round, then by id.  Equality compares the five stored
+    fields.
     """
 
     tree_of: tuple
@@ -311,6 +323,11 @@ class Forest:
     level_sizes: list = field(init=False, repr=False, compare=False)
     up_sizes: list = field(init=False, repr=False, compare=False)
     height: int = field(init=False, repr=False, compare=False)
+    tin: np.ndarray = field(init=False, repr=False, compare=False)
+    tout: np.ndarray = field(init=False, repr=False, compare=False)
+    tree_start: np.ndarray = field(init=False, repr=False, compare=False)
+    ship: np.ndarray = field(init=False, repr=False, compare=False)
+    shippers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         owner = sorted((v, i) for i, tree in enumerate(self.nodes) for v in tree)
@@ -330,14 +347,33 @@ class Forest:
         for v, d in enumerate(self.depth):
             levels[d].append(v)
         self.level_sizes = [len(level) for level in levels]
-        self.subheight = sub = [0] * len(self.depth)
+        n = len(depth)
+        self.subheight = sub = [0] * n
         self.up_sizes = [0] * (self.height + 1)
+        below = [0] * n  # each node's descendants
         # the non-roots deepest first: every child before its parent, so
-        # sub[v] is final when v is reached
+        # sub[v] and below[v] are final when v is reached
         for v in (v for level in reversed(levels[1:]) for v in level):
             p = self.parent[v]
             sub[p] = max(sub[p], sub[v] + 1)
+            below[p] += below[v] + 1
             self.up_sizes[sub[v] + 1] += 1
+        # then shallowest first: each parent hands its children consecutive
+        # runs of positions after its own, free[p] being the next one
+        tin, free = [0] * n, [0] * n
+        start = np.cumsum([0, *map(len, self.nodes)])
+        for r, p in zip(roots, start.tolist()):
+            tin[r], free[r] = p, p + 1
+        for v in (v for level in levels[1:] for v in level):
+            p = self.parent[v]
+            tin[v], free[v] = free[p], free[p] + 1
+            free[p] += below[v] + 1
+        self.tin = np.array(tin, dtype=np.int64)
+        self.tout = self.tin + below + 1
+        self.tree_start = start
+        self.ship = np.array(sub, dtype=np.int64) + 1
+        self.ship[list(roots)] = 0
+        self.shippers = np.argsort(self.ship, kind="stable")[len(roots):]
 
 
 def build_bfs_forest(graph, *, policy=None, trace=None):
@@ -385,8 +421,10 @@ def build_bfs_forest(graph, *, policy=None, trace=None):
 # Tree convergecast / broadcast, evaluated as passes (see module docstring)
 
 # An aggregation message carries a reduced pair a, b of rationals as four
-# integers, each a sign bit, a _LEN_FIELD-bit length, then the magnitude.
+# integers, each a sign bit, a _LEN_FIELD-bit length, then the magnitude;
+# 0/1, 0/1 is the shortest.
 _PAIR_OVERHEAD = 4 * (1 + _LEN_FIELD)
+_ZERO_PAIR = _PAIR_OVERHEAD + 2
 
 
 def _charge(sent, trace, failure=None):
@@ -423,69 +461,158 @@ def _even(count, width):
     return count, count * width, width if count else 0
 
 
-def aggregate_pairs(graph, forest, values, *, policy=None, trace=None):
-    """Sum node values a_v = num_a[i] / L, b_v = num_b[i] / L for
-    v = nodes[i] (L > 0, any terms; 0 at every node not listed) toward
-    each tree root of the Forest, in integers.
+class Convergecasts:
+    """The seed-bit convergecasts of one level over one Forest.
 
-    `values` is (nodes, num_a, num_b, L), integer sequences of one length
-    over one denominator L for the whole forest; a node listed twice or
-    outside range(n) raises ValueError.  Returns (L, sums), sums[i] the
-    integer pair (A, B) with A / L, B / L the totals of tree i.  A
-    non-root v ships its reduced subtree sum in round subheight(v) + 1,
-    once all its children have, as an "aggregation" message.  Only the
-    listed nodes and their ancestors are priced, deepest first by depth
-    buckets, a parent joining the bucket above when first reached; every
-    other non-root ships 0/1, 0/1, charged per round by count from
-    forest.up_sizes.  So the Python work follows the listed nodes; only
-    two node-indexed scratch lists are n wide.  Aggregation is exempt
-    from `policy`; rounds equal the forest height.
+    Convergecast j sums a_v = num_a[j][i] / L[j], b_v = num_b[j][i] / L[j]
+    at v = nodes[i] (L[j] > 0, any integer terms; 0 at every node not
+    listed) toward each tree root: one listing of nodes for every bit,
+    and one row of terms and one denominator per bit.  aggregate_pairs
+    prices every bit in one pass (_price_level) on the first call that
+    needs it and keeps the result here with the forest it priced; a
+    level that lists no node skips the pass.
     """
-    nodes, num_a, num_b, L = values
+
+    def __init__(self, nodes, num_a, num_b, L):
+        self.nodes, self.num_a, self.num_b, self.L = nodes, num_a, num_b, L
+        self._priced = None  # (forest, [(sums, sent, failure) per bit])
+
+    def priced(self, forest):
+        if self._priced is None or self._priced[0] is not forest:
+            if len(self.nodes):
+                bits = _price_level(forest, self)
+            else:  # every non-root ships the zero pair
+                sent = [_even(k, _ZERO_PAIR) for k in forest.up_sizes]
+                bits = [([(0, 0) for _ in forest.roots], sent, None) for _ in self.L]
+            self._priced = forest, bits
+        return self._priced[1]
+
+
+def aggregate_pairs(graph, forest, casts, j, *, policy=None, trace=None):
+    """Convergecast j of `casts`, one level's Convergecasts, toward each
+    root of the Forest, in integers.
+
+    Returns (L, sums), L = casts.L[j] and sums[i] the integer pair (A, B)
+    with A / L, B / L the totals of tree i.  A non-root v ships its
+    reduced subtree sum in round subheight(v) + 1, once all its children
+    have, as an "aggregation" message; a sum too long for the wire format
+    raises ValueError in the round it is sent, after the trace records of
+    the rounds before it, and a node listed twice or outside range(n)
+    raises ValueError.  Each call charges its own bit, so a level's
+    charges keep the protocol's order.  Aggregation is exempt from
+    `policy`; rounds equal the forest height.
+    """
+    sums, sent, failure = casts.priced(forest)[j]
+    if failure is not None:
+        failure = failure, ValueError("integer too large for the rational wire format")
+    return (casts.L[j], sums), _charge({AGGREGATION: sent}, trace, failure)
+
+
+_HALF_POW2 = np.array([0, *(1 << k for k in range(63))], dtype=np.int64)  # 2^(e-1), e >= 1
+_bit_length_of = np.frompyfunc(int.bit_length, 1, 1)
+# most int64 entries in one array of a block of bits, a Python int counting
+# as 8: it bounds the pass's memory on wide levels
+_CHUNK = 1 << 15
+
+
+def _bit_length(x):
+    """Entrywise bit length of |x|: the float exponent in int64, one less
+    where past 2^53 the float rounded up to a power of two; int.bit_length
+    in objects."""
+    if x.dtype == object:
+        return _bit_length_of(x).astype(np.int64)
+    x = np.abs(x)
+    e = np.frexp(x)[1]
+    return e - (x < _HALF_POW2[e])
+
+
+def _price_level(forest, casts):
+    """[(sums, sent, failure)] per bit of `casts`: the roots' integer sums,
+    the per-round (messages, bits, max_bits) for _charge, and the round
+    in which the first sum too long for the wire format is sent, or None.
+
+    Subtree sums are differences of prefix sums over the listed nodes in
+    the forest's preorder.  Only the non-roots with a listed node in their
+    subtree, the listed nodes and their ancestors, are priced, by np.gcd
+    with L and exact bit lengths; every other non-root ships 0/1, 0/1,
+    charged per round by count from forest.up_sizes.  Per-round bits and
+    maxima are reduceats over the priced nodes in shipping order.  A bit
+    runs in int64 while its L fits and each side's sum of |term| is below
+    2^62 (summed in floats, whose rounding cannot carry it past 2^63), so
+    no prefix sum overflows, and in Python ints (object arrays) past it;
+    blocks of bits keep each array within _CHUNK.
+    """
     n, height = len(forest.tree_of), forest.height
-    depth, parent, sub = forest.depth, forest.parent, forest.subheight
-    priced = [[] for _ in range(height + 1)]  # the priced sizes, by round
-    too_long = height + 1  # first round in which a sum too long to encode is sent
-    # sums by node: None marks a node the walk has not reached
-    sum_a, sum_b = [None] * n, [0] * n
-    bucket = [[] for _ in priced]  # the nodes to price, by depth
-    for v, a, b in zip(nodes, num_a, num_b):
-        if not 0 <= v < n:  # a negative id would index from the end
-            raise ValueError(f"listed node {v} lies outside range({n})")
-        if sum_a[v] is not None:
-            raise ValueError(f"node {v} is listed twice")
-        sum_a[v], sum_b[v] = a, b
-        bucket[depth[v]].append(v)
-    for d in range(height, 0, -1):
-        up = bucket[d - 1]
-        for v in bucket[d]:
-            sa, sb = sum_a[v], sum_b[v]
-            # S / L reduced by gcd(S, L) is the message, whatever L is
-            ga, gb = gcd(sa, L), gcd(sb, L)
-            la, lda = (sa // ga).bit_length(), (L // ga).bit_length()
-            lb, ldb = (sb // gb).bit_length(), (L // gb).bit_length()
-            r = sub[v] + 1
-            size = _PAIR_OVERHEAD + la + lda + lb + ldb
-            priced[r].append(size)
-            if size >> _LEN_FIELD and max(la, lda, lb, ldb) >> _LEN_FIELD:
-                too_long = min(too_long, r - 1)  # too long to send
-            p = parent[v]
-            if sum_a[p] is None:  # first seen: priced with its depth
-                sum_a[p] = sa
-                up.append(p)
-            else:
-                sum_a[p] += sa
-            sum_b[p] += sb
-    # every non-root the walk never reached ships 0/1, 0/1, the shortest pair
-    zero = _PAIR_OVERHEAD + 2
-    sent = [(k, sum(s) + (k - len(s)) * zero, max(s)) if s else _even(k, zero)
-            for s, k in zip(priced, forest.up_sizes)]
-    failure = None
-    if too_long <= height:
-        error = ValueError("integer too large for the rational wire format")
-        failure = (too_long, error)
-    sums = [(sum_a[r] or 0, sum_b[r]) for r in forest.roots]
-    return (L, sums), _charge({AGGREGATION: sent}, trace, failure)
+    nodes = np.asarray(casts.nodes, dtype=np.int64)
+    if nodes.min() < 0 or nodes.max() >= n:  # a negative id would index from the end
+        v = next(v for v in nodes.tolist() if not 0 <= v < n)
+        raise ValueError(f"listed node {v} lies outside range({n})")
+    # before[p]: the listed nodes at preorder positions below p
+    before = np.zeros(n + 1, dtype=np.int64)
+    before[forest.tin[nodes] + 1] = 1
+    before.cumsum(out=before)
+    if before[-1] < len(nodes):
+        seen = set()
+        for v in nodes.tolist():
+            if v in seen:
+                raise ValueError(f"node {v} is listed twice")
+            seen.add(v)
+    order = forest.tin[nodes].argsort()  # the listed nodes in preorder
+    # the priced non-roots, in shipping order, and their prefix-sum cuts
+    shippers = forest.shippers
+    lo, hi = before[forest.tin[shippers]], before[forest.tout[shippers]]
+    priced = (hi > lo).nonzero()[0]
+    lo, hi = lo[priced], hi[priced]
+    sent_in = forest.ship[shippers[priced]] - 1  # the round each one ships in
+    count = np.bincount(sent_in + 1, minlength=height + 1)
+    rounds = count.nonzero()[0]
+    starts = (count.cumsum() - count)[rounds]  # each round's first priced node
+    unpriced = (np.array(forest.up_sizes) - count)[rounds] * _ZERO_PAIR
+    tree_cut = before[forest.tree_start]
+    base = [_even(k, _ZERO_PAIR) for k in forest.up_sizes]
+    up, rounds = forest.up_sizes, rounds.tolist()
+
+    try:
+        terms = np.array((casts.num_a, casts.num_b), dtype=np.int64)
+        small = (np.abs(terms.astype(np.float64)).sum(axis=2) < 2.0**62).all(axis=0)
+    except OverflowError:
+        terms = np.array((casts.num_a, casts.num_b), dtype=object)
+        small = [max(sum(map(abs, row)) for row in side) < 1 << 62 for side in zip(*terms)]
+    fits = np.array([ok and L < 1 << 63 for ok, L in zip(small, casts.L)], dtype=bool)
+    out = [None] * len(fits)
+    width = 2 * (len(nodes) + len(priced) + len(tree_cut))
+    for dtype, group, cost in ((np.int64, fits.nonzero()[0], 1), (object, (~fits).nonzero()[0], 8)):
+        step = max(1, _CHUNK // (cost * width))
+        for at in range(0, len(group), step):
+            js = group[at:at + step]
+            den = np.array([casts.L[j] for j in js.tolist()], dtype=dtype)[:, None]
+            prefix = np.zeros((2, len(js), len(nodes) + 1), dtype=dtype)
+            np.cumsum(terms[:, js[:, None], order].astype(dtype, copy=False), axis=2,
+                      out=prefix[:, :, 1:])
+            S = prefix[:, :, hi]  # (side, bit, priced node): the subtree sums
+            S -= prefix[:, :, lo]
+            g = np.gcd(S, den)
+            S //= g  # reduced, each over den // g
+            np.floor_divide(den, g, out=g)
+            num_len, den_len = _bit_length(S), _bit_length(g)
+            del S, g
+            size = (num_len + den_len).sum(axis=0, dtype=np.int64) + _PAIR_OVERHEAD
+            bits = (np.add.reduceat(size, starts, axis=1) + unpriced).tolist()
+            top = np.maximum.reduceat(size, starts, axis=1)
+            first = [None] * len(js)
+            if top.max(initial=0) >> _LEN_FIELD:  # some sum may be too long
+                # the round in which each bit's first too long sum is sent
+                long = (np.maximum(num_len, den_len) >> _LEN_FIELD).any(axis=0)
+                first = [int(sent_in[row].min()) if row.any() else None for row in long]
+            top = top.tolist()
+            ends = prefix[:, :, tree_cut]
+            sum_a, sum_b = (ends[:, :, 1:] - ends[:, :, :-1]).tolist()
+            for i, j in enumerate(js.tolist()):
+                sent = base.copy()
+                for r, b, t in zip(rounds, bits[i], top[i]):
+                    sent[r] = up[r], b, t
+                out[j] = list(zip(sum_a[i], sum_b[i])), sent, first[i]
+    return out
 
 
 def broadcast_values(graph, forest, width, *, policy=None, trace=None):
@@ -532,10 +659,10 @@ class CommPlan:
             exchange(self.graph, sends, width, policy=self.policy, trace=self.trace)
         )
 
-    def aggregate(self, values):
-        """(L, sums) of aggregate_pairs over the forest, for the sparse
-        `values` (nodes, num_a, num_b, L); unlisted nodes add 0."""
-        return self.run(aggregate_pairs, self.graph, self.forest, values)
+    def aggregate(self, casts, j):
+        """(L, sums) of convergecast j of the level's Convergecasts
+        `casts` over the forest; unlisted nodes add 0."""
+        return self.run(aggregate_pairs, self.graph, self.forest, casts, j)
 
     def broadcast(self, width):
         self.stats.add(

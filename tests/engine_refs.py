@@ -135,14 +135,15 @@ def _children(forest):
     return kids
 
 
-def engine_aggregate(graph, forest, values, *, policy=None, round_cap=None, trace=None):
-    """aggregate_pairs: every node ships its subtree's pair of Fractions in
-    the wire format, with the pair 0, 0 at each node `values` does not
-    list; the roots' totals come back as integers over the given L."""
-    nodes, num_a, num_b, L = values
+def engine_aggregate(graph, forest, casts, j, *, policy=None, round_cap=None, trace=None):
+    """aggregate_pairs: for convergecast j of the level's Convergecasts
+    `casts`, every node ships its subtree's pair of Fractions in the wire
+    format, with the pair 0, 0 at each node the level does not list; the
+    roots' totals come back as integers over bit j's L."""
+    L = casts.L[j]
     pairs = [(Fraction(0), Fraction(0))] * graph.n
-    for v, a, b in zip(nodes, num_a, num_b):
-        pairs[v] = (Fraction(a, L), Fraction(b, L))
+    for v, a, b in zip(casts.nodes, casts.num_a[j], casts.num_b[j]):
+        pairs[int(v)] = (Fraction(int(a), L), Fraction(int(b), L))
     progs = [
         _SumPairs(p, kids, pairs[v])
         for v, (p, kids) in enumerate(zip(forest.parent, _children(forest)))

@@ -65,8 +65,8 @@ class RecordingPlan(CommPlan):
         super().__init__(*args, **kwargs)
         self.sums = []
 
-    def aggregate(self, values):
-        got = super().aggregate(values)
+    def aggregate(self, casts, j):
+        got = super().aggregate(casts, j)
         self.sums.append(got)
         return got
 

@@ -105,8 +105,8 @@ def estimator_vs_node_conditional(ctx, tree_of, rng, nodes=None):
     alive = [v for v, inc in enumerate(ctx.incident) if inc]
     m, b = ctx.fam.m, ctx.fam.b
     for j in range(m + b):
-        listed, num0, num1, L = est.decision_values(j)
-        assert listed == alive, j
+        listed, num0, num1, L, totals = est.decision_values(j)
+        assert listed.tolist() == alive, j
         shift = m + b - 1 - j  # the undecided seed bits, both regimes
         assert L == lcm(*(max(ctx.k0[v], 1) * max(ctx.k1[v], 1) << shift for v in listed)), j
         at = {v: i for i, v in enumerate(listed)}
@@ -114,8 +114,13 @@ def estimator_vs_node_conditional(ctx, tree_of, rng, nodes=None):
             pre = prefix[tree_of[v]]
             for r, num in ((0, num0), (1, num1)):
                 want = node_conditional(ctx, v, SeedPrefix(pre + (r,)))
-                got = Fraction(num[at[v]], L) if v in at else 0
+                got = Fraction(int(num[at[v]]), L) if v in at else 0
                 assert got == want, (j, v, r)
+        # each tree's totals are the sums of its nodes' values
+        for i in range(max(tree_of) + 1):
+            for r, num in ((0, num0), (1, num1)):
+                want = sum(int(num[at[v]]) for v in listed.tolist() if tree_of[v] == i)
+                assert totals[r][i] == want, (j, i, r)
         bits = [rng.randrange(2) for _ in prefix]
         est.lock(j, bits)
         prefix = [pre + (bit,) for pre, bit in zip(prefix, bits)]
@@ -404,13 +409,13 @@ def test_fix_level_chain_is_monotone_and_exact():
         forest, _ = build_bfs_forest(graph)
         comm = RecordingPlan(graph, forest)
 
-        def aggregate(values, run=comm.aggregate):
+        def aggregate(casts, j, run=comm.aggregate):
             # each listed node's own denominator is max(k0, 1) max(k1, 1),
             # times a power of two common to all
-            den = {v: max(ctx.k0[v], 1) * max(ctx.k1[v], 1) for v in values[0]}
+            den = {v: max(ctx.k0[v], 1) * max(ctx.k1[v], 1) for v in casts.nodes.tolist()}
             lam = lcm(*den.values())
             wider.append(any(lcm(*(den[v] for v in t if v in den)) != lam for t in forest.nodes))
-            return run(values)
+            return run(casts, j)
 
         comm.aggregate = aggregate
         new_state, report = fix_level(ctx, state, comm)
@@ -501,6 +506,55 @@ def test_fix_level_fraction_count_does_not_grow_with_the_seed(monkeypatch):
         counts[ctx.fam.m + ctx.fam.b] = built
     assert list(counts) == [8, 16] and len(forest.roots) == 3
     assert counts[8] == counts[16], counts
+
+
+def test_fix_level_prices_each_listing_level_in_one_pass(monkeypatch):
+    # the m + b convergecasts of a level with alive edges are priced in one
+    # pass, on the first of its m + b aggregate_pairs calls; a level that
+    # lists no node, edgeless or exhaustive, is charged without one
+    passes, calls = [], []  # the bit of the call that priced; every call's bit
+
+    def price_level(forest, casts, run=sim._price_level):
+        passes.append(calls[-1])
+        return run(forest, casts)
+
+    def aggregate_pairs(graph, forest, casts, j, run=sim.aggregate_pairs, **kwargs):
+        calls.append(j)
+        return run(graph, forest, casts, j, **kwargs)
+
+    monkeypatch.setattr(sim, "_price_level", price_level)
+    monkeypatch.setattr(sim, "aggregate_pairs", aggregate_pairs)
+    inst = attach_default_lists(generate_graph("gnp", {"n": 12, "p": 0.3}, rng_seed=3))
+    state, new_state, report, comm = run_one_level(inst, tuple(range(12)), b=4)
+    fam = make_family(12, 4)
+    assert calls == list(range(fam.m + fam.b)) and passes == [0]
+    passes.clear(), calls.clear()
+    run_one_level(inst, tuple(range(12)), b=4, strategy="exhaustive")
+    assert calls == [0] and passes == []
+    edgeless = ListColoringInstance(graph=Graph.from_edges(3, []), C=4, lists=((0, 3), (1, 2), (0, 2)))
+    run_one_level(edgeless, (0, 1, 2), b=2)
+    fam = make_family(3, 2)
+    assert calls == [0, *range(fam.m + fam.b)] and passes == []
+
+
+def test_fix_level_checks_root_sums_against_the_decided_totals(monkeypatch):
+    # one tree total the root decided on is off by one on the side it did
+    # not choose, so the slack check and the chain pass; the convergecast's
+    # root sums then differ, which graphs.check reports as InvariantError
+    decide = _Estimator.decision_values
+
+    def off_by_one(self, j):
+        nodes, num0, num1, L, totals = decide(self, j)
+        if j == 0:
+            totals = totals.copy()
+            totals[int(totals[1][0] >= totals[0][0])][0] += 1
+        return nodes, num0, num1, L, totals
+
+    monkeypatch.setattr(_Estimator, "decision_values", off_by_one)
+    inst = attach_default_lists(generate_graph("path", {"n": 6}))
+    with pytest.raises(InvariantError, match="root sums must equal the totals") as caught:
+        run_one_level(inst, tuple(range(6)), b=4)
+    assert not isinstance(caught.value, ValueError)
 
 
 def test_fix_level_single_node_and_edgeless():
@@ -760,12 +814,15 @@ def test_estimator_lists_only_nodes_with_alive_edges():
     forest, _ = build_bfs_forest(g)
     est = estimator_vs_node_conditional(ctx, forest.tree_of, random.Random(5))
     for j in range(ctx.fam.m + ctx.fam.b):
-        nodes, num0, num1, _ = est.decision_values(j)
-        assert nodes == [0, 1, 2, 4, 5] and len(num0) == len(num1) == 5
+        nodes, num0, num1, _, totals = est.decision_values(j)
+        assert nodes.tolist() == [0, 1, 2, 4, 5] and len(num0) == len(num1) == 5
+        assert totals.shape == (2, 3) and totals[:, 1].tolist() == [0, 0]  # node 3's tree
     inst = ListColoringInstance(graph=Graph.from_edges(3, []), C=2, lists=((0, 1),) * 3)
     ctx = build_level_context(make_family(3, 3), init_state(inst), (0, 1, 2))
     est = _Estimator(ctx, (0, 1, 2), 3)
-    assert est.decision_values(0) == ([], [], [], 1)
+    nodes, num0, num1, L, totals = est.decision_values(0)
+    assert (nodes.tolist(), num0.tolist(), num1.tolist(), L) == ([], [], [], 1)
+    assert totals.tolist() == [[0, 0, 0], [0, 0, 0]]
 
 
 def test_estimator_seed_state_matches_field_products():

@@ -1,8 +1,9 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from congestcolor.sim import (
     BandwidthError,
     BandwidthPolicy,
     CommPlan,
+    Convergecasts,
     Forest,
     Message,
     NodeProgram,
@@ -73,13 +75,25 @@ def test_pack_fields_round_trip(values):
     assert unpack_fields(msg, [w for _, w in fields]) == tuple(values)
 
 
-def node_nums(values: dict) -> tuple:
-    """aggregate_pairs input (nodes, num_a, num_b, L) of {v: (Fraction,
-    Fraction)}, listing the keys in dict order over L, the lcm of every
-    denominator (1 when nothing is listed); a node left out adds 0."""
-    L = lcm(*(x.denominator for pair in values.values() for x in pair))
-    num_a, num_b = ([int(pair[k] * L) for pair in values.values()] for k in range(2))
-    return list(values), num_a, num_b, L
+def level_of(nodes, rows) -> Convergecasts:
+    """The Convergecasts of one level listing `nodes`, of rows[j] =
+    {v: (Fraction, Fraction)} per seed bit j, each bit over its own L, the
+    lcm of its denominators (1 when nothing is listed); a node that a row
+    leaves out adds 0 to that bit."""
+    num_a, num_b, dens = [], [], []
+    for row in rows:
+        L = lcm(*(x.denominator for pair in row.values() for x in pair))
+        pairs = [row.get(v, (0, 0)) for v in nodes]
+        num_a.append([int(a * L) for a, _ in pairs])
+        num_b.append([int(b * L) for _, b in pairs])
+        dens.append(L)
+    return Convergecasts(list(nodes), num_a, num_b, dens)
+
+
+def one_bit(values: dict) -> Convergecasts:
+    """A one-bit level of {v: (Fraction, Fraction)}, listing the keys in
+    dict order: aggregate_pairs reads it as convergecast 0."""
+    return level_of(values, [values])
 
 
 def root_totals(L, sums) -> list:
@@ -216,7 +230,7 @@ def test_comm_plan_adds_up_every_step():
     assert comm.stats.rounds == 6 and comm.forest.height == 4
     comm.exchange([(0, 1)], 1)
     assert comm.stats.rounds == 7 and len(records) == 7
-    totals = root_totals(*comm.aggregate(node_nums({0: (Fraction(1), Fraction(2))})))
+    totals = root_totals(*comm.aggregate(one_bit({0: (Fraction(1), Fraction(2))}), 0))
     assert totals == [(Fraction(1), Fraction(2))]
     comm.broadcast(2)
     assert comm.stats.rounds == 7 + 4 + 4 and len(records) == 15
@@ -245,7 +259,7 @@ def test_aggregate_pairs_path():
     g = generate_graph("path", {"n": 3})
     forest, _ = build_bfs_forest(g)
     values = {v: (Fraction(v + 1), Fraction(1, v + 1)) for v in range(3)}
-    (L, sums), stats = aggregate_pairs(g, forest, node_nums(values))
+    (L, sums), stats = aggregate_pairs(g, forest, one_bit(values), 0)
     assert L == 6 and sums == [(36, 11)]
     assert root_totals(L, sums) == [(Fraction(6), Fraction(11, 6))]
     assert stats.rounds == 2  # tree height
@@ -256,7 +270,7 @@ def test_aggregate_pairs_path():
 def test_aggregate_single_node_is_free():
     g = Graph.from_edges(1, [])
     forest, _ = build_bfs_forest(g)
-    (L, sums), stats = aggregate_pairs(g, forest, node_nums({0: (Fraction(5), Fraction(0))}))
+    (L, sums), stats = aggregate_pairs(g, forest, one_bit({0: (Fraction(5), Fraction(0))}), 0)
     assert (L, sums) == (1, [(5, 0)])
     assert stats.rounds == 0
 
@@ -264,8 +278,8 @@ def test_aggregate_single_node_is_free():
 def test_aggregate_defaults_missing_values_to_zero():
     g = generate_graph("star", {"n": 5})
     forest, _ = build_bfs_forest(g)
-    values = node_nums({3: (Fraction(1, 7), Fraction(2))})
-    (L, sums), stats = aggregate_pairs(g, forest, values)
+    values = one_bit({3: (Fraction(1, 7), Fraction(2))})
+    (L, sums), stats = aggregate_pairs(g, forest, values, 0)
     assert root_totals(L, sums) == [(Fraction(1, 7), Fraction(2))]
     assert stats.rounds == 1
 
@@ -284,17 +298,19 @@ def test_aggregate_random_trees():
     for trial in range(8):
         g = generate_graph("gnp", {"n": 18, "p": 0.15}, rng_seed=100 + trial)
         forest, _ = build_bfs_forest(g)
-        values = {
-            v: (Fraction(rng.randrange(-50, 50), rng.randrange(1, 9)), Fraction(rng.randrange(9)))
-            for v in range(18)
-        }
-        nums = node_nums(values)
-        (L, sums), stats = aggregate_pairs(g, forest, nums)
-        assert L == nums[3]  # one denominator for every tree
-        for (a, b), nodes in zip(root_totals(L, sums), forest.nodes):
-            assert a == sum(values[v][0] for v in nodes)
-            assert b == sum(values[v][1] for v in nodes)
-        assert stats.rounds == forest.height
+        rows = [
+            {v: (Fraction(rng.randrange(-50, 50), rng.randrange(1, 9)), Fraction(rng.randrange(9)))
+             for v in range(18)}
+            for _ in range(3)
+        ]
+        casts = level_of(range(18), rows)
+        for j, values in enumerate(rows):
+            (L, sums), stats = aggregate_pairs(g, forest, casts, j)
+            assert L == casts.L[j]  # one denominator for every tree
+            for (a, b), nodes in zip(root_totals(L, sums), forest.nodes):
+                assert a == sum(values[v][0] for v in nodes)
+                assert b == sum(values[v][1] for v in nodes)
+            assert stats.rounds == forest.height
 
 
 def test_strict_policy_flags_fat_algorithm_messages():
@@ -424,13 +440,24 @@ def _outcome(fn, *args, traced, **kwargs):
     return ("returned", result), records
 
 
+def _level_outcome(fn, g, forest, casts, *, traced, **kwargs):
+    """What fn returns for each seed bit of the level `casts`, in order,
+    until one raises, and the trace every call emitted."""
+    records = []
+    trace = records.append if traced else None
+    results = []
+    for j in range(len(casts.L)):
+        try:
+            results.append(fn(g, forest, casts, j, trace=trace, **kwargs))
+        except (ValueError, InvariantError, RoundCapError, BandwidthError) as exc:
+            return results, ("raised", type(exc), str(exc)), records
+    return results, None, records
+
+
 def _as_totals(outcome):
-    """An aggregation outcome with its (L, sums) as Fraction root totals."""
-    (status, *rest), records = outcome
-    if status == "returned":
-        (L, sums), stats = rest[0]
-        rest = [(root_totals(L, sums), stats)]
-    return (status, *rest), records
+    """A level outcome with each bit's (L, sums) as Fraction root totals."""
+    results, error, records = outcome
+    return [(root_totals(L, sums), stats) for (L, sums), stats in results], error, records
 
 
 HUGE = Fraction(1 << (1 << _LEN_FIELD))  # numerator too long to encode
@@ -469,14 +496,25 @@ def forests(draw):
     return g, forest
 
 
-def _draw_values(data, n, huge):
-    """{v: (Fraction, Fraction)} on some of n nodes; the nodes in `huge`
-    get a part too long for the wire format."""
-    nodes = st.integers(min_value=0, max_value=n - 1)
-    values = data.draw(st.dictionaries(nodes, st.tuples(_fractions, _fractions)))
-    for v in huge & set(range(n)):
-        values[v] = (HUGE, Fraction(0)) if v % 2 else (Fraction(1), 1 / HUGE)
-    return values
+# beside plain terms, terms whose sums pass 2^62 and so leave int64
+_wide_fractions = _fractions | st.integers(-(2**70), 2**70).map(Fraction)
+
+
+def _draw_level(data, n, huge):
+    """Convergecasts of 3 to 5 seed bits over one drawn listing of some
+    of n nodes, each bit with its own Fraction terms over its own lcm L;
+    the nodes in `huge` are listed and get a part too long for the wire
+    format on a middle bit, and 0 on the others."""
+    nodes = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
+    nodes += sorted(huge & set(range(n)) - set(nodes))
+    rows = [data.draw(st.fixed_dictionaries({v: st.tuples(_wide_fractions, _fractions)
+                                             for v in nodes}))
+            for _ in range(data.draw(st.integers(3, 5)))]
+    for v in huge & set(nodes):
+        for row in rows:
+            row[v] = (Fraction(0), Fraction(0))
+        rows[len(rows) // 2][v] = (HUGE, Fraction(0)) if v % 2 else (Fraction(1), 1 / HUGE)
+    return level_of(nodes, rows)
 
 
 _run_options = {
@@ -494,30 +532,38 @@ _run_options = {
 )
 def test_aggregate_pairs_matches_engine(gf, data, huge, traced, beta):
     g, forest = gf
-    values = _draw_values(data, g.n, huge)
+    casts = _draw_level(data, g.n, huge)
     kwargs = {"policy": BandwidthPolicy(beta)}
-    nums = node_nums(values)
-    got = _outcome(aggregate_pairs, g, forest, nums, traced=traced, **kwargs)
-    want = _outcome(engine_aggregate, g, forest, nums, traced=traced, **kwargs)
+    got = _level_outcome(aggregate_pairs, g, forest, casts, traced=traced, **kwargs)
+    want = _level_outcome(engine_aggregate, g, forest, casts, traced=traced, **kwargs)
     assert got == want
 
 
 @pytest.mark.parametrize("round_cap", [None, 0, 1, 2, 3, 4, 5])
 @pytest.mark.parametrize("v", range(6))
 def test_aggregate_overflow_against_round_cap_matches_engine(v, round_cap):
-    # node v + 1 is the first to send a sum too long to encode, while round
-    # 5 - v runs: the pass traces the rounds before it and raises, as the
-    # engine does (v = 2 is the control: node 3's value replaces the huge
-    # one, and all 6 rounds run).  Only the engine takes a round cap, and
-    # one below that last round stops it sooner, on the pass's first records
+    # on the middle bit of three, node v + 1 is the first to send a sum
+    # too long to encode, while round 5 - v runs: the pass traces the rounds
+    # before it and raises, as the engine does (v = 2 is the control: node
+    # 3's value replaces the huge one, and all 6 rounds run).  Only the
+    # engine takes a round cap, and one below that last round stops it
+    # sooner, on the pass's first records
     g = generate_graph("path", {"n": 7})
     forest, _ = build_bfs_forest(g)
-    values = node_nums({v + 1: (HUGE, Fraction(1)), 3: (Fraction(-2, 3), Fraction(5))})
-    got = _outcome(aggregate_pairs, g, forest, values, traced=True)
-    assert got == _outcome(engine_aggregate, g, forest, values, traced=True)
+    middle = {v + 1: (HUGE, Fraction(1)), 3: (Fraction(-2, 3), Fraction(5))}
+    plain = {v + 1: (Fraction(1, 3), Fraction(0)), 3: (Fraction(-2, 3), Fraction(5))}
+    casts = level_of(list(middle), [plain, middle, plain])
+    got = _level_outcome(aggregate_pairs, g, forest, casts, traced=True)
+    assert got == _level_outcome(engine_aggregate, g, forest, casts, traced=True)
     last = 6 if v == 2 else 5 - v
+    traced = 6 if v == 2 else max(last - 1, 0)  # bit 1's records
+    # bit 0 returns after its 6 rounds, then bit 1 traces its own
+    assert len(got[0]) == (3 if v == 2 else 1) and len(got[2]) == 6 + traced + 6 * (v == 2)
+    got = _outcome(aggregate_pairs, g, forest, casts, 1, traced=True)
+    assert got == _outcome(engine_aggregate, g, forest, casts, 1, traced=True)
     assert got[0][0] == ("returned" if v == 2 else "raised")
-    capped = _outcome(engine_aggregate, g, forest, values, traced=True, round_cap=round_cap)
+    assert len(got[1]) == traced
+    capped = _outcome(engine_aggregate, g, forest, casts, 1, traced=True, round_cap=round_cap)
     if round_cap is None or round_cap >= last:
         assert capped == got
     else:
@@ -531,9 +577,9 @@ def test_passes_without_rounds_charge_nothing_under_a_negative_cap():
     # zero RunStats
     g = Graph.from_edges(3, [])
     forest, _ = build_bfs_forest(g)
-    values = node_nums({v: (Fraction(v), Fraction(1, v + 1)) for v in range(3)})
-    got = aggregate_pairs(g, forest, values)
-    assert got == engine_aggregate(g, forest, values, round_cap=-1)
+    values = one_bit({v: (Fraction(v), Fraction(1, v + 1)) for v in range(3)})
+    got = aggregate_pairs(g, forest, values, 0)
+    assert got == engine_aggregate(g, forest, values, 0, round_cap=-1)
     assert got[1] == RunStats()
     got = broadcast_values(g, forest, 2)
     assert got == engine_broadcast(g, forest, 2, round_cap=-1)
@@ -554,36 +600,45 @@ _factors = st.one_of(
     **_run_options,
 )
 def test_aggregate_pairs_charge_ignores_common_factors(gf, data, huge, traced, beta):
-    # messages carry reduced sums, so scaling every numerator and L by one
-    # k changes no total, RunStats, trace record or error, though it
-    # changes the common denominator L of the integer root sums
+    # messages carry reduced sums, so scaling a bit's numerators and L by
+    # one k changes no total, RunStats, trace record or error, though it
+    # changes the common denominator L of that bit's integer root sums
     g, forest = gf
-    nodes, num_a, num_b, L = node_nums(_draw_values(data, g.n, huge))
-    k = data.draw(_factors)
-    scaled = (nodes, [a * k for a in num_a], [b * k for b in num_b], L * k)
+    casts = _draw_level(data, g.n, huge)
+    ks = [data.draw(_factors) for _ in casts.L]
+    scaled = Convergecasts(
+        casts.nodes,
+        *([[t * k for t in row] for row, k in zip(rows, ks)] for rows in (casts.num_a, casts.num_b)),
+        [L * k for L, k in zip(casts.L, ks)],
+    )
     kwargs = {"policy": BandwidthPolicy(beta)}
-    want = _outcome(engine_aggregate, g, forest, (nodes, num_a, num_b, L), traced=traced, **kwargs)
-    got = _outcome(aggregate_pairs, g, forest, scaled, traced=traced, **kwargs)
+    want = _level_outcome(engine_aggregate, g, forest, casts, traced=traced, **kwargs)
+    got = _level_outcome(aggregate_pairs, g, forest, scaled, traced=traced, **kwargs)
     assert _as_totals(got) == _as_totals(want)
 
 
 @st.composite
 def sparse_terms(draw, forest, huge):
-    """aggregate_pairs input listing a drawn subset of the forest's nodes in
-    drawn order, with integer terms that may be 0 or negative, over one
-    drawn L; a deepest node is listed and its parent is not, so the walk
-    reaches a non-root with no term of its own.  Listed nodes in `huge`
-    get a numerator too long for the wire format."""
+    """Convergecasts of 3 to 5 seed bits listing a drawn subset of the
+    forest's nodes in drawn order, with integer terms that may be 0,
+    negative or past int64, over one drawn L per bit; a deepest node is
+    listed and its parent is not, so the pass reaches a non-root with no
+    term of its own.  Listed nodes in `huge` get a numerator too long for
+    the wire format on a middle bit."""
     n = len(forest.tree_of)
     order = draw(st.permutations(range(n)))
     listed = order[: draw(st.integers(0, n))]
     deep = max(range(n), key=forest.depth.__getitem__)
     listed = [v for v in listed if v not in (deep, forest.parent[deep])]
     listed.insert(draw(st.integers(0, len(listed))), deep)
-    term = st.integers(-(10**6), 10**6) | st.just(0)
-    L = draw(st.integers(min_value=1, max_value=10**6) | _factors)
-    rows = [(v, HUGE.numerator if v in huge else draw(term), draw(term)) for v in listed]
-    return (*([row[k] for row in rows] for k in range(3)), L)
+    term = st.integers(-(10**6), 10**6) | st.just(0) | st.integers(-(2**70), 2**70)
+    bits = draw(st.integers(3, 5))
+    L = [draw(st.integers(min_value=1, max_value=10**6) | _factors) for _ in range(bits)]
+    num_a, num_b = ([[draw(term) for _ in listed] for _ in L] for _ in range(2))
+    for i, v in enumerate(listed):
+        if v in huge:
+            num_a[bits // 2][i] = HUGE.numerator
+    return Convergecasts(listed, num_a, num_b, L)
 
 
 @settings(max_examples=150, deadline=None)
@@ -596,39 +651,108 @@ def sparse_terms(draw, forest, huge):
 def test_aggregate_pairs_sparse_listing_matches_engine(gf, data, huge, traced, beta):
     g, forest = gf
     assume(forest.height >= 2)
-    values = data.draw(sparse_terms(forest, huge))
+    casts = data.draw(sparse_terms(forest, huge))
     kwargs = {"policy": BandwidthPolicy(beta)}
-    got = _outcome(aggregate_pairs, g, forest, values, traced=traced, **kwargs)
-    want = _outcome(engine_aggregate, g, forest, values, traced=traced, **kwargs)
+    got = _level_outcome(aggregate_pairs, g, forest, casts, traced=traced, **kwargs)
+    want = _level_outcome(engine_aggregate, g, forest, casts, traced=traced, **kwargs)
     assert got == want
 
 
+def test_aggregate_pairs_prices_in_int64_and_objects_in_one_level():
+    # bit 1's terms sum past 2^62 and bit 3's L passes 2^63, so those two
+    # bits price in Python ints and bits 0 and 2 in int64, in one level
+    g = generate_graph("gnp", {"n": 30, "p": 0.1}, rng_seed=4)
+    forest, _ = build_bfs_forest(g)
+    rng = random.Random(4)
+    nodes = rng.sample(range(30), 20)
+    num_a = [[rng.randrange(-10**6, 10**6) for _ in nodes] for _ in range(4)]
+    num_b = [[rng.randrange(-10**6, 10**6) for _ in nodes] for _ in range(4)]
+    num_a[1][0] = 1 << 62
+    casts = Convergecasts(nodes, num_a, num_b, [7, 12, 1 << 40, 3 << 62])
+    dtypes = []
+
+    def bit_length(x, run=sim_module._bit_length):
+        dtypes.append(x.dtype)
+        return run(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_module, "_bit_length", bit_length)
+        got = _level_outcome(aggregate_pairs, g, forest, casts, traced=True)
+    # a numerator and a denominator length per block: bits 0 and 2, then 1 and 3
+    assert dtypes == [np.int64] * 2 + [object] * 2
+    assert got == _level_outcome(engine_aggregate, g, forest, casts, traced=True)
+    assert got[1] is None and len(got[0]) == 4
+
+
+def test_aggregate_pairs_raises_on_a_later_bit_after_the_earlier_bits_records():
+    # a sum too long to encode on bit 2 of a level: bits 0 and 1 run and
+    # charge their convergecasts and broadcasts, then bit 2's convergecast
+    # traces the rounds before the one that sends it and raises, as the
+    # engine-driven references do bit by bit
+    g = generate_graph("path", {"n": 6})
+    forest, _ = build_bfs_forest(g)
+    plain = {2: (Fraction(1, 3), Fraction(2)), 4: (Fraction(-1), Fraction(0))}
+    casts = level_of([2, 4], [plain, plain, {2: (HUGE, Fraction(0)), 4: plain[4]}, plain])
+
+    def run():
+        records = []
+        comm = CommPlan(g, forest, trace=records.append)
+        try:
+            for j in range(len(casts.L)):
+                comm.aggregate(casts, j)
+                comm.broadcast(1)
+        except ValueError as exc:
+            return j, str(exc), records
+        return None, None, records
+
+    got = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_module, "aggregate_pairs", engine_aggregate)
+        mp.setattr(sim_module, "broadcast_values", engine_broadcast)
+        assert run() == got
+    # node 2 ships in round 3 (its subtree reaches depth 5), so rounds 1
+    # and 2 of bit 2 are traced after both earlier bits' 2 * 5 rounds
+    assert got[:2] == (2, "integer too large for the rational wire format")
+    assert [r["round"] for r in got[2]] == [*range(1, 6)] * 4 + [1, 2]
+
+
 def test_aggregate_pairs_prices_only_listed_nodes_and_their_ancestors(monkeypatch):
-    # one listed leaf of a 300-node star takes its two gcds; the other 298
-    # leaves ship 0/1, 0/1 and are charged by count, with no gcd
+    # one listed leaf of a 300-node star is the one non-root priced on each
+    # bit; the other 298 leaves ship 0/1, 0/1 and are charged by count
     g = generate_graph("star", {"n": 300})
     forest, _ = build_bfs_forest(g)
-    values = ([17], [3], [-5], 7)
-    calls = 0
+    casts = Convergecasts([17], [[3], [0], [-2]], [[-5], [4], [0]], [7, 1, 9])
+    priced = []
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return gcd(*args)
+    def counted(x, f=sim_module._bit_length):
+        priced.append(x.shape)
+        return f(x)
 
-    with monkeypatch.context() as mp:
-        mp.setattr(sim_module, "gcd", counted)
-        got = aggregate_pairs(g, forest, values)
-    assert calls <= 2
-    assert got == engine_aggregate(g, forest, values)
-    assert got[0] == (7, [(3, -5)]) and got[1].messages == 299
+    monkeypatch.setattr(sim_module, "_bit_length", counted)
+    for j in range(3):
+        got = aggregate_pairs(g, forest, casts, j)
+        assert got == engine_aggregate(g, forest, casts, j)
+        assert got[1].messages == 299
+    assert got[0] == (9, [(-2, 0)])
+    # one numerator and one denominator length per side, bit and priced node
+    assert priced == [(2, 3, 1)] * 2
+
+
+def test_bit_length_is_exact_past_2_53():
+    # past 2^53 an int64 may round up to a power of two as a float; the
+    # pass's bit lengths, in int64 and in objects, are still exact
+    edges = [0, 1, 2, 3, *(s + d for k in range(50, 63) for s in (1 << k,) for d in (-1, 0, 1))]
+    x = np.array([v for v in edges if v < 1 << 63] + [-(1 << 62) + 1], dtype=np.int64)
+    want = [int(v).bit_length() for v in x.tolist()]
+    assert sim_module._bit_length(x).tolist() == want
+    assert sim_module._bit_length(x.astype(object)).tolist() == want
 
 
 def test_aggregate_pairs_rejects_a_repeated_node():
     g = generate_graph("path", {"n": 5})
     forest, _ = build_bfs_forest(g)
     with pytest.raises(ValueError, match="node 3 is listed twice"):
-        aggregate_pairs(g, forest, ([3, 1, 3], [1, 2, 3], [0, 0, 0], 1))
+        aggregate_pairs(g, forest, Convergecasts([3, 1, 3], [[1, 2, 3]], [[0, 0, 0]], [1]), 0)
 
 
 @pytest.mark.parametrize("v", [-1, 5])
@@ -637,7 +761,7 @@ def test_aggregate_pairs_rejects_a_node_outside_the_forest(v):
     g = generate_graph("path", {"n": 5})
     forest, _ = build_bfs_forest(g)
     with pytest.raises(ValueError, match=rf"listed node {v} lies outside range\(5\)"):
-        aggregate_pairs(g, forest, ([2, v], [1, 1], [0, 0], 1))
+        aggregate_pairs(g, forest, Convergecasts([2, v], [[1, 1]], [[0, 0]], [1]), 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -721,15 +845,28 @@ def test_forest_arrays_match_a_walk_of_the_trees(g):
         assert list(nodes) == sorted(nodes) and forest.roots[i] == nodes[0]
         assert {v for v in range(n) if forest.tree_of[v] == i} == set(nodes)
     assert forest.roots == tuple(v for v in range(n) if parent[v] is None)
-    # walk every node up to its root: its depth, and its ancestors' subheights
-    depth, sub = [0] * n, [0] * n
+    # walk every node up to its root: its depth, its ancestors' subheights
+    # and the subtrees it lies in
+    depth, sub, within = [0] * n, [0] * n, [{v} for v in range(n)]
     for v in range(n):
         u = v
         while parent[u] is not None:
             u = parent[u]
             depth[v] += 1
             sub[u] = max(sub[u], depth[v])
+            within[v].add(u)
         assert forest.tree_of[u] == forest.tree_of[v]
+    # a preorder: each subtree, and each tree in forest order, holds one
+    # run of positions
+    for v in range(n):
+        subtree = [u for u in range(n) if v in within[u]]
+        assert sorted(forest.tin[subtree].tolist()) == list(range(forest.tin[v], forest.tout[v]))
+    for i, nodes in enumerate(forest.nodes):
+        runs = forest.tin[list(nodes)].tolist()
+        assert sorted(runs) == list(range(forest.tree_start[i], forest.tree_start[i + 1]))
+    assert forest.ship.tolist() == [0 if parent[v] is None else sub[v] + 1 for v in range(n)]
+    non_roots = [v for v in range(n) if parent[v] is not None]
+    assert forest.shippers.tolist() == sorted(non_roots, key=lambda v: (sub[v], v))
     assert list(forest.depth) == depth and forest.subheight == sub
     assert forest.height == max(depth, default=0)
     assert forest.level_sizes == [depth.count(d) for d in range(forest.height + 1)]
