@@ -30,13 +30,13 @@ the second regime apart: a coin condition (a_v ^ s2) < t_v is a disjoint
 union of subcubes of the s2 hypercube and joint probabilities are cube
 intersections.
 
-fix_level runs the selection as a protocol: one exchange of
-(k0, k1, psi) along alive edges, then per seed bit one aggregation of
-the two candidate sums up a spanning tree and a one-bit broadcast back
-down.  The roots decide every bit first, from the estimator's tree
-totals; then the protocol is charged bit by bit, and each aggregation's
-root sums are checked against the totals decided on.  The exchange and
-the broadcast are charged by their widths.  Every exact sum adds integer
+fix_level runs the selection as one protocol for both strategies: one
+exchange of (k0, k1, psi) both ways along every alive edge, then per seed
+bit one aggregation of the two candidate sums up a spanning tree and a
+one-bit broadcast back down.  The roots decide every bit first from the
+estimator's tree totals, the strategy picking each; then the protocol is
+charged bit by bit, and each aggregation's root sums are checked against
+the totals decided on.  Every exact sum adds integer
 numerators over one common denominator: the convergecast adds the two
 values of each node with alive edges (the others add 0) over the
 estimator's one denominator for the forest, roots compare and chain their
@@ -55,7 +55,7 @@ from math import lcm
 import numpy as np
 
 from . import gf2
-from .coins import FamilySpec, Seed, seed_bit_string, seed_from_int
+from .coins import FamilySpec, Seed, seed_bit_string, seed_from_int, seed_to_int
 from .graphs import InvariantError, check  # InvariantError: re-exported
 from .prefixes import PrefixState, apply_bits, phi_sum, split_counts
 from .sim import Convergecasts
@@ -90,8 +90,8 @@ class LevelContext:
     t: tuple
     edges: tuple
 
-    # built on first use: fix_level's round-1 exchange and the exhaustive
-    # search read `incident`, the scalar oracle both
+    # built on first use: the exhaustive search reads `incident`, the
+    # scalar oracle both
     @cached_property
     def incident(self) -> tuple:
         """Indices into `edges` of each node's alive edges."""
@@ -336,12 +336,12 @@ def _gen_table(fam: FamilySpec, y):
     """(#y, m) int64 table of g_k(y) = low_b(x^k * y), for an int64 array
     y of field elements, by m doublings in GF(2^m)."""
     m = fam.m
+    low = (1 << m) - 1  # masked below x^m, which passes int64 at m = 63
     table = np.empty((m, len(y)), dtype=np.int64)
     g = np.array(y, dtype=np.int64)
     for k in range(m):
         table[k] = g
-        g <<= 1
-        g ^= (g >> m) * fam.fld.modulus  # reduce where x^m appeared
+        g = (g << 1) & low ^ ((g >> (m - 1)) & 1) * (fam.fld.modulus & low)  # times x
     return table.T & ((1 << fam.b) - 1)
 
 
@@ -432,9 +432,9 @@ class _Estimator:
     chosen per level from its widths; the s2 counts stay below 2^b and
     int64 throughout.
 
-    The seed state is the decided s1 and s2 bits of each of the `trees`
-    trees, by forest position (tree_of[v] is v's), and a_v = low_b(s1 * x_v)
-    per node, which deciding s1 bit j XORs with g_j(x_v) = low_b(x^j * x_v).
+    The level's one seed state is the decided s1 and s2 bits of each of
+    the `trees` trees, by forest position (tree_of[v] is v's), and a_v =
+    low_b(s1 * x_v) per node, which deciding s1 bit j XORs with g_j(x_v).
     Both regimes count the same box, at delta = a_u ^ a_v.  While s1 is
     open, an edge's reachable offsets are the coset delta + span{g_k : k > j},
     and its branch pairs turn the average over them into tests on
@@ -454,6 +454,10 @@ class _Estimator:
     def __init__(self, ctx: LevelContext, tree_of, trees: int):
         self.ctx = ctx
         self.trees = trees
+        self.tree_of = np.asarray(tree_of, dtype=np.int64)
+        self.a = np.zeros(len(ctx.x), dtype=np.int64)
+        self.s1 = np.zeros(trees, dtype=np.int64)
+        self.s2 = np.zeros(trees, dtype=np.int64)
         edges = ctx.edges
         self.E = E = len(edges)
         if not E:
@@ -489,16 +493,12 @@ class _Estimator:
             self.num_type, self.tot_type = (
                 np.int64 if x < 1 << 63 else object for x in (bound.max(), bound.sum()))
         self.w1, self.w0 = w1.astype(self.num_type), w0.astype(self.num_type)
-        self.tree_of = np.asarray(tree_of, dtype=np.int64)
         # the listed nodes by tree: one reduceat gives the trees' totals
         node_tree = self.tree_of[self.inc_node]
         self.by_tree = np.argsort(node_tree, kind="stable")
         cut = np.flatnonzero(_runs(node_tree[self.by_tree]))[:-1]
         self.tree_cut, self.tree_at = cut, node_tree[self.by_tree[cut]]
         self.edge_tree = self.tree_of[self.eu]
-        self.a = np.zeros(len(ctx.x), dtype=np.int64)
-        self.s1 = np.zeros(trees, dtype=np.int64)
-        self.s2 = np.zeros(trees, dtype=np.int64)
         # the spans depend on an edge only through dx = x_u ^ x_v, and the
         # generators are linear in it: g_k(x_u ^ x_v) = g_k(x_u) ^ g_k(x_v)
         x = np.array(ctx.x, dtype=np.int64)
@@ -588,7 +588,7 @@ class _Estimator:
     # -- committing a decided bit -------------------------------------------
 
     def lock(self, j: int, bits):  # seed bit j is bits[i] in tree i
-        if not self.E:
+        if not any(bits):  # nothing changes, and gen_table is left unbuilt
             return
         m = self.ctx.fam.m
         bits = np.array(bits, dtype=np.int64)
@@ -632,19 +632,18 @@ def frac_str(f: Fraction) -> str:
 def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditional"):
     """Pick one seed per component and refine every prefix by one bit.
 
-    Returns (next state, LevelReport).  Round 1 charges each node's
-    (k0, k1, psi) to every alive neighbor, in node order, then incidence
-    order.  The conditional strategy first decides the m+b seed bits that
-    can matter: each root reads its tree's two candidate totals off the
-    estimator, checks them as integers against its previous choice and
-    takes the smaller, and each tree's seed accumulates as an integer
-    word.  Then it charges the protocol bit by bit, in order: the
-    convergecast of both candidate sums of the nodes with alive edges,
-    whose root sums must equal the totals decided on (graphs.check), and
-    a one-bit broadcast of the winning bit; the level's convergecasts are
-    priced together, on the first.  The exhaustive one has
-    each root pick the best seed outright, from at most SEED_CAP, and
-    costs the same protocol shape with the seed shipped bit by bit.
+    Returns (next state, LevelReport).  Round 1 carries (k0, k1, psi)
+    both ways along each alive edge.  Then each root decides the m+b seed
+    bits that can matter from its tree's two candidate totals off the
+    estimator, checked as integers against its previous choice, and the
+    strategy picks each bit: conditional the smaller total, holding the
+    chain to it, exhaustive bit j of the tree's best seed, from at most
+    SEED_CAP.  Seeds and coins come off the estimator's state.  The
+    protocol is then charged bit by bit, in order: the convergecast of
+    both candidate sums of the nodes with alive edges, whose root sums
+    must equal the totals decided on (graphs.check), and a one-bit
+    broadcast of the chosen bit; the level's convergecasts are priced
+    together, on the first.
 
     Tree i of comm.forest is rooted at roots[i] and holds nodes[i]; a
     Forest partitions range(len(tree_of)), so only its length is checked.
@@ -666,70 +665,58 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
         for nodes in trees
     ]
 
-    # round 1: every node sends its split counts and psi color, (k0, k1, x)
-    # in 2 * cw + a bits, to each alive neighbor, after which every node can
-    # price its neighbors' coins locally
+    # round 1: both endpoints of every alive edge send each other their
+    # split counts and psi color, (k0, k1, x) in 2 * cw + a bits, after
+    # which every node can price its neighbors' coins locally
     cw = max(1, state.inst.C.bit_length())
-    sends = [(v, u) for v, inc in enumerate(ctx.incident)
-             for i in inc for u in ctx.edges[i] if u != v]
-    comm.exchange(sends, 2 * cw + fam.a)
+    comm.exchange(ctx.edges, 2 * cw + fam.a)
 
-    if strategy == "exhaustive":
-        picked = [exhaustive_seed(ctx, state, nodes=nodes) for nodes in trees]
-        # no node listed, so every non-root ships the zero pair: it stands
-        # in for the facts sent rootward
-        comm.aggregate(Convergecasts((), [()], [()], [1]), 0)
-        for _ in range(m + b):
-            comm.broadcast(1)  # one seed bit per tree
-        seeds = [seed for seed, _ in picked]
-        last = [value for _, value in picked]
-    else:
-        est = _Estimator(ctx, tree_of, len(trees))
-        # decide: each root reads its tree's totals off the estimator.
-        # words: each tree's seed so far; last: its last choice as an
-        # integer over that bit's denominator
-        words, last = [0] * len(trees), [None] * len(trees)
-        num_a, num_b, dens, decided = [], [], [], []
-        for j in range(m + b):
-            nodes, num0, num1, L, totals = est.decision_values(j)
-            totals = list(zip(*totals.tolist()))
-            bits = []
-            for i, (s0, s1) in enumerate(totals):
-                if j == 0:
-                    check(Fraction(s0 + s1, 2 * L) <= comp_phi[i] + slack[i],
-                          "threshold rounding drifted past its slack")
-                else:  # (s0 + s1) / 2 equals the previous bit's choice
-                    check((s0 + s1) * last[i][1] == 2 * last[i][0] * L,
-                          "conditional chain broke")
-                bits.append(choose_seed_bit(s0, s1))
-                words[i] |= bits[i] << j
-                last[i] = (min(s0, s1), L)
-            est.lock(j, bits)
-            num_a.append(num0)
-            num_b.append(num1)
-            dens.append(L)
-            decided.append(totals)
-        # charge: per seed bit the convergecast of both candidate sums,
-        # whose root sums must be the totals decided on, then the broadcast
-        # of each root's chosen bit
-        casts = Convergecasts(nodes, num_a, num_b, dens)
-        for j in range(m + b):
-            _, sums = comm.aggregate(casts, j)
-            check(sums == decided[j], "root sums must equal the totals the roots decided on")
-            comm.broadcast(1)
-        seeds = [seed_from_int(fam, word) for word in words]
-        last = [Fraction(*pair) for pair in last]
+    # exhaustive: each tree's seed bits are those of its optimum
+    best = None if strategy == "conditional" else [
+        seed_to_int(fam, exhaustive_seed(ctx, state, nodes=nodes)[0]) for nodes in trees
+    ]
+    est = _Estimator(ctx, tree_of, len(trees))
+    # decide: each root reads its tree's totals off the estimator; last is
+    # its last choice as an integer over that bit's denominator
+    last = [None] * len(trees)
+    num_a, num_b, dens, decided = [], [], [], []
+    for j in range(m + b):
+        nodes, num0, num1, L, totals = est.decision_values(j)
+        totals = list(zip(*totals.tolist()))
+        bits = []
+        for i, (s0, s1) in enumerate(totals):
+            if j == 0:
+                check(Fraction(s0 + s1, 2 * L) <= comp_phi[i] + slack[i],
+                      "threshold rounding drifted past its slack")
+            else:  # (s0 + s1) / 2 equals the previous bit's choice
+                check((s0 + s1) * last[i][1] == 2 * last[i][0] * L,
+                      "conditional chain broke")
+            bits.append(choose_seed_bit(s0, s1) if best is None else best[i] >> j & 1)
+            # conditional is held to the smaller total: a worse bit breaks the chain
+            last[i] = (min(s0, s1) if best is None else (s0, s1)[bits[i]], L)
+        est.lock(j, bits)
+        num_a.append(num0)
+        num_b.append(num1)
+        dens.append(L)
+        decided.append(totals)
+    # charge: per seed bit the convergecast of both candidate sums, whose
+    # root sums must be the totals decided on, then the broadcast of each
+    # root's chosen bit
+    casts = Convergecasts(nodes, num_a, num_b, dens)
+    for j in range(m + b):
+        _, sums = comm.aggregate(casts, j)
+        check(sums == decided[j], "root sums must equal the totals the roots decided on")
+        comm.broadcast(1)
 
-    # coin v fires when low_b(a_v ^ s2) < t_v, a_v = low_b(s1 * x_v)
-    s1, s2 = np.array([(seed.s1, seed.s2) for seed in seeds], dtype=np.int64)[list(tree_of)].T
-    a = _combine(ctx.gen_table.T, s1) if s1.any() else s1  # s1 = 0: a = 0
-    coin = ((a ^ s2) & ((1 << b) - 1)) < np.array(ctx.t, dtype=np.int64)
+    # coin v fires when a_v ^ s2 < t_v, a_v = low_b(s1 * x_v) and s2 < 2^b
+    coin = (est.a ^ est.s2[est.tree_of]) < np.array(ctx.t, dtype=np.int64)
     new_state = apply_bits(state, coin.astype(np.int64).tolist())
+    seeds = [Seed(*pair) for pair in zip(est.s1.tolist(), est.s2.tolist())]
 
     records = {}
     for i, (root, nodes) in enumerate(zip(forest.roots, trees)):
         realized = phi_sum(new_state, nodes)
-        check(realized == last[i],
+        check(realized == Fraction(*last[i]),
               "realized potential must equal the fully conditioned expectation")
         records[root] = RootRecord(
             seed=seeds[i],

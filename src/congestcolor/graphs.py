@@ -106,15 +106,17 @@ class ListColoringInstance:
 
     def __post_init__(self):
         g = self.graph
-        if self.C < 1:
-            raise ValidationError("palette size C must be positive")
         if len(self.lists) != g.n:
             raise ValidationError("need one color list per node")
+        # sizes before C: empty lists derive C = 0, but they are at fault
         for v, lst in enumerate(self.lists):
             if len(lst) < g.deg(v) + 1:
                 raise ValidationError(
                     f"node {v}: list size {len(lst)} < deg+1 = {g.deg(v) + 1}"
                 )
+        if self.C < 1:
+            raise ValidationError("palette size C must be positive")
+        for v, lst in enumerate(self.lists):
             if any(lst[i] >= lst[i + 1] for i in range(len(lst) - 1)):
                 raise ValidationError(f"node {v}: list not strictly ascending")
             if lst[0] < 0 or lst[-1] >= self.C:

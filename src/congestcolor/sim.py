@@ -20,8 +20,8 @@ node that already halted are counted but dropped.
 Sequential composition is the intended usage: a phase step whose
 result someone reads, such as build_bfs_forest or aggregate_pairs,
 returns (result, RunStats); the one-round exchange and the seed-bit
-broadcast, whose contents no one reads, take the widths their charge
-depends on and return only RunStats.  A CommPlan runs the steps one
+broadcast, whose contents no one reads, take the edges and widths their
+charge depends on and return only RunStats.  A CommPlan runs the steps one
 after another as one round ledger whose total adds up their stats.
 
 Every phase step but the pipeline's flag-low is a single pass, not an
@@ -654,9 +654,10 @@ class CommPlan:
         self.stats.add(stats)
         return result
 
-    def exchange(self, sends, width):
+    def exchange(self, edges, width):
+        """Charge a `width`-bit message each way along each of `edges`."""
         self.stats.add(
-            exchange(self.graph, sends, width, policy=self.policy, trace=self.trace)
+            exchange(self.graph, edges, width, policy=self.policy, trace=self.trace)
         )
 
     def aggregate(self, casts, j):
@@ -672,15 +673,15 @@ class CommPlan:
         )
 
 
-def exchange(graph, sends, width, *, policy=None, trace=None):
-    """Charge one round in which each directed edge (src, dst) in `sends`
-    carries one `width`-bit "algorithm" message; returns RunStats, as the
+def exchange(graph, edges, width, *, policy=None, trace=None):
+    """Charge one round in which each edge (u, v) in `edges` carries one
+    `width`-bit "algorithm" message each way; returns RunStats, as the
     engine would charge them.  A width past the policy's cap raises
-    BandwidthError at sends[0].  No send costs no round.
+    BandwidthError at edges[0], from u to v.  No edge costs no round.
     """
-    if not sends:
+    if not edges:
         return RunStats()
     limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
     if limit is not None and width > limit:
-        raise BandwidthError(1, sends[0], width, limit)
-    return _charge({ALGORITHM: [_even(0, width), _even(len(sends), width)]}, trace)
+        raise BandwidthError(1, edges[0], width, limit)
+    return _charge({ALGORITHM: [_even(0, width), _even(2 * len(edges), width)]}, trace)

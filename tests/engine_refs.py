@@ -204,14 +204,14 @@ class _OneShot(NodeProgram):
         ctx.halt()
 
 
-def engine_exchange(graph, sends, width, *, policy=None, trace=None):
-    """exchange: each (src, dst) in sends carries a `width`-bit message;
-    a node queues its sends in their order in `sends`."""
-    if not sends:
+def engine_exchange(graph, edges, width, *, policy=None, trace=None):
+    """exchange: each edge (u, v) in edges carries a `width`-bit message
+    each way; a node queues its messages in the order of its edges."""
+    if not edges:
         return RunStats()
     outgoing = [{} for _ in range(graph.n)]
-    for src, dst in sends:
-        outgoing[src][dst] = Message((1 << width) - 1, width)
+    for u, v in edges:
+        outgoing[u][v] = outgoing[v][u] = Message((1 << width) - 1, width)
     progs = [_OneShot(out) for out in outgoing]
     return run_protocol(graph, progs, policy=policy, trace=trace)
 

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import congestcolor
 from congestcolor import coins, gf2, sim
@@ -482,7 +484,7 @@ def test_seed_bit_sums_build_no_fractions(monkeypatch, n):
 
 
 def test_fix_level_fraction_count_does_not_grow_with_the_seed(monkeypatch):
-    # each tree's seed accumulates as an integer word and its chain stays in
+    # each tree's seed stays in the estimator's arrays and its chain in
     # integers, so a level on three trees builds as many Fractions at
     # m + b = 8 seed bits as at 16
     g = Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
@@ -510,8 +512,8 @@ def test_fix_level_fraction_count_does_not_grow_with_the_seed(monkeypatch):
 
 def test_fix_level_prices_each_listing_level_in_one_pass(monkeypatch):
     # the m + b convergecasts of a level with alive edges are priced in one
-    # pass, on the first of its m + b aggregate_pairs calls; a level that
-    # lists no node, edgeless or exhaustive, is charged without one
+    # pass, on the first of its m + b aggregate_pairs calls, under either
+    # strategy; a level that lists no node is charged without one
     passes, calls = [], []  # the bit of the call that priced; every call's bit
 
     def price_level(forest, casts, run=sim._price_level):
@@ -530,11 +532,12 @@ def test_fix_level_prices_each_listing_level_in_one_pass(monkeypatch):
     assert calls == list(range(fam.m + fam.b)) and passes == [0]
     passes.clear(), calls.clear()
     run_one_level(inst, tuple(range(12)), b=4, strategy="exhaustive")
-    assert calls == [0] and passes == []
+    assert calls == list(range(fam.m + fam.b)) and passes == [0]
+    passes.clear(), calls.clear()
     edgeless = ListColoringInstance(graph=Graph.from_edges(3, []), C=4, lists=((0, 3), (1, 2), (0, 2)))
     run_one_level(edgeless, (0, 1, 2), b=2)
     fam = make_family(3, 2)
-    assert calls == [0, *range(fam.m + fam.b)] and passes == []
+    assert calls == list(range(fam.m + fam.b)) and passes == []
 
 
 def test_fix_level_checks_root_sums_against_the_decided_totals(monkeypatch):
@@ -555,6 +558,68 @@ def test_fix_level_checks_root_sums_against_the_decided_totals(monkeypatch):
     with pytest.raises(InvariantError, match="root sums must equal the totals") as caught:
         run_one_level(inst, tuple(range(6)), b=4)
     assert not isinstance(caught.value, ValueError)
+
+
+def test_fix_level_checks_the_estimator_under_exhaustive(monkeypatch):
+    # the exhaustive optimum's bits run through the same chain and root-sum
+    # checks: a total one off on the side it picks breaks the chain at the
+    # next bit, one off on the other side the convergecast's root sums
+    decide = _Estimator.decision_values
+    inst = attach_default_lists(generate_graph("path", {"n": 6}))
+    messages = set()
+    for r in (0, 1):
+        def off_by_one(self, j):
+            nodes, num0, num1, L, totals = decide(self, j)
+            if j == 0:
+                totals = totals.copy()
+                totals[r][0] += 1
+            return nodes, num0, num1, L, totals
+
+        monkeypatch.setattr(_Estimator, "decision_values", off_by_one)
+        with pytest.raises(InvariantError) as caught:
+            run_one_level(inst, tuple(range(6)), b=2, strategy="exhaustive")
+        messages.add(str(caught.value))
+    assert messages == {
+        "conditional chain broke",
+        "root sums must equal the totals the roots decided on",
+    }
+
+
+@st.composite
+def spare_list_instances(draw):
+    """A small graph whose node v has the list {0..deg(v) + spare}, so an
+    edgeless graph still has levels to fix."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    kind = draw(st.sampled_from(["gnp", "path", "star", "edgeless"]))
+    if kind == "gnp":
+        g = generate_graph("gnp", {"n": n, "p": 0.4}, rng_seed=draw(st.integers(0, 999)))
+    elif kind == "edgeless":
+        g = Graph.from_edges(n, [])
+    else:
+        g = generate_graph(kind, {"n": n})
+    spare = draw(st.integers(0, 2))
+    lists = tuple(tuple(range(g.deg(v) + 1 + spare)) for v in range(n))
+    return ListColoringInstance(graph=g, C=g.max_degree + 1 + spare, lists=lists)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    inst=spare_list_instances(),
+    b=st.integers(min_value=1, max_value=3),
+    strategy=st.sampled_from(["conditional", "exhaustive"]),
+)
+def test_level_rounds_follow_the_closed_form(inst, b, strategy):
+    # a level charges the round-1 exchange when it has alive edges, then
+    # per seed bit one convergecast and one broadcast over the forest
+    g = inst.graph
+    state = init_state(inst)
+    fam = make_family(g.n, b)
+    forest, _ = build_bfs_forest(g)
+    for _ in range(state.W):
+        ctx = build_level_context(fam, state, tuple(range(g.n)))
+        alive = bool(state.alive_edges)
+        state, report = fix_level(ctx, state, CommPlan(g, forest), strategy=strategy)
+        assert report.rounds == alive + 2 * (fam.m + fam.b) * forest.height
 
 
 def test_fix_level_single_node_and_edgeless():
@@ -951,8 +1016,9 @@ def test_estimator_numerators_in_int64_only_below_the_bound(splits, num_type):
 
 
 def test_gen_table_matches_field_products():
+    # at m = 63, the widest field, x^m and the full modulus pass int64
     rng = random.Random(71)
-    for m in range(1, 41):
+    for m in (*range(1, 41), 63):
         b = rng.randrange(1, m + 1)
         fam = make_family(1 << m, b)
         assert fam.m == m

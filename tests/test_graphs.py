@@ -105,6 +105,9 @@ def test_load_rejects_self_loop(tmp_path):
         ({"n": 2, "edges": [], "psi": {"0": 0, "1": 1, "7": 2}}, "psi: '7' is not a node id in 0..1"),
         ({"n": 2, "edges": [], "lists": {"0": [0], "1": [0], "7": [0]}}, "lists: '7' is not a node id"),
         ({"n": 2, "edges": [], "lists": {"0": [0], "01": [0]}}, "lists: '01' is not a node id"),
+        # empty lists derive C = 0, but the lists are what is wrong
+        ({"n": 1, "edges": [], "lists": {"0": []}}, r"node 0: list size 0 < deg\+1 = 1"),
+        ({"n": 1, "edges": [], "lists": {"0": [0]}, "C": 0}, "palette size C must be positive"),
     ],
 )
 def test_load_rejects_malformed_json(tmp_path, payload, message):

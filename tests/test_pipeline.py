@@ -126,6 +126,15 @@ def test_phase_edgeless():
         assert rep.v_low == (0, 1, 2, 3, 4)
 
 
+def test_phase_with_a_63_bit_start_coloring():
+    # psi up to 2^63 - 1 gives a = m = 63, the widest field gf2 supports,
+    # whose generator table doubles past int64 unless it masks first
+    inst = with_psi(attach_default_lists(generate_graph("path", {"n": 4})), (0, 2**63 - 1, 5, 2**62))
+    partial, rep = color_fraction(inst, "mis")
+    assert rep.k_classes == 2**63 and rep.seed_bits > 63
+    assert verify_coloring(inst, partial, require_total=False).ok
+
+
 def test_phase_triangle():
     g = generate_graph("clique", {"n": 3}, 0)
     inst = ListColoringInstance(

@@ -175,9 +175,9 @@ def test_flood_echo_round_count():
 
 def test_exchange_helper():
     g = generate_graph("path", {"n": 3})
-    stats = exchange(g, [(v, u) for v in range(3) for u in g.adj[v]], 4)
+    stats = exchange(g, g.edge_list, 4)
     assert stats.rounds == 1
-    assert stats.messages == 4
+    assert stats.messages == 4  # one each way along both edges
     assert stats.bits_by_category[ALGORITHM] == 16
     assert stats.max_bits_by_category[ALGORITHM] == 4
     assert exchange(g, [], 4) == RunStats()
@@ -784,26 +784,23 @@ def test_broadcast_values_matches_engine(gf, width, traced, beta):
 
 
 @st.composite
-def sends(draw):
-    """A graph, directed sends along its edges in node order, as fix_level
-    lists them (some nodes send nothing, the others to a drawn subset of
-    their neighbours in drawn order), and a message width."""
+def alive_edges(draw):
+    """A graph, a drawn subset of its edges in sorted order, as fix_level
+    passes a level's alive edges, and a message width."""
     kind = draw(st.sampled_from(["gnp", "star", "path"]))
     n = draw(st.integers(min_value=1, max_value=16))
     if kind == "gnp":
         g = generate_graph("gnp", {"n": n, "p": 0.3}, rng_seed=draw(st.integers(0, 999)))
     else:
         g = generate_graph(kind, {"n": n})
-    out = []
-    for v in range(n):
-        if g.adj[v] and draw(st.integers(0, 3)):
-            out += [(v, u) for u in draw(st.lists(st.sampled_from(g.adj[v]), unique=True))]
+    alive = draw(st.lists(st.booleans(), min_size=len(g.edge_list), max_size=len(g.edge_list)))
+    out = tuple(e for e, keep in zip(g.edge_list, alive) if keep)
     return g, out, draw(st.integers(min_value=1, max_value=12))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    gs=sends(),
+    gs=alive_edges(),
     traced=st.booleans(),
     beta=st.sampled_from([None, 1, 2]),
 )
