@@ -47,6 +47,7 @@ tree, named by its forest position, fixes its own.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -57,7 +58,7 @@ import numpy as np
 from . import gf2
 from .coins import FamilySpec, Seed, seed_bit_string, seed_from_int, seed_to_int
 from .graphs import InvariantError, check  # InvariantError: re-exported
-from .prefixes import PrefixState, apply_bits, phi_sum, split_counts
+from .prefixes import PrefixState, apply_bits, phi_sum
 from .sim import Convergecasts
 
 
@@ -79,36 +80,46 @@ class SeedPrefix:
             raise ValueError("seed bits must be 0 or 1")
 
 
-@dataclass(frozen=True)
+_Ints = namedtuple("_Ints", "x k0 k1 t edges")
+
+
+@dataclass(frozen=True, eq=False)
 class LevelContext:
-    """Per-level facts every endpoint of an alive edge has exchanged."""
+    """Per-level facts every endpoint of an alive edge has exchanged: psi
+    colors x, split counts k0, k1 and thresholds t, int64 arrays by node,
+    and the (E, 2) alive edges."""
 
     fam: FamilySpec
-    x: tuple
-    k0: tuple
-    k1: tuple
-    t: tuple
-    edges: tuple
+    x: np.ndarray
+    k0: np.ndarray
+    k1: np.ndarray
+    t: np.ndarray
+    edges: np.ndarray
 
-    # built on first use: the exhaustive search reads `incident`, the
-    # scalar oracle both
+    # built on first use, for the scalar oracles and the exhaustive search
+    @cached_property
+    def ints(self) -> _Ints:
+        """x, k0, k1, t and the edges as (u, v) pairs, in Python ints."""
+        return _Ints(self.x.tolist(), self.k0.tolist(), self.k1.tolist(),
+                     self.t.tolist(), tuple(map(tuple, self.edges.tolist())))
+
     @cached_property
     def incident(self) -> tuple:
         """Indices into `edges` of each node's alive edges."""
         incident = [[] for _ in self.x]
-        for i, (u, v) in enumerate(self.edges):
+        for i, (u, v) in enumerate(self.ints.edges):
             incident[u].append(i)
             incident[v].append(i)
         return tuple(map(tuple, incident))
 
     @cached_property
     def _eset(self) -> frozenset:
-        return frozenset(self.edges)
+        return frozenset(self.ints.edges)
 
     @cached_property
     def gen_table(self):
         """(n, m) int64 table of g_k(x_v) = low_b(x^k * x_v): a_v for any s1."""
-        return _gen_table(self.fam, np.array(self.x, dtype=np.int64))
+        return _gen_table(self.fam, self.x)
 
 
 def build_level_context(fam: FamilySpec, state: PrefixState, psi) -> LevelContext:
@@ -117,21 +128,23 @@ def build_level_context(fam: FamilySpec, state: PrefixState, psi) -> LevelContex
         raise ValueError("all levels of this instance are already fixed")
     if len(psi) != n:
         raise ValueError(f"psi must color all {n} nodes")
-    for v, c in enumerate(psi):
-        if not 0 <= c < fam.K:
-            raise ValueError(f"node {v}: psi color {c} outside [0, {fam.K})")
-    for u, v in state.alive_edges:
-        if psi[u] == psi[v]:
-            raise ValueError(f"edge ({u}, {v}): psi must separate alive endpoints")
-    counts = [split_counts(state, v) for v in range(n)]
-    return LevelContext(
-        fam=fam,
-        x=tuple(psi),
-        k0=tuple(k0 for k0, _ in counts),
-        k1=tuple(k1 for _, k1 in counts),
-        t=tuple(-(-(k1 << fam.b) // (k0 + k1)) for k0, k1 in counts),  # ceil
-        edges=tuple(state.alive_edges),
-    )
+    if n and not 0 <= min(psi) <= max(psi) < fam.K:
+        c = np.array(psi, dtype=object)
+        v = int(np.flatnonzero((c < 0) | (c >= fam.K))[0])
+        raise ValueError(f"node {v}: psi color {psi[v]} outside [0, {fam.K})")
+    x = np.array(psi, dtype=np.int64)
+    ends = x[state.alive_edges]
+    same = ends[:, 0] == ends[:, 1]
+    if np.count_nonzero(same):
+        u, v = state.alive_edges[same][0].tolist()
+        raise ValueError(f"edge ({u}, {v}): psi must separate alive endpoints")
+    k0, k1 = state.split
+    # t = ceil(k1 2^b / k), in int64 while len(flat) 2^b >= k1 2^b fits
+    if len(state.flat) << fam.b < 1 << 63:
+        t = -(-(k1 << fam.b) // state.k)
+    else:
+        t = (-(-(k1.astype(object) << fam.b) // state.k.astype(object))).astype(np.int64)
+    return LevelContext(fam=fam, x=x, k0=k0, k1=k1, t=t, edges=state.alive_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +238,16 @@ def _basis_from(fam: FamilySpec, dx: int, lo: int) -> tuple:
 def _joint_s1(ctx, u, v, bits):
     # s2's low window is untouched, so each hash output is uniform and only
     # the offset delta = low_b(s1 * dx) couples the two coins
-    fam = ctx.fam
+    fam, x, t = ctx.fam, ctx.ints.x, ctx.ints.t
     m, b = fam.m, fam.b
     j = len(bits)
     s1 = sum(bit << k for k, bit in enumerate(bits))
-    dx = ctx.x[u] ^ ctx.x[v]
+    dx = x[u] ^ x[v]
     delta0 = gf2.mul(fam.fld, s1, dx) & ((1 << b) - 1)
     basis = _basis_from(fam, dx, j)
     free = m - j
     num11 = 0
-    for p, val, w in xor_branch_pairs(ctx.t[u], ctx.t[v], b):
+    for p, val, w in xor_branch_pairs(t[u], t[v], b):
         tau = delta0 ^ val
         for piv, row in basis:
             if (tau >> piv) & 1:
@@ -243,7 +256,7 @@ def _joint_s1(ctx, u, v, bits):
             rank = sum(1 for piv, _ in basis if piv >= p)
             num11 += w << (free - rank)
     p11 = Fraction(num11, 1 << (free + b))
-    p00 = Fraction((1 << b) - ctx.t[u] - ctx.t[v], 1 << b) + p11
+    p00 = Fraction((1 << b) - t[u] - t[v], 1 << b) + p11
     return p11, p00
 
 
@@ -263,22 +276,22 @@ def _cube_count(cubes, lock_mask, lock_val, b):
 
 
 def _joint_s2(ctx, u, v, bits):
-    fam = ctx.fam
+    fam, x, t = ctx.fam, ctx.ints.x, ctx.ints.t
     m, b = fam.m, fam.b
     maskb = (1 << b) - 1
     s1 = sum(bit << k for k, bit in enumerate(bits[:m]))
-    a_u = gf2.mul(fam.fld, s1, ctx.x[u]) & maskb
-    a_v = gf2.mul(fam.fld, s1, ctx.x[v]) & maskb
+    a_u = gf2.mul(fam.fld, s1, x[u]) & maskb
+    a_v = gf2.mul(fam.fld, s1, x[v]) & maskb
     w_bits = bits[m:]
     fixed = min(len(w_bits), b)  # s2 coefficients >= b never reach the window
     w_val = sum(bit << k for k, bit in enumerate(w_bits[:fixed]))
     if fixed == b:
-        cu = (a_u ^ w_val) < ctx.t[u]
-        cv = (a_v ^ w_val) < ctx.t[v]
+        cu = (a_u ^ w_val) < t[u]
+        cv = (a_v ^ w_val) < t[v]
         return Fraction(int(cu and cv)), Fraction(int(not cu and not cv))
     lock_mask = (1 << fixed) - 1
-    cubes_u = _coin_cubes(a_u, ctx.t[u], b)
-    cubes_v = _coin_cubes(a_v, ctx.t[v], b)
+    cubes_u = _coin_cubes(a_u, t[u], b)
+    cubes_v = _coin_cubes(a_v, t[v], b)
     c11 = 0
     for m1, v1 in cubes_u:
         for m2, v2 in cubes_v:
@@ -313,9 +326,9 @@ def joint_outcome_prob(ctx: LevelContext, edge, prefix: SeedPrefix) -> tuple:
 def node_conditional(ctx: LevelContext, v: int, prefix: SeedPrefix) -> Fraction:
     """E[deg'(v) / k'(v) | seed prefix]; zero-candidate sides never fire."""
     total = Fraction(0)
-    k0, k1 = ctx.k0[v], ctx.k1[v]
+    k0, k1 = ctx.ints.k0[v], ctx.ints.k1[v]
     for i in ctx.incident[v]:
-        p11, p00 = joint_outcome_prob(ctx, ctx.edges[i], prefix)
+        p11, p00 = joint_outcome_prob(ctx, ctx.ints.edges[i], prefix)
         if k1:
             total += p11 / k1
         if k0:
@@ -424,13 +437,13 @@ class _Estimator:
     over the nodes in tree order, gives each tree's totals.  The like
     sums run in int64 when the level's bound deg(v) (max(k0, 1) +
     max(k1, 1)) 2^(m+b-1) is below 2^63, the numerators when it is times
-    lam / (max(k0, 1) max(k1, 1)), the tree totals when that bound summed
-    over the nodes is, and in Python ints (object arrays) past it.  The
-    last two both hold while 2E lam 2^(m+b) < 2^63, as on most levels, so
-    only past that are their exact bounds built, in Python ints.  The s1
-    counts themselves are int64 while m+b <= 62 and Python ints past it,
-    chosen per level from its widths; the s2 counts stay below 2^b and
-    int64 throughout.
+    lam / (max(k0, 1) max(k1, 1)), and in Python ints (object arrays) past
+    it; the numerators' bound, and the tree totals, stay below 2E lam
+    2^(m+b), which fits int64 on most levels; only past it is the bound
+    built, in Python ints, and each seed bit's totals run in int64 while
+    that bit's numerators sum below 2^62.  The s1 counts themselves are
+    int64 while m+b <= 62 and Python ints past it, chosen per level from
+    its widths; the s2 counts stay below 2^b and int64 throughout.
 
     The level's one seed state is the decided s1 and s2 bits of each of
     the `trees` trees, by forest position (tree_of[v] is v's), and a_v =
@@ -465,7 +478,7 @@ class _Estimator:
         m, b = ctx.fam.m, ctx.fam.b
         # s1-regime counts reach 2^(m+b-1): int64 up to m+b = 62, else objects
         self.cnt_type = np.int64 if m + b <= 62 else object
-        self.eu, self.ev = np.array(edges, dtype=np.int64).T
+        self.eu, self.ev = edges.T
         # incidence order: the 2E edge ends sorted by node, so that each
         # node with alive edges (inc_node) owns one run of them
         ends = np.concatenate((self.eu, self.ev))
@@ -474,24 +487,23 @@ class _Estimator:
         cut = np.flatnonzero(_runs(ends))
         self.inc_start, deg = cut[:-1], cut[1:] - cut[:-1]
         self.inc_node = ends[self.inc_start]
-        k0, k1 = (np.array(ks, dtype=np.int64)[self.inc_node]
-                  for ks in (ctx.k0, ctx.k1))
+        k0, k1 = ctx.k0[self.inc_node], ctx.k1[self.inc_node]
         c0, c1 = np.maximum(k0, 1), np.maximum(k1, 1)
         # counts reach 2^(m+b-1): with weights c0, c1 this bounds the like sums
         self.acc_type = np.int64 if int((deg * (c0 + c1)).max()) << (m + b - 1) < 1 << 63 else object
         # and with lam/k1, lam/k0 (0 on a side without candidates), each at
         # most lam, the numerators, and summed over the nodes the tree totals;
-        # both stay below 2E lam 2^(m+b), so past that alone the exact bounds
-        # are built, in Python ints
+        # both stay below 2E lam 2^(m+b), so past that alone the numerators'
+        # exact bound is built, in Python ints, and each bit's totals checked
         self.lam = lam = lcm(*set((c0 * c1).tolist()))
-        if lam * 2 * E << (m + b) < 1 << 63:
+        self.fits = lam * 2 * E << (m + b) < 1 << 63
+        if self.fits:
             w1, w0 = (lam // c * (k > 0) for c, k in ((c1, k1), (c0, k0)))
-            self.num_type = self.tot_type = np.int64
+            self.num_type = np.int64
         else:
             w1, w0 = (lam // c.astype(object) * (k > 0) for c, k in ((c1, k1), (c0, k0)))
             bound = deg * (w1 + w0) << (m + b - 1)
-            self.num_type, self.tot_type = (
-                np.int64 if x < 1 << 63 else object for x in (bound.max(), bound.sum()))
+            self.num_type = np.int64 if bound.max() < 1 << 63 else object
         self.w1, self.w0 = w1.astype(self.num_type), w0.astype(self.num_type)
         # the listed nodes by tree: one reduceat gives the trees' totals
         node_tree = self.tree_of[self.inc_node]
@@ -501,12 +513,10 @@ class _Estimator:
         self.edge_tree = self.tree_of[self.eu]
         # the spans depend on an edge only through dx = x_u ^ x_v, and the
         # generators are linear in it: g_k(x_u ^ x_v) = g_k(x_u) ^ g_k(x_v)
-        x = np.array(ctx.x, dtype=np.int64)
-        at, edge_dx = _distinct(x[self.eu] ^ x[self.ev])
+        at, edge_dx = _distinct(ctx.x[self.eu] ^ ctx.x[self.ev])
         ndx = len(at)
         gens = (ctx.gen_table[self.eu[at]] ^ ctx.gen_table[self.ev[at]]).T
-        tn = np.array(ctx.t, dtype=np.int64)
-        self.tu, self.tv = tn[self.eu], tn[self.ev]
+        self.tu, self.tv = ctx.t[self.eu], ctx.t[self.ev]
         pe, self.pair_p, val, w = branch_pairs(self.tu, self.tv, b)
         self.pair_edge, self.pair_w = pe, w.astype(self.cnt_type, copy=False)
         self.pair_start = np.flatnonzero(_runs(pe))[:-1]
@@ -571,17 +581,20 @@ class _Estimator:
         """like1 and like0 are (2, E), per seed bit value and edge.  The
         sum over node nodes[i]'s alive edges of like1/k1 + like0/k0, over
         2^shift, is num_r[i] / (lam 2^shift) for seed bit value r; returns
-        decision_values' five values.  Like sums run in acc_type,
-        numerators in num_type, tree totals in tot_type."""
+        decision_values' five values.  Like sums run in acc_type, numerators
+        in num_type, tree totals in int64 while the level fits or the bit's
+        numerators sum below 2^62 (in floats, whose rounding cannot carry it
+        past 2^63), else in objects."""
         like = np.concatenate((like1, like0))[:, self.inc_edge]
         like = like.astype(self.acc_type, copy=False)
         sums = np.add.reduceat(like, self.inc_start, axis=1)
         num = sums[:2] * self.w1 + sums[2:] * self.w0
-        wide = num.astype(self.tot_type, copy=False)
+        small = self.fits or num.dtype != object and num.sum(dtype=np.float64) < 2.0**62
+        wide = num if small else num.astype(object)
         if self.trees == 1:
             totals = wide.sum(axis=1, keepdims=True)
         else:
-            totals = np.zeros((2, self.trees), dtype=self.tot_type)
+            totals = np.zeros((2, self.trees), dtype=wide.dtype)
             totals[:, self.tree_at] = np.add.reduceat(wide[:, self.by_tree], self.tree_cut, axis=1)
         return self.inc_node, num[0], num[1], self.lam << shift, totals
 
@@ -659,9 +672,9 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
         raise ValueError("forest must partition the nodes")
     tree_of, trees = forest.tree_of, forest.nodes
     comp_phi = [phi_sum(state, nodes) for nodes in trees]
+    deg = state.ints[1]
     slack = [
-        Fraction(10 * max((state.deg[v] for v in nodes), default=0) * len(nodes),
-                 1 << b)
+        Fraction(10 * max((deg[v] for v in nodes), default=0) * len(nodes), 1 << b)
         for nodes in trees
     ]
 
@@ -709,8 +722,8 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
         comm.broadcast(1)
 
     # coin v fires when a_v ^ s2 < t_v, a_v = low_b(s1 * x_v) and s2 < 2^b
-    coin = (est.a ^ est.s2[est.tree_of]) < np.array(ctx.t, dtype=np.int64)
-    new_state = apply_bits(state, coin.astype(np.int64).tolist())
+    coin = (est.a ^ est.s2[est.tree_of]) < ctx.t
+    new_state = apply_bits(state, coin)
     seeds = [Seed(*pair) for pair in zip(est.s1.tolist(), est.s2.tolist())]
 
     records = {}
@@ -767,26 +780,21 @@ def exhaustive_seed(ctx: LevelContext, state: PrefixState, *, nodes=None):
     fam = ctx.fam
     if (1 << fam.seed_bits) > SEED_CAP:
         raise SeedCapError(f"2^{fam.seed_bits} seeds exceed the cap of {SEED_CAP}")
-    nodeset = set(range(state.inst.graph.n) if nodes is None else nodes)
+    nodes = np.arange(state.inst.graph.n) if nodes is None else np.asarray(nodes, dtype=np.int64)
     # the nodes' alive edges in index order, found through the incidence
     # lists rather than by one scan of every alive edge per component
-    idx = sorted({i for v in nodeset for i in ctx.incident[v]})
-    edges = [ctx.edges[i] for i in idx]
-    edges = [e for e in edges if e[0] in nodeset and e[1] in nodeset]
+    edges = ctx.edges[sorted({i for v in nodes.tolist() for i in ctx.incident[v]})]
+    edges = edges[np.isin(edges, nodes).all(axis=1)]
     m, b = fam.m, fam.b
-    if not edges:
+    if not len(edges):
         return seed_from_int(fam, 0), Fraction(0)
-    used = sorted({v for e in edges for v in e})
-    sizes = sorted({k for v in used for k in (ctx.k0[v], ctx.k1[v]) if k})
-    col = {k: i for i, k in enumerate(sizes)}
+    used, pos = np.unique(edges, return_inverse=True)
+    pos = pos.reshape(edges.shape)  # each edge end's index in used
+    ks = np.stack((ctx.k0[used], ctx.k1[used]))  # by side, then used node
+    sizes = np.unique(ks[ks > 0]).tolist()
     # ends[side, i, e]: endpoints of edge e whose side-1 (side 0: side-0)
     # candidate count is sizes[i]
-    ends = np.zeros((2, len(sizes), len(edges)), dtype=np.int64)
-    for e, pair in enumerate(edges):
-        for v in pair:
-            for side, k in ((1, ctx.k1[v]), (0, ctx.k0[v])):
-                if k:
-                    ends[side, col[k], e] += 1
+    ends = (ks[:, None, pos] == np.array(sizes)[:, None, None]).sum(axis=3)
     den = lcm(*sizes)
     acc_type = np.int64 if 2 * len(edges) * den < 1 << 63 else object
     scale = np.array([den // k for k in sizes], dtype=acc_type)
@@ -795,8 +803,8 @@ def exhaustive_seed(ctx: LevelContext, state: PrefixState, *, nodes=None):
     amat = np.zeros((len(used), 1), dtype=np.int64)
     for k in range(m):
         amat = np.concatenate((amat, amat ^ g[:, k, None]), axis=1)
-    tcol = np.array([ctx.t[v] for v in used], dtype=np.int64)[:, None]
-    eu, ev = np.searchsorted(used, np.array(edges, dtype=np.int64).T)
+    tcol = ctx.t[used, None]
+    eu, ev = pos.T
     s2v = np.arange(1 << b, dtype=np.int64)
     best_val = best_word = None
     for s1 in range(1 << m):

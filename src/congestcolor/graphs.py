@@ -240,7 +240,8 @@ def load_instance(path) -> ListColoringInstance:
             raise ValidationError(f"node {v}: missing color list")
         colors = _typed(raw[str(v)], list, f"node {v}: color list")
         lists.append(tuple(sorted({_typed(c, int, f"node {v}: color") for c in colors})))
-    C = payload.get("C", max((l[-1] for l in lists if l), default=-1) + 1)
+    # no list at all derives C = 1, as attach_default_lists does
+    C = payload.get("C", max((l[-1] for l in lists if l), default=0) + 1)
     C = _typed(C, int, "C")
     return ListColoringInstance(graph=graph, C=C, lists=tuple(lists), psi=psi)
 

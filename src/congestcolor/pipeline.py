@@ -184,16 +184,16 @@ def color_fraction(
             f"level {rep.level}: potential drifted past n/levels",
         )
     candidates = tuple(chosen_colors(state))
-    conflict = state.alive_edges  # same final candidate on both ends
+    conflict = tuple(map(tuple, state.alive_edges.tolist()))  # same final candidate
 
     if mode == "mis":
         check(phi_trace[-1] <= 2 * n, "final potential above 2n")
-        low = tuple(v for v in range(n) if state.deg[v] < 4)
+        low = tuple((state.deg < 4).nonzero()[0].tolist())
     else:
         # true drift is under 6*delta*n/2^b per level, so the +1 budget
         # of _accuracy_bits lands strictly below n even on regular graphs
         check(phi_trace[-1] < n, "final potential not below n")
-        low = tuple(v for v in range(n) if state.deg[v] <= 1)
+        low = tuple((state.deg <= 1).nonzero()[0].tolist())
     check(len(low) >= _ceil_div(n, 2), "low set covers under half the nodes")
     progs = comm.run(_flag_low, g, set(low), conflict)
 

@@ -6,6 +6,11 @@ candidates are exactly the list entries sharing its chosen l-bit
 prefix, a contiguous slice [lo, hi).  An edge stays alive while both
 endpoints carry the same prefix; dead edges can never conflict again.
 
+The state is arrays, and stores no prefix: init_state flattens the lists
+once per phase, int64 while C <= 2^63 and Python ints (an object array)
+past it, and v's candidates are flat[lo[v]:hi[v]]; deg counts each
+node's alive edges, an (E, 2) array kept while both ends' bits agree.
+
 The potential of a node is deg/k over alive incident edges and current
 candidate count.  Summed over nodes it equals the edge form
 sum_{uv alive} (1/k_u + 1/k_v), which is what the per-level expectation
@@ -17,10 +22,13 @@ seed-search oracles explore alternative branch outcomes cheaply.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from math import lcm
+
+import numpy as np
 
 from .graphs import ListColoringInstance, check
 
@@ -29,93 +37,97 @@ class EmptyCandidateError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrefixState:
     inst: ListColoringInstance
     W: int
     level: int
-    lo: tuple
-    hi: tuple
-    prefix: tuple
-    alive_edges: tuple
-    deg: tuple
+    flat: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    alive_edges: np.ndarray
+    deg: np.ndarray
 
-    def k(self, v: int) -> int:
-        return self.hi[v] - self.lo[v]
+    @cached_property
+    def k(self) -> np.ndarray:
+        """Every node's candidate count."""
+        return self.hi - self.lo
 
+    @cached_property
+    def split(self) -> tuple:
+        """split_counts(self), kept for the level's context and apply_bits."""
+        return split_counts(self)
 
-def _degrees(n: int, edges) -> tuple:
-    deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return tuple(deg)
+    @cached_property
+    def ints(self) -> tuple:
+        """(k, deg) in Python ints, for the potentials of any node sets."""
+        return self.k.tolist(), self.deg.tolist()
 
 
 def init_state(inst: ListColoringInstance) -> PrefixState:
     n = inst.graph.n
-    edges = inst.graph.edge_list
+    sizes = np.fromiter(map(len, inst.lists), dtype=np.int64, count=n)
+    hi = sizes.cumsum()
+    edge_list = inst.graph.edge_list
+    edges = np.fromiter(chain.from_iterable(edge_list), dtype=np.int64,
+                        count=2 * len(edge_list)).reshape(-1, 2)
     return PrefixState(
         inst=inst,
         W=(inst.C - 1).bit_length(),
         level=0,
-        lo=(0,) * n,
-        hi=tuple(len(l) for l in inst.lists),
-        prefix=(0,) * n,
+        flat=np.fromiter(chain.from_iterable(inst.lists),
+                         dtype=np.int64 if inst.C <= 1 << 63 else object),
+        lo=hi - sizes,
+        hi=hi,
         alive_edges=edges,
-        deg=_degrees(n, edges),
+        deg=np.bincount(edges.ravel(), minlength=n),
     )
 
 
-def split_counts(state: PrefixState, v: int) -> tuple:
-    """Candidate counts (k0, k1) for the two sides of the next bit."""
-    mid = (state.prefix[v] * 2 + 1) << (state.W - state.level - 1)
-    idx = bisect_left(state.inst.lists[v], mid, state.lo[v], state.hi[v])
-    return idx - state.lo[v], state.hi[v] - idx
+def split_counts(state: PrefixState) -> tuple:
+    """Every node's candidate counts (k0, k1) for the two sides of the
+    next bit, W - level - 1: the entries of each slice with that bit set
+    follow the others, so k1 is a difference of one prefix count."""
+    ones = np.zeros(len(state.flat) + 1, dtype=np.int64)
+    np.add.accumulate((state.flat >> (state.W - state.level - 1)) & 1, out=ones[1:])
+    k1 = ones[state.hi] - ones[state.lo]
+    return state.k - k1, k1
 
 
 def apply_bits(state: PrefixState, bits) -> PrefixState:
+    """The state after node v keeps the side bits[v] of its slice."""
     if state.level >= state.W:
         raise ValueError("all levels already fixed")
-    n = state.inst.graph.n
-    lo, hi, prefix = list(state.lo), list(state.hi), list(state.prefix)
-    for v in range(n):
-        b = bits[v]
-        if b not in (0, 1):
+    bits = np.asarray(bits)
+    if bits.shape != state.lo.shape:
+        raise ValueError(f"need one bit per node, {len(state.lo)} in all")
+    k0, k1 = state.split
+    one = bits == 1
+    # the candidates on the chosen side, 0 where the bit is neither 0 nor 1
+    kept = k1 * one + k0 * (bits == 0)
+    if np.count_nonzero(kept) < len(kept):
+        v = int(np.flatnonzero(kept == 0)[0])
+        if bits[v] not in (0, 1):
             raise ValueError(f"node {v}: bit must be 0 or 1")
-        k0, k1 = split_counts(state, v)
-        if (k1 if b else k0) == 0:
-            raise EmptyCandidateError(
-                f"node {v}: no candidates with bit {b} at level {state.level}"
-            )
-        if b:
-            lo[v] += k0
-        else:
-            hi[v] -= k1
-        prefix[v] = prefix[v] * 2 + b
-    alive = tuple(
-        (u, v) for u, v in state.alive_edges if prefix[u] == prefix[v]
-    )
-    return PrefixState(
-        inst=state.inst,
-        W=state.W,
-        level=state.level + 1,
-        lo=tuple(lo),
-        hi=tuple(hi),
-        prefix=tuple(prefix),
-        alive_edges=alive,
-        deg=_degrees(n, alive),
-    )
+        raise EmptyCandidateError(
+            f"node {v}: no candidates with bit {int(bits[v])} at level {state.level}"
+        )
+    lo = state.lo + k0 * one
+    ends = one[state.alive_edges]
+    alive = state.alive_edges[ends[:, 0] == ends[:, 1]]
+    deg = np.bincount(alive.ravel(), minlength=len(lo))
+    return PrefixState(state.inst, state.W, state.level + 1, state.flat, lo, lo + kept, alive, deg)
 
 
 def phi_sum(state: PrefixState, nodes=None) -> Fraction:
     """The potential sum of deg(v) / k(v) over a node sequence (default:
     every node), as integer numerators over L = lcm(k), reduced once."""
+    k, deg = state.ints
     if nodes is None:
-        nodes = range(state.inst.graph.n)
-    ks = [state.k(v) for v in nodes]
+        nodes = range(len(k))
+    ks = [k[v] for v in nodes]
     L = lcm(*ks)
-    return Fraction(sum(state.deg[v] * (L // k) for v, k in zip(nodes, ks)), L)
+    return Fraction(sum(deg[v] * (L // kv) for v, kv in zip(nodes, ks)), L)
 
 
 def chosen_colors(state: PrefixState) -> list:
@@ -127,7 +139,7 @@ def chosen_colors(state: PrefixState) -> list:
     if state.level != state.W:
         raise ValueError(f"{state.W - state.level} levels still open")
     check(
-        all(state.k(v) == 1 for v in range(state.inst.graph.n)),
+        state.ints[0].count(1) == len(state.lo),
         "a node kept more than one candidate after the last level",
     )
-    return [state.inst.lists[v][state.lo[v]] for v in range(state.inst.graph.n)]
+    return state.flat[state.lo].tolist()

@@ -674,14 +674,14 @@ class CommPlan:
 
 
 def exchange(graph, edges, width, *, policy=None, trace=None):
-    """Charge one round in which each edge (u, v) in `edges` carries one
-    `width`-bit "algorithm" message each way; returns RunStats, as the
-    engine would charge them.  A width past the policy's cap raises
-    BandwidthError at edges[0], from u to v.  No edge costs no round.
-    """
-    if not edges:
+    """Charge one round in which each edge (u, v) in `edges`, pairs or an
+    (E, 2) array, carries one `width`-bit "algorithm" message each way;
+    returns RunStats, as the engine would charge them.  A width past the
+    policy's cap raises BandwidthError at edges[0] in Python ints, from u
+    to v.  No edge costs no round."""
+    if not len(edges):
         return RunStats()
     limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
     if limit is not None and width > limit:
-        raise BandwidthError(1, edges[0], width, limit)
+        raise BandwidthError(1, tuple(map(int, edges[0])), width, limit)
     return _charge({ALGORITHM: [_even(0, width), _even(2 * len(edges), width)]}, trace)

@@ -206,11 +206,12 @@ class _OneShot(NodeProgram):
 
 def engine_exchange(graph, edges, width, *, policy=None, trace=None):
     """exchange: each edge (u, v) in edges carries a `width`-bit message
-    each way; a node queues its messages in the order of its edges."""
-    if not edges:
+    each way; a node queues its messages in the order of its edges.
+    `edges` may be pairs or an (E, 2) array."""
+    if not len(edges):
         return RunStats()
     outgoing = [{} for _ in range(graph.n)]
-    for u, v in edges:
+    for u, v in (map(int, e) for e in edges):
         outgoing[u][v] = outgoing[v][u] = Message((1 << width) - 1, width)
     progs = [_OneShot(out) for out in outgoing]
     return run_protocol(graph, progs, policy=policy, trace=trace)

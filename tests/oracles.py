@@ -9,6 +9,7 @@ not rewrite asserts outside test modules.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +56,18 @@ def xor_box_count(t_u: int, t_v: int, delta: int, b: int) -> int:
             elif top_u >> (i2 - i) == top_v:
                 total += 1 << i
     return total
+
+
+def node_split_counts(state, v: int) -> tuple:
+    """Node v's candidate counts (k0, k1) for the next bit, by bisection
+    of its list: its candidates share the prefix of their first one."""
+    lists = state.inst.lists
+    lst, start = lists[v], sum(map(len, lists[:v]))  # v's list in flat
+    lo, hi = int(state.lo[v]) - start, int(state.hi[v]) - start
+    shift = state.W - state.level
+    mid = ((lst[lo] >> shift) * 2 + 1) << (shift - 1)
+    idx = bisect_left(lst, mid, lo, hi)
+    return idx - lo, hi - idx
 
 
 class RecordingPlan(CommPlan):

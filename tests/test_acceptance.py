@@ -222,7 +222,7 @@ def _hash_rows(fam, ctx, nodes, cache):
         if v not in cache:
             cache[v] = np.array(
                 [
-                    hash_eval(fam, seed_from_int(fam, w), ctx.x[v])
+                    hash_eval(fam, seed_from_int(fam, w), ctx.ints.x[v])
                     for w in range(1 << fam.seed_bits)
                 ]
             )
@@ -243,9 +243,9 @@ def test_criterion_05_estimator_matches_brute_force():
         for _ in range(state.W):
             ctx = build_level_context(fam, state, inst.psi)
             cache = {}
-            if ctx.edges:
+            if len(ctx.edges):
                 for _ in range(15):
-                    u, v = ctx.edges[rng.randrange(len(ctx.edges))]
+                    u, v = ctx.ints.edges[rng.randrange(len(ctx.edges))]
                     bits = tuple(
                         rng.randrange(2)
                         for _ in range(rng.randrange(fam.seed_bits + 1))
@@ -255,8 +255,8 @@ def test_criterion_05_estimator_matches_brute_force():
                     base = sum(b << i for i, b in enumerate(bits))
                     _hash_rows(fam, ctx, (u, v), cache)
                     sel = (words & ((1 << len(bits)) - 1)) == base
-                    cu = cache[u][sel] < ctx.t[u]
-                    cv = cache[v][sel] < ctx.t[v]
+                    cu = cache[u][sel] < ctx.ints.t[u]
+                    cv = cache[v][sel] < ctx.ints.t[v]
                     total = int(sel.sum())
                     want = (
                         Fraction(int(np.count_nonzero(cu & cv)), total),
@@ -267,7 +267,7 @@ def test_criterion_05_estimator_matches_brute_force():
             word = rng.randrange(1 << fam.seed_bits)
             seed = seed_from_int(fam, word)
             coin_bits = [
-                1 if hash_eval(fam, seed, ctx.x[v]) < ctx.t[v] else 0
+                1 if hash_eval(fam, seed, ctx.ints.x[v]) < ctx.ints.t[v] else 0
                 for v in range(n)
             ]
             state = apply_bits(state, coin_bits)

@@ -234,6 +234,49 @@ def test_run_lists_mode_respects_file_lists(tmp_path, capsys):
     assert all(coloring.colors[v] in lists[v] for v in range(3))
 
 
+def test_run_empty_instance_with_or_without_lists(tmp_path, capsys):
+    # no list at all derives C = 1, as the default lists do; only an
+    # explicit C = 0 is refused
+    empty = {"n": 0, "colored": 0, "phases": 0, "rounds": 0, "messages": 0}
+    inst = tmp_path / "inst.json"
+    for payload in ({"n": 0, "edges": []}, {"n": 0, "edges": [], "lists": {}}):
+        inst.write_text(json.dumps(payload))
+        code, stdout, stderr = run_cli(
+            ["run", "--graph", str(inst), "--colors-mode", "lists"], capsys
+        )
+        assert (code, stderr) == (0, ""), payload
+        stats = json.loads(stdout)
+        assert {key: stats[key] for key in empty} == empty, payload
+    inst.write_text(json.dumps({"n": 0, "edges": [], "lists": {}, "C": 0}))
+    code, stdout, stderr = run_cli(["run", "--graph", str(inst), "--colors-mode", "lists"], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: palette size C must be positive\n"
+
+
+def test_run_lists_with_colours_past_int64(tmp_path, capsys):
+    # colours up to 2^71 - 1 (C = 2^71, 71 levels) keep their lists as
+    # Python ints; the colouring and its counts are pinned
+    T = 1 << 70
+    lists = {
+        0: [5, T + 1, T + 9],
+        1: [T, T + 1, 2 * T - 1],
+        2: [1 << 63, T + 9, 2 * T - 2],
+        3: [1, (1 << 64) + 3, T],
+    }
+    inst = tmp_path / "inst.json"
+    write_instance(inst, 4, [(0, 1), (1, 2), (2, 3), (0, 3)], lists=lists)
+    out = tmp_path / "col.json"
+    code, stdout, stderr = run_cli(
+        ["run", "--graph", str(inst), "--colors-mode", "lists", "--out", str(out)], capsys
+    )
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout) == {
+        "colored": 4, "max_bits": {"aggregation": 164, "algorithm": 146},
+        "messages": 9388, "n": 4, "phases": 1, "rounds": 6256,
+    }
+    assert load_coloring(out).colors == [5, 2 * T - 1, 1 << 63, T]
+
+
 def test_run_rng_seed_picks_the_generated_graph(tmp_path, capsys):
     out = tmp_path / "col.json"
     code, stdout, _ = run_cli(

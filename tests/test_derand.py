@@ -43,7 +43,7 @@ from congestcolor.graphs import (
 )
 from congestcolor.pipeline import _accuracy_bits, trim_lists
 from congestcolor.prefixes import apply_bits, init_state, phi_sum, split_counts
-from congestcolor.sim import CommPlan, Forest, build_bfs_forest
+from congestcolor.sim import BandwidthError, BandwidthPolicy, CommPlan, Forest, build_bfs_forest
 from oracles import RecordingPlan, bit_chains, xor_box_count
 
 
@@ -59,8 +59,8 @@ def oracle_joint(ctx, edge, prefix_bits):
     fam = ctx.fam
     d = 2 * fam.m
     u, v = edge
-    t_u, t_v = ctx.t[u], ctx.t[v]
-    x_u, x_v = ctx.x[u], ctx.x[v]
+    t_u, t_v = ctx.ints.t[u], ctx.ints.t[v]
+    x_u, x_v = ctx.ints.x[u], ctx.ints.x[v]
     free = d - len(prefix_bits)
     n11 = n00 = 0
     for rest in range(1 << free):
@@ -84,12 +84,12 @@ def oracle_exhaustive(ctx, edges):
         seed = seed_from_int(fam, word)
         val = Fraction(0)
         for u, v in edges:
-            cu = coins.hash_eval(fam, seed, ctx.x[u]) < ctx.t[u]
-            cv = coins.hash_eval(fam, seed, ctx.x[v]) < ctx.t[v]
+            cu = coins.hash_eval(fam, seed, ctx.ints.x[u]) < ctx.ints.t[u]
+            cv = coins.hash_eval(fam, seed, ctx.ints.x[v]) < ctx.ints.t[v]
             if cu and cv:
-                val += Fraction(1, ctx.k1[u]) + Fraction(1, ctx.k1[v])
+                val += Fraction(1, ctx.ints.k1[u]) + Fraction(1, ctx.ints.k1[v])
             elif not cu and not cv:
-                val += Fraction(1, ctx.k0[u]) + Fraction(1, ctx.k0[v])
+                val += Fraction(1, ctx.ints.k0[u]) + Fraction(1, ctx.ints.k0[v])
         if best is None or (val, word) < best:
             best = (val, word)
     return seed_from_int(fam, best[1]), best[0]
@@ -110,7 +110,7 @@ def estimator_vs_node_conditional(ctx, tree_of, rng, nodes=None):
         listed, num0, num1, L, totals = est.decision_values(j)
         assert listed.tolist() == alive, j
         shift = m + b - 1 - j  # the undecided seed bits, both regimes
-        assert L == lcm(*(max(ctx.k0[v], 1) * max(ctx.k1[v], 1) << shift for v in listed)), j
+        assert L == lcm(*(max(ctx.ints.k0[v], 1) * max(ctx.ints.k1[v], 1) << shift for v in listed)), j
         at = {v: i for i, v in enumerate(listed)}
         for v in range(len(ctx.x)) if nodes is None else nodes:
             pre = prefix[tree_of[v]]
@@ -129,6 +129,12 @@ def estimator_vs_node_conditional(ctx, tree_of, rng, nodes=None):
     return est
 
 
+def random_bits(rng, state):
+    """A random side with candidates for every node."""
+    return [rng.choice([b for b, k in ((0, k0), (1, k1)) if k])
+            for k0, k1 in zip(*(k.tolist() for k in split_counts(state)))]
+
+
 def random_context(rng, *, n_max=7, b_max=6):
     """Random tiny instance part-way through a phase, with ids as psi."""
     while True:
@@ -139,14 +145,10 @@ def random_context(rng, *, n_max=7, b_max=6):
     inst = attach_default_lists(g)
     state = init_state(inst)
     for _ in range(rng.randrange(0, state.W)):
-        bits = []
-        for v in range(n):
-            k0, k1 = split_counts(state, v)
-            bits.append(rng.choice([b for b, k in ((0, k0), (1, k1)) if k]))
-        state = apply_bits(state, bits)
-        if not state.alive_edges:
+        state = apply_bits(state, random_bits(rng, state))
+        if not len(state.alive_edges):
             return None
-    if not state.alive_edges:
+    if not len(state.alive_edges):
         return None
     b = rng.randrange(2, b_max + 1)
     fam = make_family(n, b)
@@ -261,7 +263,7 @@ def test_zero_threshold_kills_p11():
     g = generate_graph("path", {"n": 2})
     inst = ListColoringInstance(graph=g, C=4, lists=((0, 1), (0, 1)))
     ctx = build_level_context(make_family(2, 3), init_state(inst), (0, 1))
-    assert ctx.t[0] == 0  # both candidates extend prefix 0
+    assert ctx.ints.t[0] == 0  # both candidates extend prefix 0
     rng = random.Random(5)
     for j in (0, 1, 3, 6):
         bits = tuple(rng.randrange(2) for _ in range(j))
@@ -282,9 +284,9 @@ def test_fully_fixed_prefix_matches_coin_eval():
         word = rng.randrange(1 << d)
         bits = tuple((word >> j) & 1 for j in range(d))
         seed = seed_from_int(ctx.fam, word)
-        for u, v in ctx.edges:
-            cu = coins.hash_eval(ctx.fam, seed, ctx.x[u]) < ctx.t[u]
-            cv = coins.hash_eval(ctx.fam, seed, ctx.x[v]) < ctx.t[v]
+        for u, v in ctx.ints.edges:
+            cu = coins.hash_eval(ctx.fam, seed, ctx.ints.x[u]) < ctx.ints.t[u]
+            cv = coins.hash_eval(ctx.fam, seed, ctx.ints.x[v]) < ctx.ints.t[v]
             p11, p00 = joint_outcome_prob(ctx, (u, v), SeedPrefix(bits))
             assert p11 == int(cu and cv)
             assert p00 == int(not cu and not cv)
@@ -300,7 +302,7 @@ def test_joint_prob_matches_seed_enumeration():
             continue
         ctx, _ = made
         d = 2 * ctx.fam.m
-        edge = ctx.edges[rng.randrange(len(ctx.edges))]
+        edge = ctx.ints.edges[rng.randrange(len(ctx.edges))]
         j = rng.choice(
             [0, 1, ctx.fam.m - 1, ctx.fam.m, ctx.fam.m + 1,
              ctx.fam.m + ctx.fam.b, rng.randrange(d + 1)]
@@ -414,7 +416,7 @@ def test_fix_level_chain_is_monotone_and_exact():
         def aggregate(casts, j, run=comm.aggregate):
             # each listed node's own denominator is max(k0, 1) max(k1, 1),
             # times a power of two common to all
-            den = {v: max(ctx.k0[v], 1) * max(ctx.k1[v], 1) for v in casts.nodes.tolist()}
+            den = {v: max(ctx.ints.k0[v], 1) * max(ctx.ints.k1[v], 1) for v in casts.nodes.tolist()}
             lam = lcm(*den.values())
             wider.append(any(lcm(*(den[v] for v in t if v in den)) != lam for t in forest.nodes))
             return run(casts, j)
@@ -617,7 +619,7 @@ def test_level_rounds_follow_the_closed_form(inst, b, strategy):
     forest, _ = build_bfs_forest(g)
     for _ in range(state.W):
         ctx = build_level_context(fam, state, tuple(range(g.n)))
-        alive = bool(state.alive_edges)
+        alive = len(state.alive_edges) > 0
         state, report = fix_level(ctx, state, CommPlan(g, forest), strategy=strategy)
         assert report.rounds == alive + 2 * (fam.m + fam.b) * forest.height
 
@@ -667,7 +669,7 @@ def test_exhaustive_seed_p2():
     assert value == 0
     # applying the winning seed's coins really separates the two nodes
     bits = [
-        int(coins.hash_eval(fam, seed, ctx.x[v]) < ctx.t[v]) for v in range(2)
+        int(coins.hash_eval(fam, seed, ctx.ints.x[v]) < ctx.ints.t[v]) for v in range(2)
     ]
     assert bits[0] != bits[1]
 
@@ -709,7 +711,8 @@ def test_exhaustive_minimum_leq_conditional():
 
 
 class CountingEdges(tuple):
-    """An edge tuple that counts the passes made over it."""
+    """An edge tuple that counts the passes made over it: a context's
+    edges in Python ints, which every per-edge Python loop reads."""
 
     passes = 0
 
@@ -727,15 +730,33 @@ def test_exhaustive_strategy_scans_edges_once_per_level():
         state = init_state(attach_default_lists(g))
         psi = tuple(v % 2 for v in range(g.n))
         ctx = build_level_context(make_family(2, 2), state, psi)
-        counted = replace(ctx, edges=CountingEdges(ctx.edges))
+        counted = replace(ctx)
+        counted.__dict__["ints"] = ctx.ints._replace(edges=CountingEdges(ctx.ints.edges))
         forest, _ = build_bfs_forest(g)
-        runs = [
+        (s0, r0), (s1, r1) = [
             fix_level(c, state, CommPlan(g, forest), strategy="exhaustive")
             for c in (ctx, counted)
         ]
-        assert runs[0] == runs[1]
-        seen[comps] = counted.edges.passes
+        assert r0 == r1 and s0.level == s1.level
+        for name in ("lo", "hi", "alive_edges", "deg"):
+            assert np.array_equal(getattr(s0, name), getattr(s1, name)), name
+        seen[comps] = counted.ints.edges.passes
     assert seen[4] == seen[16] == seen[64] <= 2, seen
+
+
+def test_fix_level_bandwidth_error_names_its_edge_in_python_ints():
+    # under strict:1 the round-1 exchange of (k0, k1, psi) passes the cap;
+    # the error names the first alive edge as a pair of Python ints
+    g = Graph.from_edges(4, [(1, 2), (2, 3)])
+    state = init_state(attach_default_lists(g))
+    ctx = build_level_context(make_family(4, 3), state, (0, 1, 2, 3))
+    forest, _ = build_bfs_forest(g)
+    comm = CommPlan(g, forest, policy=BandwidthPolicy(beta=1))
+    with pytest.raises(BandwidthError) as info:
+        fix_level(ctx, state, comm)
+    assert info.value.edge == (1, 2)
+    assert [type(v) for v in info.value.edge] == [int, int]
+    assert str(info.value).endswith(" at round 1 on edge (1, 2)")
 
 
 def test_thresholds_match_coins_threshold_on_a_grid():
@@ -747,8 +768,8 @@ def test_thresholds_match_coins_threshold_on_a_grid():
     state = init_state(inst)
     for b in range(1, 40):
         ctx = build_level_context(make_family(len(lists), b), state, tuple(range(len(lists))))
-        assert list(zip(ctx.k0, ctx.k1)) == splits
-        assert list(ctx.t) == [
+        assert list(zip(ctx.k0.tolist(), ctx.k1.tolist())) == splits
+        assert ctx.t.tolist() == [
             coins.threshold(Fraction(k1, k0 + k1), b) for k0, k1 in splits
         ], b
 
@@ -768,9 +789,11 @@ def test_coins_match_hash_eval_on_forests():
                 ctx, state, CommPlan(state.inst.graph, forest), strategy=strategy
             )
             seeds = [report.roots[root].seed for root in forest.roots]
-            assert [p & 1 for p in new_state.prefix] == [
-                int(coins.hash_eval(ctx.fam, seeds[forest.tree_of[v]], x) < ctx.t[v])
-                for v, x in enumerate(ctx.x)
+            # the bit each node kept is the last of its new prefix
+            kept = new_state.flat[new_state.lo]
+            assert ((kept >> (new_state.W - new_state.level)) & 1).tolist() == [
+                int(coins.hash_eval(ctx.fam, seeds[forest.tree_of[v]], x) < ctx.ints.t[v])
+                for v, x in enumerate(ctx.ints.x)
             ], strategy
             done += 1
 
@@ -821,7 +844,7 @@ def test_uniform_average_drops_for_power_of_two_lists():
         # high seed bits never reach the low-b window; zeroing them is lossless
         seed = seed_from_int(fam, word)
         bits = [
-            int(coins.hash_eval(fam, seed, ctx.x[v]) < ctx.t[v])
+            int(coins.hash_eval(fam, seed, ctx.ints.x[v]) < ctx.ints.t[v])
             for v in range(4)
         ]
         total += phi_sum(apply_bits(state, bits))
@@ -844,11 +867,7 @@ def forest_level(rng):
     inst = attach_default_lists(Graph.from_edges(n, edges))
     state = init_state(inst)
     for _ in range(rng.randrange(0, state.W)):
-        bits = []
-        for v in range(n):
-            k0, k1 = split_counts(state, v)
-            bits.append(rng.choice([b for b, k in ((0, k0), (1, k1)) if k]))
-        state = apply_bits(state, bits)
+        state = apply_bits(state, random_bits(rng, state))
     K = rng.randrange(n, 5 * n + 1)
     fam = make_family(K, rng.randrange(1, 6))
     return build_level_context(fam, state, tuple(rng.sample(range(K), n))), state
@@ -911,7 +930,7 @@ def test_estimator_seed_state_matches_field_products():
             s1 = [w & ((1 << fam.m) - 1) for w in word]
             assert est.a.tolist() == [
                 gf2.mul(fam.fld, s1[tree_of[v]], x) & ((1 << fam.b) - 1)
-                for v, x in enumerate(ctx.x)
+                for v, x in enumerate(ctx.ints.x)
             ], j
             assert est.s2.tolist() == [w >> fam.m for w in word], j
         done += 1
@@ -928,7 +947,7 @@ def test_estimator_per_node_on_avoid_mis_star():
     # below 2^63, so the level sums in int64
     w = [
         max(k0, 1) * max(k1, 1) // k
-        for k0, k1 in zip(ctx.k0, ctx.k1)
+        for k0, k1 in zip(ctx.ints.k0, ctx.ints.k1)
         for k in (k0, k1)
         if k
     ]
@@ -936,6 +955,14 @@ def test_estimator_per_node_on_avoid_mis_star():
     assert budget >= 63
     est = estimator_vs_node_conditional(ctx, [0] * g.n, random.Random(59))
     assert est.acc_type is np.int64
+    # each seed bit's tree totals run in int64 while its numerators sum
+    # below 2^62, and in Python ints past it; this level has both kinds
+    est, small = _Estimator(ctx, [0] * g.n, 1), []
+    for j in range(fam.m + fam.b):  # bits left at 0, which lock leaves as is
+        _, num0, num1, _, totals = est.decision_values(j)
+        small.append(sum(num0.tolist()) + sum(num1.tolist()) < 1 << 62)
+        assert totals.dtype == (np.int64 if small[-1] else object), j
+    assert True in small and False in small
 
 
 def test_estimator_per_node_on_wide_avoid_mis_star():
@@ -965,8 +992,8 @@ def test_estimator_per_node_with_sure_coins():
     for K, b in ((3, 3), (64, 2), (16, 5)):
         fam = make_family(K, b)
         ctx = build_level_context(fam, init_state(inst), (0, 1, 2))
-        assert (ctx.k1[0], ctx.k0[2]) == (0, 0)
-        assert (ctx.t[0], ctx.t[2]) == (0, 1 << b)
+        assert (ctx.ints.k1[0], ctx.ints.k0[2]) == (0, 0)
+        assert (ctx.ints.t[0], ctx.ints.t[2]) == (0, 1 << b)
         for seed in range(4):
             estimator_vs_node_conditional(ctx, [0, 0, 0], random.Random(seed))
 
@@ -1009,7 +1036,7 @@ def test_estimator_numerators_in_int64_only_below_the_bound(splits, num_type):
     lists = tuple(tuple(range(k0)) + tuple(range(64, 64 + k1)) for k0, k1 in splits)
     inst = ListColoringInstance(graph=generate_graph("cycle", {"n": n}), C=128, lists=lists)
     ctx = build_level_context(make_family(n, 3), init_state(inst), tuple(range(n)))
-    assert tuple(zip(ctx.k0, ctx.k1)) == splits
+    assert tuple(zip(ctx.k0.tolist(), ctx.k1.tolist())) == splits
     assert (lcm(*(k0 * k1 for k0, k1 in splits)) > 1 << 63) == (num_type is object)
     est = estimator_vs_node_conditional(ctx, [0] * n, random.Random(89))
     assert est.acc_type is np.int64 and est.num_type is num_type
@@ -1097,7 +1124,7 @@ def test_estimator_value_keys_past_int64():
     lists = ((0, 1, 2, 4, 5), (0, 1, 4), (1, 2, 5), (0, 2, 4))
     inst = ListColoringInstance(graph=g, C=8, lists=lists)
     ctx = build_level_context(make_family(1 << 62, 62), init_state(inst), (0, 1, 2, 3))
-    assert ctx.t == (-(-(2 << 62) // 5),) + (-(-(1 << 62) // 3),) * 3
+    assert ctx.t.tolist() == [-(-(2 << 62) // 5)] + [-(-(1 << 62) // 3)] * 3
     estimator_vs_node_conditional(ctx, [0] * g.n, random.Random(83))
 
 
@@ -1112,7 +1139,7 @@ def test_exhaustive_seed_matches_scalar_scan():
         if made is None:
             continue
         ctx, state = made
-        assert exhaustive_seed(ctx, state) == oracle_exhaustive(ctx, ctx.edges)
+        assert exhaustive_seed(ctx, state) == oracle_exhaustive(ctx, ctx.ints.edges)
         done += 1
 
 
@@ -1127,9 +1154,9 @@ def test_exhaustive_seed_mixed_list_sizes_past_int64():
     )
     state = init_state(inst)
     ctx = build_level_context(make_family(8, 3), state, tuple(range(8)))
-    assert tuple(zip(ctx.k0, ctx.k1)) == splits
+    assert tuple(zip(ctx.k0.tolist(), ctx.k1.tolist())) == splits
     assert lcm(*(k for s in splits for k in s)) > 1 << 63
-    assert exhaustive_seed(ctx, state) == oracle_exhaustive(ctx, ctx.edges)
+    assert exhaustive_seed(ctx, state) == oracle_exhaustive(ctx, ctx.ints.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from congestcolor.graphs import (
@@ -17,6 +18,12 @@ from congestcolor.prefixes import (
     phi_sum,
     split_counts,
 )
+from oracles import node_split_counts
+
+
+def splits(st):
+    """split_counts of every node, as (k0, k1) pairs of Python ints."""
+    return list(zip(*(k.tolist() for k in split_counts(st))))
 
 
 def p3_instance():
@@ -31,37 +38,36 @@ def test_initial_potential_p3():
     assert phi_sum(st, [1]) == Fraction(2, 3)
     assert phi_sum(st, [2]) == Fraction(1, 2)
     assert phi_sum(st) == Fraction(5, 3)
-    assert st.alive_edges == ((0, 1), (1, 2))
+    assert st.alive_edges.tolist() == [[0, 1], [1, 2]]
 
 
 def test_split_counts_examples():
     g = Graph.from_edges(1, [])
     st = init_state(ListColoringInstance(graph=g, C=8, lists=((0, 1, 2, 3, 4),)))
     assert st.W == 3
-    assert split_counts(st, 0) == (4, 1)
+    assert splits(st) == [(4, 1)]
 
     st2 = init_state(ListColoringInstance(graph=g, C=8, lists=((6, 7),)))
     st2 = apply_bits(st2, [1])
     st2 = apply_bits(st2, [1])
     assert st2.level == 2
-    assert split_counts(st2, 0) == (1, 1)
+    assert splits(st2) == [(1, 1)]
 
 
 def test_apply_bits_narrows_and_kills_edges():
     st = init_state(p3_instance())
     # level 0 splits: {0,1}->(2,0), {0,1,2}->(2,1), {1,2}->(1,1)
-    assert split_counts(st, 0) == (2, 0)
-    assert split_counts(st, 1) == (2, 1)
-    assert split_counts(st, 2) == (1, 1)
+    assert splits(st) == [(2, 0), (2, 1), (1, 1)]
     st1 = apply_bits(st, [0, 0, 1])
     assert st1.level == 1
-    assert st1.k(0) == 2 and st1.k(1) == 2 and st1.k(2) == 1
+    assert st1.k.tolist() == [2, 2, 1]
     # node 2 branched to prefix 1, the others to 0: edge (1,2) dies
-    assert st1.alive_edges == ((0, 1),)
+    assert st1.alive_edges.tolist() == [[0, 1]]
+    assert st1.deg.tolist() == [1, 1, 0]
     assert phi_sum(st1) == Fraction(1, 2) + Fraction(1, 2)
     st2 = apply_bits(st1, [0, 1, 0])
     assert st2.level == 2
-    assert st2.alive_edges == ()
+    assert st2.alive_edges.shape == (0, 2)
     assert chosen_colors(st2) == [0, 1, 2]
 
 
@@ -69,9 +75,51 @@ def test_forced_side_and_empty_side():
     st = init_state(p3_instance())
     st1 = apply_bits(st, [0, 0, 1])
     # node 2 is down to {2}; level-1 split forces bit 1... wait, 2 = 10
-    assert split_counts(st1, 2) == (1, 0)
+    assert splits(st1)[2] == (1, 0)
     with pytest.raises(EmptyCandidateError, match="node 2"):
         apply_bits(st1, [0, 0, 1])
+
+
+def test_apply_bits_errors_name_the_first_node():
+    # level 0 of p3: node 0 has no color with bit 1; a bad bit and an empty
+    # side are checked node by node, the first node's fault raised
+    st = init_state(p3_instance())
+    with pytest.raises(EmptyCandidateError, match="^node 0: no candidates with bit 1 at level 0$"):
+        apply_bits(st, [1, 5, 0])
+    with pytest.raises(ValueError, match="^node 1: bit must be 0 or 1$"):
+        apply_bits(st, [0, 5, 1])
+    with pytest.raises(ValueError, match="^node 0: bit must be 0 or 1$"):
+        apply_bits(st, [2, 0, 0])
+    # one bit per node: a short or long list is refused, not broadcast
+    for bits in ([0], [0, 0, 1, 0]):
+        with pytest.raises(ValueError, match="^need one bit per node, 3 in all$"):
+            apply_bits(st, bits)
+    # a bool array is the same bits as a list of ints
+    got, want = apply_bits(st, np.array([False, False, True])), apply_bits(st, [0, 0, 1])
+    for name in ("lo", "hi", "alive_edges", "deg"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_split_counts_match_bisection_past_int64():
+    # lists flatten to int64 while C <= 2^63 and to Python ints past it;
+    # either way the counts match bisection of each list at every level
+    rng = random.Random(13)
+    g = generate_graph("gnp", {"n": 10, "p": 0.4}, rng_seed=3)
+    for C, dtype in ((1 << 63, np.int64), ((1 << 63) + 1, object), (1 << 70, object)):
+        lists = tuple(
+            tuple(sorted({C - 1 - rng.randrange(1 << 20) if rng.randrange(2) else rng.randrange(C)
+                          for _ in range(g.deg(v) + 3)}))
+            for v in range(g.n)
+        )
+        inst = ListColoringInstance(graph=g, C=C, lists=lists)
+        st = init_state(inst)
+        assert st.flat.dtype == dtype
+        while st.level < st.W:
+            got = splits(st)
+            assert got == [node_split_counts(st, v) for v in range(g.n)], (C, st.level)
+            st = apply_bits(st, [rng.choice([b for b, k in enumerate(ks) if k]) for ks in got])
+        colors = chosen_colors(st)
+        assert all(type(c) is int and c in lists[v] for v, c in enumerate(colors))
 
 
 def test_conflicting_candidates_stay_alive():
@@ -81,7 +129,7 @@ def test_conflicting_candidates_stay_alive():
     st = apply_bits(st, [0, 0])  # both move toward color 1
     st = apply_bits(st, [1, 1])
     assert chosen_colors(st) == [1, 1]
-    assert st.alive_edges == ((0, 1),)  # a conflict to resolve downstream
+    assert st.alive_edges.tolist() == [[0, 1]]  # a conflict to resolve downstream
 
 
 def test_single_color_instance_has_no_levels():
@@ -99,15 +147,16 @@ def test_phi_node_and_edge_forms_agree():
         inst = attach_default_lists(g)
         st = init_state(inst)
         while st.level < st.W:
+            k = st.k.tolist()
             edge_form = sum(
-                Fraction(1, st.k(u)) + Fraction(1, st.k(v))
-                for u, v in st.alive_edges
+                Fraction(1, k[u]) + Fraction(1, k[v])
+                for u, v in st.alive_edges.tolist()
             )
             assert phi_sum(st) == edge_form
             bits = []
-            for v in range(g.n):
-                k0, k1 = split_counts(st, v)
-                assert k0 + k1 == st.k(v)
+            for v, (k0, k1) in enumerate(splits(st)):
+                assert (k0, k1) == node_split_counts(st, v)
+                assert k0 + k1 == k[v]
                 choices = [b for b, kb in ((0, k0), (1, k1)) if kb]
                 bits.append(rng.choice(choices))
             st = apply_bits(st, bits)
@@ -115,7 +164,7 @@ def test_phi_node_and_edge_forms_agree():
         for v in range(g.n):
             assert colors[v] in inst.lists[v]
         conflicts = {(u, v) for u, v in g.edge_list if colors[u] == colors[v]}
-        assert set(st.alive_edges) == conflicts
+        assert set(map(tuple, st.alive_edges.tolist())) == conflicts
 
 
 def test_phi_sum_of_subsets_matches_per_node_fractions():
@@ -126,14 +175,13 @@ def test_phi_sum_of_subsets_matches_per_node_fractions():
         g = generate_graph("gnp", {"n": 15, "p": 0.4}, rng_seed=100 + trial)
         st = init_state(attach_default_lists(g))
         for _ in range(rng.randrange(st.W)):
-            bits = []
-            for v in range(g.n):
-                k0, k1 = split_counts(st, v)
-                bits.append(rng.choice([b for b, kb in ((0, k0), (1, k1)) if kb]))
+            bits = [rng.choice([b for b, kb in ((0, k0), (1, k1)) if kb])
+                    for k0, k1 in splits(st)]
             st = apply_bits(st, bits)
+        deg, k = st.deg.tolist(), st.k.tolist()
         for size in (0, 1, rng.randrange(2, g.n), g.n):
             nodes = tuple(rng.sample(range(g.n), size))
-            want = sum((Fraction(st.deg[v], st.k(v)) for v in nodes), Fraction(0))
+            want = sum((Fraction(deg[v], k[v]) for v in nodes), Fraction(0))
             got = phi_sum(st, nodes)
             assert type(got) is Fraction and got == want
         assert phi_sum(st) == phi_sum(st, range(g.n))
