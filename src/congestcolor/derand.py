@@ -40,9 +40,11 @@ the totals decided on.  Every exact sum adds integer
 numerators over one common denominator: the convergecast adds the two
 values of each node with alive edges (the others add 0) over the
 estimator's one denominator for the forest, roots compare and chain their
-integer totals by cross-multiplication, and phi_sum gives the potentials
-a level is checked against.  Components cannot share a seed, so each
-tree, named by its forest position, fixes its own.
+integer totals by cross-multiplication, and each tree's potentials, which
+bound them, are segment sums of one integer array per state over the
+forest's preorder; Fractions appear only in the level's reports.
+Components cannot share a seed, so each tree, named by its forest
+position, fixes its own.
 """
 
 from __future__ import annotations
@@ -58,8 +60,8 @@ import numpy as np
 from . import gf2
 from .coins import FamilySpec, Seed, seed_bit_string, seed_from_int, seed_to_int
 from .graphs import InvariantError, check  # InvariantError: re-exported
-from .prefixes import PrefixState, apply_bits, phi_sum
-from .sim import Convergecasts
+from .prefixes import PrefixState, apply_bits
+from .sim import Convergecasts, _bit_length
 
 
 SEED_CAP = 1 << 24  # most seeds an exhaustive search enumerates
@@ -191,14 +193,6 @@ def branch_pairs(t_u, t_v, b: int):
     return entry, p, (((u ^ v) >> p) ^ flip.astype(t_u.dtype)) << p, w
 
 
-def _bit_mask(x):
-    """2^q - 1 entrywise, q the bit length of a non-negative int64 array."""
-    # past 2^53 frexp's float may round x up a bit too long; the shift drops it
-    mask = ~(np.int64(-1) << np.minimum(np.frexp(x)[1], 63))
-    mask >>= x <= mask >> 1
-    return mask
-
-
 def box_count(t_u, t_v, delta):
     """|{z : z < t_u and z ^ delta < t_v}| entrywise, for non-negative
     int64 arrays.
@@ -207,7 +201,7 @@ def box_count(t_u, t_v, delta):
     of delta ^ t_u ^ t_v, the same pairs hit for every p >= q and of the
     cross pairs only p = q - 1 does.
     """
-    mask = _bit_mask(delta ^ t_u ^ t_v)
+    mask = ~(np.int64(-1) << _bit_length(delta ^ t_u ^ t_v))
     top, low = mask ^ (mask >> 1), mask >> 1  # 2^(q-1) (0 at q = 0), below it
     return (
         (t_u & t_v & ~mask)
@@ -401,7 +395,7 @@ class _SpanSweep:
         self.steps = [None] * m
         for j in range(m - 1, 0, -1):
             c = self.gens[j].copy()
-            mask = _bit_mask(c)
+            mask = ~(np.int64(-1) << _bit_length(c))
             top = mask ^ (mask >> 1)  # 2^q_j, or 0 where c_j adds no pivot
             self.steps[j] = c, top, (self.y & top[self.at]) != 0
             self._step(j, 1)
@@ -430,11 +424,11 @@ class _Estimator:
     are integers in units of 2^-(free+b) while s1 is open and 2^-free
     after (free = undecided bits that still matter), so each is at most
     2^(m+b-1).  Each node with alive edges (inc_node, listed once per
-    level as `nodes`) sums its incident counts, one reduceat over the
-    edge ends sorted by node, and folds in its weights 1/k1 and 1/k0 as
-    integer numerators over lam 2^shift, lam the level's lcm of the
-    distinct max(k0, 1) max(k1, 1), unreduced; one sum, or one reduceat
-    over the nodes in tree order, gives each tree's totals.  The like
+    level as `nodes`, tree by tree) sums its incident counts, one reduceat
+    over the edge ends sorted by (tree, node), and folds in its weights
+    1/k1 and 1/k0 as integer numerators over lam 2^shift, lam the level's
+    lcm of the distinct max(k0, 1) max(k1, 1), unreduced; one sum, or one
+    reduceat over the trees' runs of nodes, gives each tree's totals.  The like
     sums run in int64 when the level's bound deg(v) (max(k0, 1) +
     max(k1, 1)) 2^(m+b-1) is below 2^63, the numerators when it is times
     lam / (max(k0, 1) max(k1, 1)), and in Python ints (object arrays) past
@@ -479,10 +473,10 @@ class _Estimator:
         # s1-regime counts reach 2^(m+b-1): int64 up to m+b = 62, else objects
         self.cnt_type = np.int64 if m + b <= 62 else object
         self.eu, self.ev = edges.T
-        # incidence order: the 2E edge ends sorted by node, so that each
-        # node with alive edges (inc_node) owns one run of them
+        # incidence order: the 2E edge ends sorted by (tree, node), so that
+        # each node with alive edges (inc_node) owns one run, tree by tree
         ends = np.concatenate((self.eu, self.ev))
-        order = np.argsort(ends, kind="stable")
+        order = np.lexsort((ends, self.tree_of[ends]))
         self.inc_edge, ends = order % E, ends[order]
         cut = np.flatnonzero(_runs(ends))
         self.inc_start, deg = cut[:-1], cut[1:] - cut[:-1]
@@ -505,11 +499,10 @@ class _Estimator:
             bound = deg * (w1 + w0) << (m + b - 1)
             self.num_type = np.int64 if bound.max() < 1 << 63 else object
         self.w1, self.w0 = w1.astype(self.num_type), w0.astype(self.num_type)
-        # the listed nodes by tree: one reduceat gives the trees' totals
+        # each tree's run of listed nodes: one reduceat gives the trees' totals
         node_tree = self.tree_of[self.inc_node]
-        self.by_tree = np.argsort(node_tree, kind="stable")
-        cut = np.flatnonzero(_runs(node_tree[self.by_tree]))[:-1]
-        self.tree_cut, self.tree_at = cut, node_tree[self.by_tree[cut]]
+        self.tree_cut = np.flatnonzero(_runs(node_tree))[:-1]
+        self.tree_at = node_tree[self.tree_cut]
         self.edge_tree = self.tree_of[self.eu]
         # the spans depend on an edge only through dx = x_u ^ x_v, and the
         # generators are linear in it: g_k(x_u ^ x_v) = g_k(x_u) ^ g_k(x_v)
@@ -595,7 +588,7 @@ class _Estimator:
             totals = wide.sum(axis=1, keepdims=True)
         else:
             totals = np.zeros((2, self.trees), dtype=wide.dtype)
-            totals[:, self.tree_at] = np.add.reduceat(wide[:, self.by_tree], self.tree_cut, axis=1)
+            totals[:, self.tree_at] = np.add.reduceat(wide, self.tree_cut, axis=1)
         return self.inc_node, num[0], num[1], self.lam << shift, totals
 
     # -- committing a decided bit -------------------------------------------
@@ -658,25 +651,32 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     broadcast of the chosen bit; the level's convergecasts are priced
     together, on the first.
 
+    Each tree's potential before and after, and its slack 10 max deg
+    |tree| / 2^b, are segment sums of the states' phi_terms and deg over
+    the forest's preorder; the first bit's totals, the realized potential
+    and the level's potential are checked against them by cross-multiplying
+    Python ints, and Fractions are built only for the reports and trace.
+
     Tree i of comm.forest is rooted at roots[i] and holds nodes[i]; a
     Forest partitions range(len(tree_of)), so only its length is checked.
     """
     if strategy not in ("conditional", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     fam = ctx.fam
-    n = state.inst.graph.n
     m, b = fam.m, fam.b
     start_rounds = comm.stats.rounds
     forest = comm.forest
-    if len(forest.tree_of) != n:
+    if len(forest.tree_of) != state.inst.graph.n:
         raise ValueError("forest must partition the nodes")
     tree_of, trees = forest.tree_of, forest.nodes
-    comp_phi = [phi_sum(state, nodes) for nodes in trees]
-    deg = state.ints[1]
-    slack = [
-        Fraction(10 * max((deg[v] for v in nodes), default=0) * len(nodes), 1 << b)
-        for nodes in trees
-    ]
+    # per tree, over its run of the forest's preorder: its potential
+    # before[i] / den, and its bound cap[i] / (den 2^b), the potential
+    # plus the slack 10 max deg |tree| / 2^b
+    terms, den = state.phi_terms
+    pre, starts = forest.preorder, forest.tree_start[:-1]
+    before = np.add.reduceat(terms[pre], starts).tolist()
+    slack = 10 * np.maximum.reduceat(state.deg[pre], starts) * np.diff(forest.tree_start)
+    cap = [(phi << b) + s * den for phi, s in zip(before, slack.tolist())]
 
     # round 1: both endpoints of every alive edge send each other their
     # split counts and psi color, (k0, k1, x) in 2 * cw + a bits, after
@@ -698,8 +698,8 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
         totals = list(zip(*totals.tolist()))
         bits = []
         for i, (s0, s1) in enumerate(totals):
-            if j == 0:
-                check(Fraction(s0 + s1, 2 * L) <= comp_phi[i] + slack[i],
+            if j == 0:  # (s0 + s1) / 2 is at most the tree's bound
+                check((s0 + s1) * den << b <= 2 * L * cap[i],
                       "threshold rounding drifted past its slack")
             else:  # (s0 + s1) / 2 equals the previous bit's choice
                 check((s0 + s1) * last[i][1] == 2 * last[i][0] * L,
@@ -725,36 +725,33 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     coin = (est.a ^ est.s2[est.tree_of]) < ctx.t
     new_state = apply_bits(state, coin)
     seeds = [Seed(*pair) for pair in zip(est.s1.tolist(), est.s2.tolist())]
+    terms, den_after = new_state.phi_terms
+    after = np.add.reduceat(terms[pre], starts).tolist()
 
     records = {}
-    for i, (root, nodes) in enumerate(zip(forest.roots, trees)):
-        realized = phi_sum(new_state, nodes)
-        check(realized == Fraction(*last[i]),
+    for i, root in enumerate(forest.roots):
+        check(after[i] * last[i][1] == last[i][0] * den_after,
               "realized potential must equal the fully conditioned expectation")
-        records[root] = RootRecord(
-            seed=seeds[i],
-            phi_before=comp_phi[i],
-            phi_after=realized,
-        )
+        rec = records[root] = RootRecord(
+            seeds[i], Fraction(before[i], den), Fraction(after[i], den_after))
         if comm.trace is not None:
             comm.trace(
                 {
                     "level": new_state.level,
                     "root": root,
                     "seed": seed_bit_string(fam, seeds[i]),
-                    "phi_before": frac_str(comp_phi[i]),
-                    "phi_after": frac_str(realized),
-                    "bound": frac_str(comp_phi[i] + slack[i]),
+                    "phi_before": frac_str(rec.phi_before),
+                    "phi_after": frac_str(rec.phi_after),
+                    "bound": frac_str(Fraction(cap[i], den << b)),
                 }
             )
-    phi_before, phi_after = phi_sum(state), phi_sum(new_state)
-    bound = phi_before + sum(slack, Fraction(0))
-    check(phi_after <= bound, "level potential exceeded the rounding slack")
+    check(sum(after) * den << b <= sum(cap) * den_after,
+          "level potential exceeded the rounding slack")
     report = LevelReport(
         level=new_state.level,
-        phi_before=phi_before,
-        phi_after=phi_after,
-        bound=bound,
+        phi_before=Fraction(sum(before), den),
+        phi_after=Fraction(sum(after), den_after),
+        bound=Fraction(sum(cap), den << b),
         rounds=comm.stats.rounds - start_rounds,
         roots=records,
     )

@@ -14,7 +14,9 @@ node's alive edges, an (E, 2) array kept while both ends' bits agree.
 The potential of a node is deg/k over alive incident edges and current
 candidate count.  Summed over nodes it equals the edge form
 sum_{uv alive} (1/k_u + 1/k_v), which is what the per-level expectation
-bounds control.  It is exact: phi_sum adds integers over lcm(k).
+bounds control.  It is exact: phi_terms holds every node's as an integer
+numerator over one L = lcm(k), built once per state, and phi_sum adds
+them.
 
 States are immutable; apply_bits returns a fresh state, which lets
 seed-search oracles explore alternative branch outcomes cheaply.
@@ -59,9 +61,14 @@ class PrefixState:
         return split_counts(self)
 
     @cached_property
-    def ints(self) -> tuple:
-        """(k, deg) in Python ints, for the potentials of any node sets."""
-        return self.k.tolist(), self.deg.tolist()
+    def phi_terms(self) -> tuple:
+        """(terms, L): node v's potential deg(v) / k(v) is terms[v] / L, L = lcm(k),
+        int64 while 2E L, their sum's bound, is below 2^63, else Python ints."""
+        k = self.k
+        L = lcm(*set(k.tolist()))
+        if max(2 * len(self.alive_edges), 1) * L < 1 << 63:
+            return self.deg * (L // k), L
+        return self.deg.astype(object) * (L // k.astype(object)), L
 
 
 def init_state(inst: ListColoringInstance) -> PrefixState:
@@ -119,15 +126,11 @@ def apply_bits(state: PrefixState, bits) -> PrefixState:
     return PrefixState(state.inst, state.W, state.level + 1, state.flat, lo, lo + kept, alive, deg)
 
 
-def phi_sum(state: PrefixState, nodes=None) -> Fraction:
-    """The potential sum of deg(v) / k(v) over a node sequence (default:
-    every node), as integer numerators over L = lcm(k), reduced once."""
-    k, deg = state.ints
-    if nodes is None:
-        nodes = range(len(k))
-    ks = [k[v] for v in nodes]
-    L = lcm(*ks)
-    return Fraction(sum(deg[v] * (L // kv) for v, kv in zip(nodes, ks)), L)
+def phi_sum(state: PrefixState) -> Fraction:
+    """The potential sum of deg(v) / k(v) over every node: the sum of
+    phi_terms over their L, reduced once."""
+    terms, L = state.phi_terms
+    return Fraction(int(terms.sum()), L)
 
 
 def chosen_colors(state: PrefixState) -> list:
@@ -138,8 +141,5 @@ def chosen_colors(state: PrefixState) -> list:
     """
     if state.level != state.W:
         raise ValueError(f"{state.W - state.level} levels still open")
-    check(
-        state.ints[0].count(1) == len(state.lo),
-        "a node kept more than one candidate after the last level",
-    )
+    check((state.k == 1).all(), "a node kept more than one candidate after the last level")
     return state.flat[state.lo].tolist()

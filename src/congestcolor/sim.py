@@ -305,13 +305,13 @@ class Forest:
     height of v's subtree, level_sizes[d] the number of nodes at depth d,
     up_sizes[r] the number of non-roots that ship their subtree sum in
     round r of a convergecast (those of subheight r - 1), and height the
-    largest depth.  For the convergecast's prefix sums it also holds, as
-    int64 arrays, a DFS preorder of the trees in forest order: v's
-    subtree takes the positions tin[v] <= p < tout[v], tree i those from
+    largest depth.  For the convergecast's prefix sums and the level's tree
+    sums it also holds, as int64 arrays, a DFS preorder of the trees in
+    forest order: v's subtree takes the positions tin[v] <= p < tout[v],
+    preorder[p] is the node at position p, tree i takes those from
     tree_start[i] to tree_start[i + 1]; ship[v] is the round in which v
-    ships, subheight[v] + 1, or 0 at a root, and shippers the non-roots
-    by that round, then by id.  Equality compares the five stored
-    fields.
+    ships, subheight[v] + 1, or 0 at a root, and shippers the non-roots by
+    that round, then by id.  Equality compares the five stored fields.
     """
 
     tree_of: tuple
@@ -324,6 +324,7 @@ class Forest:
     up_sizes: list = field(init=False, repr=False, compare=False)
     height: int = field(init=False, repr=False, compare=False)
     tin: np.ndarray = field(init=False, repr=False, compare=False)
+    preorder: np.ndarray = field(init=False, repr=False, compare=False)
     tout: np.ndarray = field(init=False, repr=False, compare=False)
     tree_start: np.ndarray = field(init=False, repr=False, compare=False)
     ship: np.ndarray = field(init=False, repr=False, compare=False)
@@ -369,6 +370,7 @@ class Forest:
             tin[v], free[v] = free[p], free[p] + 1
             free[p] += below[v] + 1
         self.tin = np.array(tin, dtype=np.int64)
+        self.preorder = self.tin.argsort()
         self.tout = self.tin + below + 1
         self.tree_start = start
         self.ship = np.array(sub, dtype=np.int64) + 1
@@ -516,13 +518,13 @@ _CHUNK = 1 << 15
 
 
 def _bit_length(x):
-    """Entrywise bit length of |x|: the float exponent in int64, one less
-    where past 2^53 the float rounded up to a power of two; int.bit_length
-    in objects."""
+    """Entrywise bit length of |x|: in int64 the float exponent, at most 63
+    (2^63 - 512 and up round to 2^63), one less where past 2^53 the float
+    rounded up to a power of two; int.bit_length in objects."""
     if x.dtype == object:
         return _bit_length_of(x).astype(np.int64)
     x = np.abs(x)
-    e = np.frexp(x)[1]
+    e = np.minimum(np.frexp(x)[1], 63)
     return e - (x < _HALF_POW2[e])
 
 

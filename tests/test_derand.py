@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import congestcolor
@@ -99,12 +99,13 @@ def estimator_vs_node_conditional(ctx, tree_of, rng, nodes=None):
     """Run _Estimator over every seed bit of the level, with node v in
     tree tree_of[v], checking each node's (or each of `nodes`') two
     candidate values against the scalar closed form: the estimator lists
-    the nodes with alive edges, ascending, over one L, the lcm of
-    max(k0, 1) max(k1, 1) 2^shift over them (counts are in units of
-    2^-shift), and every other node's value is 0.  Returns the estimator."""
+    the nodes with alive edges, tree by tree and ascending within each
+    tree, over one L, the lcm of max(k0, 1) max(k1, 1) 2^shift over them
+    (counts are in units of 2^-shift), and every other node's value is 0.
+    Returns the estimator."""
     est = _Estimator(ctx, tree_of, max(tree_of) + 1)
     prefix = [()] * (max(tree_of) + 1)
-    alive = [v for v, inc in enumerate(ctx.incident) if inc]
+    alive = sorted((v for v, inc in enumerate(ctx.incident) if inc), key=lambda v: (tree_of[v], v))
     m, b = ctx.fam.m, ctx.fam.b
     for j in range(m + b):
         listed, num0, num1, L, totals = est.decision_values(j)
@@ -888,6 +889,74 @@ def test_estimator_per_node_on_forests():
         estimator_vs_node_conditional(ctx, tree_of, rng)
         regimes.add((max(tree_of) > 0, ctx.fam.m > ctx.fam.b))
     assert (True, True) in regimes and (True, False) in regimes
+
+
+def phi_oracle(state, nodes):
+    """The potential sum of deg(v) / k(v) over nodes, in Fractions."""
+    deg, k = state.deg.tolist(), state.k.tolist()
+    return sum((Fraction(deg[v], k[v]) for v in nodes), Fraction(0))
+
+
+@st.composite
+def interleaved_forest_levels(draw):
+    """(PrefixState, Random) of 2 to 4 random components whose node ids
+    are shuffled together, so that a tree's nodes need not be contiguous,
+    at a random level."""
+    sizes = draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
+    ids = draw(st.permutations(range(sum(sizes))))
+    edges, at = [], 0
+    for size in sizes:
+        comp = generate_graph("gnp", {"n": size, "p": 0.7}, rng_seed=draw(st.integers(0, 999)))
+        edges += [(ids[at + u], ids[at + v]) for u, v in comp.edge_list]
+        at += size
+    state = init_state(attach_default_lists(Graph.from_edges(at, edges)))
+    assume(state.W > 0)
+    rng = random.Random(draw(st.integers(0, 999)))
+    for _ in range(draw(st.integers(0, state.W - 1))):
+        state = apply_bits(state, random_bits(rng, state))
+    return state, rng
+
+
+@settings(max_examples=30, deadline=None)
+@given(made=interleaved_forest_levels(), b=st.integers(1, 4))
+def test_tree_potentials_on_interleaved_forests(made, b):
+    # the estimator lists its nodes tree by tree, each tree's totals summing
+    # that tree's numerators, and each RootRecord's potentials are the sums
+    # over its own tree's nodes, wherever the tree's ids lie
+    state, rng = made
+    g = state.inst.graph
+    forest, _ = build_bfs_forest(g)
+    ctx = build_level_context(make_family(g.n, b), state, tuple(range(g.n)))
+    estimator_vs_node_conditional(ctx, forest.tree_of, rng)
+    new_state, report = fix_level(ctx, state, CommPlan(g, forest))
+    for root, nodes in zip(forest.roots, forest.nodes):
+        rec = report.roots[root]
+        assert (rec.phi_before, rec.phi_after) == (phi_oracle(state, nodes), phi_oracle(new_state, nodes))
+    assert (report.phi_before, report.phi_after) == (phi_sum(state), phi_sum(new_state))
+
+
+def test_potentials_past_int64_match_fractions():
+    # list sizes the 16 primes 2 ... 53: lcm(k) passes 2^63, so phi_terms
+    # holds Python ints, and each node's term, phi_sum and a level's
+    # RootRecords, over two trees, match Fractions
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    n = len(primes)
+    g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1) if v != 7])
+    inst = ListColoringInstance(graph=g, C=primes[-1], lists=tuple(tuple(range(p)) for p in primes))
+    state = init_state(inst)
+    terms, L = state.phi_terms
+    assert L == lcm(*primes) > 1 << 63 and terms.dtype == object
+    deg = state.deg.tolist()
+    assert [Fraction(t, L) for t in terms.tolist()] == [Fraction(d, p) for d, p in zip(deg, primes)]
+    assert phi_sum(state) == phi_oracle(state, range(n))
+    forest, _ = build_bfs_forest(g)
+    ctx = build_level_context(make_family(n, 4), state, tuple(range(n)))
+    new_state, report = fix_level(ctx, state, CommPlan(g, forest))
+    assert len(report.roots) == 2
+    for root, nodes in zip(forest.roots, forest.nodes):
+        rec = report.roots[root]
+        assert (rec.phi_before, rec.phi_after) == (phi_oracle(state, nodes), phi_oracle(new_state, nodes))
+    assert report.phi_after == phi_sum(new_state) == phi_oracle(new_state, range(n))
 
 
 def test_estimator_lists_only_nodes_with_alive_edges():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -26,6 +27,12 @@ def splits(st):
     return list(zip(*(k.tolist() for k in split_counts(st))))
 
 
+def node_phis(st):
+    """Every node's potential read off phi_terms, as Fractions."""
+    terms, L = st.phi_terms
+    return [Fraction(t, L) for t in terms.tolist()]
+
+
 def p3_instance():
     g = generate_graph("path", {"n": 3})
     return ListColoringInstance(graph=g, C=3, lists=((0, 1), (0, 1, 2), (1, 2)))
@@ -34,9 +41,8 @@ def p3_instance():
 def test_initial_potential_p3():
     st = init_state(p3_instance())
     assert st.W == 2
-    assert phi_sum(st, [0]) == Fraction(1, 2)
-    assert phi_sum(st, [1]) == Fraction(2, 3)
-    assert phi_sum(st, [2]) == Fraction(1, 2)
+    assert node_phis(st) == [Fraction(1, 2), Fraction(2, 3), Fraction(1, 2)]
+    assert st.phi_terms[1] == 6
     assert phi_sum(st) == Fraction(5, 3)
     assert st.alive_edges.tolist() == [[0, 1], [1, 2]]
 
@@ -168,8 +174,9 @@ def test_phi_node_and_edge_forms_agree():
 
 
 def test_phi_sum_of_subsets_matches_per_node_fractions():
-    # mid-phase states with mixed candidate counts; empty, one-node,
-    # random and full node subsets
+    # mid-phase states with mixed candidate counts: every node's term and
+    # the sums of its terms over empty, one-node, random and full node
+    # subsets, over phi_terms' one L
     rng = random.Random(11)
     for trial in range(40):
         g = generate_graph("gnp", {"n": 15, "p": 0.4}, rng_seed=100 + trial)
@@ -179,9 +186,12 @@ def test_phi_sum_of_subsets_matches_per_node_fractions():
                     for k0, k1 in splits(st)]
             st = apply_bits(st, bits)
         deg, k = st.deg.tolist(), st.k.tolist()
+        assert node_phis(st) == [Fraction(d, kv) for d, kv in zip(deg, k)]
+        terms, L = st.phi_terms
+        assert L == lcm(*k) and terms.dtype == np.int64
         for size in (0, 1, rng.randrange(2, g.n), g.n):
             nodes = tuple(rng.sample(range(g.n), size))
             want = sum((Fraction(deg[v], k[v]) for v in nodes), Fraction(0))
-            got = phi_sum(st, nodes)
-            assert type(got) is Fraction and got == want
-        assert phi_sum(st) == phi_sum(st, range(g.n))
+            assert Fraction(int(terms[list(nodes)].sum()), L) == want
+        got = phi_sum(st)
+        assert type(got) is Fraction and got == sum(node_phis(st))

@@ -739,13 +739,24 @@ def test_aggregate_pairs_prices_only_listed_nodes_and_their_ancestors(monkeypatc
 
 
 def test_bit_length_is_exact_past_2_53():
-    # past 2^53 an int64 may round up to a power of two as a float; the
+    # past 2^53 an int64 may round up to a power of two as a float, and
+    # from 2^63 - 512 up to 2^63 as one past int64's bit lengths; the
     # pass's bit lengths, in int64 and in objects, are still exact
     edges = [0, 1, 2, 3, *(s + d for k in range(50, 63) for s in (1 << k,) for d in (-1, 0, 1))]
-    x = np.array([v for v in edges if v < 1 << 63] + [-(1 << 62) + 1], dtype=np.int64)
+    top = [(1 << 63) - 513, (1 << 63) - 512, (1 << 63) - 1]
+    x = np.array([v for v in edges if v < 1 << 63] + top + [-(1 << 62) + 1], dtype=np.int64)
     want = [int(v).bit_length() for v in x.tolist()]
     assert sim_module._bit_length(x).tolist() == want
     assert sim_module._bit_length(x.astype(object)).tolist() == want
+
+
+@pytest.mark.parametrize("L", [(1 << 63) - 1024, (1 << 63) - 1, 1 << 63])
+def test_aggregate_pairs_prices_a_denominator_next_to_2_63(L):
+    # 2^63 - 1 is int64 but its float is 2^63: the pass still prices it
+    g = Graph.from_edges(2, [(0, 1)])
+    forest, _ = build_bfs_forest(g)
+    casts = Convergecasts([1], [[1]], [[1]], [L])
+    assert aggregate_pairs(g, forest, casts, 0) == engine_aggregate(g, forest, casts, 0)
 
 
 def test_aggregate_pairs_rejects_a_repeated_node():
