@@ -4,7 +4,8 @@ Three subcommands.  `run` colors one graph (loaded or generated) and
 prints a JSON stats object; `verify` checks a coloring file against an
 instance file; `bench` runs a suite of generated graphs and prints one
 CSV row each, with the round count normalized by the bound
-D * ceil(log2 C) * (ceil(log2 K) + ceil(log2 Delta) + ceil(log2 W)).
+h * ceil(log2 C) * (ceil(log2 K) + ceil(log2 Delta) + ceil(log2 W)),
+h the first phase's BFS forest height: h <= D <= 2h for the diameter D.
 
 Generator specs are comma-separated, `kind,key=value,...`, for example
 `gnp,n=200,p=0.05`.  Values parse as int first, then float; a key may
@@ -151,7 +152,7 @@ def _bench_ratio(inst, reports, rounds) -> str:
     width = max(1, (inst.C - 1).bit_length())
     k_start = reports[0].k_classes if reports else 1
     term = _ceil_log2(k_start) + _ceil_log2(inst.graph.max_degree) + _ceil_log2(width)
-    bound = max(1, inst.graph.diameter) * width * max(1, term)
+    bound = max(1, reports[0].depth if reports else 0) * width * max(1, term)
     ratio = Fraction(rounds, bound)
     return f"{ratio.numerator}/{ratio.denominator}"
 

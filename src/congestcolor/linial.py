@@ -19,8 +19,8 @@ least a quarter of the nodes.
 
 Both run as single passes: every round's sends follow from the schedule
 or the coloring, so each computes its result directly and charges the
-rounds, messages and bits through sim._charge, exactly as the
-message-by-message engine would.
+rounds, messages and bits through sim._charge, which also holds them to
+the policy's cap, exactly as the message-by-message engine would.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import InvariantError, check
-from .sim import ALGORITHM, BandwidthError, BandwidthPolicy, _charge, _even
+from .sim import ALGORITHM, _charge, _even
 
 
 @dataclass(frozen=True)
@@ -156,16 +156,10 @@ def linial_reduce(graph, colors=None, *, policy=None, trace=None):
     _check_proper(graph, colors, "initial coloring")
     schedule, _ = _schedule(max(colors, default=0) + 1, graph.max_degree)
     check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
-    sent, failure = [_even(0, 0)], None
+    sent = [_even(0, 0)]
     if graph.edge_list:
         sent += [_even(2 * len(graph.edge_list), width) for _, width in schedule]
-        limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
-        for s, (_, width) in enumerate(schedule):
-            if limit is not None and width > limit:
-                edge = graph.edge_list[0]  # the first send: min node, min neighbor
-                failure = (s, BandwidthError(s + 1, edge, width, limit))
-                break
-    stats = _charge({ALGORITHM: sent}, trace, failure)
+    stats = _charge({ALGORITHM: sent}, trace, policy=policy, n=graph.n, edges=graph.edge_list)
     colors = list(colors)
     for p, _ in schedule:
         colors = [
@@ -180,7 +174,8 @@ def mis_by_colors(graph, colors, *, policy=None, trace=None):
 
     Class c decides when it wakes in round c: a node joins unless a
     neighbor joined first, and a joiner tells its neighbors so in round
-    c + 1, with one bit, which fits every strict:K cap.
+    c + 1, with one bit, which fits every strict:K cap; _charge checks
+    that it does, as for every pass.
     """
     _check_proper(graph, colors, "conflict coloring")
     joined = [False] * graph.n
@@ -192,5 +187,6 @@ def mis_by_colors(graph, colors, *, policy=None, trace=None):
             r = colors[v] + bool(nbrs)  # its wakeup, or its one-bit sends
             sends += [0] * (r + 1 - len(sends))
             sends[r] += len(nbrs)
-    stats = _charge({ALGORITHM: [_even(k, 1) for k in sends]}, trace)
+    sent = {ALGORITHM: [_even(k, 1) for k in sends]}
+    stats = _charge(sent, trace, policy=policy, n=graph.n, edges=graph.edge_list)
     return tuple(v for v in range(graph.n) if joined[v]), stats

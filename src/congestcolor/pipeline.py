@@ -179,8 +179,9 @@ def color_fraction(
         state, rep = fix_level(ctx, state, comm, strategy=strategy)
         levels.append(rep)
         phi_trace.append(rep.phi_after)
+        (a, b), (c, d) = rep.phi_after.as_integer_ratio(), phi_trace[-2].as_integer_ratio()
         check(
-            rep.phi_after <= phi_trace[-2] + Fraction(n, W),
+            a * d * W <= (c * W + n * d) * b,  # a/b <= c/d + n/W, cross-multiplied
             f"level {rep.level}: potential drifted past n/levels",
         )
     candidates = tuple(chosen_colors(state))

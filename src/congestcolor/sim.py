@@ -27,22 +27,23 @@ after another as one round ledger whose total adds up their stats.
 Every phase step but the pipeline's flag-low is a single pass, not an
 engine run: its rounds and messages follow from its input, so it
 computes its result directly, and one charging rule, _charge, turns
-each round's message count, bits and longest message into the RunStats
-and trace the engine would give.  Here that covers the BFS forest, the
-one-round exchange and the tree collectives; linial.py adds the
-reduction and the MIS sweep.  The forest is one Forest of node-indexed
-arrays with its collectives' schedule derived once, so they need no
-loop over trees and name each tree by its forest position.  The m+b
-seed-bit convergecasts of a level come as one Convergecasts: integer
-terms over one given denominator per bit, only at the nodes the level
-lists.  The level's first aggregate_pairs call prices all of its bits in
-one numpy pass, each subtree sum a difference of prefix sums over the
-forest's DFS preorder, and every call charges its own bit, so the
-charges keep the protocol's order.  Only the listed nodes and their
-ancestors are priced; every other non-root ships the zero pair, charged
-per round by count.  Only the engine, which serves flag-low, hand-written
-protocols and the tests' references, takes a round cap, a check on
-programs that never halt.
+each round's message count, bits and longest message into the RunStats,
+trace and BandwidthError the engine would give: the cap is that one
+rule, and the engine keeps its own check, the tests' independent
+reference.  Here that covers the BFS forest, the one-round exchange and
+the tree collectives; linial.py adds the reduction and the MIS sweep.
+The forest is one Forest of node-indexed arrays with its collectives'
+schedule derived once, so they need no loop over trees and name each
+tree by its forest position.  The m+b seed-bit convergecasts of a level
+come as one Convergecasts: integer terms over one given denominator per
+bit, only at the nodes the level lists.  The level's first
+aggregate_pairs call prices all of its bits in one numpy pass, each
+subtree sum a difference of prefix sums over the forest's DFS preorder,
+and every call charges its own bit, so the charges keep the protocol's
+order.  Only the listed nodes and their ancestors are priced; every
+other non-root ships the zero pair, charged per round by count.  Only
+the engine, which serves flag-low, hand-written protocols and the tests'
+references, takes a round cap, a check on programs that never halt.
 """
 
 from __future__ import annotations
@@ -387,16 +388,11 @@ def build_bfs_forest(graph, *, policy=None, trace=None):
     (distance, parent) pair, 2 * ceil(log2 n) bits, to every neighbor in
     round d + 1, and the deepest nodes take one more round, at height + 2,
     for their final wakeup.  An offer past the policy's cap stops the
-    flood in setup, at the first node with a neighbor, which roots the
-    first tree with an edge.
+    flood in setup, at graph.edge_list[0]: the first node with a neighbor
+    roots the first tree with an edge and offers first to its smallest.
     """
     n, adj = graph.n, graph.adj
     width = 2 * max(1, (n - 1).bit_length())
-    limit = (policy or BandwidthPolicy()).limit_bits(n)
-    if limit is not None and width > limit:
-        first = next((v for v in range(n) if adj[v]), None)
-        if first is not None:
-            raise BandwidthError(1, (first, adj[first][0]), width, limit)
     tree_of, parent, depth = [None] * n, [None] * n, [0] * n
     roots, nodes = [], []
     for root in range(n):
@@ -416,7 +412,8 @@ def build_bfs_forest(graph, *, policy=None, trace=None):
         offers += [0] * (forest.height + 2)
         for v, d in enumerate(depth):
             offers[d + 1] += len(adj[v])
-    return forest, _charge({ALGORITHM: [_even(k, width) for k in offers]}, trace)
+    sent = {ALGORITHM: [_even(k, width) for k in offers]}
+    return forest, _charge(sent, trace, policy=policy, n=n, edges=graph.edge_list)
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +426,33 @@ _PAIR_OVERHEAD = 4 * (1 + _LEN_FIELD)
 _ZERO_PAIR = _PAIR_OVERHEAD + 2
 
 
-def _charge(sent, trace, failure=None):
+def _charge(sent, trace, failure=None, *, policy=None, n=0, edges=()):
     """RunStats of a pass that delivers, per category c, sent[c][r] =
     (messages, bits, max_bits) in round r = 1..height (0 is setup), with
     the engine's trace.  A pass with no rounds charges nothing.
 
-    `failure` is (r, exc) for an error the engine raises while it runs
-    round r (0 is setup): the rounds before it are traced, then it raises.
+    Under `policy`, the first "algorithm" round r whose longest message
+    passes policy.limit_bits(n) raises BandwidthError(r, edges[0], bits,
+    limit), edges[0] the pass's first send, while round r - 1 runs, as
+    the engine does on queueing it; aggregation is exempt.  `failure` is
+    (r, exc) for an aggregation pass's error that the engine raises while
+    it runs round r (0 is setup).  Either way the rounds before it are
+    traced, then it raises.
     """
     height = max(map(len, sent.values()), default=1) - 1
     if not height:
         return RunStats()
+    stats = RunStats(rounds=height)
+    for c, rounds in sent.items():
+        count, bits, top = zip(*rounds)
+        stats.messages += sum(count)
+        stats.messages_by_category[c] = sum(count)
+        stats.bits_by_category[c] = sum(bits)
+        stats.max_bits_by_category[c] = max(top)
+    limit = None if policy is None else policy.limit_bits(n)
+    if limit is not None and stats.max_bits_by_category[ALGORITHM] > limit:
+        r, top = next((r, t) for r, (_, _, t) in enumerate(sent[ALGORITHM]) if t > limit)
+        failure = r - 1, BandwidthError(r, tuple(map(int, edges[0])), top, limit)
     done = height if failure is None else failure[0] - 1
     if trace is not None:
         for r in range(1, done + 1):
@@ -448,13 +461,6 @@ def _charge(sent, trace, failure=None):
             trace({"round": r, "messages": messages, "category_bits": bits})
     if failure is not None:
         raise failure[1]
-    stats = RunStats(rounds=height)
-    for c, rounds in sent.items():
-        count, bits, top = zip(*rounds)
-        stats.messages += sum(count)
-        stats.messages_by_category[c] = sum(count)
-        stats.bits_by_category[c] = sum(bits)
-        stats.max_bits_by_category[c] = max(top)
     return stats
 
 
@@ -620,16 +626,12 @@ def _price_level(forest, casts):
 def broadcast_values(graph, forest, width, *, policy=None, trace=None):
     """Charge one `width`-bit "algorithm" message down every tree of the
     Forest, which the level_sizes[d] nodes at depth d hear in round d;
-    returns RunStats, rounds = height.  The first root with a neighbor
-    checks, as the engine's setup round does, that the policy's cap
-    allows the width.
+    returns RunStats, rounds = height.  A width past the policy's cap
+    stops it in setup at graph.edge_list[0], on a BFS forest the first
+    root with a neighbor and its first child.
     """
-    limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
-    if forest.height and limit is not None and width > limit:
-        root = next(r for r in forest.roots if graph.adj[r])
-        raise BandwidthError(1, (root, graph.adj[root][0]), width, limit)
     sent = [_even(0, width), *(_even(size, width) for size in forest.level_sizes[1:])]
-    return _charge({ALGORITHM: sent}, trace)
+    return _charge({ALGORITHM: sent}, trace, policy=policy, n=graph.n, edges=graph.edge_list)
 
 
 class CommPlan:
@@ -679,11 +681,9 @@ def exchange(graph, edges, width, *, policy=None, trace=None):
     """Charge one round in which each edge (u, v) in `edges`, pairs or an
     (E, 2) array, carries one `width`-bit "algorithm" message each way;
     returns RunStats, as the engine would charge them.  A width past the
-    policy's cap raises BandwidthError at edges[0] in Python ints, from u
-    to v.  No edge costs no round."""
+    policy's cap raises BandwidthError at edges[0], from u to v.  No edge
+    costs no round."""
     if not len(edges):
         return RunStats()
-    limit = (policy or BandwidthPolicy()).limit_bits(graph.n)
-    if limit is not None and width > limit:
-        raise BandwidthError(1, tuple(map(int, edges[0])), width, limit)
-    return _charge({ALGORITHM: [_even(0, width), _even(2 * len(edges), width)]}, trace)
+    sent = [_even(0, width), _even(2 * len(edges), width)]
+    return _charge({ALGORITHM: sent}, trace, policy=policy, n=graph.n, edges=edges)

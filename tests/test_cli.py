@@ -10,6 +10,7 @@ from congestcolor import cli, derand
 from congestcolor.cli import main
 from congestcolor.decomposition import generate_decomposition, save_decomposition
 from congestcolor.graphs import (
+    Graph,
     attach_default_lists,
     generate_graph,
     load_coloring,
@@ -472,3 +473,17 @@ def test_bench_writes_csv_file(tmp_path, capsys):
     assert stdout == ""
     lines = out.read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("7,")
+
+
+def test_bench_reads_no_diameter(tmp_path, capsys, monkeypatch):
+    # the bound takes the first phase's forest height, not one BFS per node
+    def refuse(graph):
+        raise AssertionError("bench computed a diameter")
+
+    monkeypatch.setattr(Graph, "diameter", property(refuse))
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps(["star,n=9", "path,n=6"]))
+    code, stdout, _ = run_cli(["bench", str(suite), "--no-time"], capsys)
+    assert code == 0
+    lines = stdout.splitlines()
+    assert len(lines) == 3 and lines[1] == "9,8,9,1,149,12,149/36"  # star: h = 1, D = 2

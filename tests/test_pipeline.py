@@ -12,8 +12,10 @@ from fractions import Fraction
 import pytest
 
 import congestcolor
+from congestcolor import pipeline
 from congestcolor.graphs import (
     Graph,
+    InvariantError,
     ListColoringInstance,
     ValidationError,
     attach_default_lists,
@@ -372,3 +374,28 @@ def test_phase_checks_survive_python_O():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "1 phase colored 0 < 1 of 8 nodes\n"
+
+
+@pytest.mark.parametrize("over", [0, 1])
+def test_level_drift_is_held_to_n_over_levels(monkeypatch, over):
+    # level 1 reports a potential exactly n/W above its start, which
+    # passes, or one unit of that sum's denominator more, which must raise
+    inst = with_psi(attach_default_lists(generate_graph("gnp", {"n": 30, "p": 0.2}, 1)))
+    real, levels = pipeline.fix_level, []
+
+    def drifting(ctx, state, comm, **kwargs):
+        state_after, rep = real(ctx, state, comm, **kwargs)
+        if not levels:
+            edge = rep.phi_before + Fraction(inst.graph.n, state.W)
+            rep = replace(rep, phi_after=edge + Fraction(over, edge.denominator))
+        levels.append(rep.level)
+        return state_after, rep
+
+    monkeypatch.setattr(pipeline, "fix_level", drifting)
+    if over:
+        with pytest.raises(InvariantError, match=r"level \d+: potential drifted past n/levels"):
+            color_fraction(inst, "mis")
+        assert len(levels) == 1
+    else:
+        _, rep = color_fraction(inst, "mis")
+        assert len(levels) == len(rep.levels) > 1

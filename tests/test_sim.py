@@ -27,6 +27,8 @@ from congestcolor.sim import (
     RunStats,
     StallError,
     _LEN_FIELD,
+    _charge,
+    _even,
     aggregate_pairs,
     broadcast_values,
     build_bfs_forest,
@@ -320,6 +322,26 @@ def test_strict_policy_flags_fat_algorithm_messages():
     assert stats.rounds == 1
     with pytest.raises(BandwidthError, match=r"round 1.*\(0, 1\)"):
         run_protocol(g, [Swap(0), Swap(1)], policy=policy)
+
+
+def test_charge_holds_every_pass_to_the_cap():
+    # strict:1 on n = 4 caps algorithm messages at 2 bits.  Round 3's
+    # 3-bit message is queued while round 2 runs, so only round 1 is traced
+    sent = [_even(0, 0), _even(2, 1), _even(2, 1), _even(2, 3)]
+    strict = BandwidthPolicy(beta=1)
+    records = []
+    with pytest.raises(BandwidthError) as err:
+        _charge({ALGORITHM: sent}, records.append, policy=strict, n=4, edges=[(1, 2), (0, 3)])
+    assert (err.value.round, err.value.edge, err.value.bits, err.value.limit) == (3, (1, 2), 3, 2)
+    assert records == [{"round": 1, "messages": 2, "category_bits": {ALGORITHM: 2, AGGREGATION: 0}}]
+    # aggregation of any width is exempt, and measure or no policy caps nothing
+    wide = [_even(0, 0), _even(1, 1), _even(3, 10**4)]
+    for policy in (strict, BandwidthPolicy(), None):
+        stats = _charge({AGGREGATION: wide}, None, policy=policy, n=4, edges=[(1, 2)])
+        assert stats.max_bits_by_category[AGGREGATION] == 10**4
+    for policy in (BandwidthPolicy(), None):
+        stats = _charge({ALGORITHM: sent}, None, policy=policy, n=4, edges=[(1, 2)])
+        assert (stats.rounds, stats.max_bits_by_category[ALGORITHM]) == (3, 3)
 
 
 def test_bandwidth_policy_parse():
