@@ -53,6 +53,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from itertools import pairwise
 from math import lcm
 
 import numpy as np
@@ -380,10 +381,10 @@ class _SpanSweep:
     offset dx and values vals[i] at offsets at[i].  R_{m-1} is the identity
     and step_j(y) = y ^ bit_{q_j}(y) c_j turns R_j into R_{j-1}, where
     c_j = R_j(g_j) is nonzero exactly when it adds a pivot, its top bit q_j.
-    The sweep applies every step and records its flips as bools; XOR undoes
-    itself, so replaying them moves either way.  After seek(j), gens[k] =
-    R_j(g_k) (0 for k > j), vals[i] = R_j(value i) and rank[p, dx] counts
-    the span's pivots >= p."""
+    The sweep applies every step down to R_0 and records its flips as
+    bools; XOR undoes itself, so seek(j) replays them forward, for j from
+    the current one up.  After seek(j), gens[k] = R_j(g_k) (0 for k > j),
+    vals[i] = R_j(value i) and rank[p, dx] counts the span's pivots >= p."""
 
     def __init__(self, gens, b, vals, at):
         m, ndx = gens.shape  # generators and values in one array y
@@ -410,9 +411,6 @@ class _SpanSweep:
         while self.j < j:
             self.j += 1
             self._step(self.j, -1)
-        while self.j > j:
-            self._step(self.j, 1)
-            self.j -= 1
 
 
 class _Estimator:
@@ -657,8 +655,9 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     and the level's potential are checked against them by cross-multiplying
     Python ints, and Fractions are built only for the reports and trace.
 
-    Tree i of comm.forest is rooted at roots[i] and holds nodes[i]; a
-    Forest partitions range(len(tree_of)), so only its length is checked.
+    Tree i of comm.forest is rooted at roots[i] and holds its run of the
+    preorder; a Forest partitions range(len(tree_of)), so only its length
+    is checked.
     """
     if strategy not in ("conditional", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -668,7 +667,7 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
     forest = comm.forest
     if len(forest.tree_of) != state.inst.graph.n:
         raise ValueError("forest must partition the nodes")
-    tree_of, trees = forest.tree_of, forest.nodes
+    trees = len(forest.roots)
     # per tree, over its run of the forest's preorder: its potential
     # before[i] / den, and its bound cap[i] / (den 2^b), the potential
     # plus the slack 10 max deg |tree| / 2^b
@@ -686,12 +685,13 @@ def fix_level(ctx: LevelContext, state: PrefixState, comm, *, strategy="conditio
 
     # exhaustive: each tree's seed bits are those of its optimum
     best = None if strategy == "conditional" else [
-        seed_to_int(fam, exhaustive_seed(ctx, state, nodes=nodes)[0]) for nodes in trees
+        seed_to_int(fam, exhaustive_seed(ctx, state, nodes=pre[lo:hi])[0])
+        for lo, hi in pairwise(forest.tree_start.tolist())
     ]
-    est = _Estimator(ctx, tree_of, len(trees))
+    est = _Estimator(ctx, forest.tree_of, trees)
     # decide: each root reads its tree's totals off the estimator; last is
     # its last choice as an integer over that bit's denominator
-    last = [None] * len(trees)
+    last = [None] * trees
     num_a, num_b, dens, decided = [], [], [], []
     for j in range(m + b):
         nodes, num0, num1, L, totals = est.decision_values(j)

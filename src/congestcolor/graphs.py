@@ -325,7 +325,7 @@ def generate_graph(kind: str, params: dict, rng_seed: int | None = None) -> Grap
 
 def _random_regular(n: int, d: int, rng: random.Random) -> Graph:
     """Stub matching with local edge swaps to clear loops and duplicates."""
-    if d < 0 or d >= n or (n * d) % 2:
+    if d < 0 or d >= max(n, 1) or (n * d) % 2:  # the empty graph is 0-regular
         raise ValidationError(f"no {d}-regular simple graph on {n} nodes")
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(64):

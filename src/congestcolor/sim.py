@@ -32,11 +32,12 @@ trace and BandwidthError the engine would give: the cap is that one
 rule, and the engine keeps its own check, the tests' independent
 reference.  Here that covers the BFS forest, the one-round exchange and
 the tree collectives; linial.py adds the reduction and the MIS sweep.
-The forest is one Forest of node-indexed arrays with its collectives'
-schedule derived once, so they need no loop over trees and name each
-tree by its forest position.  The m+b seed-bit convergecasts of a level
-come as one Convergecasts: integer terms over one given denominator per
-bit, only at the nodes the level lists.  The level's first
+The forest is one Forest, built from its parent and depth arrays, with
+its trees and its collectives' schedule derived once, so they need no
+loop over trees and name each tree by its forest position.  The m+b
+seed-bit convergecasts of a level come as one Convergecasts: integer
+terms over one given denominator per bit, only at the nodes the level
+lists.  The level's first
 aggregate_pairs call prices all of its bits in one numpy pass, each
 subtree sum a difference of prefix sums over the forest's DFS preorder,
 and every call charges its own bit, so the charges keep the protocol's
@@ -49,6 +50,7 @@ references, takes a round cap, a check on programs that never halt.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -294,35 +296,35 @@ def run_protocol(
 
 @dataclass
 class Forest:
-    """A spanning forest, one tree per component, as node-indexed arrays.
+    """A spanning forest, one tree per component, from node-indexed
+    arrays: parent[v] is v's parent, None at a root, and depth[v] its hop
+    distance from its root.
 
-    tree_of[v] is v's tree by forest position, parent[v] its parent (None
-    at a root) and depth[v] its hop distance from the root; tree i is
-    rooted at roots[i] and holds the ascending nodes[i].  Construction
-    raises ValueError unless nodes and tree_of partition range(n) the
-    same way and each tree holds its root, alone parentless at depth 0,
-    and every other node's parent one layer up.  The collectives'
-    schedule is derived once for the whole forest: subheight[v] is the
-    height of v's subtree, level_sizes[d] the number of nodes at depth d,
+    Construction raises ValueError unless each depth-0 node is parentless
+    and every other node's parent lies one layer up; then every parent
+    chain ends at a root, so the trees partition the nodes.  The rest is
+    derived once.  The roots, the parentless nodes ascending, number the
+    trees: tree i is rooted at roots[i], and tree_of[v] is v's tree.  For
+    the collectives, level_sizes[d] is the number of nodes at depth d,
     up_sizes[r] the number of non-roots that ship their subtree sum in
-    round r of a convergecast (those of subheight r - 1), and height the
-    largest depth.  For the convergecast's prefix sums and the level's tree
-    sums it also holds, as int64 arrays, a DFS preorder of the trees in
-    forest order: v's subtree takes the positions tin[v] <= p < tout[v],
-    preorder[p] is the node at position p, tree i takes those from
+    round r of a convergecast, height the largest depth, and zero_sent
+    the per-round charges of a convergecast in which every non-root ships
+    the zero pair.  As int64 arrays, a DFS preorder of the trees in forest
+    order: v's subtree takes the positions tin[v] <= p < tout[v],
+    preorder[p] is the node at position p, and tree i takes those from
     tree_start[i] to tree_start[i + 1]; ship[v] is the round in which v
-    ships, subheight[v] + 1, or 0 at a root, and shippers the non-roots by
-    that round, then by id.  Equality compares the five stored fields.
+    ships, its subtree's height plus 1, or 0 at a root, and shippers the
+    non-roots by that round, then by id.  Equality compares parent and
+    depth.
     """
 
-    tree_of: tuple
     parent: tuple
     depth: tuple
-    roots: tuple
-    nodes: tuple
-    subheight: list = field(init=False, repr=False, compare=False)
+    roots: tuple = field(init=False, repr=False, compare=False)
+    tree_of: np.ndarray = field(init=False, repr=False, compare=False)
     level_sizes: list = field(init=False, repr=False, compare=False)
     up_sizes: list = field(init=False, repr=False, compare=False)
+    zero_sent: list = field(init=False, repr=False, compare=False)
     height: int = field(init=False, repr=False, compare=False)
     tin: np.ndarray = field(init=False, repr=False, compare=False)
     preorder: np.ndarray = field(init=False, repr=False, compare=False)
@@ -332,57 +334,59 @@ class Forest:
     shippers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        owner = sorted((v, i) for i, tree in enumerate(self.nodes) for v in tree)
-        if owner != list(enumerate(self.tree_of)):
-            raise ValueError("forest must partition the nodes")
-        tree_of, depth, roots = self.tree_of, self.depth, self.roots
-        if len(roots) != len(self.nodes) or any(r not in t for r, t in zip(roots, self.nodes)):
-            raise ValueError("each tree's root must lie in it")
-        for v, p in enumerate(self.parent):
-            if v == roots[tree_of[v]]:
-                if p is not None or depth[v]:
+        parent, depth = self.parent, self.depth
+        n = len(depth)
+        nodes = range(n)
+        for v, p, d in zip(nodes, parent, depth, strict=True):
+            if not d:
+                if p is not None:
                     raise ValueError(f"root {v} must have no parent and depth 0")
-            elif p not in range(len(depth)) or (tree_of[p], depth[p]) != (tree_of[v], depth[v] - 1):
+            elif p not in nodes or depth[p] != d - 1:
                 raise ValueError(f"node {v} needs a parent in its tree one layer up")
-        self.height = max(self.depth, default=0)
+        self.height = max(depth, default=0)
         levels = [[] for _ in range(self.height + 1)]
-        for v, d in enumerate(self.depth):
+        for v, d in enumerate(depth):
             levels[d].append(v)
         self.level_sizes = [len(level) for level in levels]
-        n = len(depth)
-        self.subheight = sub = [0] * n
+        self.roots = roots = tuple(levels[0])
+        sub, below = [0] * n, [0] * n  # each node's subtree height and descendants
         self.up_sizes = [0] * (self.height + 1)
-        below = [0] * n  # each node's descendants
         # the non-roots deepest first: every child before its parent, so
         # sub[v] and below[v] are final when v is reached
-        for v in (v for level in reversed(levels[1:]) for v in level):
-            p = self.parent[v]
-            sub[p] = max(sub[p], sub[v] + 1)
-            below[p] += below[v] + 1
-            self.up_sizes[sub[v] + 1] += 1
-        # then shallowest first: each parent hands its children consecutive
-        # runs of positions after its own, free[p] being the next one
+        for level in reversed(levels[1:]):
+            for v in level:
+                p = parent[v]
+                sub[p] = max(sub[p], sub[v] + 1)
+                below[p] += below[v] + 1
+                self.up_sizes[sub[v] + 1] += 1
+        self.zero_sent = [_even(k, _ZERO_PAIR) for k in self.up_sizes]
+        # then shallowest first: each tree, then each parent's children,
+        # take consecutive runs of positions, free[p] being p's next one
+        sizes = [below[r] + 1 for r in roots]
+        start = [*accumulate(sizes, initial=0)]  # each tree's first position
         tin, free = [0] * n, [0] * n
-        start = np.cumsum([0, *map(len, self.nodes)])
-        for r, p in zip(roots, start.tolist()):
-            tin[r], free[r] = p, p + 1
-        for v in (v for level in levels[1:] for v in level):
-            p = self.parent[v]
-            tin[v], free[v] = free[p], free[p] + 1
-            free[p] += below[v] + 1
+        for r, at in zip(roots, start):
+            tin[r], free[r] = at, at + 1
+        for level in levels[1:]:
+            for v in level:
+                p = parent[v]
+                tin[v], free[v] = free[p], free[p] + 1
+                free[p] += below[v] + 1
         self.tin = np.array(tin, dtype=np.int64)
         self.preorder = self.tin.argsort()
         self.tout = self.tin + below + 1
-        self.tree_start = start
+        self.tree_start = np.array(start, dtype=np.int64)
+        self.tree_of = np.repeat(np.arange(len(roots)), sizes)[self.tin]
         self.ship = np.array(sub, dtype=np.int64) + 1
         self.ship[list(roots)] = 0
         self.shippers = np.argsort(self.ship, kind="stable")[len(roots):]
 
 
 def build_bfs_forest(graph, *, policy=None, trace=None):
-    """Grow one BFS tree per component, rooted at its smallest id, in
-    root order: one BFS from each node no earlier tree reached.  A
-    node's parent is its smallest-id neighbor one layer up.
+    """Grow one BFS tree per component, rooted at its smallest id: one
+    BFS from each node no earlier tree reached.  A node's parent is its
+    smallest-id neighbor one layer up; the Forest is built from the
+    parents and depths alone.
 
     Charged as the synchronous flood: a node at depth d offers its
     (distance, parent) pair, 2 * ceil(log2 n) bits, to every neighbor in
@@ -393,20 +397,16 @@ def build_bfs_forest(graph, *, policy=None, trace=None):
     """
     n, adj = graph.n, graph.adj
     width = 2 * max(1, (n - 1).bit_length())
-    tree_of, parent, depth = [None] * n, [None] * n, [0] * n
-    roots, nodes = [], []
+    parent, depth = [None] * n, [None] * n
     for root in range(n):
-        if tree_of[root] is not None:
+        if depth[root] is not None:
             continue
         dist = bfs_depths(adj, root)
         for v, d in dist.items():
-            tree_of[v] = len(roots)
             depth[v] = d
             if d:
                 parent[v] = next(u for u in adj[v] if dist[u] == d - 1)
-        roots.append(root)
-        nodes.append(tuple(sorted(dist)))
-    forest = Forest(tuple(tree_of), tuple(parent), tuple(depth), tuple(roots), tuple(nodes))
+    forest = Forest(tuple(parent), tuple(depth))
     offers = [0]  # offers[d + 1]: the degree sum of the nodes at depth d
     if graph.edge_list:
         offers += [0] * (forest.height + 2)
@@ -490,8 +490,7 @@ class Convergecasts:
             if len(self.nodes):
                 bits = _price_level(forest, self)
             else:  # every non-root ships the zero pair
-                sent = [_even(k, _ZERO_PAIR) for k in forest.up_sizes]
-                bits = [([(0, 0) for _ in forest.roots], sent, None) for _ in self.L]
+                bits = [([(0, 0) for _ in forest.roots], forest.zero_sent, None) for _ in self.L]
             self._priced = forest, bits
         return self._priced[1]
 
@@ -502,7 +501,7 @@ def aggregate_pairs(graph, forest, casts, j, *, policy=None, trace=None):
 
     Returns (L, sums), L = casts.L[j] and sums[i] the integer pair (A, B)
     with A / L, B / L the totals of tree i.  A non-root v ships its
-    reduced subtree sum in round subheight(v) + 1, once all its children
+    reduced subtree sum in round forest.ship[v], once all its children
     have, as an "aggregation" message; a sum too long for the wire format
     raises ValueError in the round it is sent, after the trace records of
     the rounds before it, and a node listed twice or outside range(n)
@@ -543,7 +542,8 @@ def _price_level(forest, casts):
     the forest's preorder.  Only the non-roots with a listed node in their
     subtree, the listed nodes and their ancestors, are priced, by np.gcd
     with L and exact bit lengths; every other non-root ships 0/1, 0/1,
-    charged per round by count from forest.up_sizes.  Per-round bits and
+    charged per round by count from forest.up_sizes, and a round with no
+    priced node keeps its forest.zero_sent entry.  Per-round bits and
     maxima are reduceats over the priced nodes in shipping order.  A bit
     runs in int64 while its L fits and each side's sum of |term| is below
     2^62 (summed in floats, whose rounding cannot carry it past 2^63), so
@@ -577,7 +577,6 @@ def _price_level(forest, casts):
     starts = (count.cumsum() - count)[rounds]  # each round's first priced node
     unpriced = (np.array(forest.up_sizes) - count)[rounds] * _ZERO_PAIR
     tree_cut = before[forest.tree_start]
-    base = [_even(k, _ZERO_PAIR) for k in forest.up_sizes]
     up, rounds = forest.up_sizes, rounds.tolist()
 
     try:
@@ -616,7 +615,7 @@ def _price_level(forest, casts):
             ends = prefix[:, :, tree_cut]
             sum_a, sum_b = (ends[:, :, 1:] - ends[:, :, :-1]).tolist()
             for i, j in enumerate(js.tolist()):
-                sent = base.copy()
+                sent = forest.zero_sent.copy()
                 for r, b, t in zip(rounds, bits[i], top[i]):
                     sent[r] = up[r], b, t
                 out[j] = list(zip(sum_a[i], sum_b[i])), sent, first[i]

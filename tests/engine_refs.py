@@ -282,22 +282,10 @@ def components(graph) -> list:
 def engine_bfs_forest(graph, *, policy=None, trace=None):
     """build_bfs_forest: a flood from each component's smallest id."""
     width = max(1, (graph.n - 1).bit_length())
-    comps = components(graph)
-    roots = tuple(comp[0] for comp in comps)
-    is_root = set(roots)
-    progs = [_BFSBuild(v in is_root, width) for v in range(graph.n)]
+    roots = {comp[0] for comp in components(graph)}
+    progs = [_BFSBuild(v in roots, width) for v in range(graph.n)]
     stats = run_protocol(graph, progs, policy=policy, trace=trace)
-    tree_of = [None] * graph.n
-    for i, comp in enumerate(comps):
-        for v in comp:
-            tree_of[v] = i
-    forest = Forest(
-        tree_of=tuple(tree_of),
-        parent=tuple(p.parent for p in progs),
-        depth=tuple(p.dist for p in progs),
-        roots=roots,
-        nodes=tuple(comps),
-    )
+    forest = Forest(tuple(p.parent for p in progs), tuple(p.dist for p in progs))
     for v, kids in enumerate(_children(forest)):
         check(progs[v].kids == set(kids), "a node's kids must be its children")
     return forest, stats

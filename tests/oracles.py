@@ -84,6 +84,14 @@ class RecordingPlan(CommPlan):
         return got
 
 
+def tree_nodes(forest) -> list:
+    """Each tree's nodes, ascending, in forest order, read off tree_of."""
+    trees = [[] for _ in forest.roots]
+    for v, i in enumerate(forest.tree_of.tolist()):
+        trees[i].append(v)
+    return trees
+
+
 def bit_chains(fam: FamilySpec, forest, sums, roots) -> dict:
     """{root: [(s0, s1, bit), ...]} of one conditional fix_level: per seed
     bit, the tree's two candidate sums as Fractions, from that level's

@@ -44,7 +44,7 @@ from congestcolor.graphs import (
 from congestcolor.pipeline import _accuracy_bits, trim_lists
 from congestcolor.prefixes import apply_bits, init_state, phi_sum, split_counts
 from congestcolor.sim import BandwidthError, BandwidthPolicy, CommPlan, Forest, build_bfs_forest
-from oracles import RecordingPlan, bit_chains, xor_box_count
+from oracles import RecordingPlan, bit_chains, tree_nodes, xor_box_count
 
 
 # ---------------------------------------------------------------------------
@@ -360,22 +360,8 @@ def test_fix_level_needs_a_partition_of_the_nodes():
     inst = attach_default_lists(generate_graph("path", {"n": 3}))
     state = init_state(inst)
     ctx = build_level_context(make_family(3, 4), state, (0, 1, 2))
-    path = dict(parent=(None, 0, 1), depth=(0, 1, 2))
-    # node 2 also alone in a second tree
-    with pytest.raises(ValueError, match="partition the nodes"):
-        Forest(tree_of=(0, 0, 1), roots=(0, 2), nodes=((0, 1, 2), (2,)), **path)
-    # node 2 in no tree
-    with pytest.raises(ValueError, match="partition the nodes"):
-        Forest(tree_of=(0, 0, 0), roots=(0,), nodes=((0, 1),), **path)
-    # three nodes, as many as the path has, but 5 is not one of them
-    with pytest.raises(ValueError, match="partition the nodes"):
-        Forest(tree_of=(0, 0, 0), roots=(0,), nodes=((0, 1, 5),), **path)
-    # node 1 in tree 0, but tree_of puts it in tree 1
-    with pytest.raises(ValueError, match="partition the nodes"):
-        Forest(tree_of=(0, 1, 0), roots=(0, 1), nodes=((0, 1, 2), ()), **path)
-    # a partition of the first two nodes only
-    partial = Forest(tree_of=(0, 0), parent=(None, 0), depth=(0, 1),
-                     roots=(0,), nodes=((0, 1),))
+    # a forest of the first two nodes only
+    partial = Forest(parent=(None, 0), depth=(0, 1))
     with pytest.raises(ValueError, match="partition the nodes"):
         fix_level(ctx, state, CommPlan(inst.graph, partial))
 
@@ -419,7 +405,7 @@ def test_fix_level_chain_is_monotone_and_exact():
             # times a power of two common to all
             den = {v: max(ctx.ints.k0[v], 1) * max(ctx.ints.k1[v], 1) for v in casts.nodes.tolist()}
             lam = lcm(*den.values())
-            wider.append(any(lcm(*(den[v] for v in t if v in den)) != lam for t in forest.nodes))
+            wider.append(any(lcm(*(den[v] for v in t if v in den)) != lam for t in tree_nodes(forest)))
             return run(casts, j)
 
         comm.aggregate = aggregate
@@ -440,7 +426,7 @@ def test_fix_level_chain_is_monotone_and_exact():
                 prev = chosen
             assert rec.phi_after == prev  # realized == final expectation
         # every tree's decision sums recompute from the scalar estimator
-        for root, nodes in zip(forest.roots, forest.nodes):
+        for root, nodes in zip(forest.roots, tree_nodes(forest)):
             bits = []
             for s0, s1, bit in chains[root]:
                 for r, want in ((0, s0), (1, s1)):
@@ -820,7 +806,7 @@ def test_exhaustive_strategy_matches_componentwise_minimum():
         comm = CommPlan(graph, forest)
         new_state, report = fix_level(ctx, state, comm, strategy="exhaustive")
         per_comp = sum(
-            exhaustive_seed(ctx, state, nodes=nodes)[1] for nodes in forest.nodes
+            exhaustive_seed(ctx, state, nodes=nodes)[1] for nodes in tree_nodes(forest)
         )
         assert report.phi_after == per_comp
         assert report.phi_after == phi_sum(new_state)
@@ -929,7 +915,7 @@ def test_tree_potentials_on_interleaved_forests(made, b):
     ctx = build_level_context(make_family(g.n, b), state, tuple(range(g.n)))
     estimator_vs_node_conditional(ctx, forest.tree_of, rng)
     new_state, report = fix_level(ctx, state, CommPlan(g, forest))
-    for root, nodes in zip(forest.roots, forest.nodes):
+    for root, nodes in zip(forest.roots, tree_nodes(forest)):
         rec = report.roots[root]
         assert (rec.phi_before, rec.phi_after) == (phi_oracle(state, nodes), phi_oracle(new_state, nodes))
     assert (report.phi_before, report.phi_after) == (phi_sum(state), phi_sum(new_state))
@@ -953,7 +939,7 @@ def test_potentials_past_int64_match_fractions():
     ctx = build_level_context(make_family(n, 4), state, tuple(range(n)))
     new_state, report = fix_level(ctx, state, CommPlan(g, forest))
     assert len(report.roots) == 2
-    for root, nodes in zip(forest.roots, forest.nodes):
+    for root, nodes in zip(forest.roots, tree_nodes(forest)):
         rec = report.roots[root]
         assert (rec.phi_before, rec.phi_after) == (phi_oracle(state, nodes), phi_oracle(new_state, nodes))
     assert report.phi_after == phi_sum(new_state) == phi_oracle(new_state, range(n))
@@ -1134,9 +1120,10 @@ def reduce_by(basis, y):
 
 
 def test_span_sweep_matches_echelon_oracle():
-    # after seek(j), in any order of j, every reduced value and generator
-    # and every rank match reduction against the oracle's echelon basis of
-    # span{g_k : k > j}, for m up to 40 and m + b past 62
+    # after seek(j), for every j in ascending order on a fresh sweep, every
+    # reduced value and generator and every rank match reduction against the
+    # oracle's echelon basis of span{g_k : k > j}, for m up to 40 and m + b
+    # past 62
     rng = random.Random(73)
     for m in range(1, 41):
         for b in {rng.randrange(1, m + 1), m}:
@@ -1148,8 +1135,7 @@ def test_span_sweep_matches_echelon_oracle():
             at = [rng.randrange(len(dx)) for _ in range(24)]
             vals = [rng.randrange(1 << (b + 1)) for _ in at]
             sweep = _SpanSweep(gens, b, np.array(vals, dtype=np.int64), np.array(at))
-            order = list(range(m)) + rng.sample(range(m), m)
-            for j in order:
+            for j in range(m):
                 sweep.seek(j)
                 basis = [_basis_from(fam, d, j + 1) for d in dx]
                 assert sweep.vals.tolist() == [

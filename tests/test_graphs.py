@@ -176,6 +176,17 @@ def test_regular_generator():
         generate_graph("regular", {"n": 5, "d": 3})
 
 
+def test_every_generator_takes_the_empty_graph():
+    # the empty graph is 0-regular, and of no other degree
+    empty = Graph.from_edges(0, [])
+    for kind, params in (("path", {}), ("star", {}), ("clique", {}), ("gnp", {"p": 0.5}),
+                         ("regular", {"d": 0})):
+        assert generate_graph(kind, {"n": 0, **params}) == empty, kind
+    assert generate_graph("regular", {"n": 1, "d": 0}) == Graph.from_edges(1, [])
+    with pytest.raises(ValidationError, match="no 1-regular simple graph on 0 nodes"):
+        generate_graph("regular", {"n": 0, "d": 1})
+
+
 @pytest.mark.parametrize(
     "kind, params, message",
     [

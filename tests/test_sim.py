@@ -48,6 +48,7 @@ from engine_refs import (
     unpack_fields,
     unpack_fraction_pair,
 )
+from oracles import tree_nodes
 
 
 def test_message_invariants():
@@ -188,10 +189,10 @@ def test_exchange_helper():
 def test_bfs_path_shape():
     g = generate_graph("path", {"n": 5})
     forest, stats = build_bfs_forest(g)
-    assert forest.roots == (0,) and forest.nodes == (tuple(range(5)),)
+    assert forest.roots == (0,) and forest.tree_of.tolist() == [0] * 5
     assert forest.parent == (None, 0, 1, 2, 3)
     assert forest.depth == (0, 1, 2, 3, 4)
-    assert forest.subheight == [4, 3, 2, 1, 0] and forest.up_sizes == [0, 1, 1, 1, 1]
+    assert forest.ship.tolist() == [0, 4, 3, 2, 1] and forest.up_sizes == [0, 1, 1, 1, 1]
     assert forest.height == 4
     assert stats.rounds <= 2 * 4 + 2
 
@@ -207,8 +208,8 @@ def test_bfs_forest_roots_and_components():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
     forest, _ = build_bfs_forest(g)
     assert forest.roots == (0, 3, 4)
-    assert forest.nodes == ((0, 1, 2), (3,), (4, 5))
-    assert forest.tree_of == (0, 0, 0, 1, 2, 2)
+    assert forest.tree_of.tolist() == [0, 0, 0, 1, 2, 2]
+    assert forest.tree_start.tolist() == [0, 3, 4, 6]
     assert forest.depth[5] == 1 and forest.height == 2
     assert forest.level_sizes == [3, 2, 1]
 
@@ -246,7 +247,7 @@ def test_bfs_matches_offline_distances():
     for trial in range(10):
         g = generate_graph("gnp", {"n": 24, "p": 0.12}, rng_seed=trial)
         forest, stats = build_bfs_forest(g)
-        for root, nodes in zip(forest.roots, forest.nodes):
+        for root, nodes in zip(forest.roots, tree_nodes(forest)):
             dist = bfs_depths(g.adj, root)
             assert sorted(dist) == list(nodes)
             assert all(forest.depth[v] == d for v, d in dist.items())
@@ -309,7 +310,7 @@ def test_aggregate_random_trees():
         for j, values in enumerate(rows):
             (L, sums), stats = aggregate_pairs(g, forest, casts, j)
             assert L == casts.L[j]  # one denominator for every tree
-            for (a, b), nodes in zip(root_totals(L, sums), forest.nodes):
+            for (a, b), nodes in zip(root_totals(L, sums), tree_nodes(forest)):
                 assert a == sum(values[v][0] for v in nodes)
                 assert b == sum(values[v][1] for v in nodes)
             assert stats.rounds == forest.height
@@ -865,19 +866,32 @@ _pass_options = {
 }
 
 
+@st.composite
+def drawn_forests(draw):
+    """A Forest drawn as (parent, depth): the nodes join in a drawn order
+    of their ids, each a new root or a child of a drawn earlier node, so
+    ids are shuffled and parents are not chosen by smallest id."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    order = draw(st.permutations(range(n)))
+    parent, depth = [None] * n, [0] * n
+    for i, v in enumerate(order):
+        at = draw(st.integers(min_value=-1, max_value=i - 1))  # -1: a new root
+        if at >= 0:
+            parent[v] = order[at]
+            depth[v] = depth[parent[v]] + 1
+    return Forest(tuple(parent), tuple(depth))
+
+
 @settings(max_examples=150, deadline=None)
-@given(g=graphs())
-def test_forest_arrays_match_a_walk_of_the_trees(g):
-    forest, _ = build_bfs_forest(g)
-    n, parent = g.n, forest.parent
-    assert sorted(v for nodes in forest.nodes for v in nodes) == list(range(n))
-    for i, nodes in enumerate(forest.nodes):
-        assert list(nodes) == sorted(nodes) and forest.roots[i] == nodes[0]
-        assert {v for v in range(n) if forest.tree_of[v] == i} == set(nodes)
-    assert forest.roots == tuple(v for v in range(n) if parent[v] is None)
-    # walk every node up to its root: its depth, its ancestors' subheights
-    # and the subtrees it lies in
+@given(forest=graphs().map(lambda g: build_bfs_forest(g)[0]) | drawn_forests())
+def test_forest_arrays_match_a_walk_of_the_trees(forest):
+    n, parent = len(forest.depth), forest.parent
+    roots = [v for v in range(n) if parent[v] is None]
+    assert forest.roots == tuple(roots)  # ascending: the trees in forest order
+    # walk every node up to its root: its depth, its tree, its ancestors'
+    # subheights and the subtrees it lies in
     depth, sub, within = [0] * n, [0] * n, [{v} for v in range(n)]
+    trees = [[] for _ in roots]
     for v in range(n):
         u = v
         while parent[u] is not None:
@@ -885,19 +899,23 @@ def test_forest_arrays_match_a_walk_of_the_trees(g):
             depth[v] += 1
             sub[u] = max(sub[u], depth[v])
             within[v].add(u)
-        assert forest.tree_of[u] == forest.tree_of[v]
-    # a preorder: each subtree, and each tree in forest order, holds one
-    # run of positions
+        i = roots.index(u)
+        assert forest.tree_of[v] == i
+        trees[i].append(v)
+    assert forest.tree_of.dtype == np.int64
+    # a preorder: each subtree, and each tree in forest order, is exactly
+    # one run of positions
+    pre = forest.preorder.tolist()
+    assert forest.tin[pre].tolist() == list(range(n))
     for v in range(n):
         subtree = [u for u in range(n) if v in within[u]]
-        assert sorted(forest.tin[subtree].tolist()) == list(range(forest.tin[v], forest.tout[v]))
-    for i, nodes in enumerate(forest.nodes):
-        runs = forest.tin[list(nodes)].tolist()
-        assert sorted(runs) == list(range(forest.tree_start[i], forest.tree_start[i + 1]))
+        assert sorted(pre[forest.tin[v]:forest.tout[v]]) == subtree
+    cuts = forest.tree_start.tolist()
+    assert [sorted(pre[a:z]) for a, z in zip(cuts, cuts[1:])] == trees and cuts[-1] == n
     assert forest.ship.tolist() == [0 if parent[v] is None else sub[v] + 1 for v in range(n)]
     non_roots = [v for v in range(n) if parent[v] is not None]
     assert forest.shippers.tolist() == sorted(non_roots, key=lambda v: (sub[v], v))
-    assert list(forest.depth) == depth and forest.subheight == sub
+    assert list(forest.depth) == depth
     assert forest.height == max(depth, default=0)
     assert forest.level_sizes == [depth.count(d) for d in range(forest.height + 1)]
     # a non-root ships in round subheight + 1 of a convergecast
@@ -906,34 +924,20 @@ def test_forest_arrays_match_a_walk_of_the_trees(g):
 
 
 @pytest.mark.parametrize(
-    "fields, error",
+    "parent, depth, error",
     [
-        # node 2's parent lies in tree 0: tree 1's sums would reach root 0
-        (dict(tree_of=(0, 1, 1), parent=(None, None, 0), depth=(0, 0, 1), roots=(0, 1),
-              nodes=((0,), (1, 2))),
-         "node 2 needs a parent in its tree one layer up"),
         # non-root 1 has no parent: its term would never reach a root
-        (dict(tree_of=(0, 0), parent=(None, None), depth=(0, 0), roots=(0,), nodes=((0, 1),)),
-         "node 1 needs a parent in its tree one layer up"),
-        (dict(tree_of=(0, 0), parent=(None, None), depth=(0, 1), roots=(0,), nodes=((0, 1),)),
-         "node 1 needs a parent in its tree one layer up"),
+        ((None, None), (0, 1), "node 1 needs a parent in its tree one layer up"),
         # root 0 has a parent
-        (dict(tree_of=(0, 0), parent=(1, 0), depth=(0, 1), roots=(0,), nodes=((0, 1),)),
-         "root 0 must have no parent and depth 0"),
+        ((1, 0), (0, 1), "root 0 must have no parent and depth 0"),
         # node 2 sits two layers below its parent: height 2, one round
-        (dict(tree_of=(0, 0, 0), parent=(None, 0, 0), depth=(0, 1, 2), roots=(0,),
-              nodes=((0, 1, 2),)),
-         "node 2 needs a parent in its tree one layer up"),
-        # tree 1's root lies in tree 0
-        (dict(tree_of=(0, 1), parent=(None, None), depth=(0, 0), roots=(0, 0), nodes=((0,), (1,))),
-         "each tree's root must lie in it"),
+        ((None, 0, 0), (0, 1, 2), "node 2 needs a parent in its tree one layer up"),
     ],
-    ids=["parent-in-another-tree", "orphan-at-depth-0", "orphan-at-depth-1",
-         "root-with-parent", "depth-skips-a-layer", "root-outside-its-tree"],
+    ids=["orphan-at-depth-1", "root-with-parent", "depth-skips-a-layer"],
 )
-def test_forest_rejects_inconsistent_trees(fields, error):
+def test_forest_rejects_inconsistent_trees(parent, depth, error):
     with pytest.raises(ValueError, match=error):
-        Forest(**fields)
+        Forest(parent, depth)
 
 
 def test_build_bfs_forest_runs_one_bfs_per_component(monkeypatch):
