@@ -30,7 +30,7 @@ print("C =", inst.C, " levels =", state.W, " seed bits per level =",
       fam.m + fam.b)
 print("level 0: phi =", phi_sum(state))
 while state.level < state.W:
-    ctx = build_level_context(fam, state, inst.psi)
+    ctx = build_level_context(fam, state)
     state, report = fix_level(ctx, state, comm)
     print("level %d: phi = %s  (bound %s, %d rounds)"
           % (report.level, report.phi_after, report.bound, report.rounds))

@@ -12,7 +12,9 @@ equals the current potential up to threshold rounding.  All coins are
 driven by one 2m-bit seed, so some seed lands at or below that
 expectation, and fixing seed bits one at a time by comparing the two
 conditional expectations finds one.  Everything here is exact rational
-arithmetic; nothing is sampled.
+arithmetic; nothing is sampled.  The coins' inputs x are the start
+coloring psi of the state's instance, which the instance checked proper,
+so build_level_context checks only that they lie below the family's K.
 
 Both regimes of the conditionals count one box |{z < t_u : z ^ delta < t_v}|,
 delta = a_u ^ a_v being the XOR offset of a_v = low_b(s1 * x_v) between
@@ -125,22 +127,18 @@ class LevelContext:
         return _gen_table(self.fam, self.x)
 
 
-def build_level_context(fam: FamilySpec, state: PrefixState, psi) -> LevelContext:
-    n = state.inst.graph.n
+def build_level_context(fam: FamilySpec, state: PrefixState) -> LevelContext:
+    """The level's context.  Its colors x are the psi of state.inst, which
+    the instance checked proper, so they separate every alive edge."""
+    psi = state.inst.psi
     if state.level >= state.W:
         raise ValueError("all levels of this instance are already fixed")
-    if len(psi) != n:
-        raise ValueError(f"psi must color all {n} nodes")
-    if n and not 0 <= min(psi) <= max(psi) < fam.K:
-        c = np.array(psi, dtype=object)
-        v = int(np.flatnonzero((c < 0) | (c >= fam.K))[0])
+    if psi is None:
+        raise ValueError("the instance carries no start coloring psi")
+    if max(psi, default=0) >= fam.K:
+        v = int(np.flatnonzero(np.array(psi, dtype=object) >= fam.K)[0])
         raise ValueError(f"node {v}: psi color {psi[v]} outside [0, {fam.K})")
     x = np.array(psi, dtype=np.int64)
-    ends = x[state.alive_edges]
-    same = ends[:, 0] == ends[:, 1]
-    if np.count_nonzero(same):
-        u, v = state.alive_edges[same][0].tolist()
-        raise ValueError(f"edge ({u}, {v}): psi must separate alive endpoints")
     k0, k1 = state.split
     # t = ceil(k1 2^b / k), in int64 while len(flat) 2^b >= k1 2^b fits
     if len(state.flat) << fam.b < 1 << 63:

@@ -5,6 +5,8 @@ as sorted tuples so every traversal order in the package is
 deterministic.  A list-coloring instance carries a palette size C and
 per-node color lists, each sorted ascending; validity of an instance
 always means |L(v)| >= deg(v) + 1 and L(v) a subset of {0..C-1}.
+check_coloring is the one test of a proper coloring: an instance runs it
+on its start coloring psi, and the Linial passes on their input.
 """
 
 from __future__ import annotations
@@ -41,6 +43,20 @@ def bfs_depths(adj, src: int) -> dict:
                 dist[w] = dist[u] + 1
                 q.append(w)
     return dist
+
+
+def check_coloring(graph: Graph, colors, what: str) -> None:
+    """ValidationError, naming the first node or edge at fault, unless
+    `colors` gives every node of graph a nonnegative color and the two
+    ends of every edge different ones."""
+    if len(colors) != graph.n:
+        raise ValidationError(f"{what} must color all {graph.n} nodes")
+    for v, c in enumerate(colors):
+        if c < 0:
+            raise ValidationError(f"node {v}: negative color in {what}")
+    for u, v in graph.edge_list:
+        if colors[u] == colors[v]:
+            raise ValidationError(f"edge ({u}, {v}): {what} must be proper")
 
 
 class Graph:
@@ -122,13 +138,7 @@ class ListColoringInstance:
             if lst[0] < 0 or lst[-1] >= self.C:
                 raise ValidationError(f"node {v}: colors outside 0..{self.C - 1}")
         if self.psi is not None:
-            if len(self.psi) != g.n:
-                raise ValidationError("psi must assign a value to every node")
-            for u, w in g.edge_list:
-                if self.psi[u] == self.psi[w]:
-                    raise ValidationError(f"psi not proper on edge ({u},{w})")
-            if any(x < 0 for x in self.psi):
-                raise ValidationError("psi values must be nonnegative")
+            check_coloring(g, self.psi, "psi")
 
     @property
     def psi_range(self) -> int | None:

@@ -21,6 +21,9 @@ Both run as single passes: every round's sends follow from the schedule
 or the coloring, so each computes its result directly and charges the
 rounds, messages and bits through sim._charge, which also holds them to
 the policy's cap, exactly as the message-by-message engine would.
+Both take their input coloring through graphs.check_coloring, so one
+that misses a node, has a negative color or is not proper is refused as
+bad input (ValidationError).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import InvariantError, check
+from .graphs import InvariantError, check, check_coloring
 from .sim import ALGORITHM, _charge, _even
 
 
@@ -130,17 +133,6 @@ def _recolor(c: int, others, p: PolyParams) -> int:
     raise InvariantError("no separating point; q > d*delta should prevent this")
 
 
-def _check_proper(graph, colors, what: str) -> None:
-    if len(colors) != graph.n:
-        raise ValueError(f"{what} must color all {graph.n} nodes")
-    for v, c in enumerate(colors):
-        if c < 0:
-            raise ValueError(f"node {v}: negative color in {what}")
-    for u, v in graph.edge_list:
-        if colors[u] == colors[v]:
-            raise ValueError(f"edge ({u}, {v}): {what} must be proper")
-
-
 def linial_reduce(graph, colors=None, *, policy=None, trace=None):
     """Iterate the reduction until the class bound stops shrinking.
 
@@ -153,7 +145,7 @@ def linial_reduce(graph, colors=None, *, policy=None, trace=None):
     """
     if colors is None:
         colors = list(range(graph.n))
-    _check_proper(graph, colors, "initial coloring")
+    check_coloring(graph, colors, "initial coloring")
     schedule, _ = _schedule(max(colors, default=0) + 1, graph.max_degree)
     check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
     sent = [_even(0, 0)]
@@ -177,7 +169,7 @@ def mis_by_colors(graph, colors, *, policy=None, trace=None):
     c + 1, with one bit, which fits every strict:K cap; _charge checks
     that it does, as for every pass.
     """
-    _check_proper(graph, colors, "conflict coloring")
+    check_coloring(graph, colors, "conflict coloring")
     joined = [False] * graph.n
     sends = [0]  # the one-bit sends of each round
     for v in sorted(range(graph.n), key=lambda v: (colors[v], v)):

@@ -162,8 +162,10 @@ def color_fraction(
     comm = CommPlan(g, policy=policy, trace=trace)
     if n == 0:
         return PartialColoring([]), PhaseReport(
-            mode, 0, 0, (Fraction(0),), (), 0 if mode == "mis" else None,
-            0, 0, 0, (), (), (), comm.stats,
+            mode=mode, nodes_at_start=0, nodes_colored=0, phi_trace=(Fraction(0),),
+            v_low=(), mis_size=0 if mode == "mis" else None, k_classes=0,
+            seed_bits=0, depth=0, levels=(), candidates=(), conflict_edges=(),
+            stats=comm.stats,
         )
     if mode == "avoid-mis":
         inst = trim_lists(inst)
@@ -175,7 +177,7 @@ def color_fraction(
     levels = []
     phi_trace = [phi_sum(state)]
     for _ in range(W):
-        ctx = build_level_context(fam, state, inst.psi)
+        ctx = build_level_context(fam, state)
         state, rep = fix_level(ctx, state, comm, strategy=strategy)
         levels.append(rep)
         phi_trace.append(rep.phi_after)

@@ -3,13 +3,15 @@
 Colors are W-bit codes, W = ceil(log2 C), read MSB first.  A node
 narrows its sorted color list one bit per level; after level l its
 candidates are exactly the list entries sharing its chosen l-bit
-prefix, a contiguous slice [lo, hi).  An edge stays alive while both
-endpoints carry the same prefix; dead edges can never conflict again.
+prefix, a contiguous slice of k entries from lo.  An edge stays alive
+while both endpoints carry the same prefix; dead edges can never
+conflict again.
 
 The state is arrays, and stores no prefix: init_state flattens the lists
 once per phase, int64 while C <= 2^63 and Python ints (an object array)
-past it, and v's candidates are flat[lo[v]:hi[v]]; deg counts each
-node's alive edges, an (E, 2) array kept while both ends' bits agree.
+past it, and v's candidates are flat[lo[v]:lo[v] + k[v]]; deg counts
+each node's alive edges, an (E, 2) array kept while both ends' bits
+agree.
 
 The potential of a node is deg/k over alive incident edges and current
 candidate count.  Summed over nodes it equals the edge form
@@ -46,14 +48,9 @@ class PrefixState:
     level: int
     flat: np.ndarray
     lo: np.ndarray
-    hi: np.ndarray
+    k: np.ndarray  # every node's candidate count
     alive_edges: np.ndarray
     deg: np.ndarray
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        """Every node's candidate count."""
-        return self.hi - self.lo
 
     @cached_property
     def split(self) -> tuple:
@@ -74,7 +71,6 @@ class PrefixState:
 def init_state(inst: ListColoringInstance) -> PrefixState:
     n = inst.graph.n
     sizes = np.fromiter(map(len, inst.lists), dtype=np.int64, count=n)
-    hi = sizes.cumsum()
     edge_list = inst.graph.edge_list
     edges = np.fromiter(chain.from_iterable(edge_list), dtype=np.int64,
                         count=2 * len(edge_list)).reshape(-1, 2)
@@ -84,8 +80,8 @@ def init_state(inst: ListColoringInstance) -> PrefixState:
         level=0,
         flat=np.fromiter(chain.from_iterable(inst.lists),
                          dtype=np.int64 if inst.C <= 1 << 63 else object),
-        lo=hi - sizes,
-        hi=hi,
+        lo=sizes.cumsum() - sizes,
+        k=sizes,
         alive_edges=edges,
         deg=np.bincount(edges.ravel(), minlength=n),
     )
@@ -97,7 +93,7 @@ def split_counts(state: PrefixState) -> tuple:
     follow the others, so k1 is a difference of one prefix count."""
     ones = np.zeros(len(state.flat) + 1, dtype=np.int64)
     np.add.accumulate((state.flat >> (state.W - state.level - 1)) & 1, out=ones[1:])
-    k1 = ones[state.hi] - ones[state.lo]
+    k1 = ones[state.lo + state.k] - ones[state.lo]
     return state.k - k1, k1
 
 
@@ -123,7 +119,7 @@ def apply_bits(state: PrefixState, bits) -> PrefixState:
     ends = one[state.alive_edges]
     alive = state.alive_edges[ends[:, 0] == ends[:, 1]]
     deg = np.bincount(alive.ravel(), minlength=len(lo))
-    return PrefixState(state.inst, state.W, state.level + 1, state.flat, lo, lo + kept, alive, deg)
+    return PrefixState(state.inst, state.W, state.level + 1, state.flat, lo, kept, alive, deg)
 
 
 def phi_sum(state: PrefixState) -> Fraction:

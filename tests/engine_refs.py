@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from congestcolor.graphs import bfs_depths, check
-from congestcolor.linial import _check_proper, _recolor, _schedule, log_star
+from congestcolor.graphs import bfs_depths, check, check_coloring
+from congestcolor.linial import _recolor, _schedule, log_star
 from congestcolor.sim import (
     AGGREGATION,
     Forest,
@@ -330,7 +330,7 @@ class _Reduce(NodeProgram):
 def engine_linial_reduce(graph, colors=None, *, policy=None, trace=None):
     if colors is None:
         colors = list(range(graph.n))
-    _check_proper(graph, colors, "initial coloring")
+    check_coloring(graph, colors, "initial coloring")
     schedule, _ = _schedule(max(colors, default=0) + 1, graph.max_degree)
     check(len(schedule) <= log_star(graph.n) + 4, "reduction chain too long")
     progs = [_Reduce(colors[v], schedule) for v in range(graph.n)]
@@ -365,7 +365,7 @@ class _ClassSweep(NodeProgram):
 
 
 def engine_mis_by_colors(graph, colors, *, policy=None, trace=None):
-    _check_proper(graph, colors, "conflict coloring")
+    check_coloring(graph, colors, "conflict coloring")
     progs = [_ClassSweep(colors[v]) for v in range(graph.n)]
     stats = run_protocol(graph, progs, policy=policy, trace=trace)
     return tuple(v for v, p in enumerate(progs) if p.joined), stats

@@ -10,7 +10,7 @@ not rewrite asserts outside test modules.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from congestcolor.coins import FamilySpec, Seed, hash_eval, seed_to_int, threshold
@@ -58,12 +58,20 @@ def xor_box_count(t_u: int, t_v: int, delta: int, b: int) -> int:
     return total
 
 
+def with_psi(inst, psi=None):
+    """inst with the start coloring psi, the node ids if none is given."""
+    if psi is None:
+        psi = range(inst.graph.n)
+    return replace(inst, psi=tuple(psi))
+
+
 def node_split_counts(state, v: int) -> tuple:
     """Node v's candidate counts (k0, k1) for the next bit, by bisection
     of its list: its candidates share the prefix of their first one."""
     lists = state.inst.lists
     lst, start = lists[v], sum(map(len, lists[:v]))  # v's list in flat
-    lo, hi = int(state.lo[v]) - start, int(state.hi[v]) - start
+    lo = int(state.lo[v]) - start
+    hi = lo + int(state.k[v])
     shift = state.W - state.level
     mid = ((lst[lo] >> shift) * 2 + 1) << (shift - 1)
     idx = bisect_left(lst, mid, lo, hi)

@@ -241,7 +241,7 @@ def test_criterion_05_estimator_matches_brute_force():
         words = np.arange(1 << fam.seed_bits)
         state = init_state(inst)
         for _ in range(state.W):
-            ctx = build_level_context(fam, state, inst.psi)
+            ctx = build_level_context(fam, state)
             cache = {}
             if len(ctx.edges):
                 for _ in range(15):
@@ -285,7 +285,7 @@ def test_criterion_05_estimator_matches_brute_force():
         state = init_state(inst)
         delta = inst.graph.max_degree
         for _ in range(state.W):
-            ctx = build_level_context(fam, state, inst.psi)
+            ctx = build_level_context(fam, state)
             _, best = exhaustive_seed(ctx, state)
             before = phi_sum(state)
             state, rep = fix_level(ctx, state, comm)

@@ -44,7 +44,7 @@ from congestcolor.graphs import (
 from congestcolor.pipeline import _accuracy_bits, trim_lists
 from congestcolor.prefixes import apply_bits, init_state, phi_sum, split_counts
 from congestcolor.sim import BandwidthError, BandwidthPolicy, CommPlan, Forest, build_bfs_forest
-from oracles import RecordingPlan, bit_chains, tree_nodes, xor_box_count
+from oracles import RecordingPlan, bit_chains, tree_nodes, with_psi, xor_box_count
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +143,7 @@ def random_context(rng, *, n_max=7, b_max=6):
         g = generate_graph("gnp", {"n": n, "p": 0.6}, rng_seed=rng.randrange(10**6))
         if g.edge_list:
             break
-    inst = attach_default_lists(g)
-    state = init_state(inst)
+    state = init_state(with_psi(attach_default_lists(g)))
     for _ in range(rng.randrange(0, state.W)):
         state = apply_bits(state, random_bits(rng, state))
         if not len(state.alive_edges):
@@ -155,7 +154,7 @@ def random_context(rng, *, n_max=7, b_max=6):
     fam = make_family(n, b)
     if fam.m > 6:
         return None
-    return build_level_context(fam, state, tuple(range(n))), state
+    return build_level_context(fam, state), state
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +248,9 @@ def test_box_count_matches_oracle_past_2_53():
 
 def fair_pair_context(b=4):
     g = generate_graph("path", {"n": 2})
-    inst = ListColoringInstance(graph=g, C=2, lists=((0, 1), (0, 1)))
+    inst = ListColoringInstance(graph=g, C=2, lists=((0, 1), (0, 1)), psi=(0, 1))
     fam = make_family(2, b)
-    return build_level_context(fam, init_state(inst), (0, 1))
+    return build_level_context(fam, init_state(inst))
 
 
 def test_fair_coins_quarter():
@@ -262,8 +261,8 @@ def test_fair_coins_quarter():
 
 def test_zero_threshold_kills_p11():
     g = generate_graph("path", {"n": 2})
-    inst = ListColoringInstance(graph=g, C=4, lists=((0, 1), (0, 1)))
-    ctx = build_level_context(make_family(2, 3), init_state(inst), (0, 1))
+    inst = ListColoringInstance(graph=g, C=4, lists=((0, 1), (0, 1)), psi=(0, 1))
+    ctx = build_level_context(make_family(2, 3), init_state(inst))
     assert ctx.ints.t[0] == 0  # both candidates extend prefix 0
     rng = random.Random(5)
     for j in (0, 1, 3, 6):
@@ -325,14 +324,14 @@ def test_node_conditional_values():
 
     # isolated node contributes nothing
     g = Graph.from_edges(3, [(0, 1)])
-    inst = ListColoringInstance(graph=g, C=2, lists=((0, 1), (0, 1), (0,)))
-    ctx2 = build_level_context(make_family(3, 3), init_state(inst), (0, 1, 2))
+    inst = ListColoringInstance(graph=g, C=2, lists=((0, 1), (0, 1), (0,)), psi=(0, 1, 2))
+    ctx2 = build_level_context(make_family(3, 3), init_state(inst))
     assert node_conditional(ctx2, 2, empty) == 0
 
     # deterministic 0-branch on the only alive edge: x_v = 1/|L|
     g2 = generate_graph("path", {"n": 2})
-    inst2 = ListColoringInstance(graph=g2, C=4, lists=((0, 1), (0, 1)))
-    ctx3 = build_level_context(make_family(2, 3), init_state(inst2), (0, 1))
+    inst2 = ListColoringInstance(graph=g2, C=4, lists=((0, 1), (0, 1)), psi=(0, 1))
+    ctx3 = build_level_context(make_family(2, 3), init_state(inst2))
     assert node_conditional(ctx3, 0, empty) == Fraction(1, 2)
 
 
@@ -346,9 +345,9 @@ def test_choose_seed_bit():
 # fix_level
 
 def run_one_level(inst, psi, b, strategy="conditional"):
-    state = init_state(inst)
+    state = init_state(with_psi(inst, psi))
     fam = make_family(max(psi) + 1, b)
-    ctx = build_level_context(fam, state, psi)
+    ctx = build_level_context(fam, state)
     forest, _ = build_bfs_forest(inst.graph)
     comm = RecordingPlan(inst.graph, forest)
     new_state, report = fix_level(ctx, state, comm, strategy=strategy)
@@ -357,13 +356,37 @@ def run_one_level(inst, psi, b, strategy="conditional"):
 
 def test_fix_level_needs_a_partition_of_the_nodes():
     # level totals are the trees' sums, so every node must sit in one tree
-    inst = attach_default_lists(generate_graph("path", {"n": 3}))
+    inst = with_psi(attach_default_lists(generate_graph("path", {"n": 3})))
     state = init_state(inst)
-    ctx = build_level_context(make_family(3, 4), state, (0, 1, 2))
+    ctx = build_level_context(make_family(3, 4), state)
     # a forest of the first two nodes only
     partial = Forest(parent=(None, 0), depth=(0, 1))
     with pytest.raises(ValueError, match="partition the nodes"):
         fix_level(ctx, state, CommPlan(inst.graph, partial))
+
+
+def test_fix_level_rejects_an_unknown_strategy():
+    inst = attach_default_lists(generate_graph("path", {"n": 2}))
+    with pytest.raises(ValueError, match="^unknown strategy 'greedy'$"):
+        run_one_level(inst, (0, 1), b=2, strategy="greedy")
+
+
+def test_level_context_reads_psi_off_the_instance():
+    # the instance checked psi proper; a level checks only that psi is
+    # there, that it fits the family and that a level is left to fix
+    inst = attach_default_lists(generate_graph("path", {"n": 3}))
+    with pytest.raises(ValueError, match="^the instance carries no start coloring psi$"):
+        build_level_context(make_family(3, 4), init_state(inst))
+    for psi in ((0, 5, 1), (0, 2**70, 1)):
+        state = init_state(with_psi(inst, psi))
+        with pytest.raises(ValueError, match=rf"^node 1: psi color {psi[1]} outside \[0, 3\)$"):
+            build_level_context(make_family(3, 4), state)
+    state = init_state(with_psi(inst, (0, 5, 1)))
+    assert build_level_context(make_family(6, 4), state).x.tolist() == [0, 5, 1]
+    while state.level < state.W:
+        state = apply_bits(state, [0] * 3)
+    with pytest.raises(ValueError, match="^all levels of this instance are already fixed$"):
+        build_level_context(make_family(6, 4), state)
 
 
 def test_fix_level_triangle_bound():
@@ -443,8 +466,8 @@ def test_seed_bit_sums_build_no_fractions(monkeypatch, n):
     # integers over one lcm, so decision_values and aggregate_pairs build
     # no Fraction at all, whatever n is
     graph = generate_graph("gnp", {"n": n, "p": 0.05}, rng_seed=0)
-    state = init_state(attach_default_lists(graph))
-    ctx = build_level_context(make_family(n, 8), state, tuple(range(n)))
+    state = init_state(with_psi(attach_default_lists(graph)))
+    ctx = build_level_context(make_family(n, 8), state)
     forest, _ = build_bfs_forest(graph)
     built, calls, inside = 0, 0, False
     new = Fraction.__new__
@@ -477,7 +500,7 @@ def test_fix_level_fraction_count_does_not_grow_with_the_seed(monkeypatch):
     # integers, so a level on three trees builds as many Fractions at
     # m + b = 8 seed bits as at 16
     g = Graph.from_edges(9, [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)])
-    state = init_state(attach_default_lists(g))
+    state = init_state(with_psi(attach_default_lists(g)))
     forest, _ = build_bfs_forest(g)
     built = 0
     new = Fraction.__new__
@@ -489,7 +512,7 @@ def test_fix_level_fraction_count_does_not_grow_with_the_seed(monkeypatch):
 
     counts = {}
     for b in (4, 8):
-        ctx = build_level_context(make_family(g.n, b), state, tuple(range(g.n)))
+        ctx = build_level_context(make_family(g.n, b), state)
         built = 0
         with monkeypatch.context() as mp:
             mp.setattr(Fraction, "__new__", staticmethod(counting_new))
@@ -601,11 +624,11 @@ def test_level_rounds_follow_the_closed_form(inst, b, strategy):
     # a level charges the round-1 exchange when it has alive edges, then
     # per seed bit one convergecast and one broadcast over the forest
     g = inst.graph
-    state = init_state(inst)
+    state = init_state(with_psi(inst))
     fam = make_family(g.n, b)
     forest, _ = build_bfs_forest(g)
     for _ in range(state.W):
-        ctx = build_level_context(fam, state, tuple(range(g.n)))
+        ctx = build_level_context(fam, state)
         alive = len(state.alive_edges) > 0
         state, report = fix_level(ctx, state, CommPlan(g, forest), strategy=strategy)
         assert report.rounds == alive + 2 * (fam.m + fam.b) * forest.height
@@ -648,10 +671,10 @@ def test_fix_level_round_bound():
 
 def test_exhaustive_seed_p2():
     g = generate_graph("path", {"n": 2})
-    inst = ListColoringInstance(graph=g, C=2, lists=((0, 1), (0, 1)))
+    inst = ListColoringInstance(graph=g, C=2, lists=((0, 1), (0, 1)), psi=(0, 1))
     state = init_state(inst)
     fam = make_family(2, 2)
-    ctx = build_level_context(fam, state, (0, 1))
+    ctx = build_level_context(fam, state)
     seed, value = exhaustive_seed(ctx, state)
     assert value == 0
     # applying the winning seed's coins really separates the two nodes
@@ -663,18 +686,18 @@ def test_exhaustive_seed_p2():
 
 def test_exhaustive_seed_single_node():
     g = Graph.from_edges(1, [])
-    inst = ListColoringInstance(graph=g, C=2, lists=((0, 1),))
+    inst = ListColoringInstance(graph=g, C=2, lists=((0, 1),), psi=(0,))
     state = init_state(inst)
-    ctx = build_level_context(make_family(1, 1), state, (0,))
+    ctx = build_level_context(make_family(1, 1), state)
     _, value = exhaustive_seed(ctx, state)
     assert value == 0
 
 
 def test_exhaustive_seed_cap():
     g = generate_graph("path", {"n": 2})
-    inst = ListColoringInstance(graph=g, C=2, lists=((0, 1), (0, 1)))
+    inst = ListColoringInstance(graph=g, C=2, lists=((0, 1), (0, 1)), psi=(0, 1))
     state = init_state(inst)
-    ctx = build_level_context(make_family(2, 13), state, (0, 1))
+    ctx = build_level_context(make_family(2, 13), state)
     # m = b = 13: 2^26 seeds, past the cap of 2^24
     with pytest.raises(SeedCapError, match="2\\^26 seeds exceed the cap of 16777216"):
         exhaustive_seed(ctx, state)
@@ -714,9 +737,9 @@ def test_exhaustive_strategy_scans_edges_once_per_level():
     seen = {}
     for comps in (4, 16, 64):
         g = Graph.from_edges(2 * comps, [(2 * i, 2 * i + 1) for i in range(comps)])
-        state = init_state(attach_default_lists(g))
-        psi = tuple(v % 2 for v in range(g.n))
-        ctx = build_level_context(make_family(2, 2), state, psi)
+        psi = (v % 2 for v in range(g.n))
+        state = init_state(with_psi(attach_default_lists(g), psi))
+        ctx = build_level_context(make_family(2, 2), state)
         counted = replace(ctx)
         counted.__dict__["ints"] = ctx.ints._replace(edges=CountingEdges(ctx.ints.edges))
         forest, _ = build_bfs_forest(g)
@@ -725,7 +748,7 @@ def test_exhaustive_strategy_scans_edges_once_per_level():
             for c in (ctx, counted)
         ]
         assert r0 == r1 and s0.level == s1.level
-        for name in ("lo", "hi", "alive_edges", "deg"):
+        for name in ("lo", "k", "alive_edges", "deg"):
             assert np.array_equal(getattr(s0, name), getattr(s1, name)), name
         seen[comps] = counted.ints.edges.passes
     assert seen[4] == seen[16] == seen[64] <= 2, seen
@@ -735,8 +758,8 @@ def test_fix_level_bandwidth_error_names_its_edge_in_python_ints():
     # under strict:1 the round-1 exchange of (k0, k1, psi) passes the cap;
     # the error names the first alive edge as a pair of Python ints
     g = Graph.from_edges(4, [(1, 2), (2, 3)])
-    state = init_state(attach_default_lists(g))
-    ctx = build_level_context(make_family(4, 3), state, (0, 1, 2, 3))
+    state = init_state(with_psi(attach_default_lists(g)))
+    ctx = build_level_context(make_family(4, 3), state)
     forest, _ = build_bfs_forest(g)
     comm = CommPlan(g, forest, policy=BandwidthPolicy(beta=1))
     with pytest.raises(BandwidthError) as info:
@@ -752,9 +775,9 @@ def test_thresholds_match_coins_threshold_on_a_grid():
     splits = [(k0, k - k0) for k in range(1, 60) for k0 in range(k + 1)]
     lists = tuple(tuple(range(k0)) + tuple(range(64, 64 + k1)) for k0, k1 in splits)
     inst = ListColoringInstance(graph=Graph.from_edges(len(lists), []), C=128, lists=lists)
-    state = init_state(inst)
+    state = init_state(with_psi(inst))
     for b in range(1, 40):
-        ctx = build_level_context(make_family(len(lists), b), state, tuple(range(len(lists))))
+        ctx = build_level_context(make_family(len(lists), b), state)
         assert list(zip(ctx.k0.tolist(), ctx.k1.tolist())) == splits
         assert ctx.t.tolist() == [
             coins.threshold(Fraction(k1, k0 + k1), b) for k0, k1 in splits
@@ -822,9 +845,9 @@ def test_uniform_average_drops_for_power_of_two_lists():
     inst = ListColoringInstance(
         graph=g, C=4, lists=((0, 1, 2, 3),) * 4
     )
-    state = init_state(inst)
+    state = init_state(with_psi(inst))
     fam = make_family(4, 4)
-    ctx = build_level_context(fam, state, (0, 1, 2, 3))
+    ctx = build_level_context(fam, state)
     total = Fraction(0)
     count = 1 << (fam.m + fam.b)
     for word in range(count):
@@ -851,13 +874,13 @@ def forest_level(rng):
         g = generate_graph("gnp", {"n": size, "p": 0.7}, rng_seed=rng.randrange(10**6))
         edges += [(u + n, v + n) for u, v in g.edge_list]
         n += size
-    inst = attach_default_lists(Graph.from_edges(n, edges))
-    state = init_state(inst)
+    state = init_state(attach_default_lists(Graph.from_edges(n, edges)))
     for _ in range(rng.randrange(0, state.W)):
         state = apply_bits(state, random_bits(rng, state))
     K = rng.randrange(n, 5 * n + 1)
     fam = make_family(K, rng.randrange(1, 6))
-    return build_level_context(fam, state, tuple(rng.sample(range(K), n))), state
+    state = replace(state, inst=with_psi(state.inst, rng.sample(range(K), n)))
+    return build_level_context(fam, state), state
 
 
 def forest_context(rng):
@@ -895,7 +918,7 @@ def interleaved_forest_levels(draw):
         comp = generate_graph("gnp", {"n": size, "p": 0.7}, rng_seed=draw(st.integers(0, 999)))
         edges += [(ids[at + u], ids[at + v]) for u, v in comp.edge_list]
         at += size
-    state = init_state(attach_default_lists(Graph.from_edges(at, edges)))
+    state = init_state(with_psi(attach_default_lists(Graph.from_edges(at, edges))))
     assume(state.W > 0)
     rng = random.Random(draw(st.integers(0, 999)))
     for _ in range(draw(st.integers(0, state.W - 1))):
@@ -912,7 +935,7 @@ def test_tree_potentials_on_interleaved_forests(made, b):
     state, rng = made
     g = state.inst.graph
     forest, _ = build_bfs_forest(g)
-    ctx = build_level_context(make_family(g.n, b), state, tuple(range(g.n)))
+    ctx = build_level_context(make_family(g.n, b), state)
     estimator_vs_node_conditional(ctx, forest.tree_of, rng)
     new_state, report = fix_level(ctx, state, CommPlan(g, forest))
     for root, nodes in zip(forest.roots, tree_nodes(forest)):
@@ -929,14 +952,14 @@ def test_potentials_past_int64_match_fractions():
     n = len(primes)
     g = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1) if v != 7])
     inst = ListColoringInstance(graph=g, C=primes[-1], lists=tuple(tuple(range(p)) for p in primes))
-    state = init_state(inst)
+    state = init_state(with_psi(inst))
     terms, L = state.phi_terms
     assert L == lcm(*primes) > 1 << 63 and terms.dtype == object
     deg = state.deg.tolist()
     assert [Fraction(t, L) for t in terms.tolist()] == [Fraction(d, p) for d, p in zip(deg, primes)]
     assert phi_sum(state) == phi_oracle(state, range(n))
     forest, _ = build_bfs_forest(g)
-    ctx = build_level_context(make_family(n, 4), state, tuple(range(n)))
+    ctx = build_level_context(make_family(n, 4), state)
     new_state, report = fix_level(ctx, state, CommPlan(g, forest))
     assert len(report.roots) == 2
     for root, nodes in zip(forest.roots, tree_nodes(forest)):
@@ -949,15 +972,15 @@ def test_estimator_lists_only_nodes_with_alive_edges():
     # node 3 has no edge, so the estimator never lists it, on any seed bit;
     # a level with no alive edge lists no node at all
     g = Graph.from_edges(6, [(0, 1), (1, 2), (4, 5)])
-    ctx = build_level_context(make_family(g.n, 3), init_state(attach_default_lists(g)), tuple(range(g.n)))
+    ctx = build_level_context(make_family(g.n, 3), init_state(with_psi(attach_default_lists(g))))
     forest, _ = build_bfs_forest(g)
     est = estimator_vs_node_conditional(ctx, forest.tree_of, random.Random(5))
     for j in range(ctx.fam.m + ctx.fam.b):
         nodes, num0, num1, _, totals = est.decision_values(j)
         assert nodes.tolist() == [0, 1, 2, 4, 5] and len(num0) == len(num1) == 5
         assert totals.shape == (2, 3) and totals[:, 1].tolist() == [0, 0]  # node 3's tree
-    inst = ListColoringInstance(graph=Graph.from_edges(3, []), C=2, lists=((0, 1),) * 3)
-    ctx = build_level_context(make_family(3, 3), init_state(inst), (0, 1, 2))
+    inst = ListColoringInstance(graph=Graph.from_edges(3, []), C=2, lists=((0, 1),) * 3, psi=(0, 1, 2))
+    ctx = build_level_context(make_family(3, 3), init_state(inst))
     est = _Estimator(ctx, (0, 1, 2), 3)
     nodes, num0, num1, L, totals = est.decision_values(0)
     assert (nodes.tolist(), num0.tolist(), num1.tolist(), L) == ([], [], [], 1)
@@ -994,9 +1017,9 @@ def test_estimator_seed_state_matches_field_products():
 def test_estimator_per_node_on_avoid_mis_star():
     # the star of the hub-avoid benchmark, at its first avoid-mis level
     g = generate_graph("star", {"n": 300})
-    state = init_state(trim_lists(attach_default_lists(g)))
+    state = init_state(with_psi(trim_lists(attach_default_lists(g))))
     fam = make_family(g.n, _accuracy_bits(g.max_degree, state.W, "avoid-mis"))
-    ctx = build_level_context(fam, state, tuple(range(g.n)))
+    ctx = build_level_context(fam, state)
     # a budget of count, weight and node-count bits passes 63 bits here, but
     # the per-node bound deg(v) (max(k0, 1) + max(k1, 1)) 2^(m+b-1) stays
     # below 2^63, so the level sums in int64
@@ -1024,10 +1047,9 @@ def test_estimator_per_node_on_wide_avoid_mis_star():
     # degree 2047 at m = b = 29: one edge count takes up to 57 bits and the
     # hub's sum of 2047 of them can pass int64, so the level sums in objects
     g = generate_graph("star", {"n": 2048})
-    inst = trim_lists(attach_default_lists(g))
-    state = init_state(inst)
+    state = init_state(with_psi(trim_lists(attach_default_lists(g))))
     fam = make_family(g.n, _accuracy_bits(g.max_degree, state.W, "avoid-mis"))
-    ctx = build_level_context(fam, state, tuple(range(g.n)))
+    ctx = build_level_context(fam, state)
     assert g.max_degree << (fam.m + fam.b - 1) >= 1 << 63
     rng = random.Random(67)
     nodes = [0] + rng.sample(range(1, g.n), 16)
@@ -1046,7 +1068,7 @@ def test_estimator_per_node_with_sure_coins():
     )
     for K, b in ((3, 3), (64, 2), (16, 5)):
         fam = make_family(K, b)
-        ctx = build_level_context(fam, init_state(inst), (0, 1, 2))
+        ctx = build_level_context(fam, init_state(with_psi(inst)))
         assert (ctx.ints.k1[0], ctx.ints.k0[2]) == (0, 0)
         assert (ctx.ints.t[0], ctx.ints.t[2]) == (0, 1 << b)
         for seed in range(4):
@@ -1067,9 +1089,9 @@ def test_estimator_per_node_with_sure_coins():
 )
 def test_estimator_sums_in_int64_only_below_the_bound(kind, lists, b, acc_type):
     g = generate_graph(kind, {"n": len(lists)})
-    inst = ListColoringInstance(graph=g, C=4, lists=lists)
+    inst = ListColoringInstance(graph=g, C=4, lists=lists, psi=tuple(range(g.n)))
     fam = make_family(1 << 32, b)  # m = 32
-    ctx = build_level_context(fam, init_state(inst), tuple(range(g.n)))
+    ctx = build_level_context(fam, init_state(inst))
     est = estimator_vs_node_conditional(ctx, [0] * g.n, random.Random(b))
     assert est.acc_type is acc_type
 
@@ -1090,7 +1112,7 @@ def test_estimator_numerators_in_int64_only_below_the_bound(splits, num_type):
     n = len(splits)
     lists = tuple(tuple(range(k0)) + tuple(range(64, 64 + k1)) for k0, k1 in splits)
     inst = ListColoringInstance(graph=generate_graph("cycle", {"n": n}), C=128, lists=lists)
-    ctx = build_level_context(make_family(n, 3), init_state(inst), tuple(range(n)))
+    ctx = build_level_context(make_family(n, 3), init_state(with_psi(inst)))
     assert tuple(zip(ctx.k0.tolist(), ctx.k1.tolist())) == splits
     assert (lcm(*(k0 * k1 for k0, k1 in splits)) > 1 << 63) == (num_type is object)
     est = estimator_vs_node_conditional(ctx, [0] * n, random.Random(89))
@@ -1162,10 +1184,10 @@ def test_estimator_counts_past_m_plus_b_62_in_objects(kind, lists, m, b, cnt_typ
     # an s1-regime edge count reaches 2^(m+b-1), which int64 holds only up
     # to m+b = 62; past it the same kernels run on Python ints
     g = generate_graph(kind, {"n": len(lists)})
-    inst = ListColoringInstance(graph=g, C=4, lists=lists)
+    inst = ListColoringInstance(graph=g, C=4, lists=lists, psi=tuple(range(g.n)))
     fam = make_family(1 << m, b)
     assert (fam.m, fam.b) == (m, b)
-    ctx = build_level_context(fam, init_state(inst), tuple(range(g.n)))
+    ctx = build_level_context(fam, init_state(inst))
     est = estimator_vs_node_conditional(ctx, [0] * g.n, random.Random(m + b))
     assert est.cnt_type is cnt_type
 
@@ -1177,8 +1199,8 @@ def test_estimator_value_keys_past_int64():
     # reductions
     g = generate_graph("star", {"n": 4})
     lists = ((0, 1, 2, 4, 5), (0, 1, 4), (1, 2, 5), (0, 2, 4))
-    inst = ListColoringInstance(graph=g, C=8, lists=lists)
-    ctx = build_level_context(make_family(1 << 62, 62), init_state(inst), (0, 1, 2, 3))
+    inst = ListColoringInstance(graph=g, C=8, lists=lists, psi=(0, 1, 2, 3))
+    ctx = build_level_context(make_family(1 << 62, 62), init_state(inst))
     assert ctx.t.tolist() == [-(-(2 << 62) // 5)] + [-(-(1 << 62) // 3)] * 3
     estimator_vs_node_conditional(ctx, [0] * g.n, random.Random(83))
 
@@ -1207,8 +1229,8 @@ def test_exhaustive_seed_mixed_list_sizes_past_int64():
     inst = ListColoringInstance(
         graph=generate_graph("cycle", {"n": 8}), C=128, lists=lists
     )
-    state = init_state(inst)
-    ctx = build_level_context(make_family(8, 3), state, tuple(range(8)))
+    state = init_state(with_psi(inst))
+    ctx = build_level_context(make_family(8, 3), state)
     assert tuple(zip(ctx.k0.tolist(), ctx.k1.tolist())) == splits
     assert lcm(*(k for s in splits for k in s)) > 1 << 63
     assert exhaustive_seed(ctx, state) == oracle_exhaustive(ctx, ctx.ints.edges)
@@ -1229,10 +1251,11 @@ def test_level_checks_survive_python_O():
 
         derand.choose_seed_bit = lambda s0, s1: 1 if s0 <= s1 else 0  # worse bit
         inst = ListColoringInstance(
-            graph=generate_graph("clique", {"n": 3}), C=4, lists=((0, 1, 2),) * 3
+            graph=generate_graph("clique", {"n": 3}), C=4, lists=((0, 1, 2),) * 3,
+            psi=(0, 1, 2),
         )
         state = init_state(inst)
-        ctx = derand.build_level_context(make_family(3, 6), state, (0, 1, 2))
+        ctx = derand.build_level_context(make_family(3, 6), state)
         forest, _ = build_bfs_forest(inst.graph)
         try:
             derand.fix_level(ctx, state, CommPlan(inst.graph, forest))

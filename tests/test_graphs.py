@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from congestcolor import graphs
 from congestcolor.graphs import (
     Graph,
+    ListColoringInstance,
     PartialColoring,
     ValidationError,
     attach_default_lists,
@@ -108,6 +109,9 @@ def test_load_rejects_self_loop(tmp_path):
         # empty lists derive C = 0, but the lists are what is wrong
         ({"n": 1, "edges": [], "lists": {"0": []}}, r"node 0: list size 0 < deg\+1 = 1"),
         ({"n": 1, "edges": [], "lists": {"0": [0]}, "C": 0}, "palette size C must be positive"),
+        # default lists need C above the largest degree
+        ({"n": 3, "edges": [[0, 1], [1, 2]], "C": 2}, r"^C=2 too small for default lists \(need 3\)$"),
+        ({"n": 2, "edges": [], "lists": {"0": [0]}}, "^node 1: missing color list$"),
     ],
 )
 def test_load_rejects_malformed_json(tmp_path, payload, message):
@@ -120,6 +124,42 @@ def test_graph_rejects_parallel_and_range():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(ValidationError):
         Graph.from_edges(3, [(0, 3)])
+    with pytest.raises(ValidationError, match="^node count must be nonnegative$"):
+        Graph.from_edges(-1, [])
+
+
+@pytest.mark.parametrize(
+    "lists, message",
+    [
+        (((0, 1), (0, 1, 2)), "^need one color list per node$"),
+        (((0, 1), (0, 2, 1), (1, 2)), "^node 1: list not strictly ascending$"),
+        (((0, 1), (0, 1, 1, 2), (1, 2)), "^node 1: list not strictly ascending$"),
+        (((0, 1), (0, 1, 2), (1, 3)), r"^node 2: colors outside 0\.\.2$"),
+        (((-1, 1), (0, 1, 2), (1, 2)), r"^node 0: colors outside 0\.\.2$"),
+    ],
+)
+def test_instance_rejects_malformed_lists(lists, message):
+    g = generate_graph("path", {"n": 3})
+    with pytest.raises(ValidationError, match=message):
+        ListColoringInstance(graph=g, C=3, lists=lists)
+
+
+@pytest.mark.parametrize(
+    "psi, message",
+    [
+        ((0, 1, 0), "^psi must color all 4 nodes$"),
+        ((0, 1, -2, 1), "^node 2: negative color in psi$"),
+        ((0, 1, 1, 1), r"^edge \(1, 2\): psi must be proper$"),
+    ],
+)
+def test_instance_rejects_a_bad_psi(psi, message):
+    # check_coloring names the first node or edge at fault
+    inst = attach_default_lists(generate_graph("path", {"n": 4}))
+    with pytest.raises(ValidationError, match=message):
+        ListColoringInstance(graph=inst.graph, C=inst.C, lists=inst.lists, psi=psi)
+    # a proper psi of any width is taken as it is
+    psi = (0, 10**30, 0, 1)
+    assert ListColoringInstance(graph=inst.graph, C=inst.C, lists=inst.lists, psi=psi).psi == psi
 
 
 def test_diameter_and_degree():
@@ -265,6 +305,8 @@ def test_verify_coloring_reports():
     assert part.ok
     part_total = verify_coloring(inst, PartialColoring([0, None, 0]))
     assert part_total.uncolored == [1]
+    with pytest.raises(ValidationError, match="^coloring length does not match node count$"):
+        verify_coloring(inst, PartialColoring([0, 1]))
 
 
 def test_residual_worked_example():

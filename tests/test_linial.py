@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from congestcolor.graphs import Graph, generate_graph
+from congestcolor.graphs import Graph, ValidationError, generate_graph
 from congestcolor.linial import (
     PolyParams,
     linial_fixpoint,
@@ -234,6 +234,24 @@ def test_mis_rejects_improper():
     g = generate_graph("path", {"n": 2})
     with pytest.raises(ValueError, match="proper"):
         mis_by_colors(g, [0, 0])
+
+
+@pytest.mark.parametrize(
+    "run, what", [(linial_reduce, "initial coloring"), (mis_by_colors, "conflict coloring")]
+)
+@pytest.mark.parametrize(
+    "colors, message",
+    [
+        ([0, 1], "^{} must color all 3 nodes$"),
+        ([0, -1, 0], "^node 1: negative color in {}$"),
+        ([2, 2, 2], r"^edge \(0, 1\): {} must be proper$"),
+    ],
+)
+def test_passes_reject_a_bad_coloring_as_bad_input(run, what, colors, message):
+    # both passes take their input through graphs.check_coloring
+    g = generate_graph("path", {"n": 3})
+    with pytest.raises(ValidationError, match=message.format(what)):
+        run(g, colors)
 
 
 def test_mis_random_graphs():

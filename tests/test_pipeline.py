@@ -17,24 +17,20 @@ from congestcolor.graphs import (
     Graph,
     InvariantError,
     ListColoringInstance,
+    PartialColoring,
     ValidationError,
     attach_default_lists,
     generate_graph,
     verify_coloring,
 )
 from congestcolor.pipeline import color_fraction, list_color_full, trim_lists
-from congestcolor.sim import ALGORITHM, BandwidthPolicy
+from congestcolor.sim import ALGORITHM, BandwidthPolicy, RunStats
 from congestcolor.derand import SeedCapError
+from oracles import with_psi
 
 
 def ceil_div(a, b):
     return -(-a // b)
-
-
-def with_psi(inst, psi=None):
-    if psi is None:
-        psi = tuple(range(inst.graph.n))
-    return replace(inst, psi=tuple(psi))
 
 
 def conflict_graph(inst, candidates):
@@ -126,6 +122,20 @@ def test_phase_edgeless():
         assert rep.nodes_colored == 5
         assert all(f == 0 for f in rep.phi_trace)
         assert rep.v_low == (0, 1, 2, 3, 4)
+
+
+def test_phase_on_the_empty_instance():
+    # n = 0 colours nothing, in no round, and reports zero in both modes
+    inst = with_psi(attach_default_lists(Graph.from_edges(0, [])))
+    for mode in ("mis", "avoid-mis"):
+        partial, rep = color_fraction(inst, mode)
+        assert partial.colors == []
+        assert rep == pipeline.PhaseReport(
+            mode=mode, nodes_at_start=0, nodes_colored=0, phi_trace=(0,), v_low=(),
+            mis_size=0 if mode == "mis" else None, k_classes=0, seed_bits=0, depth=0,
+            levels=(), candidates=(), conflict_edges=(), stats=RunStats(),
+        )
+        assert list_color_full(inst, mode) == (PartialColoring([]), [])
 
 
 def test_phase_with_a_63_bit_start_coloring():

@@ -102,8 +102,21 @@ def test_apply_bits_errors_name_the_first_node():
             apply_bits(st, bits)
     # a bool array is the same bits as a list of ints
     got, want = apply_bits(st, np.array([False, False, True])), apply_bits(st, [0, 0, 1])
-    for name in ("lo", "hi", "alive_edges", "deg"):
+    for name in ("lo", "k", "alive_edges", "deg"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_levels_are_fixed_in_order():
+    st = init_state(p3_instance())  # C = 3: two levels
+    with pytest.raises(ValueError, match="^2 levels still open$"):
+        chosen_colors(st)
+    st = apply_bits(st, [0, 0, 0])
+    with pytest.raises(ValueError, match="^1 levels still open$"):
+        chosen_colors(st)
+    st = apply_bits(st, [0, 1, 1])
+    assert chosen_colors(st) == [0, 1, 1]
+    with pytest.raises(ValueError, match="^all levels already fixed$"):
+        apply_bits(st, [0, 0, 0])
 
 
 def test_split_counts_match_bisection_past_int64():

@@ -419,11 +419,25 @@ def test_protocol_errors():
             ctx.send(1, Message(1, 1))
             ctx.send(1, Message(0, 1))
 
+    class SendTuple(NodeProgram):
+        def setup(self, ctx):
+            ctx.send(1, (1, 1))
+
+    class WakeNow(NodeProgram):
+        def setup(self, ctx):
+            ctx.wake_at(0)
+
     g = generate_graph("path", {"n": 3})
     with pytest.raises(ProtocolError):
         run_protocol(g, [BadTarget(), BadTarget(), BadTarget()])
     with pytest.raises(ProtocolError):
         run_protocol(g, [DoubleSend(), NodeProgram(), NodeProgram()])
+    with pytest.raises(ProtocolError, match="^need one program per node$"):
+        run_protocol(g, [NodeProgram()] * 2)
+    with pytest.raises(ProtocolError, match="^node 0 sent a non-Message object$"):
+        run_protocol(g, [SendTuple(), NodeProgram(), NodeProgram()])
+    with pytest.raises(ProtocolError, match="^node 1 scheduled a wake in the past$"):
+        run_protocol(g, [NodeProgram(), WakeNow(), NodeProgram()], round_cap=4)  # a wake never reached
 
 
 def test_trace_records():
